@@ -320,7 +320,6 @@ class CheckerDescriptor:
     full_name: str  # "package.Name"
     help: str
     dependencies: tuple[str, ...] = ()
-    enabled_for: object = staticmethod(lambda unit: True)
 
 
 _DESCRIPTORS = {

@@ -49,6 +49,11 @@ class RunConfig:
             return f"unknown output mode {self.output_mode!r}"
         if not self.inputs:
             return "at least one input file is required"
+        for flag, value in (("--unroll", self.unroll),
+                            ("--node-budget", self.node_budget),
+                            ("--inline-depth", self.inline_depth)):
+            if value < 0:
+                return f"{flag} must not be negative (got {value})"
         return None
 
 

@@ -26,11 +26,17 @@ from ..source import InternalError, SourceFile, SourceLocation
 from .state import assume, assume_comparison, ProgramState
 from .values import (
     as_symbol, ConcreteInt, FieldRegion, LocVal, MemRegion, NullLocVal,
-    RangeSet, region_within, SVal, sym_add, sym_mul, sym_val, Symbol,
-    SymbolicVal, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
+    RangeSet, region_root, region_type, region_within, SVal, sym_add, sym_mul,
+    sym_val, Symbol, SymbolicVal, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
 )
 
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+
+# The checker callbacks the engine dispatches; a checker implements any subset.
+CHECKER_HOOKS = (
+    "check_pre_delete", "check_implicit_dtor", "check_post_dtor", "check_use",
+    "check_dead_symbols", "check_div", "check_post_new", "check_post_call",
+)
 
 
 def _c_div(a: int, b: int) -> int:
@@ -247,6 +253,10 @@ class Engine:
                 if key in slots:
                     raise InternalError(f"duplicate checker state slot {key!r}")
                 slots.add(key)
+        # hook name -> the bound callbacks of the checkers that implement it
+        self._hooks: dict[str, list] = {
+            hook: [getattr(c, hook) for c in self.checkers if hasattr(c, hook)]
+            for hook in CHECKER_HOOKS}
 
     # --- plumbing ---
 
@@ -299,14 +309,18 @@ class Engine:
             state = state.bind(VarRegion(param, frame.id), sym)
             state = self._constrain_fresh(state, sym, param.declared_type)
         cfg = self.cfg_of(fn)
-        root, _ = graph.add(BlockEdgePoint(-1, cfg.entry, frame.id), state, None)
-        work = deque([root])
+        exhausted = f"{fn.name}: note: node budget exhausted, paths abandoned"
+        work: deque[ExplodedNode] = deque()
+        try:  # even the root counts against the budget
+            root, _ = graph.add(BlockEdgePoint(-1, cfg.entry, frame.id), state, None)
+            work.append(root)
+        except BudgetExhausted:
+            self.note(exhausted)
         while work:
             try:
                 work.extend(self.step(work.popleft()))
             except BudgetExhausted:
-                self.note(f"{fn.name}: note: node budget exhausted, "
-                          "paths abandoned")
+                self.note(exhausted)
         self.result.graphs[fn.name] = graph
         return graph
 
@@ -348,7 +362,7 @@ class Engine:
             if isinstance(element, StmtElement):
                 out: list[ExplodedNode] = []
                 for st, v in self.exec_stmt(via, state, frame, element.stmt):
-                    st = self.reap(st.clear_env(), frame)
+                    st = self.reap(st, frame)
                     point = PostStmtPoint(element.stmt.node_id, block_id, index,
                                           fid, element.stmt)
                     node, is_new = self._graph.add(point, st, v)
@@ -382,7 +396,7 @@ class Engine:
 
     def make_block_edge(self, via: ExplodedNode, state: ProgramState,
                         frame: _Frame, src: int, dst: int) -> ExplodedNode | None:
-        state = self.reap(state.clear_env(), frame)
+        state = self.reap(state, frame)
         if dst <= src:  # back edge under reverse post-order numbering
             edge = (src, dst, frame.id)
             if state.loop_count(edge) >= self.config.unroll:
@@ -530,10 +544,7 @@ class Engine:
         """Run one callback on every checker, threading the state. Returns
         (state, via, sank)."""
         original = state
-        for checker in self.checkers:
-            fn = getattr(checker, hook, None)
-            if fn is None:
-                continue
+        for fn in self._hooks[hook]:
             ctx = CheckerContext(self, via, state, frame.id)
             fn(ctx, *args)
             if ctx.report is not None:
@@ -561,20 +572,19 @@ class Engine:
 
     def _reap_with(self, state: ProgramState, frame: _Frame,
                    dead_regions: frozenset) -> ProgramState:
-        live = state.live_symbols()
-        dead = (state.gdm_symbols() - live) | {
-            s for s in state.constraints if s not in live}
-        if dead or dead_regions:
-            for checker in self.checkers:
-                fn = getattr(checker, "check_dead_symbols", None)
-                if fn is None:
-                    continue
-                ctx = CheckerContext(self, None, state, frame.id)
-                fn(ctx, frozenset(dead), dead_regions)
-                if ctx._pending is not None:
-                    state = ctx._pending
-        referenced = live | state.gdm_symbols()
-        stale = [s for s in state.constraints if s not in referenced]
+        dead = state.dead_symbols()
+        if not dead and not dead_regions:
+            return state
+        dead = frozenset(dead)
+        for fn in self._hooks["check_dead_symbols"]:
+            ctx = CheckerContext(self, None, state, frame.id)
+            fn(ctx, dead, dead_regions)
+            if ctx._pending is not None:
+                state = ctx._pending
+        # constraints on symbols that neither the store nor a slot still holds
+        slot_refs = state.gdm_symbols()
+        stale = [s for s in state.dead_symbols()
+                 if s not in slot_refs and s in state.constraints]
         if stale:
             state = state.drop_constraints(stale)
         return state
@@ -583,12 +593,6 @@ class Engine:
     # eval() returns forked outcomes: a list of (value, state, via-node).
 
     def eval(self, via, state, frame, expr: Node):
-        out = []
-        for val, st, v in self._eval(via, state, frame, expr):
-            out.append((val, st.with_env(expr.node_id, val), v))
-        return out
-
-    def _eval(self, via, state, frame, expr: Node):
         if isinstance(expr, IntLit):
             return [(ConcreteInt(expr.value), state, via)]
         if isinstance(expr, BoolLit):
@@ -985,11 +989,11 @@ class Engine:
             for region in state.store:
                 if region_within(region, target):
                     rt = (region.field_type if isinstance(region, FieldRegion)
-                          else region_type_of(region))
+                          else region_type(region))
                     rebinds[region] = self.conjure(
                         rt.value_type() if rt else TypeRef("int"))
             if target not in rebinds:
-                rt = region_type_of(target)
+                rt = region_type(target)
                 rebinds[target] = self.conjure(rt.value_type() if rt else TypeRef("int"))
             state = state.bind_many(rebinds)
         ret: SVal = UNKNOWN
@@ -1042,8 +1046,8 @@ class Engine:
                 ret = UNKNOWN if callee.return_type.base == "void" else UNDEFINED
             dead_regions = frozenset(
                 r for r in st.store
-                if isinstance(region_root_of(r), VarRegion)
-                and region_root_of(r).frame == new_frame.id)
+                if isinstance(region_root(r), VarRegion)
+                and region_root(r).frame == new_frame.id)
             st = st.unbind_where(lambda r: r in dead_regions)
             st = st.drop_frame(new_frame.id)
             st = self._reap_with(st, frame, dead_regions)
@@ -1068,16 +1072,6 @@ def _remap_region(region: MemRegion, src: MemRegion, dst: MemRegion) -> MemRegio
     assert isinstance(region, FieldRegion)
     return FieldRegion(_remap_region(region.parent, src, dst),
                        region.field_name, region.field_type)
-
-
-def region_type_of(region: MemRegion):
-    from .values import region_type
-    return region_type(region)
-
-
-def region_root_of(region: MemRegion):
-    from .values import region_root
-    return region_root(region)
 
 
 # --- graph dump ---------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import KeysView, Mapping
 
 from ..source import InternalError
 from .values import (
@@ -15,59 +15,171 @@ _MIRROR = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 class ProgramState:
-    """Environment, store, range constraints and checker data, as one
-    immutable value; every mutator returns a fresh state."""
+    """Store, range constraints, checker data and per-frame bits, as one
+    immutable value; every mutator returns a fresh state.
 
-    __slots__ = ("environment", "store", "constraints", "gdm", "ret_vals",
-                 "loop_counts", "_hash")
+    Each mutator costs what it changes, not the size of the state. Every
+    component keeps a digest, the XOR of its items' hashes, which the
+    mutators update with the items they add and remove (Zobrist hashing).
+    `==` compares digests first and the full contents only when they match.
+    Symbols are reference-counted as the mutators go: from store and pending
+    returns (live), and from checker slots. `dead_symbols()` holds the
+    symbols that constraints or slots mention but nothing live does. States
+    share every dict they do not change, so a dict is never mutated after
+    the state that owns it has been returned."""
 
-    def __init__(self, environment=None, store=None, constraints=None,
-                 gdm=None, ret_vals=None, loop_counts=None):
-        self.environment: dict[int, SVal] = environment or {}
-        self.store: dict[MemRegion, SVal] = store or {}
-        self.constraints: dict[Symbol, RangeSet] = constraints or {}
-        self.gdm: dict[str, Mapping] = gdm or {}
-        self.ret_vals: dict[int, SVal] = ret_vals or {}
-        self.loop_counts: dict[tuple, int] = loop_counts or {}
+    __slots__ = ("store", "constraints", "gdm", "ret_vals", "loop_counts",
+                 "_digests", "_live", "_slot_refs", "_dead", "_hash")
+
+    def __init__(self, store=None, constraints=None, gdm=None, ret_vals=None,
+                 loop_counts=None):
+        self.store: dict[MemRegion, SVal] = dict(store or {})
+        self.constraints: dict[Symbol, RangeSet] = dict(constraints or {})
+        self.gdm: dict[str, Mapping] = {k: dict(v) for k, v in (gdm or {}).items()}
+        self.ret_vals: dict[int, SVal] = dict(ret_vals or {})
+        self.loop_counts: dict[tuple, int] = dict(loop_counts or {})
+        self._digests = (
+            _digest(self.store.items()),
+            _digest(self.constraints.items()),
+            _digest(_slot_item(key, k, v) for key, mapping in self.gdm.items()
+                    for k, v in mapping.items()),
+            _digest(self.ret_vals.items()),
+            _digest(self.loop_counts.items()),
+        )
+        self._live: dict[Symbol, int] = {}
+        self._slot_refs: dict[Symbol, int] = {}
+        self._dead: dict[Symbol, None] = {}
         self._hash = None
+        self._recount_live(
+            [s for v in (*self.store.values(), *self.ret_vals.values())
+             for s in val_symbols(v)], ())
+        self._recount_slots(
+            [s for mapping in self.gdm.values() for k, v in mapping.items()
+             for s in _item_symbols(k, v)], ())
+        self._note_dead(list(self.constraints), ())
 
-    def _replace(self, **kw) -> "ProgramState":
-        fields = dict(environment=self.environment, store=self.store,
-                      constraints=self.constraints, gdm=self.gdm,
-                      ret_vals=self.ret_vals, loop_counts=self.loop_counts)
-        fields.update(kw)
-        return ProgramState(**fields)
+    def _derive(self) -> "ProgramState":
+        """A copy sharing every dict; the caller swaps in the ones it changes."""
+        new = _new_state(ProgramState)
+        new.store = self.store
+        new.constraints = self.constraints
+        new.gdm = self.gdm
+        new.ret_vals = self.ret_vals
+        new.loop_counts = self.loop_counts
+        new._digests = self._digests
+        new._live = self._live
+        new._slot_refs = self._slot_refs
+        new._dead = self._dead
+        new._hash = None
+        return new
+
+    def _mix(self, component: int, delta: int) -> None:
+        digests = list(self._digests)
+        digests[component] ^= delta
+        self._digests = tuple(digests)
+
+    # --- reference counts (only on a state fresh from `_derive`) ---
+
+    def _recount_live(self, came, gone) -> None:
+        if not came and not gone:
+            return
+        live = dict(self._live)
+        for sym in came:
+            count = live.get(sym, 0)
+            live[sym] = count + 1
+            if not count and sym in self._dead:
+                self._undead(sym)
+        for sym in gone:
+            count = live[sym] - 1
+            if count:
+                live[sym] = count
+                continue
+            del live[sym]
+            if sym in self.constraints or sym in self._slot_refs:
+                self._mark_dead(sym)
+        self._live = live
+
+    def _recount_slots(self, came, gone) -> None:
+        if not came and not gone:
+            return
+        refs = dict(self._slot_refs)
+        for sym in came:
+            count = refs.get(sym, 0)
+            refs[sym] = count + 1
+            if not count and sym not in self._live:
+                self._mark_dead(sym)
+        for sym in gone:
+            count = refs[sym] - 1
+            if count:
+                refs[sym] = count
+                continue
+            del refs[sym]
+            if sym in self._dead and sym not in self.constraints:
+                self._undead(sym)
+        self._slot_refs = refs
+
+    def _note_dead(self, constrained, unconstrained) -> None:
+        """Track symbols that gained or lost a constraint."""
+        for sym in constrained:
+            if sym not in self._live:
+                self._mark_dead(sym)
+        for sym in unconstrained:
+            if sym in self._dead and sym not in self._slot_refs:
+                self._undead(sym)
+
+    def _mark_dead(self, sym: Symbol) -> None:
+        if sym not in self._dead:
+            self._dead = dict(self._dead)
+            self._dead[sym] = None
+
+    def _undead(self, sym: Symbol) -> None:
+        self._dead = dict(self._dead)
+        del self._dead[sym]
 
     # --- store ---
 
     def bind(self, region: MemRegion, val: SVal) -> "ProgramState":
-        store = dict(self.store)
-        store[region] = val
-        return self._replace(store=store)
+        return self.bind_many(((region, val),))
 
     def bind_many(self, pairs) -> "ProgramState":
+        new = self._derive()
         store = dict(self.store)
-        store.update(pairs)
-        return self._replace(store=store)
+        delta = 0
+        came: list[Symbol] = []
+        gone: list[Symbol] = []
+        for region, val in (pairs.items() if isinstance(pairs, dict) else pairs):
+            old = store.get(region, _ABSENT)
+            if old is not _ABSENT:
+                delta ^= hash((region, old))
+                gone.extend(val_symbols(old))
+            store[region] = val
+            delta ^= hash((region, val))
+            came.extend(val_symbols(val))
+        new.store = store
+        new._mix(_STORE, delta)
+        if came != gone:
+            new._recount_live(came, gone)
+        return new
 
     def unbind_where(self, predicate) -> "ProgramState":
-        store = {r: v for r, v in self.store.items() if not predicate(r)}
-        return self._replace(store=store)
+        doomed = [(r, v) for r, v in self.store.items() if predicate(r)]
+        if not doomed:
+            return self
+        new = self._derive()
+        store = dict(self.store)
+        delta = 0
+        gone: list[Symbol] = []
+        for region, val in doomed:
+            del store[region]
+            delta ^= hash((region, val))
+            gone.extend(val_symbols(val))
+        new.store = store
+        new._mix(_STORE, delta)
+        new._recount_live((), gone)
+        return new
 
     def lookup(self, region: MemRegion) -> SVal | None:
         return self.store.get(region)
-
-    # --- environment (per-statement scratch) ---
-
-    def with_env(self, node_id: int, val: SVal) -> "ProgramState":
-        env = dict(self.environment)
-        env[node_id] = val
-        return self._replace(environment=env)
-
-    def clear_env(self) -> "ProgramState":
-        if not self.environment:
-            return self
-        return self._replace(environment={})
 
     # --- constraints ---
 
@@ -77,16 +189,41 @@ class ProgramState:
     def constrain(self, symbol: Symbol, rng: RangeSet) -> "ProgramState":
         if rng.is_empty:
             raise InternalError("empty range set must not be stored")
+        old = self.constraints.get(symbol)
+        if rng.is_full and old is None:
+            return self
+        new = self._derive()
         constraints = dict(self.constraints)
+        delta = 0
+        if old is not None:
+            delta ^= hash((symbol, old))
         if rng.is_full:
-            constraints.pop(symbol, None)  # canonical absence
+            del constraints[symbol]  # canonical absence
         else:
             constraints[symbol] = rng
-        return self._replace(constraints=constraints)
+            delta ^= hash((symbol, rng))
+        new.constraints = constraints
+        new._mix(_CONSTRAINTS, delta)
+        if old is None:
+            new._note_dead((symbol,), ())
+        elif rng.is_full:
+            new._note_dead((), (symbol,))
+        return new
 
     def drop_constraints(self, symbols) -> "ProgramState":
-        constraints = {s: r for s, r in self.constraints.items() if s not in symbols}
-        return self._replace(constraints=constraints)
+        doomed = [s for s in symbols if s in self.constraints]
+        if not doomed:
+            return self
+        new = self._derive()
+        constraints = dict(self.constraints)
+        delta = 0
+        for sym in doomed:
+            if sym in constraints:
+                delta ^= hash((sym, constraints.pop(sym)))
+        new.constraints = constraints
+        new._mix(_CONSTRAINTS, delta)
+        new._note_dead((), doomed)
+        return new
 
     # --- checker slots (generic data map) ---
 
@@ -94,79 +231,152 @@ class ProgramState:
         return self.gdm.get(key, {})
 
     def set_slot(self, key: str, mapping: Mapping) -> "ProgramState":
+        """Replace one slot. Other slots are not read, and only the entries
+        that are not the very objects already stored are hashed and
+        recounted."""
+        old = self.gdm.get(key, {})
+        fresh = dict(mapping)
+        delta = 0
+        came: list[Symbol] = []
+        gone: list[Symbol] = []
+        for k, v in old.items():
+            if fresh.get(k, _ABSENT) is not v:
+                delta ^= hash(_slot_item(key, k, v))
+                gone.extend(_item_symbols(k, v))
+        for k, v in fresh.items():
+            if old.get(k, _ABSENT) is not v:
+                delta ^= hash(_slot_item(key, k, v))
+                came.extend(_item_symbols(k, v))
+        new = self._derive()
         gdm = dict(self.gdm)
-        if mapping:
-            gdm[key] = dict(mapping)
+        if fresh:
+            gdm[key] = fresh
         else:
             gdm.pop(key, None)
-        return self._replace(gdm=gdm)
+        new.gdm = gdm
+        new._mix(_GDM, delta)
+        new._recount_slots(came, gone)
+        return new
 
     # --- per-frame bits ---
 
     def set_ret(self, frame: int, val: SVal) -> "ProgramState":
+        new = self._derive()
         ret_vals = dict(self.ret_vals)
+        old = ret_vals.get(frame, _ABSENT)
+        delta = hash((frame, val))
+        gone: frozenset[Symbol] = frozenset()
+        if old is not _ABSENT:
+            delta ^= hash((frame, old))
+            gone = val_symbols(old)
         ret_vals[frame] = val
-        return self._replace(ret_vals=ret_vals)
+        new.ret_vals = ret_vals
+        new._mix(_RET_VALS, delta)
+        came = val_symbols(val)
+        if came != gone:
+            new._recount_live(came, gone)
+        return new
 
     def ret(self, frame: int) -> SVal | None:
         return self.ret_vals.get(frame)
 
     def drop_frame(self, frame: int) -> "ProgramState":
-        ret_vals = {f: v for f, v in self.ret_vals.items() if f != frame}
-        loop_counts = {e: c for e, c in self.loop_counts.items() if e[2] != frame}
-        return self._replace(ret_vals=ret_vals, loop_counts=loop_counts)
+        new = self._derive()
+        old = self.ret_vals.get(frame, _ABSENT)
+        if old is not _ABSENT:
+            ret_vals = dict(self.ret_vals)
+            del ret_vals[frame]
+            new.ret_vals = ret_vals
+            new._mix(_RET_VALS, hash((frame, old)))
+            new._recount_live((), val_symbols(old))
+        doomed = [(e, c) for e, c in self.loop_counts.items() if e[2] == frame]
+        if doomed:
+            loop_counts = dict(self.loop_counts)
+            delta = 0
+            for edge, count in doomed:
+                del loop_counts[edge]
+                delta ^= hash((edge, count))
+            new.loop_counts = loop_counts
+            new._mix(_LOOP_COUNTS, delta)
+        return new
 
     def bump_loop(self, edge: tuple) -> "ProgramState":
+        new = self._derive()
         loop_counts = dict(self.loop_counts)
-        loop_counts[edge] = loop_counts.get(edge, 0) + 1
-        return self._replace(loop_counts=loop_counts)
+        count = loop_counts.get(edge, 0)
+        delta = hash((edge, count + 1))
+        if count:
+            delta ^= hash((edge, count))
+        loop_counts[edge] = count + 1
+        new.loop_counts = loop_counts
+        new._mix(_LOOP_COUNTS, delta)
+        return new
 
     def loop_count(self, edge: tuple) -> int:
         return self.loop_counts.get(edge, 0)
 
     # --- identity ---
 
-    def _key(self):
-        return (
-            frozenset(self.environment.items()),
-            frozenset(self.store.items()),
-            frozenset(self.constraints.items()),
-            frozenset((k, frozenset(
-                (ik, frozenset(iv) if isinstance(iv, (set, frozenset)) else iv)
-                for ik, iv in v.items())) for k, v in self.gdm.items()),
-            frozenset(self.ret_vals.items()),
-            frozenset(self.loop_counts.items()),
-        )
-
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ProgramState):
             return NotImplemented
-        return self._key() == other._key()
+        if self._digests != other._digests:
+            return False
+        # Equal digests can still hide a collision: compare the contents.
+        return (_same(self.store, other.store)
+                and _same(self.constraints, other.constraints)
+                and _same(self.gdm, other.gdm)
+                and _same(self.ret_vals, other.ret_vals)
+                and _same(self.loop_counts, other.loop_counts))
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._key())
+            self._hash = hash(self._digests)
         return self._hash
 
-    def live_symbols(self) -> frozenset[Symbol]:
+    def live_symbols(self) -> KeysView[Symbol]:
         """Symbols reachable from store and pending returns (gdm references
         are weak: checkers purge their own entries on dead-symbol sweeps)."""
-        out: set[Symbol] = set()
-        for val in self.store.values():
-            out |= val_symbols(val)
-        for val in self.ret_vals.values():
-            out |= val_symbols(val)
-        return frozenset(out)
+        return self._live.keys()
 
-    def gdm_symbols(self) -> frozenset[Symbol]:
-        out: set[Symbol] = set()
-        for mapping in self.gdm.values():
-            for k, v in mapping.items():
-                if isinstance(k, Symbol):
-                    out.add(k)
-                if isinstance(v, (set, frozenset)):
-                    out |= {s for s in v if isinstance(s, Symbol)}
-        return frozenset(out)
+    def gdm_symbols(self) -> KeysView[Symbol]:
+        """Symbols the checker slots mention, as keys or inside set values."""
+        return self._slot_refs.keys()
+
+    def dead_symbols(self) -> KeysView[Symbol]:
+        """Symbols that constraints or checker slots mention but that are
+        not live."""
+        return self._dead.keys()
+
+
+_STORE, _CONSTRAINTS, _GDM, _RET_VALS, _LOOP_COUNTS = range(5)
+_ABSENT = object()
+_new_state = object.__new__
+
+
+def _digest(items) -> int:
+    out = 0
+    for item in items:
+        out ^= hash(item)
+    return out
+
+
+def _same(a: dict, b: dict) -> bool:
+    return a is b or a == b
+
+
+def _slot_item(key: str, k, v) -> tuple:
+    """The hashable form of one checker-slot entry (set values frozen)."""
+    return key, k, frozenset(v) if isinstance(v, (set, frozenset)) else v
+
+
+def _item_symbols(k, v) -> list[Symbol]:
+    out = [k] if isinstance(k, Symbol) else []
+    if isinstance(v, (set, frozenset)):
+        out.extend(s for s in v if isinstance(s, Symbol))
+    return out
 
 
 INFEASIBLE = None  # assume() returns None for an infeasible refinement

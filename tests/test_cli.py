@@ -2,6 +2,8 @@
 
 import io
 
+import pytest
+
 from minilang.cli import (
     helpCheckers, main, parse_analyze_args, parse_tidy_args, run_analyze,
     run_tidy, RunConfig,
@@ -191,6 +193,27 @@ void f(int n) {
 """)
     code, _, err = analyze_cli([path, "--unroll=1", "--node-budget=40"])
     assert "unroll" in err or "budget" in err
+
+
+def test_zero_node_budget_abandons_the_root_cleanly(mc, tmp_path, capsys):
+    path = mc("int f(int a) { return 10 / a; }")
+    code, out, err = analyze_cli([path, "--node-budget=0"])
+    assert code == 0
+    assert "f: note: node budget exhausted, paths abandoned" in err
+    assert f"Found 0 defect(s) in {path}" in out
+    dot = tmp_path / "g.dot"
+    assert main(["analyze", "--node-budget=0", f"--dump-egraph={dot}", path]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert dot.read_text().startswith('digraph "f"')
+
+
+@pytest.mark.parametrize("flag", ["--unroll", "--node-budget", "--inline-depth"])
+def test_negative_numeric_flag_exit_two(mc, flag):
+    path = mc("void f() { }")
+    code, out, err = analyze_cli([path, f"{flag}=-1"])
+    assert code == 2
+    assert f"error: {flag} must not be negative (got -1)" in err
+    assert out == ""
 
 
 def test_no_duplicate_warning_note_flag(mc):

@@ -314,14 +314,26 @@ void f(int a, int b, int c, int d) {
 def test_state_immutability_under_every_operation():
     sym = fresh_sym("s")
     region = VarRegion_stub()
-    state = ProgramState().bind(region, sym_val(sym))
-    snapshot = (dict(state.store), dict(state.constraints), dict(state.gdm))
+    state = (ProgramState().bind(region, sym_val(sym))
+             .constrain(sym, RangeSet.of((1, 9))).set_slot("k", {sym: 1})
+             .set_ret(0, sym_val(sym)).bump_loop((2, 1, 0)))
+
+    def snapshot():
+        return (dict(state.store), dict(state.constraints), dict(state.gdm),
+                dict(state.ret_vals), dict(state.loop_counts), hash(state))
+
+    before = snapshot()
     state.bind(region, ConcreteInt(1))
+    state.bind_many({region: ConcreteInt(2)})
+    state.unbind_where(lambda r: True)
     state.constrain(sym, RangeSet.of((0, 5)))
+    state.drop_constraints([sym])
     state.set_slot("k", {"a": 1})
+    state.set_slot("k", {})
     state.set_ret(0, ConcreteInt(2))
-    state.with_env(1, ConcreteInt(3))
-    assert (dict(state.store), dict(state.constraints), dict(state.gdm)) == snapshot
+    state.drop_frame(0)
+    state.bump_loop((2, 1, 0))
+    assert snapshot() == before
 
 
 def test_slot_set_get_roundtrip_and_persistence():
@@ -447,11 +459,25 @@ void f() {
     assert store_of(leaf)["v"] == "7"
 
 
-def test_environment_cleared_at_post_statement_points():
-    result, _ = analyze("void f() { int x = 1 + 2; int y = x + 3; }")
-    for node in result.graphs["f"].nodes:
-        if type(node.point).__name__ == "PostStmtPoint" and node.point.block >= 0:
-            assert node.state.environment == {}
+def test_per_statement_values_do_not_split_post_statement_nodes():
+    # The two paths evaluate `x` to 1 and to 2 inside `x = x * 0;` but leave
+    # equal stores and constraints behind: they reach one post-statement node.
+    result, _ = analyze("""\
+extern int g();
+void f() {
+  int x = 0;
+  if (g() > 0) { x = 1; } else { x = 2; }
+  x = x * 0;
+  int y = x;
+}
+""")
+    graph = result.graphs["f"]
+    merged = [n for n in graph.nodes
+              if type(n.point).__name__ == "PostStmtPoint"
+              and n.point.node.kind == "ExprStmt" and store_of(n) == {"x": "0"}]
+    assert len(merged) == 1
+    assert len(merged[0].preds) == 2
+    assert len(graph.leaves()) == 1
 
 
 def test_storing_empty_range_is_an_internal_error():
