@@ -92,6 +92,7 @@ class BugReport:
     highlight: SourceRange | None = None
     visitors: list = field(default_factory=list)
     error_node: object = None  # set by the engine; always a sink
+    graph: object = None  # set by the engine: the exploded graph holding error_node
 
     def add_visitor(self, visitor) -> None:
         self.visitors.append(visitor)

@@ -19,6 +19,7 @@ from .reporting import (
     assemble_bug_path, render_html, render_text, RenderOptions, verify_run,
     VerifyError,
 )
+from .source import SourceFile
 from .symexec import AnalysisConfig, Engine, dump_dot
 from .tidy import apply_fixes, make_checks, run_checks
 
@@ -84,7 +85,7 @@ def parse_analyze_args(argv: list[str]) -> RunConfig | int:
     except SystemExit as err:
         return 0 if err.code == 0 else 2
     if ns.analyzer_checker_help:
-        print(helpCheckers())
+        print(checker_registry.registry_list())
         return 0
     dumps = set()
     if ns.dump_ast:
@@ -115,10 +116,6 @@ def parse_tidy_args(argv: list[str]) -> RunConfig | int:
         command="tidy", inputs=ns.inputs, std_mode=int(ns.std),
         checks=ns.checks.split(",") if ns.checks else None,
         fix=ns.fix, verify=ns.verify, dump_flags=dumps)
-
-
-def helpCheckers() -> str:
-    return checker_registry.registry_list()
 
 
 def _frontend_or_fail(path: str, std: int, out, err):
@@ -171,10 +168,7 @@ def run_analyze(config: RunConfig, out=None, err=None) -> int:
         if config.egraph_path:
             for name, graph in result.graphs.items():
                 egraph_chunks.append(dump_dot(graph, name))
-        paths = [assemble_bug_path(r, _graph_of(result, r)) for r in result.reports]
-        options = RenderOptions(
-            text_mode=True, duplicate_warning_note=config.duplicate_warning_note)
-        rendered = render_text(fe.file, [], paths, options)
+        paths = [assemble_bug_path(r, r.graph) for r in result.reports]
         findings = findings or bool(result.reports)
         for note in result.notes:
             print(note, file=err)
@@ -186,21 +180,14 @@ def run_analyze(config: RunConfig, out=None, err=None) -> int:
             except OSError as exc:
                 print(f"error: cannot write {html_path}: {exc}", file=err)
                 return 2
-        elif config.verify:
-            try:
-                outcome = verify_run(fe.file, rendered)
-            except VerifyError as exc:
-                print(f"error: {exc}", file=err)
-                return 2
-            if not outcome.passed:
-                verify_failed = True
-                print(f"{path}: verify failed:", file=out)
-                for mismatch in outcome.mismatches:
-                    print(f"  {mismatch}", file=out)
-            else:
-                print(f"{path}: verify passed", file=out)
         else:
-            print(rendered, file=out)
+            options = RenderOptions(
+                text_mode=True, duplicate_warning_note=config.duplicate_warning_note)
+            rendered = render_text(fe.file, [], paths, options)
+            status = _verify_or_print(config, path, fe.file, rendered, out, err)
+            if status == 2:
+                return 2
+            verify_failed = verify_failed or status == 1
     if config.egraph_path:
         try:
             with open(config.egraph_path, "w", encoding="utf-8") as handle:
@@ -213,11 +200,27 @@ def run_analyze(config: RunConfig, out=None, err=None) -> int:
     return 1 if findings else 0
 
 
-def _graph_of(result, report):
-    for graph in result.graphs.values():
-        if report.error_node in graph.nodes:
-            return graph
-    raise AssertionError("report has no owning graph")
+def _verify_or_print(config: RunConfig, path: str, file: SourceFile, rendered: str,
+                     out, err) -> int:
+    """Print `rendered`, or under --verify check it against the file's
+    directives and print the verdict. Returns 2 for a malformed directive,
+    1 for a failed verify, else 0."""
+    if not config.verify:
+        if rendered:
+            print(rendered, file=out)
+        return 0
+    try:
+        outcome = verify_run(file, rendered)
+    except VerifyError as exc:
+        print(f"error: {exc}", file=err)
+        return 2
+    if outcome.passed:
+        print(f"{path}: verify passed", file=out)
+        return 0
+    print(f"{path}: verify failed:", file=out)
+    for mismatch in outcome.mismatches:
+        print(f"  {mismatch}", file=out)
+    return 1
 
 
 def run_tidy(config: RunConfig, out=None, err=None) -> int:
@@ -248,21 +251,10 @@ def run_tidy(config: RunConfig, out=None, err=None) -> int:
             chunks.append(render_diagnostic(diag))
             chunks.extend(render_diagnostic(n) for n in diag.attached_notes)
         rendered = "\n".join(chunks)
-        if config.verify:
-            try:
-                outcome = verify_run(fe.file, rendered)
-            except VerifyError as exc:
-                print(f"error: {exc}", file=err)
-                return 2
-            if not outcome.passed:
-                verify_failed = True
-                print(f"{path}: verify failed:", file=out)
-                for mismatch in outcome.mismatches:
-                    print(f"  {mismatch}", file=out)
-            else:
-                print(f"{path}: verify passed", file=out)
-        elif rendered:
-            print(rendered, file=out)
+        status = _verify_or_print(config, path, fe.file, rendered, out, err)
+        if status == 2:
+            return 2
+        verify_failed = verify_failed or status == 1
         if config.fix:
             fixed, warnings = apply_fixes(fe.file.text, diags)
             for warning in warnings:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 from ..diagnostics import Diagnostic, Severity
@@ -15,7 +16,6 @@ KEYWORDS = frozenset({
     "true", "false", "const",
 })
 
-# Longest first so max-munch falls out of the scan order.
 PUNCTUATORS = (
     "==", "!=", "<=", ">=", "&&", "||", "->", "+=",
     "(", ")", "{", "}", ";", ",", "=", "<", ">", "+", "-", "*", "/",
@@ -61,68 +61,52 @@ class LexError(Exception):
         self.diagnostic = diagnostic
 
 
+# One alternative per token class, all ASCII; non-ASCII text is legal only
+# inside string literals and comments. A lone '"' is an unterminated string.
+# Punctuators go longest first, so the alternation takes the maximal munch.
+# Groups that always give one token kind are named after that TokenKind.
+_TOKEN = re.compile("|".join([
+    r"(?P<space>[ \t\r\n]+)",
+    r"(?P<comment>//[^\n]*)",
+    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<INT>[0-9]+)",
+    r'(?P<STRING>"(?:[^"\\\n]|\\[\s\S])*")',
+    r'(?P<quote>")',
+    "(?P<PUNCT>" + "|".join(map(re.escape, sorted(PUNCTUATORS, key=len, reverse=True))) + ")",
+]))
+
+
 def tokenize(file: SourceFile) -> list[Token]:
     """Token stream for `file`, final EOF token included.
 
     Raises LexError on an unterminated string literal or illegal character.
     """
     text = file.text
-    n = len(text)
     pos = 0
     tokens: list[Token] = []
     pending: list[Comment] = []
-
-    def rng(b: int, e: int) -> SourceRange:
-        return SourceRange(file.location(b), file.location(e))
-
-    while pos < n:
-        ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
-            continue
-        if text.startswith("//", pos):
-            end = text.find("\n", pos)
-            if end < 0:
-                end = n
-            pending.append(Comment(text[pos:end], rng(pos, end)))
-            pos = end
-            continue
-        start = pos
-        if ch.isalpha() or ch == "_":
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            word = text[start:pos]
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, rng(start, pos), tuple(pending)))
-            pending.clear()
-            continue
-        if ch.isdigit():
-            while pos < n and text[pos].isdigit():
-                pos += 1
-            tokens.append(Token(TokenKind.INT, text[start:pos], rng(start, pos), tuple(pending)))
-            pending.clear()
-            continue
-        if ch == '"':
-            pos += 1
-            while pos < n and text[pos] != '"':
-                if text[pos] == "\n":
-                    break
-                pos += 2 if text[pos] == "\\" else 1
-            if pos >= n or text[pos] != '"':
-                raise LexError(Diagnostic(file.location(start),
-                                          "unterminated string literal", Severity.ERROR))
-            pos += 1
-            tokens.append(Token(TokenKind.STRING, text[start:pos], rng(start, pos), tuple(pending)))
-            pending.clear()
-            continue
-        for punct in PUNCTUATORS:
-            if text.startswith(punct, pos):
-                pos += len(punct)
-                tokens.append(Token(TokenKind.PUNCT, punct, rng(start, pos), tuple(pending)))
-                pending.clear()
-                break
-        else:
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
             raise LexError(Diagnostic(file.location(pos),
-                                      f"illegal character {ch!r}", Severity.ERROR))
-    tokens.append(Token(TokenKind.EOF, "", rng(n, n), tuple(pending)))
+                                      f"illegal character {text[pos]!r}", Severity.ERROR))
+        group, end = match.lastgroup, match.end()
+        if group == "quote":
+            raise LexError(Diagnostic(file.location(pos),
+                                      "unterminated string literal", Severity.ERROR))
+        if group != "space":
+            spelling = match.group()
+            rng = SourceRange(file.location(pos), file.location(end))
+            if group == "comment":
+                pending.append(Comment(spelling, rng))
+            else:
+                if group == "word":
+                    kind = TokenKind.KEYWORD if spelling in KEYWORDS else TokenKind.IDENT
+                else:
+                    kind = TokenKind[group]
+                tokens.append(Token(kind, spelling, rng, tuple(pending)))
+                pending.clear()
+        pos = end
+    eof = file.location(len(text))
+    tokens.append(Token(TokenKind.EOF, "", SourceRange(eof, eof), tuple(pending)))
     return tokens

@@ -7,6 +7,8 @@ parser keeps the set of names seen so far.
 
 from __future__ import annotations
 
+import re
+
 from ..diagnostics import Diagnostic, Severity
 from ..source import SourceFile, SourceRange
 from .astnodes import (
@@ -21,10 +23,26 @@ from .lexer import Token, TokenKind
 TYPE_KEYWORDS = frozenset(BUILTIN_BASES)
 
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "0": "\0"}
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+# Binary operators; all associate to the left.
+_BINARY_PRECEDENCE = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6,
+}
+
+# Deepest nesting of statements plus unary and parenthesised expressions.
+# Clang's default bracket depth, 256, would overflow Python's default
+# recursion limit: one parenthesis level takes six parser frames.
+MAX_NESTING = 128
 
 
 class _ParseBail(Exception):
     pass
+
+
+class _NestingTooDeep(Exception):
+    """Ends the parse; recovering would report each unmatched closer of the nest."""
 
 
 class Parser:
@@ -35,6 +53,7 @@ class Parser:
         self.std = std
         self.diags: list[Diagnostic] = []
         self.struct_names: set[str] = set()
+        self.depth = 0
 
     # --- token plumbing ---
 
@@ -56,6 +75,15 @@ class Parser:
         self.diags.append(Diagnostic(tok.range.begin, message, Severity.ERROR,
                                      highlight=tok.range))
         raise _ParseBail()
+
+    def nest(self, tok: Token):
+        """Enter one nesting level; the caller leaves it in a `finally`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.diags.append(Diagnostic(
+                tok.range.begin, f"nesting level exceeds maximum of {MAX_NESTING}",
+                Severity.ERROR, highlight=tok.range))
+            raise _NestingTooDeep()
 
     def expect_punct(self, text: str) -> Token:
         if not self.peek().is_punct(text):
@@ -79,8 +107,7 @@ class Parser:
             self.advance()
 
     def span(self, begin: Token, end_exclusive_of: Token | Node) -> SourceRange:
-        end = end_exclusive_of.range.end if isinstance(end_exclusive_of, (Token, Node)) else end_exclusive_of
-        return SourceRange(begin.range.begin, end)
+        return SourceRange(begin.range.begin, end_exclusive_of.range.end)
 
     # --- types ---
 
@@ -135,12 +162,9 @@ class Parser:
                 self._recover()
                 if self.peek().is_punct("}"):
                     self.advance()
-        last = self.peek()
-        rng = SourceRange(first.range.begin, last.range.begin) if decls else \
-            SourceRange(first.range.begin, first.range.begin)
         if decls:
-            rng = SourceRange(decls[0].range.begin, decls[-1].range.end)
-        return TranslationUnit(rng, decls)
+            return TranslationUnit(SourceRange(decls[0].range.begin, decls[-1].range.end), decls)
+        return TranslationUnit(SourceRange(first.range.begin, first.range.begin), decls)
 
     def parse_struct(self) -> StructDecl:
         kw = self.advance()
@@ -218,39 +242,43 @@ class Parser:
 
     def parse_stmt(self) -> Node:
         tok = self.peek()
-        if tok.is_punct("{"):
-            return self.parse_block()
-        if tok.is_kw("if"):
-            return self.parse_if()
-        if tok.is_kw("while"):
-            return self.parse_while()
-        if tok.is_kw("return"):
-            self.advance()
-            value = None
-            if not self.peek().is_punct(";"):
-                value = self.parse_expr()
+        self.nest(tok)
+        try:
+            if tok.is_punct("{"):
+                return self.parse_block()
+            if tok.is_kw("if"):
+                return self.parse_if()
+            if tok.is_kw("while"):
+                return self.parse_while()
+            if tok.is_kw("return"):
+                self.advance()
+                value = None
+                if not self.peek().is_punct(";"):
+                    value = self.parse_expr()
+                semi = self.expect_punct(";")
+                return ReturnStmt(self.span(tok, semi), value)
+            if tok.is_kw("break"):
+                self.advance()
+                semi = self.expect_punct(";")
+                return BreakStmt(self.span(tok, semi))
+            if tok.is_kw("continue"):
+                self.advance()
+                semi = self.expect_punct(";")
+                return ContinueStmt(self.span(tok, semi))
+            if tok.is_kw("delete"):
+                self.advance()
+                operand = self.parse_expr()
+                semi = self.expect_punct(";")
+                return DeleteStmt(self.span(tok, semi), operand)
+            if self.at_type_start():
+                decl = self.parse_var_decl()
+                self.expect_punct(";")
+                return decl
+            expr = self.parse_expr()
             semi = self.expect_punct(";")
-            return ReturnStmt(self.span(tok, semi), value)
-        if tok.is_kw("break"):
-            self.advance()
-            semi = self.expect_punct(";")
-            return BreakStmt(self.span(tok, semi))
-        if tok.is_kw("continue"):
-            self.advance()
-            semi = self.expect_punct(";")
-            return ContinueStmt(self.span(tok, semi))
-        if tok.is_kw("delete"):
-            self.advance()
-            operand = self.parse_expr()
-            semi = self.expect_punct(";")
-            return DeleteStmt(self.span(tok, semi), operand)
-        if self.at_type_start():
-            decl = self.parse_var_decl()
-            self.expect_punct(";")
-            return decl
-        expr = self.parse_expr()
-        semi = self.expect_punct(";")
-        return ExprStmt(self.span(tok, semi), expr)
+            return ExprStmt(self.span(tok, semi), expr)
+        finally:
+            self.depth -= 1
 
     def parse_var_decl(self) -> VarDecl:
         """Declaration without its trailing ';' (the range excludes it too)."""
@@ -307,7 +335,7 @@ class Parser:
         return expr
 
     def parse_assign(self) -> Node:
-        lhs = self.parse_binary(0)
+        lhs = self.parse_binary()
         tok = self.peek()
         if tok.is_punct("=") or tok.is_punct("+="):
             op_tok = self.advance()
@@ -316,31 +344,31 @@ class Parser:
                           op_tok.text, lhs, rhs, op_tok.range.begin)
         return lhs
 
-    _PRECEDENCE = [("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
-                   ("+", "-"), ("*", "/")]
-
-    def parse_binary(self, level: int) -> Node:
-        if level >= len(self._PRECEDENCE):
-            return self.parse_unary()
-        expr = self.parse_binary(level + 1)
-        ops = self._PRECEDENCE[level]
-        while self.peek().kind is TokenKind.PUNCT and self.peek().text in ops:
+    def parse_binary(self, min_precedence: int = 1) -> Node:
+        """Precedence climbing: operators binding tighter than `min_precedence`
+        extend the right operand, so each operand costs one call."""
+        expr = self.parse_unary()
+        while _BINARY_PRECEDENCE.get(self.peek().text, 0) >= min_precedence:
             op_tok = self.advance()
-            rhs = self.parse_binary(level + 1)
+            rhs = self.parse_binary(_BINARY_PRECEDENCE[op_tok.text] + 1)
             expr = BinaryOp(SourceRange(expr.range.begin, rhs.range.end),
                             op_tok.text, expr, rhs, op_tok.range.begin)
         return expr
 
     def parse_unary(self) -> Node:
         tok = self.peek()
-        if tok.kind is TokenKind.PUNCT and tok.text in ("!", "-", "*", "&"):
-            op_tok = self.advance()
-            operand = self.parse_unary()
-            rng = SourceRange(op_tok.range.begin, operand.range.end)
-            if op_tok.text == "&":
-                return AddressOf(rng, operand, op_tok.range.begin)
-            return UnaryOp(rng, op_tok.text, operand, op_tok.range.begin)
-        return self.parse_postfix()
+        self.nest(tok)
+        try:
+            if tok.kind is TokenKind.PUNCT and tok.text in ("!", "-", "*", "&"):
+                op_tok = self.advance()
+                operand = self.parse_unary()
+                rng = SourceRange(op_tok.range.begin, operand.range.end)
+                if op_tok.text == "&":
+                    return AddressOf(rng, operand, op_tok.range.begin)
+                return UnaryOp(rng, op_tok.text, operand, op_tok.range.begin)
+            return self.parse_postfix()
+        finally:
+            self.depth -= 1
 
     def parse_postfix(self) -> Node:
         expr = self.parse_primary()
@@ -413,23 +441,19 @@ class Parser:
 
 
 def _decode_string(spelling: str) -> str:
-    body = spelling[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        if body[i] == "\\" and i + 1 < len(body):
-            out.append(_ESCAPES.get(body[i + 1], body[i + 1]))
-            i += 2
-        else:
-            out.append(body[i])
-            i += 1
-    return "".join(out)
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m.group(1), m.group(1)), spelling[1:-1])
 
 
 def parse(tokens: list[Token], file: SourceFile, std: int = 14
-          ) -> tuple[TranslationUnit, list[Diagnostic]]:
-    """Parse a token stream; on syntax errors, recovery resumes at ';' or '}'."""
+          ) -> tuple[TranslationUnit | None, list[Diagnostic]]:
+    """Parse a token stream; on syntax errors, recovery resumes at ';' or '}'.
+
+    Nesting deeper than MAX_NESTING ends the parse with no unit.
+    """
     parser = Parser(tokens, file, std)
-    unit = parser.parse_translation_unit()
+    try:
+        unit = parser.parse_translation_unit()
+    except _NestingTooDeep:
+        return None, parser.diags
     number_tree(unit)
     return unit, parser.diags

@@ -129,7 +129,9 @@ def assemble_bug_path(report: BugReport, graph: ExplodedGraph) -> BugPath:
     visitor contribute pieces, then flip to chronological order and append
     the final warning."""
     error_node = report.error_node
-    if error_node is None or error_node not in graph.nodes:
+    nodes = graph.nodes
+    if (error_node is None or error_node.seq >= len(nodes)
+            or nodes[error_node.seq] is not error_node):
         raise InternalError("report's error node is not part of the graph")
     pieces: list[PathPiece] = []
     node = error_node

@@ -1,11 +1,15 @@
 """Source buffers, locations and ranges.
 
+A location is a (file, offset) pair; its line and column are worked out
+from the file's line-start index only when something reads them.
 A SourceRange's `end` points at the first byte PAST the last token, so
 `text[begin.offset:end.offset]` is always the exact spelling of the node.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -19,22 +23,17 @@ class SourceFile:
     def __init__(self, name: str, text: str):
         self.name = name
         self.text = text
-        self._line_starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
+        self._line_starts = [0, *(m.end() for m in re.finditer("\n", text))]
 
     def location(self, offset: int) -> "SourceLocation":
         if offset < 0 or offset > len(self.text):
             raise InternalError(f"offset {offset} outside {self.name!r}")
-        lo, hi = 0, len(self._line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return SourceLocation(self, lo + 1, offset - self._line_starts[lo] + 1, offset)
+        return SourceLocation(self, offset)
+
+    def line_column(self, offset: int) -> tuple[int, int]:
+        """1-based line and column of `offset`."""
+        line = bisect_right(self._line_starts, offset)
+        return line, offset - self._line_starts[line - 1] + 1
 
     def line_text(self, line: int) -> str:
         start = self._line_starts[line - 1]
@@ -53,12 +52,19 @@ class SourceFile:
 @dataclass(frozen=True)
 class SourceLocation:
     file: SourceFile
-    line: int
-    column: int
     offset: int
 
+    @property
+    def line(self) -> int:
+        return self.file.line_column(self.offset)[0]
+
+    @property
+    def column(self) -> int:
+        return self.file.line_column(self.offset)[1]
+
     def __str__(self):
-        return f"{self.file.name}:{self.line}:{self.column}"
+        line, column = self.file.line_column(self.offset)
+        return f"{self.file.name}:{line}:{column}"
 
     def __lt__(self, other: "SourceLocation"):
         return self.offset < other.offset

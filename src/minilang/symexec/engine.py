@@ -552,6 +552,7 @@ class Engine:
                 node, _ = self._graph.add(make_point(), err_state, via)
                 node.is_sink = True
                 ctx.report.error_node = node
+                ctx.report.graph = self._graph
                 self.result.reports.append(ctx.report)
                 return state, via, True
             if ctx._pending is not None:
@@ -1102,9 +1103,7 @@ def dump_dot(graph: ExplodedGraph, title: str) -> str:
 
 
 def _region_sort_key(region: MemRegion):
-    if isinstance(region, VarRegion):
-        return (region.frame, 0, region.decl.node_id, "")
     if isinstance(region, FieldRegion):
         parent = _region_sort_key(region.parent)
         return (parent[0], 1, parent[2], region.field_name)
-    return (region.frame, 2, region.site_id, "")
+    return (region.frame, 0, region.decl.node_id, "")

@@ -199,15 +199,6 @@ class FieldRegion(MemRegion):
         return f"{self.parent}.{self.field_name}"
 
 
-@dataclass(frozen=True)
-class HeapRegion(MemRegion):
-    site_id: int
-    frame: int
-
-    def __str__(self):
-        return f"heap#{self.site_id}"
-
-
 def region_type(region: MemRegion) -> TypeRef | None:
     if isinstance(region, VarRegion):
         return region.decl.declared_type.value_type()

@@ -17,7 +17,7 @@ from .diagnostics import (  # noqa: F401  (re-exported framework surface)
     apply_fixes, Diagnostic, emit_diag, FixIt, FixKind, format_message,
     render_diagnostic, Severity,
 )
-from .frontend.astnodes import DeclRef, Expr, IfStmt, Node, VarDecl
+from .frontend.astnodes import DeclRef, IfStmt, Node, VarDecl
 from .source import InternalError, SourceFile, SourceRange, get_source_text
 
 
@@ -81,9 +81,6 @@ class UsageLedger:
         old = entry.usages.get(decl_ref.node_id)
         if old is None or _specializes(usage.usage_kind, old.usage_kind):
             entry.usages[decl_ref.node_id] = usage
-
-    def initializer(self, decl: VarDecl) -> Expr:
-        return decl.init
 
 
 # --- check framework --------------------------------------------------------
@@ -243,7 +240,7 @@ class RedundantPointerCheck(TidyCheck):
 
     def _inline_single_use(self, entry: TrackedPointer, usage: VarUsage) -> Diagnostic:
         decl = entry.decl
-        init_text = get_source_text(self.ledger.initializer(decl).range)
+        init_text = get_source_text(decl.init.range)
         warning = emit_diag(
             decl.name_loc, "redundant pointer variable with only one usage",
             (), Severity.WARNING, CHECK_NAME,

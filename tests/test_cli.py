@@ -4,10 +4,12 @@ import io
 
 import pytest
 
+from minilang.checkers import registry_list
 from minilang.cli import (
-    helpCheckers, main, parse_analyze_args, parse_tidy_args, run_analyze,
-    run_tidy, RunConfig,
+    main, parse_analyze_args, parse_tidy_args, run_analyze, run_tidy, RunConfig,
 )
+
+from minilang.frontend.parser import MAX_NESTING
 
 from conftest import (
     DEREF_AFTER_CLEAR_VERIFY, NULL_CHECK, REDUNDANT_PTR, USE_AFTER_CLEAR,
@@ -80,14 +82,14 @@ def test_unknown_flag_exit_two(mc):
 # --- checker help ------------------------------------------------------------------
 
 def test_checker_help_lists_builtins_and_usage():
-    text = helpCheckers()
+    text = registry_list()
     assert "USAGE: --checker" in text
     for name in ("core.DivideZero", "cplusplus.InnerPointer", "unix.MallocLite"):
         assert name in text
 
 
 def test_checker_help_stable_across_runs():
-    assert helpCheckers() == helpCheckers()
+    assert registry_list() == registry_list()
 
 
 def test_checker_help_flag_short_circuits(capsys):
@@ -300,3 +302,41 @@ def test_unknown_output_mode_exit_two(mc):
     path = mc("void f() { }")
     code, _, err = analyze_cli([path, "--analyzer-output=xml"])
     assert code == 2 and "output mode" in err
+
+
+# --- nesting cap -----------------------------------------------------------------------------
+
+def nested_source(shape: str, depth: int) -> str:
+    """A program whose statements and unary or parenthesised expressions nest
+    exactly `depth` levels deep; the function body itself is not a level."""
+    if shape == "parens":
+        return "int f(int a) { return " + "(" * (depth - 2) + "a" + ")" * (depth - 2) + "; }"
+    if shape == "unary":
+        return "int f(int a) { return " + "-" * (depth - 2) + "a; }"
+    if shape == "braces":
+        return "void f() { " + "{" * depth + "}" * depth + " }"
+    braces = depth // 2
+    parens = depth - braces - 2
+    return ("int f(int a) { " + "{" * braces + "return " + "(" * parens + "a"
+            + ")" * parens + ";" + "}" * braces + " return a; }")
+
+
+SHAPES = ["parens", "unary", "braces", "mixed"]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nesting_at_the_cap_runs_both_tools(shape, mc):
+    path = mc(nested_source(shape, MAX_NESTING))
+    assert analyze_cli([path])[0] in (0, 1)
+    assert tidy_cli([path])[0] in (0, 1)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nesting_past_the_cap_exits_two_with_one_diagnostic(shape, depth, mc):
+    path = mc(nested_source(shape, depth))
+    for run in (analyze_cli, tidy_cli):
+        code, out, err = run([path])
+        assert code == 2 and out == ""
+        assert err.count(f"error: nesting level exceeds maximum of {MAX_NESTING}") == 1
+        assert err.count(": error: ") == 1

@@ -9,7 +9,8 @@ from minilang.frontend import (
 from minilang.frontend.astnodes import (
     Assign, BinaryOp, Call, DeclRef, IntLit, VarDecl,
 )
-from minilang.frontend.lexer import LexError, TokenKind
+from minilang.cli import main
+from minilang.frontend.lexer import KEYWORDS, LexError, PUNCTUATORS, TokenKind
 from minilang.frontend.parser import parse
 from minilang.source import InternalError, SourceFile, SourceRange, get_source_text
 
@@ -73,6 +74,70 @@ def test_illegal_character_is_a_lex_error():
         toks("int x = 5 @ 3;")
     assert "illegal character" in err.value.diagnostic.message
     assert err.value.diagnostic.location.column == 11
+
+
+@pytest.mark.parametrize("source, column", [
+    ("int f(int a){ int x = \u00b2; return x; }", 23),  # superscript two: not a digit
+    ("int \u00e9 = 1;", 5),
+    ("int a\u00b2 = 1;", 6),
+    ("int x =\u00a01;", 8),  # no-break space: not whitespace
+], ids=["superscript-digit", "accented-identifier", "superscript-in-identifier",
+        "no-break-space"])
+def test_non_ascii_outside_strings_and_comments_is_illegal(source, column):
+    with pytest.raises(LexError) as err:
+        toks(source)
+    assert err.value.diagnostic.message == f"illegal character {source[column - 1]!r}"
+    assert err.value.diagnostic.location.column == column
+
+
+@pytest.mark.parametrize("command", ["analyze", "tidy"])
+def test_non_ascii_digit_exits_two_with_a_diagnostic(command, mc, capsys):
+    path = mc("int f(int a){ int x = \u00b2; return x; }")
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:1:23: error: illegal character '\u00b2'" in err
+    assert "Traceback" not in err
+
+
+def test_non_ascii_text_in_strings_and_comments_is_legal():
+    source = ('// caf\u00e9 \u00b2\nvoid f() { string s; s.append("h\u00e9llo \u00b2"); }'
+              ' // \u03bb\n')
+    tokens = toks(source)
+    assert [c.text for c in tokens[0].leading_comments] == ["// caf\u00e9 \u00b2"]
+    assert any(t.kind is TokenKind.STRING and t.text == '"h\u00e9llo \u00b2"' for t in tokens)
+    assert [c.text for c in tokens[-1].leading_comments] == ["// \u03bb"]
+    assert frontend(source).ok
+
+
+# Single characters of the language, plus quotes, backslashes, comment
+# slashes, line ends and a few characters that are illegal outside strings.
+LEX_ALPHABET = list("aZ_09 \t\r\n\"\\/=!<>&|-+(){};,*.@") + ["\u00e9", "\u00b2", "\u00a0"]
+
+
+@given(st.lists(st.one_of(st.sampled_from(LEX_ALPHABET), st.sampled_from(sorted(KEYWORDS)),
+                          st.sampled_from(PUNCTUATORS)), max_size=40).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_tokenize_covers_text_or_fails_inside_it(text):
+    try:
+        tokens = tokenize(SourceFile("h.mc", text))
+    except LexError as err:
+        assert 0 <= err.diagnostic.location.offset < len(text)
+        return
+    pos = 0
+    for tok in tokens:
+        for comment in tok.leading_comments:
+            begin, end = comment.range.begin.offset, comment.range.end.offset
+            assert text[pos:begin].strip(" \t\r\n") == ""
+            assert comment.text == text[begin:end]
+            assert comment.text.startswith("//") and "\n" not in comment.text
+            assert end == len(text) or text[end] == "\n"
+            pos = end
+        begin, end = tok.range.begin.offset, tok.range.end.offset
+        assert text[pos:begin].strip(" \t\r\n") == ""
+        assert tok.text == text[begin:end]
+        assert (tok.kind is TokenKind.KEYWORD) == (tok.text in KEYWORDS)
+        pos = end
+    assert tokens[-1].kind is TokenKind.EOF and pos == len(text)
 
 
 # --- parse ------------------------------------------------------------------
@@ -263,14 +328,15 @@ def test_parse_is_deterministic_on_random_programs(seed):
 
 
 def test_location_offset_consistency():
-    src = "int a;\nbool b;\n// note\nvoid f() { }\n"
-    file = SourceFile("c.mc", src)
-    for offset in range(len(src) + 1):
-        loc = file.location(offset)
-        assert loc.offset == offset
-        line_start = src.rfind("\n", 0, offset) + 1
-        assert loc.column == offset - line_start + 1
-        assert src[:offset].count("\n") + 1 == loc.line
+    for src in ["int a;\nbool b;\n// note\nvoid f() { }\n", "", "int a;",
+                "\n\nint a;\n\n\nbool b;", "int a;\r\nbool b;\r\n"]:
+        file = SourceFile("c.mc", src)
+        for offset in range(len(src) + 1):
+            loc = file.location(offset)
+            assert loc.offset == offset
+            line_start = src.rfind("\n", 0, offset) + 1
+            assert loc.column == offset - line_start + 1
+            assert src[:offset].count("\n") + 1 == loc.line
 
 
 def test_reference_type_outside_parameters_rejected():

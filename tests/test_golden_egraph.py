@@ -2,7 +2,9 @@
 of the larger programs under tests/golden/programs/, must stay
 byte-identical to the dump committed next to it under tests/golden/. A
 change to node identity (merging) or to state contents shows up here as a
-diff."""
+diff. The same sources also pin the standard output of `--dump-ast` and
+`--dump-cfg`, which print every node's line:column range and are followed by
+the rendered reports, so a change to locations shows up as a diff too."""
 
 import pathlib
 
@@ -16,16 +18,17 @@ EXAMPLES = sorted((ROOT / "scripts" / "examples").glob("*.mc"))
 PROGRAMS = sorted((GOLDEN / "programs").glob("*.mc"))
 
 
-def golden_of(source: pathlib.Path) -> pathlib.Path:
+def golden_of(source: pathlib.Path, suffix: str = ".dot") -> pathlib.Path:
     if source.parent == GOLDEN / "programs":
-        return source.with_suffix(".dot")
-    return GOLDEN / f"{source.stem}.dot"
+        return source.with_suffix(suffix)
+    return GOLDEN / f"{source.stem}{suffix}"
 
 
 def test_every_example_has_a_golden_dump():
     assert EXAMPLES and PROGRAMS
-    assert sorted(p.stem for p in GOLDEN.glob("*.dot")) == [p.stem for p in EXAMPLES]
-    assert all(golden_of(p).exists() for p in PROGRAMS)
+    for suffix in (".dot", ".ast", ".cfg"):
+        assert sorted(p.stem for p in GOLDEN.glob(f"*{suffix}")) == [p.stem for p in EXAMPLES]
+        assert all(golden_of(p, suffix).exists() for p in PROGRAMS)
 
 
 @pytest.mark.parametrize("source", EXAMPLES + PROGRAMS, ids=lambda p: p.stem)
@@ -34,3 +37,14 @@ def test_egraph_dump_matches_golden(source, tmp_path, capsys):
     assert main(["analyze", f"--dump-egraph={dot}", str(source)]) in (0, 1)
     capsys.readouterr()
     assert dot.read_text(encoding="utf-8") == golden_of(source).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind", ["ast", "cfg"])
+@pytest.mark.parametrize("source", EXAMPLES + PROGRAMS, ids=lambda p: p.stem)
+def test_frontend_dump_matches_golden(source, kind, monkeypatch, capsys):
+    # Relative paths keep the file names in the rendered reports portable.
+    monkeypatch.chdir(ROOT)
+    relative = source.relative_to(ROOT).as_posix()
+    assert main(["analyze", f"--dump-{kind}", relative]) in (0, 1)
+    golden = golden_of(source, f".{kind}")
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
