@@ -10,6 +10,7 @@ DivZero reports divisions whose divisor is known to be zero on the path.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .frontend.astnodes import Node
@@ -60,11 +61,15 @@ def raw_ptr_map(state: ProgramState) -> dict:
     return dict(state.slot(RAWPTR_SLOT))
 
 
-def mark_released(state: ProgramState, sym: Symbol, origin: Node | None) -> ProgramState:
-    """Hand one buffer symbol over to MallocLite in released state. The new
-    state only joins the graph once the caller's addTransition commits it."""
+def mark_released(state: ProgramState, symbols: Iterable[Symbol],
+                  origin: Node | None) -> ProgramState:
+    """Hand buffer symbols over to MallocLite in released state, with one
+    slot write. The new state only joins the graph once the caller's
+    addTransition commits it."""
     mapping = region_state_map(state)
-    mapping[sym] = RefState.released(AllocationFamily.INNER_BUFFER, origin)
+    released = RefState.released(AllocationFamily.INNER_BUFFER, origin)
+    for sym in symbols:
+        mapping[sym] = released
     return state.set_slot(MALLOC_SLOT, mapping)
 
 
@@ -254,8 +259,7 @@ class InnerPointer(Checker):
         ptr_set = mapping.pop(region, None)
         if ptr_set is None:
             return state  # nobody asked for a buffer pointer: nothing to do
-        for sym in ptr_set:
-            state = mark_released(state, sym, origin)
+        state = mark_released(state, ptr_set, origin)
         return state.set_slot(RAWPTR_SLOT, mapping)
 
     def check_function_arguments(self, state: ProgramState,

@@ -1,12 +1,13 @@
 """Command line entry points: `mini-analyze` and `mini-tidy`.
 
 Exit codes: 0 = no findings (or verify passed), 1 = findings emitted (or
-verify failed), 2 = usage, parse or I/O error.
+verify failed), 2 = usage, parse or I/O error, 3 = internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ from .reporting import (
     assemble_bug_path, render_html, render_text, RenderOptions, verify_run,
     VerifyError,
 )
-from .source import SourceFile
+from .source import InternalError, SourceFile
 from .symexec import AnalysisConfig, Engine, dump_dot
 from .tidy import apply_fixes, make_checks, run_checks
 
@@ -133,6 +134,25 @@ def _frontend_or_fail(path: str, std: int, out, err):
     return result
 
 
+def _internal_error_guard(run):
+    """Turn an escaping InternalError or RecursionError (an input whose
+    expressions chain deeper than a recursive pass can follow) into one
+    `internal error:` line and exit code 3, instead of a traceback with the
+    exit code that means findings."""
+
+    @functools.wraps(run)
+    def guarded(config: RunConfig, out=None, err=None) -> int:
+        err = err or sys.stderr
+        try:
+            return run(config, out, err)
+        except (InternalError, RecursionError) as exc:
+            print(f"internal error: {exc}", file=err)
+            return 3
+
+    return guarded
+
+
+@_internal_error_guard
 def run_analyze(config: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
@@ -223,6 +243,7 @@ def _verify_or_print(config: RunConfig, path: str, file: SourceFile, rendered: s
     return 1
 
 
+@_internal_error_guard
 def run_tidy(config: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr

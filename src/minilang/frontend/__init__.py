@@ -42,7 +42,7 @@ def load_unit(name: str, text: str, std: int = 14) -> FrontendResult:
         tokens = tokenize(file)
     except LexError as err:
         return FrontendResult(file, None, [err.diagnostic])
-    unit, diags = parse(tokens, file, std)
+    unit, diags = parse(tokens, std)
     if diags:
         return FrontendResult(file, unit, diags)
     diags = typecheck(unit)

@@ -50,6 +50,7 @@ class Node:
     def __init__(self, range_: SourceRange):
         self.range = range_
         self.node_id: int = -1
+        self.last_id: int = -1  # node_id of the last node of the subtree
         self.parent: Node | None = None
         self.type: TypeRef | None = None  # expressions, post-typecheck
 
@@ -72,6 +73,7 @@ class TranslationUnit(Node):
     def __init__(self, range_, decls: list[Node]):
         super().__init__(range_)
         self.decls = decls
+        self.preorder: list[Node] = []  # every node, indexed by node_id
 
     def children(self):
         return list(self.decls)
@@ -389,9 +391,11 @@ class Paren(Expr):
 
 def walk(node: Node):
     """Pre-order traversal, `node` included."""
-    yield node
-    for child in node.children():
-        yield from walk(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 def strip_parens(node: Node) -> Node:
@@ -400,12 +404,33 @@ def strip_parens(node: Node) -> Node:
     return node
 
 
-def number_tree(root: Node) -> None:
-    """Assign pre-order node ids and parent links."""
-    for i, node in enumerate(walk(root)):
-        node.node_id = i
-        for child in node.children():
+def number_tree(unit: TranslationUnit) -> None:
+    """Assign pre-order node ids, parent links and subtree ends, and keep
+    the pre-order list as `unit.preorder`. The descendants of a node `n` are
+    then the slice `unit.preorder[n.node_id + 1 : n.last_id + 1]`."""
+    order: list[Node] = []
+    stack: list[Node] = [unit]
+    while stack:
+        node = stack.pop()
+        node.node_id = node.last_id = len(order)
+        order.append(node)
+        children = node.children()
+        for child in children:
             child.parent = node
+        stack.extend(reversed(children))
+    # In reverse pre-order a subtree is finished before its root is reached.
+    for node in reversed(order[1:]):
+        parent = node.parent
+        if parent.last_id < node.last_id:
+            parent.last_id = node.last_id
+    unit.preorder = order
+
+
+def tree_index(node: Node) -> list[Node]:
+    """The pre-order list of the unit that `node` belongs to."""
+    while node.parent is not None:
+        node = node.parent
+    return node.preorder
 
 
 def structure_signature(node: Node):

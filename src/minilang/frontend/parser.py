@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from ..diagnostics import Diagnostic, Severity
-from ..source import SourceFile, SourceRange
+from ..source import SourceRange
 from .astnodes import (
     AddressOf, Assign, BinaryOp, Block, BoolLit, BreakStmt, BUILTIN_BASES, Call,
     ContinueStmt, DeclRef, DeleteStmt, ExprStmt, ExternDecl, FieldAccess,
@@ -46,10 +46,9 @@ class _NestingTooDeep(Exception):
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], file: SourceFile, std: int = 14):
+    def __init__(self, tokens: list[Token], std: int = 14):
         self.toks = tokens
         self.pos = 0
-        self.file = file
         self.std = std
         self.diags: list[Diagnostic] = []
         self.struct_names: set[str] = set()
@@ -57,9 +56,8 @@ class Parser:
 
     # --- token plumbing ---
 
-    def peek(self, k: int = 0) -> Token:
-        i = min(self.pos + k, len(self.toks) - 1)
-        return self.toks[i]
+    def peek(self) -> Token:
+        return self.toks[self.pos]  # `advance` never moves past EOF
 
     def advance(self) -> Token:
         tok = self.toks[self.pos]
@@ -111,8 +109,8 @@ class Parser:
 
     # --- types ---
 
-    def at_type_start(self, k: int = 0) -> bool:
-        tok = self.peek(k)
+    def at_type_start(self) -> bool:
+        tok = self.peek()
         if tok.is_kw("const"):
             return True
         if tok.kind is TokenKind.KEYWORD and tok.text in TYPE_KEYWORDS:
@@ -444,13 +442,13 @@ def _decode_string(spelling: str) -> str:
     return _ESCAPE.sub(lambda m: _ESCAPES.get(m.group(1), m.group(1)), spelling[1:-1])
 
 
-def parse(tokens: list[Token], file: SourceFile, std: int = 14
+def parse(tokens: list[Token], std: int = 14
           ) -> tuple[TranslationUnit | None, list[Diagnostic]]:
     """Parse a token stream; on syntax errors, recovery resumes at ';' or '}'.
 
     Nesting deeper than MAX_NESTING ends the parse with no unit.
     """
-    parser = Parser(tokens, file, std)
+    parser = Parser(tokens, std)
     try:
         unit = parser.parse_translation_unit()
     except _NestingTooDeep:

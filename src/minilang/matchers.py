@@ -6,6 +6,10 @@ sub-matchers as arguments, `anyOf`/`allOf`/`unless` are set union,
 intersection and complement, and `has`/`hasDescendant`/`hasParent` walk the
 tree. Any node matcher supports `.bind(label)`; `match()` reports results in
 pre-order of the matched roots, deduplicated by (root, binding set).
+
+Matching runs over the unit's pre-order node list (`number_tree`): a
+subtree is a slice of it, and `match()` offers a node to the matcher only if
+its kind can be the root of a match, as Clang's MatchFinder does.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from .frontend.astnodes import (
     AddressOf, Assign, BinaryOp, Block, Call, DeclRef, DeleteStmt, Expr,
     ExternDecl, FieldAccess, FunctionDecl, IfStmt, MethodCall, NewExpr, Node,
     Paren, ReturnStmt, BreakStmt, ContinueStmt, TypeRef, UnaryOp, VarDecl,
-    WhileStmt, strip_parens, walk,
+    WhileStmt, strip_parens, tree_index,
 )
 
 
@@ -84,6 +88,16 @@ _STMT_KINDS = frozenset((
     "Block", "IfStmt", "WhileStmt", "ReturnStmt", "BreakStmt", "ContinueStmt",
     "DeleteStmt", "ExprStmt", "VarDecl",
 ))
+
+
+def _subclasses(cls) -> list[type]:
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+# The node kinds each node-kind matcher accepts.
+_KINDS = {name: frozenset(c.kind for c in classes) for name, classes in _NODE_CLASSES.items()}
+_KINDS["expr"] = frozenset(c.kind for c in _subclasses(Expr))
+_KINDS["stmt"] = _STMT_KINDS | _KINDS["expr"]
 
 
 def _node_factory(name):
@@ -230,7 +244,7 @@ def buildMatcher(constructor: str, *args) -> Matcher:
     factory = globals().get(constructor)
     if not callable(factory) or isinstance(factory, type):
         raise MatcherConfigError(f"unknown matcher constructor '{constructor}'")
-    if constructor in _NODE_CLASSES or constructor in ("stmt", "expr"):
+    if constructor in _KINDS:
         if not all(isinstance(a, Matcher) for a in args):
             raise MatcherConfigError(f"'{constructor}' takes sub-matchers")
         return factory(*args)
@@ -291,56 +305,48 @@ def _arguments(node: Node) -> list[Node] | None:
     return None
 
 
-def _eval(m: Matcher, node: Node) -> list[dict] | None:
+def _eval(m: Matcher, node: Node, nodes: list[Node]) -> list[dict] | None:
+    """`nodes` is the pre-order list of `node`'s unit."""
     kind = m.kind
 
-    if kind in _NODE_CLASSES:
-        if not isinstance(node, _NODE_CLASSES[kind]):
+    if kind in _KINDS:
+        if node.kind not in _KINDS[kind]:
             return None
-        result = _merge_inner(m.args, node)
-    elif kind == "stmt":
-        if not (node.kind in _STMT_KINDS or node.is_expr):
-            return None
-        result = _merge_inner(m.args, node)
-    elif kind == "expr":
-        if not node.is_expr:
-            return None
-        result = _merge_inner(m.args, node)
+        result = _merge_inner(m.args, node, nodes)
     elif kind == "allOf":
-        result = _merge_inner(m.args, node)
+        result = _merge_inner(m.args, node, nodes)
     elif kind == "anyOf":
         result = None
         for alt in m.args:
-            result = _eval(alt, node)
+            result = _eval(alt, node, nodes)
             if result is not None:
                 break  # first matching alternative contributes the bindings
     elif kind == "unless":
-        result = None if _eval(m.args[0], node) is not None else [{}]
+        result = None if _eval(m.args[0], node, nodes) is not None else [{}]
     elif kind == "has":
-        result = _collect(m.args[0], node.children())
+        result = _collect(m.args[0], node.children(), nodes)
     elif kind == "hasDescendant":
-        descendants = (d for c in node.children() for d in walk(c))
-        result = _collect(m.args[0], descendants)
+        result = _collect(m.args[0], nodes[node.node_id + 1:node.last_id + 1], nodes)
     elif kind == "hasParent":
-        result = None if node.parent is None else _eval(m.args[0], node.parent)
+        result = None if node.parent is None else _eval(m.args[0], node.parent, nodes)
     elif kind == "hasName":
         result = [{}] if getattr(node, "name", None) == m.args[0] else None
     elif kind == "hasType":
         result = [{}] if _type_matches(m.args[0], _node_type(node)) else None
     elif kind == "hasInitializer":
         init = getattr(node, "init", None)
-        result = None if init is None else _eval(m.args[0], init)
+        result = None if init is None else _eval(m.args[0], init, nodes)
     elif kind == "hasOperatorName":
         result = [{}] if _operator_name(node) == m.args[0] else None
     elif kind == "hasCondition":
         cond = getattr(node, "cond", None)
-        result = None if cond is None else _eval(m.args[0], cond)
+        result = None if cond is None else _eval(m.args[0], cond, nodes)
     elif kind == "hasThen":
         then = getattr(node, "then_branch", None)
-        result = None if then is None else _eval(m.args[0], then)
+        result = None if then is None else _eval(m.args[0], then, nodes)
     elif kind == "hasElse":
         els = getattr(node, "else_branch", None)
-        result = None if els is None else _eval(m.args[0], els)
+        result = None if els is None else _eval(m.args[0], els, nodes)
     elif kind == "argumentCountIs":
         args = _arguments(node)
         result = [{}] if args is not None and len(args) == m.args[0] else None
@@ -350,23 +356,23 @@ def _eval(m: Matcher, node: Node) -> list[dict] | None:
         if args is None or index >= len(args):
             result = None
         else:
-            result = _eval(inner, strip_parens(args[index]))
+            result = _eval(inner, strip_parens(args[index]), nodes)
     elif kind == "statementCountIs":
         stmts = getattr(node, "stmts", None)
         result = [{}] if stmts is not None and len(stmts) == m.args[0] else None
     elif kind == "hasAnySubstatement":
         stmts = getattr(node, "stmts", None)
-        result = None if stmts is None else _collect(m.args[0], stmts)
+        result = None if stmts is None else _collect(m.args[0], stmts, nodes)
     elif kind == "isNoReturn":
         result = [{}] if getattr(node, "noreturn", False) else None
     elif kind == "to":
         decl = getattr(node, "decl", None)
-        result = None if decl is None else _eval(m.args[0], decl)
+        result = None if decl is None else _eval(m.args[0], decl, nodes)
     elif kind == "callee":
         fn = getattr(getattr(node, "callee", None), "decl", None)
-        result = None if fn is None else _eval(m.args[0], fn)
+        result = None if fn is None else _eval(m.args[0], fn, nodes)
     elif kind == "ignoringParens":
-        result = _eval(m.args[0], strip_parens(node))
+        result = _eval(m.args[0], strip_parens(node), nodes)
     else:
         raise MatcherConfigError(f"unknown matcher constructor '{kind}'")
 
@@ -377,20 +383,20 @@ def _eval(m: Matcher, node: Node) -> list[dict] | None:
     return result
 
 
-def _merge_inner(inner: tuple, node: Node) -> list[dict] | None:
+def _merge_inner(inner: tuple, node: Node, nodes: list[Node]) -> list[dict] | None:
     collected = []
     for sub in inner:
-        r = _eval(sub, node)
+        r = _eval(sub, node, nodes)
         if r is None:
             return None
         collected.append(r)
     return _merge(collected)
 
 
-def _collect(m: Matcher, nodes) -> list[dict] | None:
+def _collect(m: Matcher, candidates, nodes: list[Node]) -> list[dict] | None:
     out: list[dict] = []
-    for candidate in nodes:
-        r = _eval(m, candidate)
+    for candidate in candidates:
+        r = _eval(m, candidate, nodes)
         if r is not None:
             out.extend(r)
     return out or None
@@ -398,7 +404,26 @@ def _collect(m: Matcher, nodes) -> list[dict] | None:
 
 def matches(matcher: Matcher, node: Node) -> bool:
     """Does `matcher` accept this node (ignoring bindings)?"""
-    return _eval(matcher, node) is not None
+    return _eval(matcher, node, tree_index(node)) is not None
+
+
+def _root_kinds(m: Matcher) -> frozenset | None:
+    """The node kinds at which `m` can match, or None for any kind. A
+    necessary condition only: `_eval` still decides every match."""
+    if m.kind in _KINDS:
+        kinds = _KINDS[m.kind]
+    elif m.kind == "allOf":
+        kinds = None
+    elif m.kind == "anyOf":
+        alternatives = [_root_kinds(alt) for alt in m.args]
+        return None if None in alternatives else frozenset().union(*alternatives)
+    else:
+        return None
+    for inner in m.args:
+        narrowed = _root_kinds(inner)
+        if narrowed is not None:
+            kinds = narrowed if kinds is None else kinds & narrowed
+    return kinds
 
 
 def match(matcher: Matcher, root: Node) -> list[MatchResult]:
@@ -407,8 +432,13 @@ def match(matcher: Matcher, root: Node) -> list[MatchResult]:
     """
     results: list[MatchResult] = []
     seen: set = set()
-    for node in walk(root):
-        options = _eval(matcher, node)
+    nodes = tree_index(root)
+    subtree = nodes[root.node_id:root.last_id + 1]
+    kinds = _root_kinds(matcher)
+    if kinds is not None:
+        subtree = [node for node in subtree if node.kind in kinds]
+    for node in subtree:
+        options = _eval(matcher, node, nodes)
         if options is None:
             continue
         for bound in options:

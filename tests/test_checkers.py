@@ -138,8 +138,8 @@ void f() {
 def test_mark_released_is_idempotent_and_keeps_origin_none():
     sym = Symbol(1, "c", "test", TypeRef("char", 1))
     state = ProgramState()
-    one = mark_released(state, sym, None)
-    two = mark_released(one, sym, None)
+    one = mark_released(state, [sym], None)
+    two = mark_released(one, [sym], None)
     assert one == two
     ref = one.slot(MALLOC_SLOT)[sym]
     assert ref.origin is None

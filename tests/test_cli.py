@@ -10,6 +10,7 @@ from minilang.cli import (
 )
 
 from minilang.frontend.parser import MAX_NESTING
+from minilang.source import InternalError
 
 from conftest import (
     DEREF_AFTER_CLEAR_VERIFY, NULL_CHECK, REDUNDANT_PTR, USE_AFTER_CLEAR,
@@ -340,3 +341,30 @@ def test_nesting_past_the_cap_exits_two_with_one_diagnostic(shape, depth, mc):
         assert code == 2 and out == ""
         assert err.count(f"error: nesting level exceeds maximum of {MAX_NESTING}") == 1
         assert err.count(": error: ") == 1
+
+
+# --- internal errors -----------------------------------------------------------------------
+
+LONG_CHAINS = {
+    "sum": "int f(int a) { return " + " + ".join(["a"] * 3000) + "; }\n",
+    "assignments": "void f() { int a = 0; " + "a = " * 1000 + "a; }\n",
+}
+
+
+@pytest.mark.parametrize("chain", sorted(LONG_CHAINS))
+def test_long_operator_chain_exits_three_without_a_traceback(chain, mc):
+    # Which recursive pass overflows first is not part of the contract.
+    path = mc(LONG_CHAINS[chain])
+    for run in (analyze_cli, tidy_cli):
+        code, out, err = run([path])
+        assert code == 3
+        assert "Traceback" not in err
+        assert err.count("internal error: ") == 1
+
+
+def test_internal_error_exits_three(mc, monkeypatch):
+    def fail(*args):
+        raise InternalError("offset 7 outside 'input.mc'")
+    monkeypatch.setattr("minilang.cli.run_checks", fail)
+    code, _, err = tidy_cli([mc(REDUNDANT_PTR)])
+    assert (code, err) == (3, "internal error: offset 7 outside 'input.mc'\n")

@@ -169,7 +169,7 @@ def test_star_is_multiplication_when_name_is_a_variable():
 
 def test_empty_input_parses_to_empty_unit():
     file = SourceFile("empty.mc", "")
-    unit, diags = parse(tokenize(file), file)
+    unit, diags = parse(tokenize(file))
     assert diags == []
     assert unit.decls == []
 

@@ -4,9 +4,13 @@ byte-identical to the dump committed next to it under tests/golden/. A
 change to node identity (merging) or to state contents shows up here as a
 diff. The same sources also pin the standard output of `--dump-ast` and
 `--dump-cfg`, which print every node's line:column range and are followed by
-the rendered reports, so a change to locations shows up as a diff too."""
+the rendered reports, so a change to locations shows up as a diff too.
+Finally, `mini-tidy --std=17 --fix` of each source pins the tidy
+diagnostics, the exit code and the rewritten text, so a change to which
+nodes the matchers offer to the redundant-pointer check shows up too."""
 
 import pathlib
+import shutil
 
 import pytest
 
@@ -26,7 +30,7 @@ def golden_of(source: pathlib.Path, suffix: str = ".dot") -> pathlib.Path:
 
 def test_every_example_has_a_golden_dump():
     assert EXAMPLES and PROGRAMS
-    for suffix in (".dot", ".ast", ".cfg"):
+    for suffix in (".dot", ".ast", ".cfg", ".tidy"):
         assert sorted(p.stem for p in GOLDEN.glob(f"*{suffix}")) == [p.stem for p in EXAMPLES]
         assert all(golden_of(p, suffix).exists() for p in PROGRAMS)
 
@@ -48,3 +52,16 @@ def test_frontend_dump_matches_golden(source, kind, monkeypatch, capsys):
     assert main(["analyze", f"--dump-{kind}", relative]) in (0, 1)
     golden = golden_of(source, f".{kind}")
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("source", EXAMPLES + PROGRAMS, ids=lambda p: p.stem)
+def test_tidy_fix_matches_golden(source, tmp_path, monkeypatch, capsys):
+    # Running in the copy's directory keeps the file names in the output bare.
+    monkeypatch.chdir(tmp_path)
+    copy = tmp_path / source.name
+    shutil.copyfile(source, copy)
+    status = main(["tidy", "--std=17", "--fix", source.name])
+    captured = capsys.readouterr()
+    output = (f"exit: {status}\n--- stdout\n{captured.out}--- stderr\n{captured.err}"
+              f"--- fixed\n{copy.read_text(encoding='utf-8')}")
+    assert output == golden_of(source, ".tidy").read_text(encoding="utf-8")

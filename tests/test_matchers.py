@@ -1,11 +1,16 @@
-"""Matcher construction, matching semantics and the set-algebra properties."""
+"""Matcher construction, matching semantics, the set-algebra properties,
+and the pre-order node index with the kind filter that matching runs on."""
+
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import minilang.matchers as M
 from minilang.frontend import walk
-from minilang.frontend.astnodes import DeclRef, IfStmt, VarDecl
+from minilang.frontend.astnodes import DeclRef, FunctionDecl, IfStmt, VarDecl
+from minilang.source import SourceFile
+from minilang.tidy import RedundantPointerCheck
 
 from conftest import frontend
 
@@ -337,3 +342,81 @@ def test_ignoring_parens_sees_through_nesting():
     fe2 = frontend("void f() { int x = ((41)); }")
     assert M.match(M.varDecl(M.hasInitializer(
         M.ignoringParens(M.expr(M.hasType(M.namedType("int")))))), fe2.unit)
+
+
+# --- the pre-order index and the kind filter ------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_SOURCES = (sorted((ROOT / "scripts" / "examples").glob("*.mc"))
+            + sorted((ROOT / "tests" / "golden" / "programs").glob("*.mc")))
+_UNITS = {f"pool{i}": unit for i, unit in enumerate(_POOL)}
+_UNITS.update((p.stem, frontend(p.read_text(encoding="utf-8"), p.name, 17).unit)
+              for p in _SOURCES)
+_TIDY_MATCHERS = RedundantPointerCheck(SourceFile("m.mc", ""), 17).register_matchers()
+
+
+def recursive_preorder(node) -> list:
+    out = [node]
+    for child in node.children():
+        out += recursive_preorder(child)
+    return out
+
+
+def match_at_every_node(matcher, root, unit) -> list[tuple]:
+    """`M.match` without the index slice and the kind filter: every node of
+    the subtree, by the recursive reference walk, with the same dedup key."""
+    results, seen = [], set()
+    for node in recursive_preorder(root):
+        for bound in M._eval(matcher, node, unit.preorder) or []:
+            key = (id(node), frozenset((k, id(v)) for k, v in bound.items()))
+            if key not in seen:
+                seen.add(key)
+                results.append((node, bound))
+    return results
+
+
+def match_roots(unit) -> list:
+    return [unit, *(d for d in unit.decls if isinstance(d, FunctionDecl))]
+
+
+@pytest.mark.parametrize("name", sorted(_UNITS))
+def test_preorder_index_matches_a_recursive_walk(name):
+    unit = _UNITS[name]
+    order = recursive_preorder(unit)
+    assert unit.preorder == order
+    assert list(walk(unit)) == order
+    assert [n.node_id for n in order] == list(range(len(order)))
+    assert unit.parent is None
+    for node in order:
+        assert all(child.parent is node for child in node.children())
+        if node is not unit:
+            assert any(c is node for c in node.parent.children())
+        assert unit.preorder[node.node_id + 1:node.last_id + 1] == recursive_preorder(node)[1:]
+
+
+@pytest.mark.parametrize("name", sorted(_UNITS))
+def test_kind_filtered_match_equals_evaluating_every_node(name):
+    unit = _UNITS[name]
+    for matcher in _TIDY_MATCHERS + _LEAF_MATCHERS:
+        for root in match_roots(unit):
+            got = [(r.root, r.bound) for r in M.match(matcher, root)]
+            assert got == match_at_every_node(matcher, root, unit), (matcher, root)
+
+
+@given(st.sampled_from(range(len(_POOL))), matcher_strategy())
+@settings(max_examples=100, deadline=None)
+def test_kind_filtered_match_equals_evaluating_every_node_on_random_matchers(
+        pool_index, matcher):
+    tree = _POOL[pool_index]
+    got = [(r.root, r.bound) for r in M.match(matcher, tree)]
+    assert got == match_at_every_node(matcher, tree, tree)
+
+
+def test_tidy_matchers_are_offered_only_their_root_kinds():
+    guard, var_init, dereference, plain_usage = _TIDY_MATCHERS
+    assert M._root_kinds(guard) == {"IfStmt"}
+    assert M._root_kinds(var_init) == {"VarDecl"}
+    assert M._root_kinds(dereference) == {"FieldAccess", "MethodCall", "UnaryOp", "AddressOf"}
+    assert M._root_kinds(plain_usage) == {"DeclRef"}
+    assert M._root_kinds(M.unless(M.varDecl())) is None
+    assert M._root_kinds(M.anyOf(M.varDecl(), M.has(M.expr()))) is None
