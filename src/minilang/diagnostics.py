@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 from .source import InternalError, SourceLocation, SourceRange
@@ -60,22 +61,19 @@ class Diagnostic:
                 raise InternalError("overlapping fixits within one diagnostic")
 
 
+_PLACEHOLDER = re.compile("%([0-9])")
+
+
 def format_message(template: str, args: tuple) -> str:
     """Substitute %0..%9; node/decl arguments render as their quoted name."""
-    out = []
-    i = 0
-    while i < len(template):
-        ch = template[i]
-        if ch == "%" and i + 1 < len(template) and template[i + 1].isdigit():
-            k = int(template[i + 1])
-            if k >= len(args):
-                raise InternalError(f"unfilled placeholder %{k} in {template!r}")
-            out.append(_render_arg(args[k]))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+
+    def fill(match: re.Match) -> str:
+        k = int(match.group(1))
+        if k >= len(args):
+            raise InternalError(f"unfilled placeholder %{k} in {template!r}")
+        return _render_arg(args[k])
+
+    return _PLACEHOLDER.sub(fill, template)
 
 
 def _render_arg(arg) -> str:

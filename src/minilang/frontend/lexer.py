@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..diagnostics import Diagnostic, Severity
-from ..source import SourceFile, SourceRange
+from ..source import SourceFile, SourceLocation, SourceRange
 
 
 KEYWORDS = frozenset({
@@ -32,18 +32,19 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Comment:
+_KIND_OF_GROUP = {kind.name: kind for kind in TokenKind}
+
+
+class Comment(NamedTuple):
     text: str
     range: SourceRange
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     range: SourceRange
-    leading_comments: tuple[Comment, ...] = field(default=())
+    leading_comments: tuple[Comment, ...] = ()
 
     def is_kw(self, word: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text == word
@@ -80,6 +81,8 @@ def tokenize(file: SourceFile) -> list[Token]:
     """Token stream for `file`, final EOF token included.
 
     Raises LexError on an unterminated string literal or illegal character.
+    Token and comment locations skip `SourceFile.location`'s bounds check:
+    they are match offsets into `file.text`, so in bounds by construction.
     """
     text = file.text
     pos = 0
@@ -96,14 +99,14 @@ def tokenize(file: SourceFile) -> list[Token]:
                                       "unterminated string literal", Severity.ERROR))
         if group != "space":
             spelling = match.group()
-            rng = SourceRange(file.location(pos), file.location(end))
+            rng = SourceRange(SourceLocation(file, pos), SourceLocation(file, end))
             if group == "comment":
                 pending.append(Comment(spelling, rng))
             else:
                 if group == "word":
                     kind = TokenKind.KEYWORD if spelling in KEYWORDS else TokenKind.IDENT
                 else:
-                    kind = TokenKind[group]
+                    kind = _KIND_OF_GROUP[group]
                 tokens.append(Token(kind, spelling, rng, tuple(pending)))
                 pending.clear()
         pos = end

@@ -4,13 +4,16 @@ A location is a (file, offset) pair; its line and column are worked out
 from the file's line-start index only when something reads them.
 A SourceRange's `end` points at the first byte PAST the last token, so
 `text[begin.offset:end.offset]` is always the exact spelling of the node.
+Locations and ranges are named tuples: immutable, built, compared and
+hashed by the interpreter's tuple code, as cheap to pass around as Clang's
+encoded `SourceLocation`.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class InternalError(Exception):
@@ -49,8 +52,7 @@ class SourceFile:
         return f"SourceFile({self.name!r})"
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     file: SourceFile
     offset: int
 
@@ -70,14 +72,18 @@ class SourceLocation:
         return self.offset < other.offset
 
 
-@dataclass(frozen=True)
-class SourceRange:
+class _RangeFields(NamedTuple):
     begin: SourceLocation
     end: SourceLocation  # first byte past the last token
 
-    def __post_init__(self):
-        if self.begin.offset > self.end.offset:
+
+class SourceRange(_RangeFields):
+    __slots__ = ()
+
+    def __new__(cls, begin: SourceLocation, end: SourceLocation):
+        if begin.offset > end.offset:
             raise InternalError("inverted source range")
+        return tuple.__new__(cls, (begin, end))
 
     @property
     def file(self) -> SourceFile:

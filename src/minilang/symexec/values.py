@@ -12,8 +12,13 @@ IMAX = (1 << 63) - 1
 
 # --- symbols and symbolic expressions ---------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Symbol:
+    """A symbol compares and hashes by identity, as Clang's uniqued symbols
+    compare by pointer. `Engine.conjure` and `Engine.conjure_param` make
+    each one exactly once, under a fresh id per analyzed function, so no two
+    distinct symbols of one exploded graph have equal fields."""
+
     id: int
     name: str  # render hint: parameter name or conjure counter
     origin: str  # program point description of the conjuring site

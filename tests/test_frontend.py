@@ -1,5 +1,7 @@
 """Lexer, parser, typechecker and source-extraction behavior."""
 
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,9 @@ from minilang.frontend.astnodes import (
 from minilang.cli import main
 from minilang.frontend.lexer import KEYWORDS, LexError, PUNCTUATORS, TokenKind
 from minilang.frontend.parser import parse
-from minilang.source import InternalError, SourceFile, SourceRange, get_source_text
+from minilang.source import (
+    InternalError, SourceFile, SourceLocation, SourceRange, get_source_text,
+)
 
 from conftest import frontend
 from proggen import generate_function
@@ -327,9 +331,14 @@ def test_parse_is_deterministic_on_random_programs(seed):
     assert structure_signature(first.unit) == structure_signature(second.unit)
 
 
+# Line-structure edge cases: empty text, no trailing newline, leading and
+# consecutive newlines, CRLF line ends.
+LINE_EDGE_TEXTS = ["int a;\nbool b;\n// note\nvoid f() { }\n", "", "int a;",
+                   "\n\nint a;\n\n\nbool b;", "int a;\r\nbool b;\r\n"]
+
+
 def test_location_offset_consistency():
-    for src in ["int a;\nbool b;\n// note\nvoid f() { }\n", "", "int a;",
-                "\n\nint a;\n\n\nbool b;", "int a;\r\nbool b;\r\n"]:
+    for src in LINE_EDGE_TEXTS:
         file = SourceFile("c.mc", src)
         for offset in range(len(src) + 1):
             loc = file.location(offset)
@@ -349,3 +358,56 @@ def test_void_double_indirection_rejected():
     result = load_unit("v.mc", "void f() { void** p; }")
     assert any("void allows at most one level" in d.message
                for d in result.diagnostics)
+
+
+# --- source records -------------------------------------------------------------
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RECORD_TEXTS = [
+    p.read_text(encoding="utf-8")
+    for p in sorted((ROOT / "scripts" / "examples").glob("*.mc"))
+    + sorted((ROOT / "tests" / "golden" / "programs").glob("*.mc"))
+] + LINE_EDGE_TEXTS + [
+    "int x = 5; // trailing note\nbool f;\n",
+    "// lead\nint x;",
+    '// caf\u00e9 \u00b2\nvoid f() { string s; s.append("h\u00e9llo \u00b2"); } // \u03bb\n',
+]
+
+
+def test_lexer_locations_equal_bounds_checked_locations():
+    # the lexer builds its locations without `SourceFile.location`
+    for text in RECORD_TEXTS:
+        file = SourceFile("r.mc", text)
+        for tok in tokenize(file):
+            for rng in (tok.range, *(c.range for c in tok.leading_comments)):
+                assert type(rng) is SourceRange
+                assert rng.begin == file.location(rng.begin.offset)
+                assert rng.end == file.location(rng.end.offset)
+                assert type(rng.begin) is type(rng.end) is SourceLocation
+
+
+def test_source_records_are_immutable():
+    tok = toks("// lead\nint x;")[0]
+    comment = tok.leading_comments[0]
+    for record, field in ((tok.range.begin, "offset"), (tok.range, "begin"),
+                          (tok, "text"), (comment, "text")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_inverted_source_range_is_internal_error():
+    file = SourceFile("r.mc", "int x;")
+    with pytest.raises(InternalError, match="inverted source range"):
+        SourceRange(file.location(4), file.location(1))
+    with pytest.raises(InternalError):
+        file.location(7)
+
+
+def test_equal_source_records_hash_equal():
+    # a token's hash covers its range, locations and comments
+    for text in RECORD_TEXTS:
+        file = SourceFile("r.mc", text)
+        for a, b in zip(tokenize(file), tokenize(file)):
+            assert a is not b and a == b and hash(a) == hash(b)

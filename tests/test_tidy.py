@@ -1,11 +1,16 @@
 """The redundant-pointer check: usage model, decisions, rewrites, fixes."""
 
+import ast
+import inspect
+from types import SimpleNamespace
+
 import pytest
 
 from minilang.diagnostics import format_message, Severity
 from minilang.frontend import load_unit, tokenize, walk
 from minilang.frontend.astnodes import DeclRef, VarDecl
 from minilang.source import InternalError, SourceFile, SourceRange
+from minilang import tidy
 from minilang.tidy import (
     apply_fixes, emit_diag, FixIt, make_checks, RedundantPointerCheck,
     run_checks, UsageKind, UsageLedger, VarUsage,
@@ -284,6 +289,46 @@ def test_note_rendering_omits_check_name():
 def test_unfilled_placeholder_is_internal_error():
     with pytest.raises(InternalError):
         format_message("variable: %0 and %1", ("only-one",))
+
+
+def loop_format_message(template: str, args: tuple) -> str:
+    """The former per-character `format_message`, kept as a reference."""
+    out = []
+    i = 0
+    while i < len(template):
+        ch = template[i]
+        if ch == "%" and i + 1 < len(template) and template[i + 1].isdigit():
+            k = int(template[i + 1])
+            if k >= len(args):
+                raise InternalError(f"unfilled placeholder %{k} in {template!r}")
+            name = getattr(args[k], "name", None)
+            out.append(f"'{name}'" if name is not None else str(args[k]))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def tidy_templates() -> list[str]:
+    """The message templates the tidy checks pass to `emit_diag`."""
+    tree = ast.parse(inspect.getsource(tidy))
+    return [call.args[1].value for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "emit_diag"]
+
+
+def test_format_message_matches_the_character_loop():
+    templates = tidy_templates()
+    assert len(templates) == 5
+    args = (SimpleNamespace(name="Var"), 42, "text")
+    for template in [*templates, "%%0", "trailing %", "100%", "%0 of %1, %2", "%2%1%0"]:
+        assert format_message(template, args) == loop_format_message(template, args), template
+
+
+def test_non_ascii_digit_after_percent_stays_text():
+    with pytest.raises(ValueError):
+        loop_format_message("width %\u00b2", ())
+    assert format_message("width %\u00b2", ()) == "width %\u00b2"
 
 
 # --- applyFixes -------------------------------------------------------------------
