@@ -89,8 +89,6 @@ def is_symbol_tracked(state: ProgramState, sym: Symbol) -> bool:
 
 @dataclass
 class BugReport:
-    bug_type: str
-    category: str
     message: str
     check_name: str
     location: SourceLocation
@@ -141,7 +139,6 @@ def is_invalidating_member_function(info: CallInfo) -> bool:
 # --- the checkers ----------------------------------------------------------------
 
 class Checker:
-    descriptor: "CheckerDescriptor"
     state_slots: tuple[str, ...] = ()
 
 
@@ -162,7 +159,6 @@ class MallocLite(Checker):
         if sym is None:
             if isinstance(val, LocVal):
                 ctx.emit_report(BugReport(
-                    "Bad free", "Memory error",
                     "argument is not memory allocated by new",
                     "unix.MallocLite", stmt.range.begin, stmt.range))
             return
@@ -172,7 +168,6 @@ class MallocLite(Checker):
             return  # unknown origin: stay quiet
         if ref.status is RefStatus.RELEASED:
             ctx.emit_report(BugReport(
-                "Double free", "Memory error",
                 "Attempt to free released memory",
                 "unix.MallocLite", stmt.range.begin, stmt.range))
             return
@@ -206,7 +201,6 @@ class MallocLite(Checker):
 
         inner = ref.family is AllocationFamily.INNER_BUFFER
         report = BugReport(
-            "Use-after-free", "Memory error",
             "Inner pointer of container used after re/deallocation" if inner
             else "Use of memory after it is freed",
             "cplusplus.InnerPointer" if inner else "unix.MallocLite",
@@ -309,9 +303,8 @@ class DivZero(Checker):
                 zero = True
         if zero:
             loc = getattr(expr, "op_loc", expr.range.begin)
-            ctx.emit_report(BugReport(
-                "Division by zero", "Logic error", "Division by zero",
-                "core.DivideZero", loc, expr.range))
+            ctx.emit_report(BugReport("Division by zero", "core.DivideZero", loc,
+                                      expr.range))
             return
         refined = assume(ctx.state, divisor, True)  # keep: divisor != 0
         if refined is not None and refined is not ctx.state:
@@ -387,9 +380,4 @@ def resolve_enabled(names) -> list[str]:
 
 def make_checkers(names=None) -> list[Checker]:
     enabled = resolve_enabled(names if names is not None else DEFAULT_CHECKERS)
-    checkers = []
-    for name in enabled:
-        checker = _FACTORIES[name]()
-        checker.descriptor = _DESCRIPTORS[name]
-        checkers.append(checker)
-    return checkers
+    return [_FACTORIES[name]() for name in enabled]

@@ -17,8 +17,7 @@ from .diagnostics import render_diagnostic, Severity
 from .frontend import dump_ast, load_unit
 from .frontend.astnodes import FunctionDecl
 from .reporting import (
-    assemble_bug_path, render_html, render_text, RenderOptions, verify_run,
-    VerifyError,
+    assemble_bug_path, render_html, render_text, verify_run, VerifyError,
 )
 from .source import InternalError, SourceFile
 from .symexec import AnalysisConfig, Engine, dump_dot
@@ -188,7 +187,7 @@ def run_analyze(config: RunConfig, out=None, err=None) -> int:
         if config.egraph_path:
             for name, graph in result.graphs.items():
                 egraph_chunks.append(dump_dot(graph, name))
-        paths = [assemble_bug_path(r, r.graph) for r in result.reports]
+        paths = [assemble_bug_path(r) for r in result.reports]
         findings = findings or bool(result.reports)
         for note in result.notes:
             print(note, file=err)
@@ -196,14 +195,13 @@ def run_analyze(config: RunConfig, out=None, err=None) -> int:
             html_path = config.output_mode[len("html:"):]
             try:
                 with open(html_path, "w", encoding="utf-8") as handle:
-                    handle.write(render_html(fe.file, [], paths))
+                    handle.write(render_html(fe.file, paths))
             except OSError as exc:
                 print(f"error: cannot write {html_path}: {exc}", file=err)
                 return 2
         else:
-            options = RenderOptions(
-                text_mode=True, duplicate_warning_note=config.duplicate_warning_note)
-            rendered = render_text(fe.file, [], paths, options)
+            rendered = render_text(fe.file, paths,
+                                   duplicate_warning_note=config.duplicate_warning_note)
             status = _verify_or_print(config, path, fe.file, rendered, out, err)
             if status == 2:
                 return 2

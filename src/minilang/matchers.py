@@ -4,37 +4,60 @@ Matchers are immutable values built by factory functions and combined the
 usual way: node matchers (`varDecl`, `ifStmt`, ...) take narrowing
 sub-matchers as arguments, `anyOf`/`allOf`/`unless` are set union,
 intersection and complement, and `has`/`hasDescendant`/`hasParent` walk the
-tree. Any node matcher supports `.bind(label)`; `match()` reports results in
-pre-order of the matched roots, deduplicated by (root, binding set).
+tree. Any matcher supports `.bind(label)`, once.
 
-Matching runs over the unit's pre-order node list (`number_tree`): a
-subtree is a slice of it, and `match()` offers a node to the matcher only if
-its kind can be the root of a match, as Clang's MatchFinder does.
+Each factory compiles its matcher when it is built, as Clang compiles a
+matcher into a `MatcherInterface`: the matcher carries its evaluation
+function and the node kinds at which it can match. `match_all` offers every
+node of a unit, in one pre-order pass, only to the matchers whose kinds
+admit it, as Clang's MatchFinder does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field, replace
 
 from .frontend.astnodes import (
     AddressOf, Assign, BinaryOp, Block, Call, DeclRef, DeleteStmt, Expr,
     ExternDecl, FieldAccess, FunctionDecl, IfStmt, MethodCall, NewExpr, Node,
-    Paren, ReturnStmt, BreakStmt, ContinueStmt, TypeRef, UnaryOp, VarDecl,
-    WhileStmt, strip_parens, tree_index,
+    ReturnStmt, BreakStmt, ContinueStmt, TypeRef, UnaryOp, VarDecl,
+    strip_parens, tree_index,
 )
 
 
 class MatcherConfigError(Exception):
-    """Bad matcher construction: unknown constructor or wrong arity."""
+    """Bad matcher construction or use: an empty `anyOf`/`allOf`, a
+    `hasType` argument that is not a type matcher, a second `bind`, or a
+    type matcher matched against a node."""
+
+
+# An evaluation function takes (node, nodes), `nodes` being the pre-order
+# list of the node's unit, and either fails (None) or returns one binding
+# dict per distinct way the pattern matched at the node.
+Evaluate = Callable[[Node, list], "list[dict] | None"]
 
 
 @dataclass(frozen=True)
 class Matcher:
+    """A compiled matcher. `kind` and `args` record how it was built;
+    `kinds` is the set of node kinds at which it can match, None for any
+    kind, a necessary condition only. `compile(label)` builds the evaluation
+    function, which binds the matched node to `label` unless that is None."""
+
     kind: str
-    args: tuple = ()
+    args: tuple
+    kinds: frozenset | None = field(repr=False, compare=False)
+    compile: Callable[[str | None], Evaluate] = field(repr=False, compare=False)
     binding: str | None = None
+    evaluate: Evaluate = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "evaluate", self.compile(self.binding))
 
     def bind(self, label: str) -> "Matcher":
+        if self.binding is not None:
+            raise MatcherConfigError(f"{self!r} is bound already")
         return replace(self, binding=label)
 
     def __repr__(self):
@@ -43,13 +66,17 @@ class Matcher:
         return f"{self.kind}({inner}){suffix}"
 
 
+@dataclass(frozen=True, repr=False)
+class TypeMatcher(Matcher):
+    """A predicate on a `TypeRef`, usable only as the argument of `hasType`."""
+
+    test: Callable[[TypeRef], bool] = field(kw_only=True, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class MatchResult:
     root: Node
     bound: dict  # label -> Node
-
-    def get(self, label: str):
-        return self.bound.get(label)
 
 
 def getBound(result: MatchResult, label: str, expected_kind) -> Node | None:
@@ -62,6 +89,79 @@ def getBound(result: MatchResult, label: str, expected_kind) -> Node | None:
     else:
         ok = isinstance(node, expected_kind)
     return node if ok else None
+
+
+# --- compiled shapes -----------------------------------------------------------
+
+def _conjunction(kinds: frozenset | None, fns: tuple, label: str | None) -> Evaluate:
+    """Every one of `fns` at a node whose kind is in `kinds` (any kind if
+    None), their bindings merged in order, then the node bound to `label`."""
+    def evaluate(node, nodes):
+        if kinds is not None and node.kind not in kinds:
+            return None
+        acc = None
+        for fn in fns:
+            options = fn(node, nodes)
+            if options is None:
+                return None
+            acc = options if acc is None else [{**base, **opt} for base in acc for opt in options]
+        if acc is None:
+            acc = [{}]
+        if label is not None:
+            acc = [{**b, label: node} for b in acc]
+        return acc
+    return evaluate
+
+
+def _compiler(core: Evaluate) -> Callable[[str | None], Evaluate]:
+    """The `compile` of a matcher that is not a node matcher: bound, it
+    becomes a one-operand conjunction of `core` that binds the node."""
+    return lambda label: core if label is None else _conjunction(None, (core,), label)
+
+
+def _narrow(kinds: frozenset | None, inner: tuple) -> frozenset | None:
+    for m in inner:
+        if m.kinds is not None:
+            kinds = m.kinds if kinds is None else kinds & m.kinds
+    return kinds
+
+
+def _predicate(kind: str, args: tuple, test: Callable[[Node], bool]) -> Matcher:
+    def evaluate(node, nodes):
+        return [{}] if test(node) else None
+    return Matcher(kind, args, None, _compiler(evaluate))
+
+
+def _step(kind: str, args: tuple, inner: Matcher,
+          target: Callable[[Node], Node | None]) -> Matcher:
+    """`inner` matched at `target(node)`; no match where that is None."""
+    fn = inner.evaluate
+
+    def evaluate(node, nodes):
+        other = target(node)
+        return None if other is None else fn(other, nodes)
+    return Matcher(kind, args, None, _compiler(evaluate))
+
+
+def _collect(kind: str, inner: Matcher, candidates: Callable) -> Matcher:
+    """Every match of `inner` among `candidates(node, nodes)`, in order; no
+    match where there is none."""
+    fn = inner.evaluate
+
+    def evaluate(node, nodes):
+        out: list[dict] = []
+        for candidate in candidates(node, nodes):
+            options = fn(candidate, nodes)
+            if options is not None:
+                out.extend(options)
+        return out or None
+    return Matcher(kind, (inner,), None, _compiler(evaluate))
+
+
+def _type_matcher(kind: str, args: tuple, test: Callable[[TypeRef], bool]) -> TypeMatcher:
+    def evaluate(node, nodes):
+        raise MatcherConfigError(f"'{kind}' is a type matcher, not a node matcher")
+    return TypeMatcher(kind, args, None, lambda label: evaluate, test=test)
 
 
 # --- factory surface --------------------------------------------------------
@@ -102,7 +202,9 @@ _KINDS["stmt"] = _STMT_KINDS | _KINDS["expr"]
 
 def _node_factory(name):
     def factory(*inner: Matcher) -> Matcher:
-        return Matcher(name, tuple(inner))
+        kinds = _narrow(_KINDS[name], inner)
+        fns = tuple(m.evaluate for m in inner)
+        return Matcher(name, inner, kinds, lambda label: _conjunction(kinds, fns, label))
     factory.__name__ = name
     return factory
 
@@ -124,162 +226,6 @@ continueStmt = _node_factory("continueStmt")
 compoundStmt = _node_factory("compoundStmt")
 newExpr = _node_factory("newExpr")
 deleteStmt = _node_factory("deleteStmt")
-
-
-def hasName(name: str) -> Matcher:
-    return Matcher("hasName", (name,))
-
-
-def pointerType() -> Matcher:
-    return Matcher("pointerType")
-
-
-def stringType() -> Matcher:
-    return Matcher("stringType")
-
-
-def namedType(name: str) -> Matcher:
-    return Matcher("namedType", (name,))
-
-
-def hasType(type_matcher: Matcher) -> Matcher:
-    return Matcher("hasType", (type_matcher,))
-
-
-def hasInitializer(inner: Matcher) -> Matcher:
-    return Matcher("hasInitializer", (inner,))
-
-
-def hasOperatorName(op: str) -> Matcher:
-    return Matcher("hasOperatorName", (op,))
-
-
-def hasCondition(inner: Matcher) -> Matcher:
-    return Matcher("hasCondition", (inner,))
-
-
-def hasThen(inner: Matcher) -> Matcher:
-    return Matcher("hasThen", (inner,))
-
-
-def hasElse(inner: Matcher) -> Matcher:
-    return Matcher("hasElse", (inner,))
-
-
-def argumentCountIs(count: int) -> Matcher:
-    return Matcher("argumentCountIs", (count,))
-
-
-def hasArgument(index: int, inner: Matcher) -> Matcher:
-    return Matcher("hasArgument", (index, inner))
-
-
-def statementCountIs(count: int) -> Matcher:
-    return Matcher("statementCountIs", (count,))
-
-
-def hasAnySubstatement(inner: Matcher) -> Matcher:
-    return Matcher("hasAnySubstatement", (inner,))
-
-
-def isNoReturn() -> Matcher:
-    return Matcher("isNoReturn")
-
-
-def to(inner: Matcher) -> Matcher:
-    return Matcher("to", (inner,))
-
-
-def callee(inner: Matcher) -> Matcher:
-    return Matcher("callee", (inner,))
-
-
-def ignoringParens(inner: Matcher) -> Matcher:
-    return Matcher("ignoringParens", (inner,))
-
-
-def anyOf(*inner: Matcher) -> Matcher:
-    if not inner:
-        raise MatcherConfigError("anyOf needs at least one alternative")
-    return Matcher("anyOf", tuple(inner))
-
-
-def allOf(*inner: Matcher) -> Matcher:
-    if not inner:
-        raise MatcherConfigError("allOf needs at least one operand")
-    return Matcher("allOf", tuple(inner))
-
-
-def unless(inner: Matcher) -> Matcher:
-    return Matcher("unless", (inner,))
-
-
-def has(inner: Matcher) -> Matcher:
-    return Matcher("has", (inner,))
-
-
-def hasDescendant(inner: Matcher) -> Matcher:
-    return Matcher("hasDescendant", (inner,))
-
-
-def hasParent(inner: Matcher) -> Matcher:
-    return Matcher("hasParent", (inner,))
-
-
-_ARITIES = {
-    "hasName": (str,), "namedType": (str,), "hasOperatorName": (str,),
-    "pointerType": (), "stringType": (), "isNoReturn": (),
-    "hasType": (Matcher,), "hasInitializer": (Matcher,),
-    "hasCondition": (Matcher,), "hasThen": (Matcher,), "hasElse": (Matcher,),
-    "argumentCountIs": (int,), "hasArgument": (int, Matcher),
-    "statementCountIs": (int,), "hasAnySubstatement": (Matcher,),
-    "to": (Matcher,), "callee": (Matcher,), "ignoringParens": (Matcher,),
-    "unless": (Matcher,), "has": (Matcher,), "hasDescendant": (Matcher,),
-    "hasParent": (Matcher,),
-}
-
-
-def buildMatcher(constructor: str, *args) -> Matcher:
-    """Dynamic construction by name, with arity/argument checking."""
-    factory = globals().get(constructor)
-    if not callable(factory) or isinstance(factory, type):
-        raise MatcherConfigError(f"unknown matcher constructor '{constructor}'")
-    if constructor in _KINDS:
-        if not all(isinstance(a, Matcher) for a in args):
-            raise MatcherConfigError(f"'{constructor}' takes sub-matchers")
-        return factory(*args)
-    if constructor in ("anyOf", "allOf"):
-        return factory(*args)
-    spec = _ARITIES.get(constructor)
-    if spec is None:
-        raise MatcherConfigError(f"unknown matcher constructor '{constructor}'")
-    if len(args) != len(spec) or not all(isinstance(a, t) for a, t in zip(args, spec)):
-        raise MatcherConfigError(f"bad arguments for '{constructor}'")
-    return factory(*args)
-
-
-# --- evaluation -------------------------------------------------------------
-
-# An evaluation either fails (None) or yields one binding dict per distinct
-# way the pattern matched at this node.
-
-def _merge(lists: list[list[dict]]) -> list[dict]:
-    acc = [{}]
-    for options in lists:
-        acc = [{**base, **opt} for base in acc for opt in options]
-    return acc
-
-
-def _type_matches(m: Matcher, t: TypeRef | None) -> bool:
-    if t is None:
-        return False
-    if m.kind == "pointerType":
-        return t.indirections > 0
-    if m.kind == "stringType":
-        return t.base == "string" and t.indirections == 0
-    if m.kind == "namedType":
-        return t.base == m.args[0] and t.indirections == 0
-    raise MatcherConfigError(f"'{m.kind}' is not a type matcher")
 
 
 def _node_type(node: Node) -> TypeRef | None:
@@ -305,146 +251,179 @@ def _arguments(node: Node) -> list[Node] | None:
     return None
 
 
-def _eval(m: Matcher, node: Node, nodes: list[Node]) -> list[dict] | None:
-    """`nodes` is the pre-order list of `node`'s unit."""
-    kind = m.kind
+def hasName(name: str) -> Matcher:
+    return _predicate("hasName", (name,), lambda node: getattr(node, "name", None) == name)
 
-    if kind in _KINDS:
-        if node.kind not in _KINDS[kind]:
-            return None
-        result = _merge_inner(m.args, node, nodes)
-    elif kind == "allOf":
-        result = _merge_inner(m.args, node, nodes)
-    elif kind == "anyOf":
-        result = None
-        for alt in m.args:
-            result = _eval(alt, node, nodes)
-            if result is not None:
-                break  # first matching alternative contributes the bindings
-    elif kind == "unless":
-        result = None if _eval(m.args[0], node, nodes) is not None else [{}]
-    elif kind == "has":
-        result = _collect(m.args[0], node.children(), nodes)
-    elif kind == "hasDescendant":
-        result = _collect(m.args[0], nodes[node.node_id + 1:node.last_id + 1], nodes)
-    elif kind == "hasParent":
-        result = None if node.parent is None else _eval(m.args[0], node.parent, nodes)
-    elif kind == "hasName":
-        result = [{}] if getattr(node, "name", None) == m.args[0] else None
-    elif kind == "hasType":
-        result = [{}] if _type_matches(m.args[0], _node_type(node)) else None
-    elif kind == "hasInitializer":
-        init = getattr(node, "init", None)
-        result = None if init is None else _eval(m.args[0], init, nodes)
-    elif kind == "hasOperatorName":
-        result = [{}] if _operator_name(node) == m.args[0] else None
-    elif kind == "hasCondition":
-        cond = getattr(node, "cond", None)
-        result = None if cond is None else _eval(m.args[0], cond, nodes)
-    elif kind == "hasThen":
-        then = getattr(node, "then_branch", None)
-        result = None if then is None else _eval(m.args[0], then, nodes)
-    elif kind == "hasElse":
-        els = getattr(node, "else_branch", None)
-        result = None if els is None else _eval(m.args[0], els, nodes)
-    elif kind == "argumentCountIs":
-        args = _arguments(node)
-        result = [{}] if args is not None and len(args) == m.args[0] else None
-    elif kind == "hasArgument":
-        args = _arguments(node)
-        index, inner = m.args
-        if args is None or index >= len(args):
-            result = None
-        else:
-            result = _eval(inner, strip_parens(args[index]), nodes)
-    elif kind == "statementCountIs":
-        stmts = getattr(node, "stmts", None)
-        result = [{}] if stmts is not None and len(stmts) == m.args[0] else None
-    elif kind == "hasAnySubstatement":
-        stmts = getattr(node, "stmts", None)
-        result = None if stmts is None else _collect(m.args[0], stmts, nodes)
-    elif kind == "isNoReturn":
-        result = [{}] if getattr(node, "noreturn", False) else None
-    elif kind == "to":
-        decl = getattr(node, "decl", None)
-        result = None if decl is None else _eval(m.args[0], decl, nodes)
-    elif kind == "callee":
-        fn = getattr(getattr(node, "callee", None), "decl", None)
-        result = None if fn is None else _eval(m.args[0], fn, nodes)
-    elif kind == "ignoringParens":
-        result = _eval(m.args[0], strip_parens(node), nodes)
-    else:
-        raise MatcherConfigError(f"unknown matcher constructor '{kind}'")
 
-    if result is None:
+def pointerType() -> TypeMatcher:
+    return _type_matcher("pointerType", (), lambda t: t.indirections > 0)
+
+
+def stringType() -> TypeMatcher:
+    return _type_matcher("stringType", (),
+                         lambda t: t.base == "string" and t.indirections == 0)
+
+
+def namedType(name: str) -> TypeMatcher:
+    return _type_matcher("namedType", (name,),
+                         lambda t: t.base == name and t.indirections == 0)
+
+
+def hasType(type_matcher: TypeMatcher) -> Matcher:
+    if not isinstance(type_matcher, TypeMatcher):
+        raise MatcherConfigError(f"hasType takes a type matcher, not {type_matcher!r}")
+    test = type_matcher.test
+
+    def has_type(node):
+        t = _node_type(node)
+        return t is not None and test(t)
+    return _predicate("hasType", (type_matcher,), has_type)
+
+
+def hasInitializer(inner: Matcher) -> Matcher:
+    return _step("hasInitializer", (inner,), inner, lambda node: getattr(node, "init", None))
+
+
+def hasOperatorName(op: str) -> Matcher:
+    return _predicate("hasOperatorName", (op,), lambda node: _operator_name(node) == op)
+
+
+def hasCondition(inner: Matcher) -> Matcher:
+    return _step("hasCondition", (inner,), inner, lambda node: getattr(node, "cond", None))
+
+
+def hasThen(inner: Matcher) -> Matcher:
+    return _step("hasThen", (inner,), inner,
+                 lambda node: getattr(node, "then_branch", None))
+
+
+def hasElse(inner: Matcher) -> Matcher:
+    return _step("hasElse", (inner,), inner,
+                 lambda node: getattr(node, "else_branch", None))
+
+
+def argumentCountIs(count: int) -> Matcher:
+    def test(node):
+        args = _arguments(node)
+        return args is not None and len(args) == count
+    return _predicate("argumentCountIs", (count,), test)
+
+
+def hasArgument(index: int, inner: Matcher) -> Matcher:
+    def argument(node):
+        args = _arguments(node)
+        return None if args is None or index >= len(args) else strip_parens(args[index])
+    return _step("hasArgument", (index, inner), inner, argument)
+
+
+def statementCountIs(count: int) -> Matcher:
+    def test(node):
+        stmts = getattr(node, "stmts", None)
+        return stmts is not None and len(stmts) == count
+    return _predicate("statementCountIs", (count,), test)
+
+
+def hasAnySubstatement(inner: Matcher) -> Matcher:
+    return _collect("hasAnySubstatement", inner,
+                    lambda node, nodes: getattr(node, "stmts", None) or ())
+
+
+def isNoReturn() -> Matcher:
+    return _predicate("isNoReturn", (), lambda node: getattr(node, "noreturn", False))
+
+
+def to(inner: Matcher) -> Matcher:
+    return _step("to", (inner,), inner, lambda node: getattr(node, "decl", None))
+
+
+def callee(inner: Matcher) -> Matcher:
+    return _step("callee", (inner,), inner,
+                 lambda node: getattr(getattr(node, "callee", None), "decl", None))
+
+
+def ignoringParens(inner: Matcher) -> Matcher:
+    return _step("ignoringParens", (inner,), inner, strip_parens)
+
+
+def anyOf(*inner: Matcher) -> Matcher:
+    if not inner:
+        raise MatcherConfigError("anyOf needs at least one alternative")
+    alternatives = [m.kinds for m in inner]
+    kinds = None if None in alternatives else frozenset().union(*alternatives)
+    fns = tuple(m.evaluate for m in inner)
+
+    def evaluate(node, nodes):
+        for fn in fns:
+            options = fn(node, nodes)
+            if options is not None:
+                return options  # first matching alternative contributes the bindings
         return None
-    if m.binding is not None:
-        result = [{**b, m.binding: node} for b in result]
-    return result
+    return Matcher("anyOf", inner, kinds, _compiler(evaluate))
 
 
-def _merge_inner(inner: tuple, node: Node, nodes: list[Node]) -> list[dict] | None:
-    collected = []
-    for sub in inner:
-        r = _eval(sub, node, nodes)
-        if r is None:
-            return None
-        collected.append(r)
-    return _merge(collected)
+def allOf(*inner: Matcher) -> Matcher:
+    if not inner:
+        raise MatcherConfigError("allOf needs at least one operand")
+    kinds = _narrow(None, inner)
+    fns = tuple(m.evaluate for m in inner)
+    return Matcher("allOf", inner, kinds, lambda label: _conjunction(kinds, fns, label))
 
 
-def _collect(m: Matcher, candidates, nodes: list[Node]) -> list[dict] | None:
-    out: list[dict] = []
-    for candidate in candidates:
-        r = _eval(m, candidate, nodes)
-        if r is not None:
-            out.extend(r)
-    return out or None
+def unless(inner: Matcher) -> Matcher:
+    fn = inner.evaluate
 
+    def evaluate(node, nodes):
+        return None if fn(node, nodes) is not None else [{}]
+    return Matcher("unless", (inner,), None, _compiler(evaluate))
+
+
+def has(inner: Matcher) -> Matcher:
+    return _collect("has", inner, lambda node, nodes: node.children())
+
+
+def hasDescendant(inner: Matcher) -> Matcher:
+    return _collect("hasDescendant", inner,
+                    lambda node, nodes: nodes[node.node_id + 1:node.last_id + 1])
+
+
+def hasParent(inner: Matcher) -> Matcher:
+    return _step("hasParent", (inner,), inner, lambda node: node.parent)
+
+
+# --- matching -----------------------------------------------------------------
 
 def matches(matcher: Matcher, node: Node) -> bool:
     """Does `matcher` accept this node (ignoring bindings)?"""
-    return _eval(matcher, node, tree_index(node)) is not None
+    return matcher.evaluate(node, tree_index(node)) is not None
 
 
-def _root_kinds(m: Matcher) -> frozenset | None:
-    """The node kinds at which `m` can match, or None for any kind. A
-    necessary condition only: `_eval` still decides every match."""
-    if m.kind in _KINDS:
-        kinds = _KINDS[m.kind]
-    elif m.kind == "allOf":
-        kinds = None
-    elif m.kind == "anyOf":
-        alternatives = [_root_kinds(alt) for alt in m.args]
-        return None if None in alternatives else frozenset().union(*alternatives)
-    else:
-        return None
-    for inner in m.args:
-        narrowed = _root_kinds(inner)
-        if narrowed is not None:
-            kinds = narrowed if kinds is None else kinds & narrowed
-    return kinds
+def match_all(matchers: Sequence[Matcher], root: Node) -> Iterator[tuple[int, MatchResult]]:
+    """All matches of the matchers within the tree rooted at `root`, in one
+    pre-order pass: (matcher index, result) pairs ordered by (pre-order of
+    the matched node, matcher index), one per distinct (index, node, binding
+    set). A node is offered only to the matchers whose kinds admit it."""
+    nodes = tree_index(root)
+    offered: dict[str, list[tuple[int, Evaluate]]] = {}
+    for node in nodes[root.node_id:root.last_id + 1]:
+        candidates = offered.get(node.kind)
+        if candidates is None:
+            candidates = offered[node.kind] = [
+                (index, m.evaluate) for index, m in enumerate(matchers)
+                if m.kinds is None or node.kind in m.kinds]
+        for index, evaluate in candidates:
+            options = evaluate(node, nodes)
+            if options is None:
+                continue
+            seen: set = set()
+            for bound in options:
+                key = frozenset((k, id(v)) for k, v in bound.items())
+                if key not in seen:
+                    seen.add(key)
+                    yield index, MatchResult(node, bound)
 
 
 def match(matcher: Matcher, root: Node) -> list[MatchResult]:
-    """All matches of `matcher` within the tree rooted at `root`, in pre-order
-    of the matched nodes; one result per distinct (root, binding set).
-    """
-    results: list[MatchResult] = []
-    seen: set = set()
-    nodes = tree_index(root)
-    subtree = nodes[root.node_id:root.last_id + 1]
-    kinds = _root_kinds(matcher)
-    if kinds is not None:
-        subtree = [node for node in subtree if node.kind in kinds]
-    for node in subtree:
-        options = _eval(matcher, node, nodes)
-        if options is None:
-            continue
-        for bound in options:
-            key = (id(node), frozenset((k, id(v)) for k, v in bound.items()))
-            if key in seen:
-                continue
-            seen.add(key)
-            results.append(MatchResult(node, bound))
-    return results
+    """All matches of `matcher` within the tree rooted at `root`, in
+    pre-order of the matched nodes; one result per distinct (root, binding
+    set)."""
+    return [result for _, result in match_all((matcher,), root)]

@@ -13,7 +13,7 @@ from .checkers import (
 )
 from .diagnostics import Diagnostic, render_diagnostic, Severity
 from .source import InternalError, SourceFile, SourceLocation
-from .symexec.engine import ExplodedGraph, ExplodedNode, PostImplicitCallPoint
+from .symexec.engine import ExplodedNode, PostImplicitCallPoint
 from .symexec.values import region_type, Symbol
 from .frontend.astnodes import Assign, Call, MethodCall
 
@@ -46,8 +46,7 @@ class MallocBugVisitor:
         self.sym = sym
         self._fired = False
 
-    def visit_node(self, node: ExplodedNode, pred: ExplodedNode | None,
-                   report: BugReport) -> PathPiece | None:
+    def visit_node(self, node: ExplodedNode, pred: ExplodedNode | None) -> PathPiece | None:
         if self._fired:
             return None
         ref = node.state.slot(MALLOC_SLOT).get(self.sym)
@@ -82,8 +81,7 @@ class InnerPointerBRVisitor:
         self.sym = sym
         self._fired = False
 
-    def visit_node(self, node: ExplodedNode, pred: ExplodedNode | None,
-                   report: BugReport) -> PathPiece | None:
+    def visit_node(self, node: ExplodedNode, pred: ExplodedNode | None) -> PathPiece | None:
         if self._fired:
             return None
         if not is_symbol_tracked(node.state, self.sym) or (
@@ -124,12 +122,12 @@ def _callee_name(node: ExplodedNode) -> str:
 
 # --- path assembly ---------------------------------------------------------------
 
-def assemble_bug_path(report: BugReport, graph: ExplodedGraph) -> BugPath:
+def assemble_bug_path(report: BugReport) -> BugPath:
     """From the error node, walk the predecessor chain backwards, let every
     visitor contribute pieces, then flip to chronological order and append
     the final warning."""
     error_node = report.error_node
-    nodes = graph.nodes
+    nodes = report.graph.nodes
     if (error_node is None or error_node.seq >= len(nodes)
             or nodes[error_node.seq] is not error_node):
         raise InternalError("report's error node is not part of the graph")
@@ -138,7 +136,7 @@ def assemble_bug_path(report: BugReport, graph: ExplodedGraph) -> BugPath:
     while node is not None:
         pred = node.first_pred()
         for visitor in report.visitors:
-            piece = visitor.visit_node(node, pred, report)
+            piece = visitor.visit_node(node, pred)
             if piece is not None:
                 pieces.append(piece)
         node = pred
@@ -149,62 +147,30 @@ def assemble_bug_path(report: BugReport, graph: ExplodedGraph) -> BugPath:
 
 # --- rendering -------------------------------------------------------------------
 
-@dataclass
-class RenderOptions:
-    text_mode: bool = True  # path events rendered as notes
-    duplicate_warning_note: bool = True
-    footer: bool = True
-
-
-def report_to_diagnostics(path: BugPath,
-                          options: RenderOptions) -> tuple[Diagnostic, list[Diagnostic]]:
+def report_to_diagnostics(path: BugPath, duplicate_warning_note: bool
+                          ) -> tuple[Diagnostic, list[Diagnostic]]:
+    """The warning and, as notes, the path events in order."""
     report = path.report
     warning = Diagnostic(report.location, report.message, Severity.WARNING,
                          report.check_name, highlight=report.highlight)
-    notes: list[Diagnostic] = []
-    if options.text_mode:
-        for piece in path.pieces:
-            if piece.kind is PieceKind.EVENT:
-                notes.append(Diagnostic(piece.location, piece.message, Severity.NOTE))
-        if options.duplicate_warning_note:
-            # engine quirk kept on purpose: the warning repeats as a note
-            notes.append(Diagnostic(report.location, report.message, Severity.NOTE))
+    notes = [Diagnostic(piece.location, piece.message, Severity.NOTE)
+             for piece in path.pieces if piece.kind is PieceKind.EVENT]
+    if duplicate_warning_note:
+        # engine quirk kept on purpose: the warning repeats as a note
+        notes.append(Diagnostic(report.location, report.message, Severity.NOTE))
     return warning, notes
 
 
-def render_text(file: SourceFile, diagnostics: list[Diagnostic],
-                bug_paths: list[BugPath],
-                options: RenderOptions | None = None) -> str:
+def render_text(file: SourceFile, bug_paths: list[BugPath], *,
+                duplicate_warning_note: bool = True) -> str:
     """Warnings with source/caret lines, path events as notes in order, and
     the per-file `Found N defect(s)` footer."""
-    options = options or RenderOptions()
-    entries: list[tuple[int, int, list[str]]] = []
-    order = 0
-
-    def push(loc_offset: int, chunk: list[str]):
-        nonlocal order
-        entries.append((loc_offset, order, chunk))
-        order += 1
-
-    defect_count = 0
-    for diag in diagnostics:
-        defect_count += diag.severity is Severity.WARNING
-        chunk = [render_diagnostic(diag)]
-        for note in diag.attached_notes:
-            chunk.append(render_diagnostic(note))
-        push(diag.location.offset, chunk)
-    for path in bug_paths:
-        defect_count += 1
-        warning, notes = report_to_diagnostics(path, options)
-        chunk = [render_diagnostic(warning)]
-        chunk.extend(render_diagnostic(n) for n in notes)
-        push(path.report.location.offset, chunk)
-    entries.sort(key=lambda e: (e[0], e[1]))
     lines: list[str] = []
-    for _, _, chunk in entries:
-        lines.extend(chunk)
-    if options.footer:
-        lines.append(f"Found {defect_count} defect(s) in {file.name}")
+    for path in sorted(bug_paths, key=lambda p: p.report.location.offset):
+        warning, notes = report_to_diagnostics(path, duplicate_warning_note)
+        lines.append(render_diagnostic(warning))
+        lines.extend(render_diagnostic(n) for n in notes)
+    lines.append(f"Found {len(bug_paths)} defect(s) in {file.name}")
     return "\n".join(lines)
 
 
@@ -219,8 +185,7 @@ pre { background: #f6f6f6; padding: 0.4em; }
 """
 
 
-def render_html(file: SourceFile, diagnostics: list[Diagnostic],
-                bug_paths: list[BugPath]) -> str:
+def render_html(file: SourceFile, bug_paths: list[BugPath]) -> str:
     """One self-contained page: a section per report with its numbered path
     steps interleaved with source excerpts. No external assets."""
 
@@ -230,23 +195,7 @@ def render_html(file: SourceFile, diagnostics: list[Diagnostic],
         return f"<pre>{loc.line:5}| {src}\n     | {caret}</pre>"
 
     body: list[str] = [f"<h1>Analysis report for {html.escape(file.name)}</h1>"]
-    sections = 0
-    for diag in diagnostics:
-        sections += 1
-        body.append('<div class="report">')
-        body.append(
-            f'<h2><span class="severity">{diag.severity.value}</span>: '
-            f"{html.escape(diag.message, quote=False)} "
-            f'<span class="checker">[{html.escape(diag.check_name)}]</span></h2>')
-        body.append(excerpt(diag.location))
-        if diag.attached_notes:
-            body.append("<ol>")
-            for note in diag.attached_notes:
-                body.append(f"<li>{html.escape(note.message, quote=False)}{excerpt(note.location)}</li>")
-            body.append("</ol>")
-        body.append("</div>")
     for path in bug_paths:
-        sections += 1
         report = path.report
         body.append('<div class="report">')
         body.append(
@@ -259,7 +208,7 @@ def render_html(file: SourceFile, diagnostics: list[Diagnostic],
                 f"<li>{html.escape(piece.message, quote=False)}{excerpt(piece.location)}</li>")
         body.append("</ol>")
         body.append("</div>")
-    if sections == 0:
+    if not bug_paths:
         body.append("<p>No defects found.</p>")
     return (
         "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\"/>\n"

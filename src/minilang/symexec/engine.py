@@ -145,7 +145,6 @@ class BudgetExhausted(Exception):
 class ExplodedGraph:
     def __init__(self, budget: int | None = None):
         self.nodes: list[ExplodedNode] = []
-        self.roots: list[ExplodedNode] = []
         self.budget = budget
         self._index: dict = {}
 
@@ -160,10 +159,7 @@ class ExplodedGraph:
             node = ExplodedNode(point, state, len(self.nodes))
             self.nodes.append(node)
             self._index[key] = node
-        if pred is None:
-            if node not in self.roots:
-                self.roots.append(node)
-        elif node not in pred.succs:
+        if pred is not None and node not in pred.succs:
             pred.succs.append(node)
             node.preds.append(pred)
         return node, is_new
@@ -185,8 +181,6 @@ class CallInfo:
     receiver_region: MemRegion | None
     ret_val: SVal
     args: list[tuple[TypeRef | None, SVal | None, MemRegion | None]]
-    decl: Node | None = None
-    method: object | None = None
     is_extern: bool = False
 
 
@@ -200,11 +194,7 @@ class AnalysisResult:
 class CheckerContext:
     """Handed to each checker callback; holds the pending state transition."""
 
-    def __init__(self, engine: "Engine", pred: ExplodedNode | None,
-                 state: ProgramState, frame: int):
-        self._engine = engine
-        self.pred = pred
-        self.frame = frame
+    def __init__(self, state: ProgramState):
         self._state = state
         self._pending: ProgramState | None = None
         self.report = None
@@ -217,9 +207,6 @@ class CheckerContext:
         if self._pending is not None:
             raise InternalError("addTransition called twice in one callback")
         self._pending = new_state
-
-    def conjure(self, value_type: TypeRef, hint: str = "") -> SVal:
-        return self._engine.conjure(value_type, hint)
 
     def emit_report(self, report) -> None:
         self.report = report
@@ -362,7 +349,7 @@ class Engine:
             if isinstance(element, StmtElement):
                 out: list[ExplodedNode] = []
                 for st, v in self.exec_stmt(via, state, frame, element.stmt):
-                    st = self.reap(st, frame)
+                    st = self.reap(st)
                     point = PostStmtPoint(element.stmt.node_id, block_id, index,
                                           fid, element.stmt)
                     node, is_new = self._graph.add(point, st, v)
@@ -396,7 +383,7 @@ class Engine:
 
     def make_block_edge(self, via: ExplodedNode, state: ProgramState,
                         frame: _Frame, src: int, dst: int) -> ExplodedNode | None:
-        state = self.reap(state, frame)
+        state = self.reap(state)
         if dst <= src:  # back edge under reverse post-order numbering
             edge = (src, dst, frame.id)
             if state.loop_count(edge) >= self.config.unroll:
@@ -503,7 +490,7 @@ class Engine:
         out = []
         for val, st, v in self.eval(via, state, frame, stmt.operand):
             st, v, sank = self.dispatch(
-                "check_pre_delete", v, st, frame,
+                "check_pre_delete", v, st,
                 lambda: PreStmtPoint(stmt.node_id, frame.id, stmt),
                 stmt, val, make_node=False)
             if sank:
@@ -520,7 +507,7 @@ class Engine:
                                       frame.id, element.var, element.loc)
         made = None
         new_state, via2, sank = self.dispatch(
-            "check_implicit_dtor", via, state, frame, lambda: point,
+            "check_implicit_dtor", via, state, lambda: point,
             element, region, make_node=True)
         if sank:
             return None
@@ -530,7 +517,7 @@ class Engine:
         pending = new_state.ret(frame.id)
         if pending is not None:
             st3, via3, sank = self.dispatch(
-                "check_post_dtor", via2, new_state, frame, lambda: point,
+                "check_post_dtor", via2, new_state, lambda: point,
                 element, pending, make_node=False)
             if sank:
                 return None
@@ -540,12 +527,12 @@ class Engine:
     # --- checker dispatch ---
 
     def dispatch(self, hook: str, via: ExplodedNode, state: ProgramState,
-                 frame: _Frame, make_point, *args, make_node: bool):
+                 make_point, *args, make_node: bool):
         """Run one callback on every checker, threading the state. Returns
         (state, via, sank)."""
         original = state
         for fn in self._hooks[hook]:
-            ctx = CheckerContext(self, via, state, frame.id)
+            ctx = CheckerContext(state)
             fn(ctx, *args)
             if ctx.report is not None:
                 err_state = ctx.state
@@ -564,21 +551,20 @@ class Engine:
 
     def dispatch_use(self, via, state, frame, node: Node, val: SVal, kind: str):
         return self.dispatch(
-            "check_use", via, state, frame,
+            "check_use", via, state,
             lambda: PreStmtPoint(node.node_id, frame.id, node),
             node, val, kind, make_node=False)
 
-    def reap(self, state: ProgramState, frame: _Frame) -> ProgramState:
-        return self._reap_with(state, frame, dead_regions=frozenset())
+    def reap(self, state: ProgramState) -> ProgramState:
+        return self._reap_with(state, dead_regions=frozenset())
 
-    def _reap_with(self, state: ProgramState, frame: _Frame,
-                   dead_regions: frozenset) -> ProgramState:
+    def _reap_with(self, state: ProgramState, dead_regions: frozenset) -> ProgramState:
         dead = state.dead_symbols()
         if not dead and not dead_regions:
             return state
         dead = frozenset(dead)
         for fn in self._hooks["check_dead_symbols"]:
-            ctx = CheckerContext(self, None, state, frame.id)
+            ctx = CheckerContext(state)
             fn(ctx, dead, dead_regions)
             if ctx._pending is not None:
                 state = ctx._pending
@@ -740,7 +726,7 @@ class Engine:
             for rv, st2, v2 in self.eval(v1, st1, frame, expr.rhs):
                 if op == "/":
                     st2, v2, sank = self.dispatch(
-                        "check_div", v2, st2, frame,
+                        "check_div", v2, st2,
                         lambda: PreStmtPoint(expr.node_id, frame.id, expr),
                         expr, rv, make_node=False)
                     if sank:
@@ -847,7 +833,7 @@ class Engine:
         sym = as_symbol(val)
         state = state.constrain(sym, RangeSet.singleton(0).complement())
         state, via, sank = self.dispatch(
-            "check_post_new", via, state, frame,
+            "check_post_new", via, state,
             lambda: PreStmtPoint(expr.node_id, frame.id, expr),
             expr, sym, make_node=False)
         if sank:
@@ -878,7 +864,7 @@ class Engine:
                 info = CallInfo(expr, "operator" + expr.op, "assign",
                                 region, result, [])
                 st2, v1, sank = self.dispatch(
-                    "check_post_call", v1, st2, frame,
+                    "check_post_call", v1, st2,
                     lambda: PostStmtPoint(expr.node_id, -1, -1, frame.id, expr),
                     info, make_node=True)
                 if sank:
@@ -919,10 +905,9 @@ class Engine:
                     if ptype is not None and ptype.is_reference \
                             and not ptype.is_const and lregion is not None:
                         st2 = st2.bind(lregion, self.conjure(ptype.value_type()))
-                info = CallInfo(expr, expr.method_name, "method", region, ret,
-                                args, method=method)
+                info = CallInfo(expr, expr.method_name, "method", region, ret, args)
                 st2, v2, sank = self.dispatch(
-                    "check_post_call", v1, st2, frame,
+                    "check_post_call", v1, st2,
                     lambda: PostStmtPoint(expr.node_id, -1, -1, frame.id, expr),
                     info, make_node=True)
                 if sank:
@@ -1003,9 +988,9 @@ class Engine:
                                f"{decl.name}{self._conjure_counter + 1}")
             state = self._constrain_fresh(state, ret, decl.return_type)
         info = CallInfo(expr, decl.name, "function", None, ret, args,
-                        decl=decl, is_extern=isinstance(decl, ExternDecl))
+                        is_extern=isinstance(decl, ExternDecl))
         state, via, sank = self.dispatch(
-            "check_post_call", via, state, frame,
+            "check_post_call", via, state,
             lambda: PostStmtPoint(expr.node_id, -1, -1, frame.id, expr),
             info, make_node=True)
         if sank:
@@ -1051,13 +1036,12 @@ class Engine:
                 and region_root(r).frame == new_frame.id)
             st = st.unbind_where(lambda r: r in dead_regions)
             st = st.drop_frame(new_frame.id)
-            st = self._reap_with(st, frame, dead_regions)
+            st = self._reap_with(st, dead_regions)
             exit_point = CallExitPoint(expr.node_id, frame.id)
             exit_n, _ = self._graph.add(exit_point, st, exit_node)
-            info = CallInfo(expr, callee.name, "function", None, ret, args,
-                            decl=callee, is_extern=False)
+            info = CallInfo(expr, callee.name, "function", None, ret, args)
             st, v2, sank = self.dispatch(
-                "check_post_call", exit_n, st, frame,
+                "check_post_call", exit_n, st,
                 lambda: PostStmtPoint(expr.node_id, -1, -1, frame.id, expr),
                 info, make_node=True)
             if sank:

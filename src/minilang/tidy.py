@@ -10,6 +10,7 @@ guard + initializing-dereference pair into an if-scoped pointer.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import matchers as M
@@ -90,7 +91,7 @@ class TidyCheck:
 
     name = ""
 
-    def register_matchers(self) -> list[M.Matcher]:
+    def register_matchers(self) -> Sequence[M.Matcher]:
         raise NotImplementedError
 
     def check(self, result: M.MatchResult) -> None:
@@ -101,17 +102,16 @@ class TidyCheck:
 
 
 def run_checks(unit, file: SourceFile, checks: list[TidyCheck]) -> list[Diagnostic]:
-    """Match, dispatch callbacks, then collect end-of-unit diagnostics,
-    ordered by (offset of primary location, emission order)."""
+    """Match every check's matchers in one pass over the unit, calling each
+    check back in (pre-order of the matched node, matcher index) order, then
+    collect end-of-unit diagnostics, ordered by (offset of primary location,
+    emission order)."""
+    registered = [(check, matcher) for check in checks
+                  for matcher in check.register_matchers()]
+    for index, result in M.match_all([matcher for _, matcher in registered], unit):
+        registered[index][0].check(result)
     diags: list[Diagnostic] = []
     for check in checks:
-        hits: list[tuple[int, int, M.MatchResult]] = []
-        for idx, matcher in enumerate(check.register_matchers()):
-            for result in M.match(matcher, unit):
-                hits.append((result.root.node_id, idx, result))
-        hits.sort(key=lambda h: (h[0], h[1]))
-        for _, _, result in hits:
-            check.check(result)
         diags.extend(check.on_end_of_translation_unit())
     order = {id(d): i for i, d in enumerate(diags)}
     diags.sort(key=lambda d: (d.location.offset, order[id(d)]))
@@ -125,8 +125,44 @@ CHECK_NAME = "readability-redundant-pointer"
 _DEFAULT_CONSTRUCTIBLE_BASES = ("int", "bool", "char", "string")
 
 
-def _pointer_var() -> M.Matcher:
-    return M.varDecl(M.hasType(M.pointerType()), M.hasInitializer(M.expr()))
+def _redundant_pointer_matchers() -> tuple[M.Matcher, ...]:
+    pointer_var = M.varDecl(M.hasType(M.pointerType()), M.hasInitializer(M.expr()))
+    var_usage = M.declRefExpr(M.to(pointer_var))
+    member_usage = M.memberExpr(M.hasDescendant(var_usage.bind("DerefdVar")))
+    dereference = M.stmt(M.anyOf(
+        member_usage.bind("DerefUsage"),
+        M.methodCallExpr(M.has(member_usage)).bind("DerefUsage"),
+        M.unaryOperator(M.hasOperatorName("*"),
+                        M.hasDescendant(var_usage.bind("DerefdVar"))).bind("DerefUsage"),
+    ))
+    var_init_from_deref = M.varDecl(
+        M.hasInitializer(M.ignoringParens(dereference))).bind("InitedVar")
+    flow_breaking = M.stmt(M.anyOf(
+        M.returnStmt(), M.continueStmt(), M.breakStmt(),
+        M.has(M.callExpr(M.callee(M.functionDecl(M.isNoReturn())))),
+    )).bind("EarlyReturn")
+    guard = M.ifStmt(
+        M.hasCondition(M.allOf(
+            M.hasDescendant(var_usage.bind("UsedVar")),
+            M.unless(M.hasDescendant(dereference)),
+        )),
+        M.hasThen(M.anyOf(
+            flow_breaking,
+            M.compoundStmt(M.statementCountIs(1),
+                           M.hasAnySubstatement(flow_breaking)),
+        )),
+        M.unless(M.hasElse(M.stmt())),
+    ).bind("GuardStmt")
+    return (
+        guard,
+        var_init_from_deref,
+        dereference,
+        var_usage.bind("PlainUsage"),
+    )
+
+
+# Independent of the file and of --std, so built once.
+_MATCHERS = _redundant_pointer_matchers()
 
 
 class RedundantPointerCheck(TidyCheck):
@@ -138,40 +174,8 @@ class RedundantPointerCheck(TidyCheck):
         self.structs = structs or {}
         self.ledger = UsageLedger()
 
-    def register_matchers(self) -> list[M.Matcher]:
-        pointer_var = _pointer_var()
-        var_usage = M.declRefExpr(M.to(pointer_var))
-        member_usage = M.memberExpr(M.hasDescendant(var_usage.bind("DerefdVar")))
-        dereference = M.stmt(M.anyOf(
-            member_usage.bind("DerefUsage"),
-            M.methodCallExpr(M.has(member_usage)).bind("DerefUsage"),
-            M.unaryOperator(M.hasOperatorName("*"),
-                            M.hasDescendant(var_usage.bind("DerefdVar"))).bind("DerefUsage"),
-        ))
-        var_init_from_deref = M.varDecl(
-            M.hasInitializer(M.ignoringParens(dereference))).bind("InitedVar")
-        flow_breaking = M.stmt(M.anyOf(
-            M.returnStmt(), M.continueStmt(), M.breakStmt(),
-            M.has(M.callExpr(M.callee(M.functionDecl(M.isNoReturn())))),
-        )).bind("EarlyReturn")
-        guard = M.ifStmt(
-            M.hasCondition(M.allOf(
-                M.hasDescendant(var_usage.bind("UsedVar")),
-                M.unless(M.hasDescendant(dereference)),
-            )),
-            M.hasThen(M.anyOf(
-                flow_breaking,
-                M.compoundStmt(M.statementCountIs(1),
-                               M.hasAnySubstatement(flow_breaking)),
-            )),
-            M.unless(M.hasElse(M.stmt())),
-        ).bind("GuardStmt")
-        return [
-            guard,
-            var_init_from_deref,
-            dereference,
-            var_usage.bind("PlainUsage"),
-        ]
+    def register_matchers(self) -> Sequence[M.Matcher]:
+        return _MATCHERS
 
     # most specialized result first, each branch returns after handling
     def check(self, result: M.MatchResult) -> None:

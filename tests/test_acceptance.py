@@ -46,12 +46,8 @@ def criterion(number: int, description: str):
 
 def rendered_analysis(source: str, name: str, checkers=None):
     result, fe = analyze(source, name=name, checkers=checkers)
-    paths = []
-    for report in result.reports:
-        graph = next(g for g in result.graphs.values()
-                     if report.error_node in g.nodes)
-        paths.append(assemble_bug_path(report, graph))
-    return result, paths, render_text(fe.file, [], paths), fe
+    paths = [assemble_bug_path(report) for report in result.reports]
+    return result, paths, render_text(fe.file, paths), fe
 
 
 @criterion(1, "InnerPointer end-to-end on the use-after-clear port")
@@ -271,7 +267,7 @@ def test_criterion_8_path_sensitive_divzero():
 def test_criterion_9_verify_harness(mc):
     def verify_outcome(source: str, name: str):
         _, paths, _, fe = rendered_analysis(source, name)
-        rendered = render_text(fe.file, [], paths)
+        rendered = render_text(fe.file, paths)
         return verify_run(fe.file, rendered)
 
     baseline = verify_outcome(DEREF_AFTER_CLEAR_VERIFY, "v.mc")

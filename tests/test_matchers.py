@@ -1,5 +1,6 @@
-"""Matcher construction, matching semantics, the set-algebra properties,
-and the pre-order node index with the kind filter that matching runs on."""
+"""Matcher construction and misuse, matching semantics, the set-algebra
+properties, the pre-order node index with the kind filter that matching runs
+on, and the order in which `run_checks` calls checks back."""
 
 import pathlib
 
@@ -10,7 +11,7 @@ import minilang.matchers as M
 from minilang.frontend import walk
 from minilang.frontend.astnodes import DeclRef, FunctionDecl, IfStmt, VarDecl
 from minilang.source import SourceFile
-from minilang.tidy import RedundantPointerCheck
+from minilang.tidy import RedundantPointerCheck, run_checks, TidyCheck
 
 from conftest import frontend
 
@@ -44,29 +45,33 @@ VAR_USAGE = M.declRefExpr(M.to(POINTER_VAR))
 
 # --- construction -------------------------------------------------------------
 
-def test_build_matcher_by_name():
-    m = M.buildMatcher("varDecl", M.buildMatcher("hasName", "x"))
-    assert m.kind == "varDecl"
-
-
-def test_build_matcher_unknown_constructor():
-    with pytest.raises(M.MatcherConfigError):
-        M.buildMatcher("varDeclaration")
-
-
-def test_build_matcher_wrong_arity():
-    with pytest.raises(M.MatcherConfigError):
-        M.buildMatcher("hasName", 42)
-    with pytest.raises(M.MatcherConfigError):
-        M.buildMatcher("hasArgument", 0)
-
-
 def test_matchers_are_reusable_values(guard_unit):
     m = M.varDecl(M.hasName("p"))
     assert len(M.match(m, guard_unit)) == 1
     assert len(M.match(m, guard_unit)) == 1  # same matcher again
     bound = m.bind("x")
     assert bound is not m and m.binding is None
+
+
+def test_binding_a_bound_matcher_is_an_error():
+    with pytest.raises(M.MatcherConfigError):
+        M.varDecl().bind("x").bind("y")
+    with pytest.raises(M.MatcherConfigError):
+        M.anyOf(M.varDecl(), M.expr()).bind("x").bind("x")
+
+
+def test_has_type_takes_only_type_matchers():
+    with pytest.raises(M.MatcherConfigError):
+        M.hasType(M.varDecl())
+    with pytest.raises(M.MatcherConfigError):
+        M.hasType(M.hasName("p"))
+
+
+def test_type_matcher_used_as_node_matcher_is_an_error(guard_unit):
+    with pytest.raises(M.MatcherConfigError):
+        M.match(M.pointerType(), guard_unit)
+    with pytest.raises(M.MatcherConfigError):
+        M.match(M.varDecl(M.namedType("T")), guard_unit)
 
 
 # --- matching ------------------------------------------------------------------
@@ -352,7 +357,7 @@ _SOURCES = (sorted((ROOT / "scripts" / "examples").glob("*.mc"))
 _UNITS = {f"pool{i}": unit for i, unit in enumerate(_POOL)}
 _UNITS.update((p.stem, frontend(p.read_text(encoding="utf-8"), p.name, 17).unit)
               for p in _SOURCES)
-_TIDY_MATCHERS = RedundantPointerCheck(SourceFile("m.mc", ""), 17).register_matchers()
+_TIDY_MATCHERS = list(RedundantPointerCheck(SourceFile("m.mc", ""), 17).register_matchers())
 
 
 def recursive_preorder(node) -> list:
@@ -367,7 +372,7 @@ def match_at_every_node(matcher, root, unit) -> list[tuple]:
     the subtree, by the recursive reference walk, with the same dedup key."""
     results, seen = [], set()
     for node in recursive_preorder(root):
-        for bound in M._eval(matcher, node, unit.preorder) or []:
+        for bound in matcher.evaluate(node, unit.preorder) or []:
             key = (id(node), frozenset((k, id(v)) for k, v in bound.items()))
             if key not in seen:
                 seen.add(key)
@@ -414,9 +419,38 @@ def test_kind_filtered_match_equals_evaluating_every_node_on_random_matchers(
 
 def test_tidy_matchers_are_offered_only_their_root_kinds():
     guard, var_init, dereference, plain_usage = _TIDY_MATCHERS
-    assert M._root_kinds(guard) == {"IfStmt"}
-    assert M._root_kinds(var_init) == {"VarDecl"}
-    assert M._root_kinds(dereference) == {"FieldAccess", "MethodCall", "UnaryOp", "AddressOf"}
-    assert M._root_kinds(plain_usage) == {"DeclRef"}
-    assert M._root_kinds(M.unless(M.varDecl())) is None
-    assert M._root_kinds(M.anyOf(M.varDecl(), M.has(M.expr()))) is None
+    assert guard.kinds == {"IfStmt"}
+    assert var_init.kinds == {"VarDecl"}
+    assert dereference.kinds == {"FieldAccess", "MethodCall", "UnaryOp", "AddressOf"}
+    assert plain_usage.kinds == {"DeclRef"}
+    assert M.unless(M.varDecl()).kinds is None
+    assert M.anyOf(M.varDecl(), M.has(M.expr())).kinds is None
+
+
+class RecordingCheck(TidyCheck):
+    def __init__(self, matchers):
+        self.matchers = matchers
+        self.calls = []
+
+    def register_matchers(self):
+        return self.matchers
+
+    def check(self, result):
+        self.calls.append((result.root, result.bound))
+
+
+@pytest.mark.parametrize("name", sorted(_UNITS))
+def test_run_checks_calls_back_in_preorder_then_matcher_order(name):
+    unit = _UNITS[name]
+    # Distinct labels make the matcher index visible in the bindings.
+    labelled = [m.bind(f"m{i}") for i, m in enumerate(
+        _LEAF_MATCHERS + [M.unless(M.stmt()), M.has(M.expr())])]
+    share = [_TIDY_MATCHERS, labelled]
+    checks = [RecordingCheck(matchers) for matchers in share]
+    run_checks(unit, SourceFile(f"{name}.mc", ""), checks)
+    for check, matchers in zip(checks, share):
+        hits = [(node.node_id, index, (node, bound))
+                for index, matcher in enumerate(matchers)
+                for node, bound in match_at_every_node(matcher, unit, unit)]
+        hits.sort(key=lambda h: (h[0], h[1]))
+        assert check.calls == [hit for _, _, hit in hits]

@@ -6,7 +6,7 @@ import pytest
 
 from minilang.reporting import (
     assemble_bug_path, parse_directives, PieceKind, render_html, render_text,
-    RenderOptions, verify_run, VerifyError,
+    verify_run, VerifyError,
 )
 from minilang.source import SourceFile
 
@@ -15,12 +15,7 @@ from conftest import analyze, DEREF_AFTER_CLEAR_VERIFY, USE_AFTER_CLEAR, USE_AFT
 
 def paths_for(source: str, name: str = "input.mc", checkers=None):
     result, fe = analyze(source, name=name, checkers=checkers)
-    graphs = list(result.graphs.values())
-    paths = []
-    for report in result.reports:
-        graph = next(g for g in graphs if report.error_node in g.nodes)
-        paths.append(assemble_bug_path(report, graph))
-    return paths, fe
+    return [assemble_bug_path(report) for report in result.reports], fe
 
 
 # --- assembly and visitors ------------------------------------------------------
@@ -135,7 +130,7 @@ def test_exactly_one_final_warning_and_it_is_last():
 
 def test_render_text_warning_line_format():
     paths, fe = paths_for(USE_AFTER_CLEAR, name="uac.mc")
-    text = render_text(fe.file, [], paths)
+    text = render_text(fe.file, paths)
     lines = text.splitlines()
     assert lines[0] == ("uac.mc:7:3: warning: Inner pointer of container used "
                         "after re/deallocation [cplusplus.InnerPointer]")
@@ -145,7 +140,7 @@ def test_render_text_warning_line_format():
 
 def test_render_text_emits_duplicate_note_last():
     paths, fe = paths_for(USE_AFTER_CLEAR)
-    text = render_text(fe.file, [], paths)
+    text = render_text(fe.file, paths)
     notes = [l for l in text.splitlines() if ": note: " in l]
     assert len(notes) == 3
     assert notes[-1].endswith("Inner pointer of container used after re/deallocation")
@@ -153,18 +148,17 @@ def test_render_text_emits_duplicate_note_last():
 
 def test_duplicate_note_can_be_disabled():
     paths, fe = paths_for(USE_AFTER_CLEAR)
-    options = RenderOptions(duplicate_warning_note=False)
-    text = render_text(fe.file, [], paths, options)
+    text = render_text(fe.file, paths, duplicate_warning_note=False)
     notes = [l for l in text.splitlines() if ": note: " in l]
     assert len(notes) == 2
 
 
 def test_footer_counts_defects():
     paths, fe = paths_for(USE_AFTER_CLEAR, name="one.mc")
-    assert render_text(fe.file, [], paths).splitlines()[-1] == \
+    assert render_text(fe.file, paths).splitlines()[-1] == \
         "Found 1 defect(s) in one.mc"
     clean, clean_fe = paths_for("void f() { }", name="clean.mc")
-    assert render_text(clean_fe.file, [], clean).splitlines()[-1] == \
+    assert render_text(clean_fe.file, clean).splitlines()[-1] == \
         "Found 0 defect(s) in clean.mc"
 
 
@@ -173,16 +167,15 @@ def test_divzero_line_matches_summary_format():
 int main_like() { return 1 / zero(); }
 int zero() { return 0; }
 """, name="main.mc")
-    text = render_text(fe.file, [], paths)
+    text = render_text(fe.file, paths)
     assert "Division by zero [core.DivideZero]" in text
     assert "Found 1 defect(s) in main.mc" in text
 
 
 def test_text_and_html_carry_the_same_messages():
     paths, fe = paths_for(USE_AFTER_CLEAR)
-    options = RenderOptions(duplicate_warning_note=False)
-    text = render_text(fe.file, [], paths, options)
-    page = render_html(fe.file, [], paths)
+    text = render_text(fe.file, paths, duplicate_warning_note=False)
+    page = render_html(fe.file, paths)
     for path in paths:
         for piece in path.pieces:
             assert piece.message in text
@@ -212,7 +205,7 @@ class _WellFormed(HTMLParser):
 
 def test_html_report_has_sections_and_steps():
     paths, fe = paths_for(USE_AFTER_CLEAR)
-    page = render_html(fe.file, [], paths)
+    page = render_html(fe.file, paths)
     assert page.count('<div class="report">') == 1
     assert page.count("<li>") >= 2
     assert "cplusplus.InnerPointer" in page
@@ -220,7 +213,7 @@ def test_html_report_has_sections_and_steps():
 
 def test_html_no_defects_page():
     paths, fe = paths_for("void f() { }")
-    page = render_html(fe.file, [], paths)
+    page = render_html(fe.file, paths)
     assert "No defects found" in page
 
 
@@ -228,16 +221,15 @@ def test_html_is_wellformed():
     for source in (USE_AFTER_CLEAR, "void f() { }"):
         paths, fe = paths_for(source)
         parser = _WellFormed()
-        parser.feed(render_html(fe.file, [], paths))
+        parser.feed(render_html(fe.file, paths))
         assert parser.ok and parser.stack == []
 
 
 # --- verify ---------------------------------------------------------------------------
 
-def render_for_verify(source: str, name: str = "v.mc",
-                      options: RenderOptions | None = None):
+def render_for_verify(source: str, name: str = "v.mc"):
     paths, fe = paths_for(source, name=name)
-    return fe.file, render_text(fe.file, [], paths, options or RenderOptions())
+    return fe.file, render_text(fe.file, paths)
 
 
 def test_directive_parsing_with_offsets():

@@ -497,7 +497,7 @@ def test_full_range_constraint_is_canonically_absent():
 def test_add_transition_twice_in_one_callback_is_an_error():
     from minilang.symexec.engine import CheckerContext
 
-    ctx = CheckerContext(engine=None, pred=None, state=ProgramState(), frame=0)
+    ctx = CheckerContext(ProgramState())
     ctx.add_transition(ProgramState().set_slot("k", {"a": 1}))
     with pytest.raises(InternalError):
         ctx.add_transition(ProgramState())
