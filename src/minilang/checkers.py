@@ -13,13 +13,15 @@ import enum
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .frontend.astnodes import Node
-from .source import SourceLocation, SourceRange
-from .symexec.engine import CallInfo, CheckerContext
+from .diagnostics import Diagnostic, Severity
+from .frontend.astnodes import Assign, Call, MethodCall, Node
+from .frontend.builtins import STRING_METHODS
+from .source import InternalError, SourceLocation, SourceRange
+from .symexec.engine import CallInfo, CheckerContext, ExplodedNode, PostImplicitCallPoint
 from .symexec.state import assume, ProgramState
 from .symexec.values import (
-    as_symbol, ConcreteInt, LocVal, MemRegion, NullLocVal, RangeSet, SVal,
-    Symbol, SymbolicVal,
+    as_symbol, ConcreteInt, LocVal, MemRegion, NullLocVal, RangeSet, region_type,
+    SVal, Symbol, SymbolicVal,
 )
 
 MALLOC_SLOT = "MallocLite.RegionState"
@@ -101,29 +103,88 @@ class BugReport:
         self.visitors.append(visitor)
 
 
-# --- call descriptions ----------------------------------------------------------
+# --- bug-path visitors ------------------------------------------------------------
+# Each walks backward from the error node and contributes one note to the
+# report's path: the first (latest) node where its event happened.
 
-@dataclass(frozen=True)
-class CallDescription:
-    name: str
-    argument_count: int
+class MallocBugVisitor:
+    """Notes the moment the tracked symbol's allocation state turned released."""
 
-    def matches(self, info: CallInfo) -> bool:
-        return info.callee_name == self.name and len(info.args) == self.argument_count
+    def __init__(self, sym: Symbol):
+        self.sym = sym
+        self._fired = False
+
+    def visit_node(self, node: ExplodedNode, pred: ExplodedNode | None) -> Diagnostic | None:
+        if self._fired:
+            return None
+        ref = node.state.slot(MALLOC_SLOT).get(self.sym)
+        if ref is None or ref.status is not RefStatus.RELEASED:
+            return None
+        if pred is not None:
+            prev = pred.state.slot(MALLOC_SLOT).get(self.sym)
+            if prev is not None and prev.status is RefStatus.RELEASED:
+                return None  # not the transition node yet
+        self._fired = True
+        if ref.family is not AllocationFamily.INNER_BUFFER:
+            message = "Memory is released"
+        elif isinstance(node.point, PostImplicitCallPoint):
+            message = (f"Inner buffer of '{_container_name(pred, self.sym)}' "
+                       "deallocated by call to destructor")
+        else:
+            message = (f"Inner buffer of '{_container_name(pred, self.sym)}' "
+                       f"reallocated by call to '{_callee_name(node)}'")
+        return Diagnostic(_point_location(node), message, Severity.NOTE)
 
 
-CSTR_FN = CallDescription("c_str", 0)
-DATA_FN = CallDescription("data", 0)
+class InnerPointerBRVisitor:
+    """Notes the point where the later-dangling buffer pointer was obtained."""
 
-_INVALIDATING_DESCRIPTIONS = (
-    CallDescription("append", 1), CallDescription("assign", 1),
-    CallDescription("clear", 0), CallDescription("erase", 2),
-    CallDescription("insert", 2), CallDescription("pop_back", 0),
-    CallDescription("push_back", 1), CallDescription("replace", 3),
-    CallDescription("reserve", 1), CallDescription("resize", 1),
-    CallDescription("shrink_to_fit", 0), CallDescription("swap", 1),
-)
+    def __init__(self, sym: Symbol):
+        self.sym = sym
+        self._fired = False
 
+    def visit_node(self, node: ExplodedNode, pred: ExplodedNode | None) -> Diagnostic | None:
+        if self._fired:
+            return None
+        if not is_symbol_tracked(node.state, self.sym) or (
+                pred is not None and is_symbol_tracked(pred.state, self.sym)):
+            return None
+        self._fired = True
+        return Diagnostic(
+            _point_location(node),
+            f"Pointer to inner buffer of '{_container_name(node, self.sym)}' obtained here",
+            Severity.NOTE)
+
+
+def _container_name(node: ExplodedNode | None, sym: Symbol) -> str:
+    """The type of the string whose buffer `sym` points into at `node`."""
+    region = get_container_obj_region(node.state, sym) if node is not None else None
+    rtype = region_type(region) if region is not None else None
+    return "container" if rtype is None else str(rtype)
+
+
+def _point_location(node: ExplodedNode) -> SourceLocation:
+    point = node.point
+    if isinstance(point, PostImplicitCallPoint):
+        return point.loc
+    stmt = getattr(point, "node", None)
+    if stmt is not None:
+        return stmt.range.begin
+    raise InternalError(f"no source location for point {point.describe()}")
+
+
+def _callee_name(node: ExplodedNode) -> str:
+    stmt = getattr(node.point, "node", None)
+    if isinstance(stmt, MethodCall):
+        return stmt.method_name
+    if isinstance(stmt, Assign):
+        return "operator" + stmt.op
+    if isinstance(stmt, Call):
+        return stmt.callee.name
+    return "unknown"
+
+
+# --- call classification ----------------------------------------------------------
 
 def is_invalidating_member_function(info: CallInfo) -> bool:
     """True for the standard's invalidating string operations: the non-const
@@ -131,9 +192,8 @@ def is_invalidating_member_function(info: CallInfo) -> bool:
     destructor; false for c_str, data, size, empty, at, front, back."""
     if info.kind == "assign":
         return info.callee_name in ("operator=", "operator+=")
-    if info.kind != "method":
-        return False
-    return any(d.matches(info) for d in _INVALIDATING_DESCRIPTIONS)
+    # the typechecker admits only the table's methods, with their arities
+    return info.kind == "method" and STRING_METHODS[info.callee_name].invalidating
 
 
 # --- the checkers ----------------------------------------------------------------
@@ -197,8 +257,6 @@ class MallocLite(Checker):
 
     def handle_use_after_free(self, ctx: CheckerContext, rng: SourceRange,
                               sym: Symbol, ref: RefState) -> None:
-        from .reporting import InnerPointerBRVisitor, MallocBugVisitor
-
         inner = ref.family is AllocationFamily.INNER_BUFFER
         report = BugReport(
             "Inner pointer of container used after re/deallocation" if inner
@@ -226,7 +284,7 @@ class InnerPointer(Checker):
     def check_post_call(self, ctx: CheckerContext, info: CallInfo) -> None:
         state = ctx.state
         if info.kind == "method" and info.receiver_region is not None:
-            if CSTR_FN.matches(info) or DATA_FN.matches(info):
+            if STRING_METHODS[info.callee_name].buffer_obtaining:
                 sym = as_symbol(info.ret_val)
                 if sym is None:
                     return  # result not symbol-convertible

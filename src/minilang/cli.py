@@ -13,13 +13,13 @@ from dataclasses import dataclass, field
 
 from . import checkers as checker_registry
 from .cfg import build_cfg, dump_cfg
-from .diagnostics import render_diagnostic, Severity
-from .frontend import dump_ast, load_unit
+from .diagnostics import Diagnostic, displayed, render_diagnostic, Severity
+from .frontend import dump_ast, FrontendResult, load_unit
 from .frontend.astnodes import FunctionDecl
 from .reporting import (
     assemble_bug_path, render_html, render_text, verify_run, VerifyError,
 )
-from .source import InternalError, SourceFile
+from .source import InternalError
 from .symexec import AnalysisConfig, Engine, dump_dot
 from .tidy import apply_fixes, make_checks, run_checks
 
@@ -187,25 +187,28 @@ def run_analyze(config: RunConfig, out=None, err=None) -> int:
         if config.egraph_path:
             for name, graph in result.graphs.items():
                 egraph_chunks.append(dump_dot(graph, name))
-        paths = [assemble_bug_path(r) for r in result.reports]
-        findings = findings or bool(result.reports)
+        warnings = [assemble_bug_path(r) for r in result.reports]
+        findings = findings or bool(warnings)
         for note in result.notes:
             print(note, file=err)
         if config.output_mode.startswith("html:"):
             html_path = config.output_mode[len("html:"):]
             try:
                 with open(html_path, "w", encoding="utf-8") as handle:
-                    handle.write(render_html(fe.file, paths))
+                    handle.write(render_html(fe.file, warnings))
             except OSError as exc:
                 print(f"error: cannot write {html_path}: {exc}", file=err)
                 return 2
-        else:
-            rendered = render_text(fe.file, paths,
-                                   duplicate_warning_note=config.duplicate_warning_note)
-            status = _verify_or_print(config, path, fe.file, rendered, out, err)
+        elif config.verify:
+            status = _verify(path, fe, displayed(
+                warnings, duplicate_warning_note=config.duplicate_warning_note), out, err)
             if status == 2:
                 return 2
             verify_failed = verify_failed or status == 1
+        else:
+            print(render_text(fe.file, warnings,
+                              duplicate_warning_note=config.duplicate_warning_note),
+                  file=out)
     if config.egraph_path:
         try:
             with open(config.egraph_path, "w", encoding="utf-8") as handle:
@@ -218,17 +221,12 @@ def run_analyze(config: RunConfig, out=None, err=None) -> int:
     return 1 if findings else 0
 
 
-def _verify_or_print(config: RunConfig, path: str, file: SourceFile, rendered: str,
-                     out, err) -> int:
-    """Print `rendered`, or under --verify check it against the file's
-    directives and print the verdict. Returns 2 for a malformed directive,
-    1 for a failed verify, else 0."""
-    if not config.verify:
-        if rendered:
-            print(rendered, file=out)
-        return 0
+def _verify(path: str, fe: FrontendResult, shown: list[Diagnostic], out, err) -> int:
+    """Check the diagnostics a run would show against the file's directives
+    and print the verdict. Returns 2 for a malformed directive, 1 for a
+    failed verify, else 0."""
     try:
-        outcome = verify_run(file, rendered)
+        outcome = verify_run(fe.file, fe.comments, shown)
     except VerifyError as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -265,15 +263,14 @@ def run_tidy(config: RunConfig, out=None, err=None) -> int:
             return 2
         diags = run_checks(fe.unit, fe.file, checks)
         findings = findings or any(d.severity is Severity.WARNING for d in diags)
-        chunks = []
-        for diag in diags:
-            chunks.append(render_diagnostic(diag))
-            chunks.extend(render_diagnostic(n) for n in diag.attached_notes)
-        rendered = "\n".join(chunks)
-        status = _verify_or_print(config, path, fe.file, rendered, out, err)
-        if status == 2:
-            return 2
-        verify_failed = verify_failed or status == 1
+        shown = displayed(diags)
+        if config.verify:
+            status = _verify(path, fe, shown, out, err)
+            if status == 2:
+                return 2
+            verify_failed = verify_failed or status == 1
+        elif shown:
+            print("\n".join(map(render_diagnostic, shown)), file=out)
         if config.fix:
             fixed, warnings = apply_fixes(fe.file.text, diags)
             for warning in warnings:

@@ -91,11 +91,26 @@ def emit_diag(loc: SourceLocation, template: str, args: tuple = (),
                       check_name, list(fixits or ()), [], highlight)
 
 
-def render_diagnostic(diag: Diagnostic, *, show_check_name: bool = True) -> str:
+def displayed(diagnostics: list[Diagnostic], *,
+              duplicate_warning_note: bool = False) -> list[Diagnostic]:
+    """What a tool shows, in order, and what `--verify` checks: each
+    diagnostic in source order, then its attached notes, then, when
+    `duplicate_warning_note` is on, the diagnostic repeated as a note (an
+    analyzer quirk kept on purpose)."""
+    shown: list[Diagnostic] = []
+    for diag in sorted(diagnostics, key=lambda d: d.location.offset):
+        shown.append(diag)
+        shown.extend(diag.attached_notes)
+        if duplicate_warning_note:
+            shown.append(Diagnostic(diag.location, diag.message, Severity.NOTE))
+    return shown
+
+
+def render_diagnostic(diag: Diagnostic) -> str:
     """`file:line:col: severity: message [check]` plus source line and caret."""
     loc = diag.location
     head = f"{loc}: {diag.severity.value}: {diag.message}"
-    if show_check_name and diag.check_name and diag.severity is Severity.WARNING:
+    if diag.check_name and diag.severity is Severity.WARNING:
         head += f" [{diag.check_name}]"
     lines = [head]
     src = loc.file.line_text(loc.line)

@@ -18,7 +18,7 @@ from .astnodes import (  # noqa: F401  (re-exported surface)
     strip_parens, StructDecl, structure_signature, TranslationUnit, TypeRef,
     UnaryOp, VarDecl, VOID, walk, WhileStmt,
 )
-from .builtins import BUFFER_METHODS, INVALIDATING_METHODS, STRING_METHODS  # noqa: F401
+from .builtins import STRING_METHODS  # noqa: F401
 from .lexer import Comment, LexError, Token, TokenKind, tokenize  # noqa: F401
 from .parser import parse
 from .typecheck import typecheck
@@ -29,6 +29,7 @@ class FrontendResult:
     file: SourceFile
     unit: TranslationUnit | None
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    comments: list[Comment] = field(default_factory=list)  # every `//` comment, in order
 
     @property
     def ok(self) -> bool:
@@ -42,11 +43,12 @@ def load_unit(name: str, text: str, std: int = 14) -> FrontendResult:
         tokens = tokenize(file)
     except LexError as err:
         return FrontendResult(file, None, [err.diagnostic])
+    comments = [comment for token in tokens for comment in token.leading_comments]
     unit, diags = parse(tokens, std)
     if diags:
-        return FrontendResult(file, unit, diags)
+        return FrontendResult(file, unit, diags, comments)
     diags = typecheck(unit)
-    return FrontendResult(file, unit, diags)
+    return FrontendResult(file, unit, diags, comments)
 
 
 def node_text(node: Node) -> str:

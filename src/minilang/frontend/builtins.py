@@ -39,8 +39,3 @@ STRING_METHODS: dict[str, StringMethod] = {m.name: m for m in (
     StringMethod("shrink_to_fit", (), VOID, True, False),
     StringMethod("swap", (STRING_REF,), VOID, True, False),
 )}
-
-INVALIDATING_METHODS = frozenset(
-    m.name for m in STRING_METHODS.values() if m.invalidating)
-BUFFER_METHODS = frozenset(
-    m.name for m in STRING_METHODS.values() if m.buffer_obtaining)

@@ -7,7 +7,7 @@ from .engine import (  # noqa: F401
 )
 from .state import assume, assume_comparison, assume_relation, INFEASIBLE, ProgramState  # noqa: F401
 from .values import (  # noqa: F401
-    as_symbol, ConcreteInt, ConstExpr, FieldRegion, IMAX, IMIN,
+    as_symbol, ConcreteInt, FieldRegion, IMAX, IMIN,
     LocVal, MemRegion, NULL_LOC, NullLocVal, RangeSet, region_root,
     region_type, region_within, SVal, sym_add, sym_mul, sym_val, SymAtom,
     Symbol, SymbolicVal, SymExpr, SymIntOp, UNDEFINED, UndefinedVal, UNKNOWN,

@@ -43,21 +43,12 @@ class SymAtom(SymExpr):
 
 
 @dataclass(frozen=True)
-class ConstExpr(SymExpr):
-    value: int
-
-    def __str__(self):
-        return str(self.value)
-
-
-@dataclass(frozen=True)
 class SymIntOp(SymExpr):
-    lhs: SymExpr  # never a ConstExpr: constants fold
+    lhs: SymExpr  # never a constant: constants fold
     op: str  # one of + - *
     rhs: int
 
     def __post_init__(self):
-        assert not isinstance(self.lhs, ConstExpr)
         assert self.op in ("+", "-", "*")
 
     def __str__(self):

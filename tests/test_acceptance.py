@@ -14,6 +14,7 @@ import minilang.matchers as M
 from minilang.cfg import build_cfg
 from minilang.checkers import make_checkers
 from minilang.cli import parse_analyze_args, parse_tidy_args, run_analyze, run_tidy
+from minilang.diagnostics import displayed
 from minilang.frontend import load_unit, tokenize, walk
 from minilang.reporting import assemble_bug_path, render_text, verify_run
 from minilang.source import SourceFile
@@ -267,8 +268,8 @@ def test_criterion_8_path_sensitive_divzero():
 def test_criterion_9_verify_harness(mc):
     def verify_outcome(source: str, name: str):
         _, paths, _, fe = rendered_analysis(source, name)
-        rendered = render_text(fe.file, paths)
-        return verify_run(fe.file, rendered)
+        return verify_run(fe.file, fe.comments,
+                          displayed(paths, duplicate_warning_note=True))
 
     baseline = verify_outcome(DEREF_AFTER_CLEAR_VERIFY, "v.mc")
     assert baseline.passed, baseline.mismatches

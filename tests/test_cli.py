@@ -179,6 +179,21 @@ def test_verify_consumes_the_same_text_as_plain_output(mc):
     assert code == 0, out
 
 
+def test_verify_ignores_source_lines_that_look_like_diagnostics(mc, tmp_path, monkeypatch):
+    # The string literal continues onto line 3, which therefore starts like
+    # a rendered warning; verify must check the diagnostics themselves, not
+    # whatever the echoed source line under each of them spells.
+    mc('void f() {\n'
+       '  string s = "a\\\n'
+       'v.mc:3:1: warning: fake"; int* p = new int(); int y = *p;'
+       ' // expected-warning {{redundant pointer variable with only one usage}}'
+       ' expected-note {{pointer usage location}}\n'
+       '}\n', "v.mc")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = tidy_cli(["v.mc", "--verify"])
+    assert (code, out) == (0, "v.mc: verify passed\n")
+
+
 def test_multiple_files_interleaved_in_input_order(mc):
     first = mc("void a() { }", "a.mc")
     second = mc("void b() { }", "b.mc")

@@ -4,18 +4,25 @@ from html.parser import HTMLParser
 
 import pytest
 
+from minilang.diagnostics import displayed, Severity
+from minilang.frontend import load_unit
 from minilang.reporting import (
-    assemble_bug_path, parse_directives, PieceKind, render_html, render_text,
-    verify_run, VerifyError,
+    assemble_bug_path, parse_directives, render_html, render_text, verify_run,
+    VerifyError,
 )
-from minilang.source import SourceFile
 
 from conftest import analyze, DEREF_AFTER_CLEAR_VERIFY, USE_AFTER_CLEAR, USE_AFTER_FREE
 
 
 def paths_for(source: str, name: str = "input.mc", checkers=None):
+    """One warning per report; its notes are the path events."""
     result, fe = analyze(source, name=name, checkers=checkers)
     return [assemble_bug_path(report) for report in result.reports], fe
+
+
+def steps(warning):
+    """A bug path as the HTML page numbers it: the notes, then the warning."""
+    return [*warning.attached_notes, warning]
 
 
 # --- assembly and visitors ------------------------------------------------------
@@ -23,9 +30,9 @@ def paths_for(source: str, name: str = "input.mc", checkers=None):
 def test_use_after_clear_path_pieces_in_order():
     paths, _ = paths_for(USE_AFTER_CLEAR)
     assert len(paths) == 1
-    pieces = paths[0].pieces
-    assert [p.kind for p in pieces] == [
-        PieceKind.EVENT, PieceKind.EVENT, PieceKind.FINAL_WARNING]
+    pieces = steps(paths[0])
+    assert [p.severity for p in pieces] == [
+        Severity.NOTE, Severity.NOTE, Severity.WARNING]
     assert pieces[0].message == "Pointer to inner buffer of 'string' obtained here"
     assert pieces[1].message == "Inner buffer of 'string' reallocated by call to 'clear'"
     assert pieces[2].message == "Inner pointer of container used after re/deallocation"
@@ -36,13 +43,13 @@ def test_use_after_clear_path_pieces_in_order():
 
 def test_piece_locations_follow_path_chronology():
     paths, _ = paths_for(USE_AFTER_CLEAR)
-    offsets = [p.location.offset for p in paths[0].pieces]
+    offsets = [p.location.offset for p in steps(paths[0])]
     assert offsets == sorted(offsets)
 
 
 def test_heap_visitor_notes_release_at_delete():
     paths, _ = paths_for(USE_AFTER_FREE)
-    events = [p for p in paths[0].pieces if p.kind is PieceKind.EVENT]
+    events = [p for p in steps(paths[0]) if p.severity is Severity.NOTE]
     assert [e.message for e in events] == ["Memory is released"]
     assert events[0].location.line == 6  # the delete statement
 
@@ -59,7 +66,7 @@ void f() {
   sink(c);
 }
 """)
-    messages = [p.message for p in paths[0].pieces]
+    messages = [p.message for p in steps(paths[0])]
     assert "Inner buffer of 'string' deallocated by call to destructor" in messages
 
 
@@ -74,7 +81,7 @@ void f() {
   sink(c);
 }
 """)
-    messages = [p.message for p in paths[0].pieces]
+    messages = [p.message for p in steps(paths[0])]
     assert "Inner buffer of 'string' reallocated by call to 'operator='" in messages
 
 
@@ -89,13 +96,13 @@ void f() {
   sink(c);
 }
 """)
-    messages = [p.message for p in paths[0].pieces]
+    messages = [p.message for p in steps(paths[0])]
     assert "Inner buffer of 'string' reallocated by call to 'modify'" in messages
 
 
 def test_visitors_fire_once_per_report():
     paths, _ = paths_for(USE_AFTER_CLEAR)
-    events = [p for p in paths[0].pieces if p.kind is PieceKind.EVENT]
+    events = [p for p in steps(paths[0]) if p.severity is Severity.NOTE]
     assert len(events) == 2  # one per visitor, never more
 
 
@@ -112,7 +119,7 @@ void f() {
 }
 """)
     assert len(paths) == 1
-    obtained = [p for p in paths[0].pieces
+    obtained = [p for p in steps(paths[0])
                 if "obtained here" in p.message]
     assert len(obtained) == 1
     assert obtained[0].location.line == 6  # the s.c_str() line, not t's
@@ -121,9 +128,9 @@ void f() {
 def test_exactly_one_final_warning_and_it_is_last():
     for source in (USE_AFTER_CLEAR, USE_AFTER_FREE):
         paths, _ = paths_for(source)
-        finals = [p for p in paths[0].pieces if p.kind is PieceKind.FINAL_WARNING]
+        finals = [p for p in steps(paths[0]) if p.severity is Severity.WARNING]
         assert len(finals) == 1
-        assert paths[0].pieces[-1] is finals[0]
+        assert steps(paths[0])[-1] is finals[0]
 
 
 # --- text rendering -----------------------------------------------------------------
@@ -177,7 +184,7 @@ def test_text_and_html_carry_the_same_messages():
     text = render_text(fe.file, paths, duplicate_warning_note=False)
     page = render_html(fe.file, paths)
     for path in paths:
-        for piece in path.pieces:
+        for piece in steps(path):
             assert piece.message in text
             assert piece.message in page
 
@@ -217,6 +224,21 @@ def test_html_no_defects_page():
     assert "No defects found" in page
 
 
+def test_html_lists_warnings_in_source_order_like_text():
+    # The engine reports h's division, reached through the call inlined into
+    # g, before g's own division on the line above it.
+    paths, fe = paths_for("""\
+int g(int a) { int x = 0; if (a > 0) { x = h(0); } return 1 / x; }
+int h(int v) { return 10 / v; }
+""")
+    assert [w.location.line for w in paths] == [2, 1]
+    text = render_text(fe.file, paths, duplicate_warning_note=False)
+    assert [line.split(":")[1] for line in text.splitlines()
+            if ": warning: " in line] == ["1", "2"]
+    page = render_html(fe.file, paths)
+    assert page.index("    1| int g") < page.index("    2| int h")
+
+
 def test_html_is_wellformed():
     for source in (USE_AFTER_CLEAR, "void f() { }"):
         paths, fe = paths_for(source)
@@ -228,13 +250,18 @@ def test_html_is_wellformed():
 # --- verify ---------------------------------------------------------------------------
 
 def render_for_verify(source: str, name: str = "v.mc"):
+    """The file, its comments and the diagnostics a plain run would show."""
     paths, fe = paths_for(source, name=name)
-    return fe.file, render_text(fe.file, paths)
+    return fe.file, fe.comments, displayed(paths, duplicate_warning_note=True)
+
+
+def directives_of(source: str, name: str):
+    fe = load_unit(name, source)
+    return parse_directives(fe.file, fe.comments)
 
 
 def test_directive_parsing_with_offsets():
-    file = SourceFile("d.mc", DEREF_AFTER_CLEAR_VERIFY)
-    directives = parse_directives(file)
+    directives = directives_of(DEREF_AFTER_CLEAR_VERIFY, "d.mc")
     kinds = sorted(d.kind for d in directives)
     assert kinds == ["expected-note"] * 3 + ["expected-warning"]
     warning = next(d for d in directives if d.kind == "expected-warning")
@@ -242,23 +269,21 @@ def test_directive_parsing_with_offsets():
 
 
 def test_verify_passes_on_the_ported_regression_file():
-    file, rendered = render_for_verify(DEREF_AFTER_CLEAR_VERIFY)
-    outcome = verify_run(file, rendered)
+    outcome = verify_run(*render_for_verify(DEREF_AFTER_CLEAR_VERIFY))
     assert outcome.passed, outcome.mismatches
 
 
 def test_verify_is_deterministic():
-    file, rendered = render_for_verify(DEREF_AFTER_CLEAR_VERIFY)
-    assert verify_run(file, rendered).passed
-    assert verify_run(file, rendered).passed
+    run = render_for_verify(DEREF_AFTER_CLEAR_VERIFY)
+    assert verify_run(*run).passed
+    assert verify_run(*run).passed
 
 
 def test_removing_a_directive_lists_one_unexpected():
     mutated = DEREF_AFTER_CLEAR_VERIFY.replace(
         "// expected-note@-2 {{Inner pointer of container used after re/deallocation}}\n",
         "")
-    file, rendered = render_for_verify(mutated)
-    outcome = verify_run(file, rendered)
+    outcome = verify_run(*render_for_verify(mutated))
     assert not outcome.passed
     assert len(outcome.mismatches) == 1
     assert "unexpected note" in outcome.mismatches[0]
@@ -266,8 +291,7 @@ def test_removing_a_directive_lists_one_unexpected():
 
 def test_mutating_directive_text_lists_one_mismatch():
     mutated = DEREF_AFTER_CLEAR_VERIFY.replace("obtained here", "acquired here")
-    file, rendered = render_for_verify(mutated)
-    outcome = verify_run(file, rendered)
+    outcome = verify_run(*render_for_verify(mutated))
     assert not outcome.passed
     assert len(outcome.mismatches) == 1
 
@@ -275,32 +299,28 @@ def test_mutating_directive_text_lists_one_mismatch():
 def test_mutating_directive_offset_lists_one_mismatch():
     mutated = DEREF_AFTER_CLEAR_VERIFY.replace("expected-warning@-1",
                                                "expected-warning@-2")
-    file, rendered = render_for_verify(mutated)
-    outcome = verify_run(file, rendered)
+    outcome = verify_run(*render_for_verify(mutated))
     assert not outcome.passed
     assert len(outcome.mismatches) == 1
 
 
 def test_clean_file_with_no_directives_passes():
-    file, rendered = render_for_verify("void f() { }")
-    outcome = verify_run(file, rendered)
+    outcome = verify_run(*render_for_verify("void f() { }"))
     assert outcome.passed
 
 
 def test_malformed_directive_is_a_verify_error():
-    file = SourceFile("m.mc", "void f() { } // expected-warning missing braces\n")
     with pytest.raises(VerifyError):
-        parse_directives(file)
+        directives_of("void f() { } // expected-warning missing braces\n", "m.mc")
 
 
 def test_directive_offset_outside_file_is_a_verify_error():
-    file = SourceFile("m.mc", "void f() { } // expected-warning@-9 {{x}}\n")
     with pytest.raises(VerifyError):
-        parse_directives(file)
+        directives_of("void f() { } // expected-warning@-9 {{x}}\n", "m.mc")
 
 
 def test_callee_name_fallback_is_unknown():
-    from minilang.reporting import _callee_name
+    from minilang.checkers import _callee_name
 
     class _StubPoint:
         node = object()  # not a call-shaped node
@@ -316,5 +336,4 @@ def test_callee_name_fallback_is_unknown():
 
 def test_directive_text_inside_string_literal_is_ignored():
     source = 'void f() { string s = "x // expected-warning {{bogus}}"; }\n'
-    file = SourceFile("lit.mc", source)
-    assert parse_directives(file) == []
+    assert directives_of(source, "lit.mc") == []
