@@ -373,30 +373,24 @@ class DivZero(Checker):
 
 @dataclass(frozen=True)
 class CheckerDescriptor:
-    full_name: str  # "package.Name"
+    factory: type[Checker]
     help: str
     dependencies: tuple[str, ...] = ()
 
 
-_DESCRIPTORS = {
-    "core.DivideZero": CheckerDescriptor(
-        "core.DivideZero", "Check for division by zero"),
+# "package.Name" -> descriptor
+CHECKERS = {
+    "core.DivideZero": CheckerDescriptor(DivZero, "Check for division by zero"),
     "cplusplus.InnerPointer": CheckerDescriptor(
-        "cplusplus.InnerPointer",
+        InnerPointer,
         "Check for inner pointers of C++ containers used after re/deallocation",
         dependencies=("unix.MallocLite",)),
     "unix.MallocLite": CheckerDescriptor(
-        "unix.MallocLite",
+        MallocLite,
         "Check for double release and use of memory after it is released"),
 }
 
-_FACTORIES = {
-    "core.DivideZero": DivZero,
-    "cplusplus.InnerPointer": InnerPointer,
-    "unix.MallocLite": MallocLite,
-}
-
-DEFAULT_CHECKERS = tuple(sorted(_DESCRIPTORS))
+DEFAULT_CHECKERS = tuple(sorted(CHECKERS))
 
 
 class UnknownCheckerError(KeyError):
@@ -412,9 +406,9 @@ def registry_list() -> str:
         "",
         "CHECKERS:",
     ]
-    width = max(len(name) for name in _DESCRIPTORS) + 4
-    for name in sorted(_DESCRIPTORS):
-        lines.append(f"  {name.ljust(width)}{_DESCRIPTORS[name].help}")
+    width = max(len(name) for name in CHECKERS) + 4
+    for name in sorted(CHECKERS):
+        lines.append(f"  {name.ljust(width)}{CHECKERS[name].help}")
     return "\n".join(lines)
 
 
@@ -423,12 +417,12 @@ def resolve_enabled(names) -> list[str]:
     enabled: set[str] = set()
 
     def add(name: str):
-        if name not in _DESCRIPTORS:
+        if name not in CHECKERS:
             raise UnknownCheckerError(name)
         if name in enabled:
             return
         enabled.add(name)
-        for dep in _DESCRIPTORS[name].dependencies:
+        for dep in CHECKERS[name].dependencies:
             add(dep)
 
     for name in names:
@@ -438,4 +432,4 @@ def resolve_enabled(names) -> list[str]:
 
 def make_checkers(names=None) -> list[Checker]:
     enabled = resolve_enabled(names if names is not None else DEFAULT_CHECKERS)
-    return [_FACTORIES[name]() for name in enabled]
+    return [CHECKERS[name].factory() for name in enabled]

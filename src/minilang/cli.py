@@ -7,21 +7,20 @@ verify failed), 2 = usage, parse or I/O error, 3 = internal error.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from dataclasses import dataclass, field
 
 from . import checkers as checker_registry
 from .cfg import build_cfg, dump_cfg
-from .diagnostics import Diagnostic, displayed, render_diagnostic, Severity
-from .frontend import dump_ast, FrontendResult, load_unit
+from .diagnostics import displayed, render_diagnostic, Severity
+from .frontend import dump_ast, load_unit
 from .frontend.astnodes import FunctionDecl
 from .reporting import (
     assemble_bug_path, render_html, render_text, verify_run, VerifyError,
 )
 from .source import InternalError
 from .symexec import AnalysisConfig, Engine, dump_dot
-from .tidy import apply_fixes, make_checks, run_checks
+from .tidy import apply_fixes, CHECKS, make_checks, run_checks
 
 
 @dataclass
@@ -29,8 +28,7 @@ class RunConfig:
     command: str  # "analyze" | "tidy"
     inputs: list[str]
     std_mode: int = 14
-    checkers: list[str] | None = None  # None: all
-    checks: list[str] | None = None  # None: all
+    checks: list[str] | None = None  # checker (analyze) or check (tidy) names; None: all
     fix: bool = False
     verify: bool = False
     output_mode: str = "text"  # "text" or "html:<path>"
@@ -50,11 +48,18 @@ class RunConfig:
             return f"unknown output mode {self.output_mode!r}"
         if not self.inputs:
             return "at least one input file is required"
+        if self.output_mode != "text" and len(self.inputs) > 1:
+            return f"html output takes one input file (got {len(self.inputs)})"
         for flag, value in (("--unroll", self.unroll),
                             ("--node-budget", self.node_budget),
                             ("--inline-depth", self.inline_depth)):
             if value < 0:
                 return f"{flag} must not be negative (got {value})"
+        analyze = self.command == "analyze"
+        known = checker_registry.CHECKERS if analyze else CHECKS
+        for name in self.checks or ():
+            if name not in known:
+                return f"unknown {'checker' if analyze else 'check'} {name!r}"
         return None
 
 
@@ -94,7 +99,7 @@ def parse_analyze_args(argv: list[str]) -> RunConfig | int:
         dumps.add("cfg")
     config = RunConfig(
         command="analyze", inputs=ns.inputs, std_mode=int(ns.std),
-        checkers=ns.checker.split(",") if ns.checker else None,
+        checks=ns.checker.split(",") if ns.checker else None,
         verify=ns.verify, output_mode=ns.analyzer_output, dump_flags=dumps,
         egraph_path=ns.dump_egraph, unroll=ns.unroll,
         node_budget=ns.node_budget, inline_depth=ns.inline_depth,
@@ -118,173 +123,109 @@ def parse_tidy_args(argv: list[str]) -> RunConfig | int:
         fix=ns.fix, verify=ns.verify, dump_flags=dumps)
 
 
-def _frontend_or_fail(path: str, std: int, out, err):
+def _write(path: str, text: str, err) -> bool:
+    """Write `text` to `path`, or print why not and return False."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=err)
-        return None
-    result = load_unit(path, text, std)
-    if result.diagnostics:
-        for diag in result.diagnostics:
-            print(render_diagnostic(diag), file=err)
-        return None
-    return result
+        print(f"error: cannot write {path}: {exc}", file=err)
+        return False
+    return True
 
 
-def _internal_error_guard(run):
-    """Turn an escaping InternalError or RecursionError (an input whose
-    expressions chain deeper than a recursive pass can follow) into one
-    `internal error:` line and exit code 3, instead of a traceback with the
+def run(config: RunConfig, out=None, err=None) -> int:
+    """Run `config.command` over each input in turn: frontend, dumps, the
+    tool's diagnostics, one show step (html, verify or text), then --fix.
+    Exit code: 2 at the first usage, input or output error; else 1 when
+    any file failed verify (with --verify) or had a warning (without),
+    0 otherwise. An escaping InternalError or RecursionError (an input
+    whose expressions chain deeper than a recursive pass can follow) ends
+    the run with one `internal error:` line and 3, not a traceback with the
     exit code that means findings."""
-
-    @functools.wraps(run)
-    def guarded(config: RunConfig, out=None, err=None) -> int:
-        err = err or sys.stderr
-        try:
-            return run(config, out, err)
-        except (InternalError, RecursionError) as exc:
-            print(f"internal error: {exc}", file=err)
-            return 3
-
-    return guarded
-
-
-@_internal_error_guard
-def run_analyze(config: RunConfig, out=None, err=None) -> int:
     out = out or sys.stdout
     err = err or sys.stderr
     problem = config.validate()
     if problem:
         print(f"error: {problem}", file=err)
         return 2
-    try:
-        enabled = checker_registry.resolve_enabled(
-            config.checkers if config.checkers is not None
-            else checker_registry.DEFAULT_CHECKERS)
-    except checker_registry.UnknownCheckerError as exc:
-        print(f"error: unknown checker {exc.args[0]!r}", file=err)
-        return 2
-    findings = False
-    verify_failed = False
+    analyze = config.command == "analyze"
+    duplicate_note = analyze and config.duplicate_warning_note
+    html_path = config.output_mode.removeprefix("html:") \
+        if config.output_mode != "text" else None
+    failed = False
     egraph_chunks: list[str] = []
-    for path in config.inputs:
-        fe = _frontend_or_fail(path, config.std_mode, out, err)
-        if fe is None:
-            return 2
-        if "ast" in config.dump_flags:
-            print(dump_ast(fe.unit), file=out)
-        if "cfg" in config.dump_flags:
-            for decl in fe.unit.decls:
-                if isinstance(decl, FunctionDecl):
-                    print(dump_cfg(build_cfg(decl)), file=out)
-        engine = Engine(fe.unit, fe.file,
-                        AnalysisConfig(config.unroll, config.node_budget,
-                                       config.inline_depth),
-                        checker_registry.make_checkers(enabled))
-        result = engine.run()
-        if config.egraph_path:
-            for name, graph in result.graphs.items():
-                egraph_chunks.append(dump_dot(graph, name))
-        warnings = [assemble_bug_path(r) for r in result.reports]
-        findings = findings or bool(warnings)
-        for note in result.notes:
-            print(note, file=err)
-        if config.output_mode.startswith("html:"):
-            html_path = config.output_mode[len("html:"):]
-            try:
-                with open(html_path, "w", encoding="utf-8") as handle:
-                    handle.write(render_html(fe.file, warnings))
-            except OSError as exc:
-                print(f"error: cannot write {html_path}: {exc}", file=err)
-                return 2
-        elif config.verify:
-            status = _verify(path, fe, displayed(
-                warnings, duplicate_warning_note=config.duplicate_warning_note), out, err)
-            if status == 2:
-                return 2
-            verify_failed = verify_failed or status == 1
-        else:
-            print(render_text(fe.file, warnings,
-                              duplicate_warning_note=config.duplicate_warning_note),
-                  file=out)
-    if config.egraph_path:
-        try:
-            with open(config.egraph_path, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(egraph_chunks) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {config.egraph_path}: {exc}", file=err)
-            return 2
-    if config.verify:
-        return 1 if verify_failed else 0
-    return 1 if findings else 0
-
-
-def _verify(path: str, fe: FrontendResult, shown: list[Diagnostic], out, err) -> int:
-    """Check the diagnostics a run would show against the file's directives
-    and print the verdict. Returns 2 for a malformed directive, 1 for a
-    failed verify, else 0."""
     try:
-        outcome = verify_run(fe.file, fe.comments, shown)
-    except VerifyError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    if outcome.passed:
-        print(f"{path}: verify passed", file=out)
-        return 0
-    print(f"{path}: verify failed:", file=out)
-    for mismatch in outcome.mismatches:
-        print(f"  {mismatch}", file=out)
-    return 1
-
-
-@_internal_error_guard
-def run_tidy(config: RunConfig, out=None, err=None) -> int:
-    out = out or sys.stdout
-    err = err or sys.stderr
-    problem = config.validate()
-    if problem:
-        print(f"error: {problem}", file=err)
-        return 2
-    findings = False
-    verify_failed = False
-    for path in config.inputs:
-        fe = _frontend_or_fail(path, config.std_mode, out, err)
-        if fe is None:
-            return 2
-        if "ast" in config.dump_flags:
-            print(dump_ast(fe.unit), file=out)
-        try:
-            checks = make_checks(config.checks, fe.file, config.std_mode,
-                                 fe.unit.structs)
-        except KeyError as exc:
-            print(f"error: unknown check {exc.args[0]!r}", file=err)
-            return 2
-        diags = run_checks(fe.unit, fe.file, checks)
-        findings = findings or any(d.severity is Severity.WARNING for d in diags)
-        shown = displayed(diags)
-        if config.verify:
-            status = _verify(path, fe, shown, out, err)
-            if status == 2:
+        for path in config.inputs:
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    text = handle.read()
+            except OSError as exc:
+                print(f"error: cannot read {path}: {exc}", file=err)
                 return 2
-            verify_failed = verify_failed or status == 1
-        elif shown:
-            print("\n".join(map(render_diagnostic, shown)), file=out)
-        if config.fix:
-            fixed, warnings = apply_fixes(fe.file.text, diags)
-            for warning in warnings:
-                print(f"warning: {warning}", file=err)
-            if fixed != fe.file.text:
-                try:
-                    with open(path, "w", encoding="utf-8") as handle:
-                        handle.write(fixed)
-                except OSError as exc:
-                    print(f"error: cannot write {path}: {exc}", file=err)
+            fe = load_unit(path, text, config.std_mode)
+            if fe.diagnostics:
+                for diag in fe.diagnostics:
+                    print(render_diagnostic(diag), file=err)
+                return 2
+            if "ast" in config.dump_flags:
+                print(dump_ast(fe.unit), file=out)
+            if "cfg" in config.dump_flags:
+                for decl in fe.unit.decls:
+                    if isinstance(decl, FunctionDecl):
+                        print(dump_cfg(build_cfg(decl)), file=out)
+            if analyze:
+                result = Engine(fe.unit, fe.file,
+                                AnalysisConfig(config.unroll, config.node_budget,
+                                               config.inline_depth),
+                                checker_registry.make_checkers(config.checks)).run()
+                if config.egraph_path:
+                    egraph_chunks += (dump_dot(graph, name)
+                                      for name, graph in result.graphs.items())
+                diags = [assemble_bug_path(r) for r in result.reports]
+                for note in result.notes:
+                    print(note, file=err)
+            else:
+                diags = run_checks(fe.unit, fe.file, make_checks(
+                    config.checks, fe.file, config.std_mode, fe.unit.structs))
+            if html_path is not None:
+                if not _write(html_path, render_html(fe.file, diags), err):
                     return 2
-    if config.verify:
-        return 1 if verify_failed else 0
-    return 1 if findings else 0
+            elif config.verify:
+                try:
+                    outcome = verify_run(fe.file, fe.comments, displayed(
+                        diags, duplicate_warning_note=duplicate_note))
+                except VerifyError as exc:
+                    print(f"error: {exc}", file=err)
+                    return 2
+                print(f"{path}: verify {'passed' if outcome.passed else 'failed:'}",
+                      file=out)
+                for mismatch in outcome.mismatches:
+                    print(f"  {mismatch}", file=out)
+            elif analyze:
+                print(render_text(fe.file, diags, duplicate_warning_note=duplicate_note),
+                      file=out)
+            elif diags:
+                print("\n".join(map(render_diagnostic, displayed(diags))), file=out)
+            failed = failed or (not outcome.passed if config.verify else
+                                any(d.severity is Severity.WARNING for d in diags))
+            if config.fix:
+                fixed, warnings = apply_fixes(fe.file.text, diags)
+                for warning in warnings:
+                    print(f"warning: {warning}", file=err)
+                if fixed != fe.file.text and not _write(path, fixed, err):
+                    return 2
+        if config.egraph_path and not _write(
+                config.egraph_path, "\n".join(egraph_chunks) + "\n", err):
+            return 2
+    except (InternalError, RecursionError) as exc:
+        print(f"internal error: {exc}", file=err)
+        return 3
+    return 1 if failed else 0
+
+
+# Each tool's name for the one driver; `run` reads the tool from the config.
+run_analyze = run_tidy = run
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -294,18 +235,14 @@ def main(argv: list[str] | None = None) -> int:
         print("usage: minilang (analyze|tidy) [options] file.mc...", file=sys.stderr)
         return 2
     command, rest = argv[0], argv[1:]
-    if command == "analyze":
-        config = parse_analyze_args(rest)
-        return config if isinstance(config, int) else run_analyze(config)
-    config = parse_tidy_args(rest)
-    return config if isinstance(config, int) else run_tidy(config)
+    parse = parse_analyze_args if command == "analyze" else parse_tidy_args
+    config = parse(rest)
+    return config if isinstance(config, int) else run(config)
 
 
 def main_analyze() -> None:
-    config = parse_analyze_args(sys.argv[1:])
-    sys.exit(config if isinstance(config, int) else run_analyze(config))
+    sys.exit(main(["analyze", *sys.argv[1:]]))
 
 
 def main_tidy() -> None:
-    config = parse_tidy_args(sys.argv[1:])
-    sys.exit(config if isinstance(config, int) else run_tidy(config))
+    sys.exit(main(["tidy", *sys.argv[1:]]))

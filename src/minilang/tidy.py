@@ -312,14 +312,13 @@ def statement_range(decl: VarDecl, file: SourceFile, widen: bool = True) -> Sour
     return SourceRange(file.location(begin), file.location(end))
 
 
+# check name -> check class
+CHECKS = {CHECK_NAME: RedundantPointerCheck}
+
+
 def make_checks(names: list[str] | None, file: SourceFile, std: int,
                 structs: dict | None = None) -> list[TidyCheck]:
-    available = {CHECK_NAME: lambda: RedundantPointerCheck(file, std, structs)}
-    if names is None:
-        names = list(available)
-    checks = []
-    for name in names:
-        if name not in available:
-            raise KeyError(name)
-        checks.append(available[name]())
-    return checks
+    """One fresh instance of each named check, all of them for None; an
+    unknown name raises KeyError."""
+    return [CHECKS[name](file, std, structs)
+            for name in (CHECKS if names is None else names)]

@@ -1,6 +1,10 @@
 """Exit codes, flags and output plumbing of mini-analyze / mini-tidy."""
 
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -33,6 +37,14 @@ def tidy_cli(argv):
         return config, "", ""
     code = run_tidy(config, out, err)
     return code, out.getvalue(), err.getvalue()
+
+
+CLEAN = "void f() { int x = 1; }"
+# each tool's runner and a file on which it reports a warning
+TOOLS = {
+    "analyze": (analyze_cli, USE_AFTER_CLEAR),
+    "tidy": (tidy_cli, REDUNDANT_PTR),
+}
 
 
 # --- exit codes -----------------------------------------------------------------
@@ -142,6 +154,16 @@ def test_html_unwritable_path_exit_two(mc):
     assert code == 2
 
 
+def test_html_output_takes_one_input(mc, tmp_path):
+    divides = "int f() { return 1 / 0; }"
+    first, second = mc(divides, "a.mc"), mc(divides, "b.mc")
+    page = tmp_path / "report.html"
+    code, out, err = analyze_cli([first, second, f"--analyzer-output=html:{page}"])
+    assert (code, out) == (2, "")
+    assert err == "error: html output takes one input file (got 2)\n"
+    assert not page.exists()
+
+
 def test_verify_excludes_html(mc):
     path = mc(USE_AFTER_CLEAR)
     code, _, err = analyze_cli(
@@ -199,6 +221,45 @@ def test_multiple_files_interleaved_in_input_order(mc):
     second = mc("void b() { }", "b.mc")
     code, out, _ = analyze_cli([first, second])
     assert out.index("a.mc") < out.index("b.mc")
+
+
+# --- several inputs: the worst file decides ------------------------------------
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("tool", sorted(TOOLS))
+def test_a_file_with_findings_among_clean_ones_exits_one(tool, reverse, mc):
+    run, findings = TOOLS[tool]
+    files = [mc(findings, "dirty.mc"), mc(CLEAN, "clean.mc")]
+    assert run(files[::-1] if reverse else files)[0] == 1
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("tool", sorted(TOOLS))
+def test_a_failed_verify_among_passing_ones_exits_one(tool, reverse, mc):
+    run, findings = TOOLS[tool]
+    files = [mc(findings, "fails.mc"), mc(CLEAN, "passes.mc")]
+    code, out, _ = run([*(files[::-1] if reverse else files), "--verify"])
+    assert code == 1
+    assert f"{files[0]}: verify failed:" in out
+    assert f"{files[1]}: verify passed" in out
+
+
+@pytest.mark.parametrize("tool", sorted(TOOLS))
+def test_first_bad_input_exits_two_and_stops(tool, mc, tmp_path):
+    run, _ = TOOLS[tool]
+    clean, broken = mc(CLEAN, "clean.mc"), mc("void f( {", "broken.mc")
+    missing = str(tmp_path / "missing.mc")
+    code, out, err = run([clean, broken, missing, "--verify"])
+    assert code == 2
+    assert out == f"{clean}: verify passed\n"
+    assert "broken.mc" in err and "missing.mc" not in err
+
+
+def test_tidy_fix_rewrites_every_input(mc):
+    first, second = mc(REDUNDANT_PTR, "one.mc"), mc(REDUNDANT_PTR, "two.mc")
+    assert tidy_cli([first, second, "--fix"])[0] == 1
+    for path in (first, second):
+        assert "(function_call())->value" in open(path).read()
 
 
 def test_budget_flags_are_wired(mc):
@@ -271,6 +332,18 @@ def test_tidy_unknown_check_exit_two(mc):
     assert code == 2
 
 
+@pytest.mark.parametrize("inputs", [["broken.mc"], ["missing.mc"], ["--dump-ast", "ok.mc"]])
+@pytest.mark.parametrize("tool, flag, noun", [
+    ("analyze", "--checker", "checker"), ("tidy", "--checks", "check")])
+def test_unknown_name_rejected_before_any_file_is_read(
+        tool, flag, noun, inputs, tmp_path, monkeypatch):
+    (tmp_path / "broken.mc").write_text("void f( {")
+    (tmp_path / "ok.mc").write_text(CLEAN)
+    monkeypatch.chdir(tmp_path)
+    run, _ = TOOLS[tool]
+    assert run([f"{flag}=bogus", *inputs]) == (2, "", f"error: unknown {noun} 'bogus'\n")
+
+
 def test_tidy_std17_guarded_rewrite_via_cli(mc):
     path = mc(NULL_CHECK, "null_check.mc")
     code, out, _ = tidy_cli([path, "--std=17", "--fix"])
@@ -297,6 +370,22 @@ def test_main_dispatcher_requires_command():
 def test_main_dispatcher_routes_to_tidy(mc, capsys):
     path = mc(REDUNDANT_PTR)
     assert main(["tidy", path]) == 1
+
+
+@pytest.mark.parametrize("entry", ["main_analyze", "main_tidy"])
+def test_console_entry_points_exit_codes(entry, mc, tmp_path):
+    # the [project.scripts] entry points read sys.argv and exit the process
+    findings = TOOLS["analyze" if entry == "main_analyze" else "tidy"][1]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    for path, code in ((mc(CLEAN, "clean.mc"), 0), (mc(findings, "dirty.mc"), 1),
+                       (str(tmp_path / "missing.mc"), 2)):
+        child = subprocess.run(
+            [sys.executable, "-c", f"from minilang.cli import {entry}; {entry}()", path],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == code, child.stdout + child.stderr
+        assert "Traceback" not in child.stdout + child.stderr
 
 
 def test_analyze_accepts_std17_sources(mc):
