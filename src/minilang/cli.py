@@ -42,10 +42,12 @@ class RunConfig:
     def validate(self) -> str | None:
         if self.fix and self.command != "tidy":
             return "--fix is only valid with the tidy command"
-        if self.verify and self.output_mode.startswith("html"):
-            return "--verify cannot be combined with html output"
         if self.output_mode != "text" and not self.output_mode.startswith("html:"):
             return f"unknown output mode {self.output_mode!r}"
+        if self.output_mode == "html:":
+            return "html output needs a file path: html:<path>"
+        if self.verify and self.output_mode != "text":
+            return "--verify cannot be combined with html output"
         if not self.inputs:
             return "at least one input file is required"
         if self.output_mode != "text" and len(self.inputs) > 1:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 
 from .source import InternalError, SourceLocation, SourceRange
@@ -134,6 +135,43 @@ def _fix_group(diag: Diagnostic) -> list[FixIt]:
     return fixes
 
 
+class _EditRanges:
+    """Ranges of accepted edits, searched with `bisect`, as Clang's
+    `tooling::Replacements` keeps its set: the non-empty ones as sorted
+    disjoint ranges (merged where they share a byte, kept apart where they
+    only touch) and the offsets of the empty ones."""
+
+    def __init__(self):
+        self.begins: list[int] = []
+        self.ends: list[int] = []
+        self.points: list[int] = []
+
+    def overlaps(self, begin: int, end: int) -> bool:
+        """Whether an edit of [begin, end) conflicts with an accepted one:
+        they share a byte, one is empty and lies strictly inside the other,
+        or both are empty at the same offset."""
+        i = bisect_left(self.begins, end) - 1  # the last range that begins before `end`
+        if i >= 0 and self.ends[i] > begin:
+            return True
+        points = self.points
+        if begin == end:
+            j = bisect_left(points, begin)
+            return j < len(points) and points[j] == begin
+        j = bisect_right(points, begin)
+        return j < len(points) and points[j] < end
+
+    def add(self, begin: int, end: int) -> None:
+        if begin == end:
+            insort(self.points, begin)
+            return
+        lo = bisect_right(self.ends, begin)
+        hi = bisect_left(self.begins, end)
+        if lo < hi:
+            begin, end = min(begin, self.begins[lo]), max(end, self.ends[hi - 1])
+        self.begins[lo:hi] = [begin]
+        self.ends[lo:hi] = [end]
+
+
 def apply_fixes(text: str, diagnostics: list[Diagnostic]) -> tuple[str, list[str]]:
     """Apply fix-it edits, right-to-left by offset.
 
@@ -143,29 +181,43 @@ def apply_fixes(text: str, diagnostics: list[Diagnostic]) -> tuple[str, list[str
     """
     accepted: list[FixIt] = []
     warnings: list[str] = []
-    spans: list[tuple[int, int]] = []
+    ranges = _EditRanges()
     for diag in diagnostics:
         group = _fix_group(diag)
         if not group:
             continue
-        gspans = [(f.range.begin.offset, f.range.end.offset) for f in group]
-        conflict = any(
-            b0 < e1 and b1 < e0 or (b0 == b1 and e0 == b0 and e1 == b1)
-            for (b0, e0) in gspans for (b1, e1) in spans
-        )
-        if conflict:
+        spans = [(f.range.begin.offset, f.range.end.offset) for f in group]
+        if any(ranges.overlaps(begin, end) for begin, end in spans):
             warnings.append(
                 f"{diag.location}: fix for '{diag.message}' overlaps an earlier fix; skipped")
             continue
         accepted.extend(group)
-        spans.extend(gspans)
-    new_text = text
-    for fx in sorted(accepted, key=lambda f: f.range.begin.offset, reverse=True):
-        b, e = fx.range.begin.offset, fx.range.end.offset
-        if fx.kind is FixKind.REMOVAL:
-            new_text = new_text[:b] + new_text[e:]
-        elif fx.kind is FixKind.REPLACEMENT:
-            new_text = new_text[:b] + fx.text + new_text[e:]
+        for begin, end in spans:
+            ranges.add(begin, end)
+    return _rewrite(text, accepted), warnings
+
+
+def _rewrite(text: str, edits: list[FixIt]) -> str:
+    """`text` with `edits` applied one at a time, by descending begin offset
+    (ties in list order), each to the text the edits before it left, joined
+    once. The rewritten part always covers text[low:]; an edit that ends past
+    `low` cuts into what earlier edits wrote, as slicing the text would."""
+    pieces: list[str] = []  # rewritten text[low:], rightmost piece first
+    low = len(text)
+    for fx in sorted(edits, key=lambda f: f.range.begin.offset, reverse=True):
+        begin = fx.range.begin.offset
+        end = begin if fx.kind is FixKind.INSERTION else fx.range.end.offset
+        if end <= low:
+            pieces.append(text[end:low])
         else:
-            new_text = new_text[:b] + fx.text + new_text[b:]
-    return new_text, warnings
+            cut = end - low
+            while cut and pieces:
+                piece = pieces.pop()
+                if len(piece) > cut:
+                    pieces.append(piece[cut:])
+                    break
+                cut -= len(piece)
+        pieces.append("" if fx.kind is FixKind.REMOVAL else fx.text)
+        low = begin
+    pieces.append(text[:low])
+    return "".join(reversed(pieces))

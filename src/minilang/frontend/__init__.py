@@ -44,7 +44,7 @@ def load_unit(name: str, text: str, std: int = 14) -> FrontendResult:
     except LexError as err:
         return FrontendResult(file, None, [err.diagnostic])
     comments = [comment for token in tokens for comment in token.leading_comments]
-    unit, diags = parse(tokens, std)
+    unit, diags = parse(file, tokens, std)
     if diags:
         return FrontendResult(file, unit, diags, comments)
     diags = typecheck(unit)

@@ -41,16 +41,17 @@ class Comment(NamedTuple):
 
 
 class Token(NamedTuple):
+    """A token is its kind, its spelling and the offsets of its first byte
+    and of the byte past its last, as Clang's is a location plus a length.
+    Locations are built from the offsets only where a node or a diagnostic
+    needs one. Each keyword and punctuator has one spelling that no other
+    token kind can have, so the parser tests them by `text` alone."""
+
     kind: TokenKind
     text: str
-    range: SourceRange
+    begin: int
+    end: int
     leading_comments: tuple[Comment, ...] = ()
-
-    def is_kw(self, word: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text == word
-
-    def is_punct(self, text: str) -> bool:
-        return self.kind is TokenKind.PUNCT and self.text == text
 
     def __repr__(self):
         return f"Token({self.kind.value}, {self.text!r})"
@@ -62,54 +63,55 @@ class LexError(Exception):
         self.diagnostic = diagnostic
 
 
-# One alternative per token class, all ASCII; non-ASCII text is legal only
-# inside string literals and comments. A lone '"' is an unterminated string.
-# Punctuators go longest first, so the alternation takes the maximal munch.
-# Groups that always give one token kind are named after that TokenKind.
-_TOKEN = re.compile("|".join([
-    r"(?P<space>[ \t\r\n]+)",
+# One match per token: the whitespace before it, then one alternative per
+# token class, all ASCII; non-ASCII text is legal only inside string
+# literals and comments. A keyword is matched whole, so it never lexes as an
+# identifier. A lone '"' is an unterminated string. Punctuators go longest
+# first, so the alternation takes the maximal munch. Any other character is
+# `illegal`. Groups that always give one token kind are named after that
+# TokenKind. `eof` ends the text, so trailing whitespace is consumed once,
+# not rescanned from every offset.
+_TOKEN = re.compile(r"[ \t\r\n]*+(?:" + "|".join([
     r"(?P<comment>//[^\n]*)",
-    r"(?P<word>[A-Za-z_][A-Za-z0-9_]*)",
+    "(?P<KEYWORD>(?:" + "|".join(sorted(KEYWORDS)) + r")(?![A-Za-z0-9_]))",
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
     r"(?P<INT>[0-9]+)",
     r'(?P<STRING>"(?:[^"\\\n]|\\[\s\S])*")',
     r'(?P<quote>")',
     "(?P<PUNCT>" + "|".join(map(re.escape, sorted(PUNCTUATORS, key=len, reverse=True))) + ")",
-]))
+    r"(?P<illegal>[^ \t\r\n])",
+    r"(?P<eof>\Z)",
+]) + ")")
 
 
 def tokenize(file: SourceFile) -> list[Token]:
     """Token stream for `file`, final EOF token included.
 
     Raises LexError on an unterminated string literal or illegal character.
-    Token and comment locations skip `SourceFile.location`'s bounds check:
-    they are match offsets into `file.text`, so in bounds by construction.
+    Tokens carry offsets only; comments, which are rare, keep their ranges,
+    built without `SourceFile.location`'s bounds check: they are match
+    offsets into `file.text`, so in bounds by construction.
     """
     text = file.text
-    pos = 0
     tokens: list[Token] = []
     pending: list[Comment] = []
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise LexError(Diagnostic(file.location(pos),
-                                      f"illegal character {text[pos]!r}", Severity.ERROR))
-        group, end = match.lastgroup, match.end()
-        if group == "quote":
-            raise LexError(Diagnostic(file.location(pos),
-                                      "unterminated string literal", Severity.ERROR))
-        if group != "space":
-            spelling = match.group()
-            rng = SourceRange(SourceLocation(file, pos), SourceLocation(file, end))
-            if group == "comment":
-                pending.append(Comment(spelling, rng))
-            else:
-                if group == "word":
-                    kind = TokenKind.KEYWORD if spelling in KEYWORDS else TokenKind.IDENT
-                else:
-                    kind = _KIND_OF_GROUP[group]
-                tokens.append(Token(kind, spelling, rng, tuple(pending)))
-                pending.clear()
-        pos = end
-    eof = file.location(len(text))
-    tokens.append(Token(TokenKind.EOF, "", SourceRange(eof, eof), tuple(pending)))
+    for match in _TOKEN.finditer(text):
+        group = match.lastgroup
+        kind = _KIND_OF_GROUP.get(group)
+        if kind is not None:
+            begin, end = match.span(group)
+            tokens.append(Token(kind, text[begin:end], begin, end, tuple(pending)))
+            pending.clear()
+        elif group == "comment":
+            begin, end = match.span(group)
+            pending.append(Comment(text[begin:end], SourceRange(
+                SourceLocation(file, begin), SourceLocation(file, end))))
+        elif group == "eof":
+            break
+        else:
+            pos = match.start(group)
+            message = "unterminated string literal" if group == "quote" \
+                else f"illegal character {text[pos]!r}"
+            raise LexError(Diagnostic(file.location(pos), message, Severity.ERROR))
+    tokens.append(Token(TokenKind.EOF, "", len(text), len(text), tuple(pending)))
     return tokens

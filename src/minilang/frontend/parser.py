@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from ..diagnostics import Diagnostic, Severity
-from ..source import SourceRange
+from ..source import SourceFile, SourceLocation, SourceRange
 from .astnodes import (
     AddressOf, Assign, BinaryOp, Block, BoolLit, BreakStmt, BUILTIN_BASES, Call,
     ContinueStmt, DeclRef, DeleteStmt, ExprStmt, ExternDecl, FieldAccess,
@@ -31,6 +31,8 @@ _BINARY_PRECEDENCE = {
     "+": 5, "-": 5, "*": 6, "/": 6,
 }
 
+_UNARY_OPERATORS = frozenset({"!", "-", "*", "&"})
+
 # Deepest nesting of statements plus unary and parenthesised expressions.
 # Clang's default bracket depth, 256, would overflow Python's default
 # recursion limit: one parenthesis level takes six parser frames.
@@ -46,9 +48,16 @@ class _NestingTooDeep(Exception):
 
 
 class Parser:
-    def __init__(self, tokens: list[Token], std: int = 14):
+    """Keywords and punctuators are tested by spelling: the lexer gives each
+    one a spelling no other token kind has. `tok` is the current token, as
+    in Clang's parser; locations are built from token offsets only for the
+    nodes made and for error highlights."""
+
+    def __init__(self, file: SourceFile, tokens: list[Token], std: int = 14):
+        self.file = file
         self.toks = tokens
         self.pos = 0
+        self.tok = tokens[0]
         self.std = std
         self.diags: list[Diagnostic] = []
         self.struct_names: set[str] = set()
@@ -56,85 +65,89 @@ class Parser:
 
     # --- token plumbing ---
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]  # `advance` never moves past EOF
-
     def advance(self) -> Token:
-        tok = self.toks[self.pos]
+        tok = self.tok
         if tok.kind is not TokenKind.EOF:
             self.pos += 1
+            self.tok = self.toks[self.pos]
         return tok
 
     def at_end(self) -> bool:
-        return self.peek().kind is TokenKind.EOF
+        return self.tok.kind is TokenKind.EOF
+
+    def loc(self, tok: Token) -> SourceLocation:
+        return SourceLocation(self.file, tok.begin)
+
+    def extend(self, node: Node, last: Token) -> SourceRange:
+        """From the start of `node` through the token `last`."""
+        return SourceRange(node.range.begin, SourceLocation(self.file, last.end))
+
+    def span(self, first: Token, last: Token | Node) -> SourceRange:
+        """From `first` through `last`, a token or a node."""
+        file = self.file
+        end = last.range.end if isinstance(last, Node) else SourceLocation(file, last.end)
+        return SourceRange(SourceLocation(file, first.begin), end)
 
     def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        self.diags.append(Diagnostic(tok.range.begin, message, Severity.ERROR,
-                                     highlight=tok.range))
+        tok = tok or self.tok
+        highlight = self.span(tok, tok)
+        self.diags.append(Diagnostic(highlight.begin, message, Severity.ERROR,
+                                     highlight=highlight))
         raise _ParseBail()
 
     def nest(self, tok: Token):
         """Enter one nesting level; the caller leaves it in a `finally`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
+            highlight = self.span(tok, tok)
             self.diags.append(Diagnostic(
-                tok.range.begin, f"nesting level exceeds maximum of {MAX_NESTING}",
-                Severity.ERROR, highlight=tok.range))
+                highlight.begin, f"nesting level exceeds maximum of {MAX_NESTING}",
+                Severity.ERROR, highlight=highlight))
             raise _NestingTooDeep()
 
     def expect_punct(self, text: str) -> Token:
-        if not self.peek().is_punct(text):
+        if self.tok.text != text:
             self.error(f"expected '{text}'")
         return self.advance()
 
     def expect_ident(self) -> Token:
-        if self.peek().kind is not TokenKind.IDENT:
+        if self.tok.kind is not TokenKind.IDENT:
             self.error("expected identifier")
         return self.advance()
 
     def _recover(self):
         """Skip to just past the next ';' or to the next '}'."""
         while not self.at_end():
-            tok = self.peek()
-            if tok.is_punct(";"):
+            text = self.tok.text
+            if text == ";":
                 self.advance()
                 return
-            if tok.is_punct("}"):
+            if text == "}":
                 return
             self.advance()
-
-    def span(self, begin: Token, end_exclusive_of: Token | Node) -> SourceRange:
-        return SourceRange(begin.range.begin, end_exclusive_of.range.end)
 
     # --- types ---
 
     def at_type_start(self) -> bool:
-        tok = self.peek()
-        if tok.is_kw("const"):
-            return True
-        if tok.kind is TokenKind.KEYWORD and tok.text in TYPE_KEYWORDS:
-            return True
-        return tok.kind is TokenKind.IDENT and tok.text in self.struct_names
+        text = self.tok.text
+        return text == "const" or text in TYPE_KEYWORDS or text in self.struct_names
 
     def parse_type(self, allow_reference: bool = False) -> TypeRef:
         is_const = False
-        if self.peek().is_kw("const"):
+        if self.tok.text == "const":
             self.advance()
             is_const = True
-        tok = self.peek()
-        if tok.kind is TokenKind.KEYWORD and tok.text in TYPE_KEYWORDS:
-            base = self.advance().text
-        elif tok.kind is TokenKind.IDENT and tok.text in self.struct_names:
-            base = self.advance().text
+        base = self.tok.text
+        if base in TYPE_KEYWORDS or base in self.struct_names:
+            self.advance()
         else:
             self.error("expected type name")
         ind = 0
-        while self.peek().is_punct("*"):
+        while self.tok.text == "*":
             self.advance()
             ind += 1
         is_ref = False
-        if self.peek().is_punct("&"):
+        if self.tok.text == "&":
             if not allow_reference:
                 self.error("reference type allowed only on parameters")
             self.advance()
@@ -147,22 +160,22 @@ class Parser:
 
     def parse_translation_unit(self) -> TranslationUnit:
         decls: list[Node] = []
-        first = self.peek()
+        first = self.loc(self.tok)
         while not self.at_end():
             try:
-                if self.peek().is_kw("struct"):
+                if self.tok.text == "struct":
                     decls.append(self.parse_struct())
-                elif self.peek().is_kw("extern"):
+                elif self.tok.text == "extern":
                     decls.append(self.parse_extern())
                 else:
                     decls.append(self.parse_function())
             except _ParseBail:
                 self._recover()
-                if self.peek().is_punct("}"):
+                if self.tok.text == "}":
                     self.advance()
         if decls:
             return TranslationUnit(SourceRange(decls[0].range.begin, decls[-1].range.end), decls)
-        return TranslationUnit(SourceRange(first.range.begin, first.range.begin), decls)
+        return TranslationUnit(SourceRange(first, first), decls)
 
     def parse_struct(self) -> StructDecl:
         kw = self.advance()
@@ -170,28 +183,28 @@ class Parser:
         self.struct_names.add(name_tok.text)
         self.expect_punct("{")
         fields: list[FieldDecl] = []
-        while not self.peek().is_punct("}") and not self.at_end():
-            fbegin = self.peek()
+        while self.tok.text != "}" and not self.at_end():
+            fbegin = self.tok
             ftype = self.parse_type()
             fname = self.expect_ident()
             self.expect_punct(";")
             fields.append(FieldDecl(self.span(fbegin, fname), fname.text,
-                                    ftype, fname.range.begin))
+                                    ftype, self.loc(fname)))
         self.expect_punct("}")
         semi = self.expect_punct(";")
-        return StructDecl(self.span(kw, semi), name_tok.text, fields, name_tok.range.begin)
+        return StructDecl(self.span(kw, semi), name_tok.text, fields, self.loc(name_tok))
 
     def parse_param_list(self) -> list[ParamDecl]:
         self.expect_punct("(")
         params: list[ParamDecl] = []
-        if not self.peek().is_punct(")"):
+        if self.tok.text != ")":
             while True:
-                begin = self.peek()
+                begin = self.tok
                 ptype = self.parse_type(allow_reference=True)
                 name_tok = self.expect_ident()
                 params.append(ParamDecl(self.span(begin, name_tok), name_tok.text,
-                                        ptype, name_tok.range.begin))
-                if not self.peek().is_punct(","):
+                                        ptype, self.loc(name_tok)))
+                if self.tok.text != ",":
                     break
                 self.advance()
         self.expect_punct(")")
@@ -200,7 +213,7 @@ class Parser:
     def parse_extern(self) -> ExternDecl:
         kw = self.advance()
         noreturn = False
-        if self.peek().is_kw("noreturn"):
+        if self.tok.text == "noreturn":
             self.advance()
             noreturn = True
         rtype = self.parse_type()
@@ -208,23 +221,23 @@ class Parser:
         params = self.parse_param_list()
         semi = self.expect_punct(";")
         return ExternDecl(self.span(kw, semi), name_tok.text, rtype, params,
-                          noreturn, name_tok.range.begin)
+                          noreturn, self.loc(name_tok))
 
     def parse_function(self) -> FunctionDecl:
-        begin = self.peek()
+        begin = self.tok
         rtype = self.parse_type()
         name_tok = self.expect_ident()
         params = self.parse_param_list()
         body = self.parse_block()
         return FunctionDecl(self.span(begin, body), name_tok.text, rtype,
-                            params, body, name_tok.range.begin)
+                            params, body, self.loc(name_tok))
 
     # --- statements ---
 
     def parse_block(self) -> Block:
         lbrace = self.expect_punct("{")
         stmts: list[Node] = []
-        while not self.peek().is_punct("}") and not self.at_end():
+        while self.tok.text != "}" and not self.at_end():
             stmt = self.parse_stmt_recovering()
             if stmt is not None:
                 stmts.append(stmt)
@@ -239,31 +252,31 @@ class Parser:
             return None
 
     def parse_stmt(self) -> Node:
-        tok = self.peek()
+        tok = self.tok
         self.nest(tok)
         try:
-            if tok.is_punct("{"):
+            if tok.text == "{":
                 return self.parse_block()
-            if tok.is_kw("if"):
+            if tok.text == "if":
                 return self.parse_if()
-            if tok.is_kw("while"):
+            if tok.text == "while":
                 return self.parse_while()
-            if tok.is_kw("return"):
+            if tok.text == "return":
                 self.advance()
                 value = None
-                if not self.peek().is_punct(";"):
+                if self.tok.text != ";":
                     value = self.parse_expr()
                 semi = self.expect_punct(";")
                 return ReturnStmt(self.span(tok, semi), value)
-            if tok.is_kw("break"):
+            if tok.text == "break":
                 self.advance()
                 semi = self.expect_punct(";")
                 return BreakStmt(self.span(tok, semi))
-            if tok.is_kw("continue"):
+            if tok.text == "continue":
                 self.advance()
                 semi = self.expect_punct(";")
                 return ContinueStmt(self.span(tok, semi))
-            if tok.is_kw("delete"):
+            if tok.text == "delete":
                 self.advance()
                 operand = self.parse_expr()
                 semi = self.expect_punct(";")
@@ -280,17 +293,17 @@ class Parser:
 
     def parse_var_decl(self) -> VarDecl:
         """Declaration without its trailing ';' (the range excludes it too)."""
-        begin = self.peek()
+        begin = self.tok
         dtype = self.parse_type()
         name_tok = self.expect_ident()
         init = None
         last: Token | Node = name_tok
-        if self.peek().is_punct("="):
+        if self.tok.text == "=":
             self.advance()
             init = self.parse_assign()
             last = init
         return VarDecl(self.span(begin, last), name_tok.text, dtype, init,
-                       name_tok.range.begin)
+                       self.loc(name_tok))
 
     def parse_if(self) -> IfStmt:
         kw = self.advance()
@@ -306,7 +319,7 @@ class Parser:
         then_branch = self.parse_stmt()
         else_branch = None
         last: Node = then_branch
-        if self.peek().is_kw("else"):
+        if self.tok.text == "else":
             self.advance()
             else_branch = self.parse_stmt()
             last = else_branch
@@ -325,45 +338,45 @@ class Parser:
     def parse_expr(self) -> Node:
         """Full expression: comma has the lowest precedence."""
         expr = self.parse_assign()
-        while self.peek().is_punct(","):
+        while self.tok.text == ",":
             op_tok = self.advance()
             rhs = self.parse_assign()
             expr = BinaryOp(SourceRange(expr.range.begin, rhs.range.end), ",",
-                            expr, rhs, op_tok.range.begin)
+                            expr, rhs, self.loc(op_tok))
         return expr
 
     def parse_assign(self) -> Node:
         lhs = self.parse_binary()
-        tok = self.peek()
-        if tok.is_punct("=") or tok.is_punct("+="):
+        tok = self.tok
+        if tok.text in ("=", "+="):
             op_tok = self.advance()
             rhs = self.parse_assign()
             return Assign(SourceRange(lhs.range.begin, rhs.range.end),
-                          op_tok.text, lhs, rhs, op_tok.range.begin)
+                          op_tok.text, lhs, rhs, self.loc(op_tok))
         return lhs
 
     def parse_binary(self, min_precedence: int = 1) -> Node:
         """Precedence climbing: operators binding tighter than `min_precedence`
         extend the right operand, so each operand costs one call."""
         expr = self.parse_unary()
-        while _BINARY_PRECEDENCE.get(self.peek().text, 0) >= min_precedence:
+        while _BINARY_PRECEDENCE.get(self.tok.text, 0) >= min_precedence:
             op_tok = self.advance()
             rhs = self.parse_binary(_BINARY_PRECEDENCE[op_tok.text] + 1)
             expr = BinaryOp(SourceRange(expr.range.begin, rhs.range.end),
-                            op_tok.text, expr, rhs, op_tok.range.begin)
+                            op_tok.text, expr, rhs, self.loc(op_tok))
         return expr
 
     def parse_unary(self) -> Node:
-        tok = self.peek()
+        tok = self.tok
         self.nest(tok)
         try:
-            if tok.kind is TokenKind.PUNCT and tok.text in ("!", "-", "*", "&"):
-                op_tok = self.advance()
+            if tok.text in _UNARY_OPERATORS:
+                self.advance()
                 operand = self.parse_unary()
-                rng = SourceRange(op_tok.range.begin, operand.range.end)
-                if op_tok.text == "&":
-                    return AddressOf(rng, operand, op_tok.range.begin)
-                return UnaryOp(rng, op_tok.text, operand, op_tok.range.begin)
+                rng = SourceRange(self.loc(tok), operand.range.end)
+                if tok.text == "&":
+                    return AddressOf(rng, operand, rng.begin)
+                return UnaryOp(rng, tok.text, operand, rng.begin)
             return self.parse_postfix()
         finally:
             self.depth -= 1
@@ -371,56 +384,52 @@ class Parser:
     def parse_postfix(self) -> Node:
         expr = self.parse_primary()
         while True:
-            tok = self.peek()
-            if tok.is_punct(".") or tok.is_punct("->"):
-                is_arrow = tok.text == "->"
+            tok = self.tok
+            if tok.text in (".", "->"):
                 self.advance()
                 name_tok = self.expect_ident()
-                if self.peek().is_punct("("):
+                if self.tok.text == "(":
                     args, close = self.parse_args()
-                    expr = MethodCall(SourceRange(expr.range.begin, close.range.end),
-                                      expr, name_tok.text, args, is_arrow,
-                                      name_tok.range.begin)
+                    expr = MethodCall(self.extend(expr, close), expr, name_tok.text, args,
+                                      tok.text == "->", self.loc(name_tok))
                 else:
-                    expr = FieldAccess(SourceRange(expr.range.begin, name_tok.range.end),
-                                       expr, name_tok.text, is_arrow,
-                                       name_tok.range.begin)
-            elif tok.is_punct("("):
+                    expr = FieldAccess(self.extend(expr, name_tok), expr, name_tok.text,
+                                       tok.text == "->", self.loc(name_tok))
+            elif tok.text == "(":
                 if not isinstance(expr, DeclRef):
                     self.error("called object is not a function name", tok)
                 args, close = self.parse_args()
-                expr = Call(SourceRange(expr.range.begin, close.range.end), expr, args)
+                expr = Call(self.extend(expr, close), expr, args)
             else:
                 return expr
 
     def parse_args(self) -> tuple[list[Node], Token]:
         self.expect_punct("(")
         args: list[Node] = []
-        if not self.peek().is_punct(")"):
+        if self.tok.text != ")":
             while True:
                 args.append(self.parse_assign())
-                if not self.peek().is_punct(","):
+                if self.tok.text != ",":
                     break
                 self.advance()
         close = self.expect_punct(")")
         return args, close
 
     def parse_primary(self) -> Node:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind is TokenKind.INT:
             self.advance()
-            return IntLit(tok.range, int(tok.text))
-        if tok.is_kw("true") or tok.is_kw("false"):
+            return IntLit(self.span(tok, tok), int(tok.text))
+        if tok.text in ("true", "false"):
             self.advance()
-            return BoolLit(tok.range, tok.text == "true")
+            return BoolLit(self.span(tok, tok), tok.text == "true")
         if tok.kind is TokenKind.STRING:
             self.advance()
-            return StringLit(tok.range, _decode_string(tok.text))
-        if tok.is_kw("new"):
+            return StringLit(self.span(tok, tok), _decode_string(tok.text))
+        if tok.text == "new":
             self.advance()
-            name_tok = self.peek()
-            if name_tok.kind is TokenKind.IDENT or (
-                    name_tok.kind is TokenKind.KEYWORD and name_tok.text in TYPE_KEYWORDS):
+            name_tok = self.tok
+            if name_tok.kind is TokenKind.IDENT or name_tok.text in TYPE_KEYWORDS:
                 self.advance()
             else:
                 self.error("expected type name after 'new'")
@@ -429,8 +438,8 @@ class Parser:
             return NewExpr(self.span(tok, close), name_tok.text)
         if tok.kind is TokenKind.IDENT:
             self.advance()
-            return DeclRef(tok.range, tok.text)
-        if tok.is_punct("("):
+            return DeclRef(self.span(tok, tok), tok.text)
+        if tok.text == "(":
             self.advance()
             inner = self.parse_expr()
             close = self.expect_punct(")")
@@ -442,13 +451,14 @@ def _decode_string(spelling: str) -> str:
     return _ESCAPE.sub(lambda m: _ESCAPES.get(m.group(1), m.group(1)), spelling[1:-1])
 
 
-def parse(tokens: list[Token], std: int = 14
+def parse(file: SourceFile, tokens: list[Token], std: int = 14
           ) -> tuple[TranslationUnit | None, list[Diagnostic]]:
-    """Parse a token stream; on syntax errors, recovery resumes at ';' or '}'.
+    """Parse the token stream of `file`; on syntax errors, recovery resumes
+    at ';' or '}'.
 
     Nesting deeper than MAX_NESTING ends the parse with no unit.
     """
-    parser = Parser(tokens, std)
+    parser = Parser(file, tokens, std)
     try:
         unit = parser.parse_translation_unit()
     except _NestingTooDeep:

@@ -6,7 +6,8 @@ A SourceRange's `end` points at the first byte PAST the last token, so
 `text[begin.offset:end.offset]` is always the exact spelling of the node.
 Locations and ranges are named tuples: immutable, built, compared and
 hashed by the interpreter's tuple code, as cheap to pass around as Clang's
-encoded `SourceLocation`.
+encoded `SourceLocation`. As in Clang, they are made only for AST nodes,
+comments and diagnostics: a token carries plain offsets.
 """
 
 from __future__ import annotations

@@ -15,6 +15,8 @@ import shutil
 import sys
 
 from minilang.cli import run_analyze, run_tidy, RunConfig
+from minilang.frontend import load_unit, tokenize
+from minilang.source import SourceFile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLES = ROOT / "scripts" / "examples"
@@ -58,3 +60,18 @@ def test_traced_tidy_fix_matches_untraced_and_times_matching_and_fixes(tmp_path)
     layers = tracer.layer_seconds()
     assert layers["tidy.match_s"] > 0
     assert layers["diagnostics.fix_s"] > 0
+
+
+def test_traced_frontend_times_every_layer_and_counts_what_it_made():
+    source = EXAMPLES / "use_after_clear.mc"
+    config = RunConfig("analyze", [str(source)])
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        run(run_analyze, config)
+    layers = tracer.layer_seconds()
+    for layer in ("frontend.lex_s", "frontend.parse_s", "frontend.typecheck_s"):
+        assert layers[layer] > 0, layer
+    text = source.read_text(encoding="utf-8")
+    counts = tracer.count_values()
+    assert counts["frontend.tokens"] == len(tokenize(SourceFile(str(source), text)))
+    assert counts["frontend.ast_nodes"] == len(load_unit(str(source), text).unit.preorder)

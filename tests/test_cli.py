@@ -171,6 +171,21 @@ def test_verify_excludes_html(mc):
     assert code == 2
 
 
+def test_unknown_output_mode_is_named_before_the_verify_conflict(mc):
+    path = mc(CLEAN)
+    code, out, err = analyze_cli([path, "--verify", "--analyzer-output=htmlx"])
+    assert (code, out) == (2, "")
+    assert err == "error: unknown output mode 'htmlx'\n"
+
+
+@pytest.mark.parametrize("inputs", [["found"], ["/nonexistent/dir/missing.mc"]])
+def test_empty_html_path_is_a_usage_error_before_any_file_is_read(mc, inputs):
+    paths = [mc(USE_AFTER_CLEAR) if name == "found" else name for name in inputs]
+    code, out, err = analyze_cli([*paths, "--analyzer-output=html:"])
+    assert (code, out) == (2, "")
+    assert err == "error: html output needs a file path: html:<path>\n"
+
+
 def test_verify_pass_and_fail_exit_codes(mc):
     good = mc(DEREF_AFTER_CLEAR_VERIFY, "good.mc")
     code, out, _ = analyze_cli([good, "--verify"])

@@ -54,7 +54,8 @@ def test_tokens_cover_all_non_whitespace_bytes():
     tokens = tokenize(file)
     covered = set()
     for tok in tokens:
-        covered.update(range(tok.range.begin.offset, tok.range.end.offset))
+        assert tok.text == source[tok.begin:tok.end]
+        covered.update(range(tok.begin, tok.end))
         for comment in tok.leading_comments:
             covered.update(range(comment.range.begin.offset, comment.range.end.offset))
     uncovered = [source[i] for i in range(len(source)) if i not in covered]
@@ -136,10 +137,12 @@ def test_tokenize_covers_text_or_fails_inside_it(text):
             assert comment.text.startswith("//") and "\n" not in comment.text
             assert end == len(text) or text[end] == "\n"
             pos = end
-        begin, end = tok.range.begin.offset, tok.range.end.offset
+        begin, end = tok.begin, tok.end
         assert text[pos:begin].strip(" \t\r\n") == ""
         assert tok.text == text[begin:end]
+        # the parser tests keywords and punctuators by spelling alone
         assert (tok.kind is TokenKind.KEYWORD) == (tok.text in KEYWORDS)
+        assert (tok.kind is TokenKind.PUNCT) == (tok.text in PUNCTUATORS)
         pos = end
     assert tokens[-1].kind is TokenKind.EOF and pos == len(text)
 
@@ -173,7 +176,7 @@ def test_star_is_multiplication_when_name_is_a_variable():
 
 def test_empty_input_parses_to_empty_unit():
     file = SourceFile("empty.mc", "")
-    unit, diags = parse(tokenize(file))
+    unit, diags = parse(file, tokenize(file))
     assert diags == []
     assert unit.decls == []
 
@@ -307,8 +310,8 @@ def test_round_trip_every_node_relexes_to_its_tokens(source):
                         if t.kind is not TokenKind.EOF]
         original = [t.text for t in tokenize(fe.file)
                     if t.kind is not TokenKind.EOF
-                    and node.range.begin.offset <= t.range.begin.offset
-                    and t.range.end.offset <= node.range.end.offset]
+                    and node.range.begin.offset <= t.begin
+                    and t.end <= node.range.end.offset]
         assert slice_tokens == original
 
 
@@ -375,11 +378,16 @@ RECORD_TEXTS = [
 
 
 def test_lexer_locations_equal_bounds_checked_locations():
-    # the lexer builds its locations without `SourceFile.location`
+    # the lexer builds comment locations without `SourceFile.location`;
+    # tokens carry plain offsets that spell their text
     for text in RECORD_TEXTS:
         file = SourceFile("r.mc", text)
         for tok in tokenize(file):
-            for rng in (tok.range, *(c.range for c in tok.leading_comments)):
+            assert not hasattr(tok, "range")
+            assert type(tok.begin) is type(tok.end) is int
+            assert 0 <= tok.begin <= tok.end <= len(text)
+            assert tok.text == text[tok.begin:tok.end]
+            for rng in (c.range for c in tok.leading_comments):
                 assert type(rng) is SourceRange
                 assert rng.begin == file.location(rng.begin.offset)
                 assert rng.end == file.location(rng.end.offset)
@@ -389,8 +397,8 @@ def test_lexer_locations_equal_bounds_checked_locations():
 def test_source_records_are_immutable():
     tok = toks("// lead\nint x;")[0]
     comment = tok.leading_comments[0]
-    for record, field in ((tok.range.begin, "offset"), (tok.range, "begin"),
-                          (tok, "text"), (comment, "text")):
+    for record, field in ((comment.range.begin, "offset"), (comment.range, "begin"),
+                          (tok, "begin"), (tok, "end"), (tok, "text"), (comment, "text")):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
         with pytest.raises(AttributeError):
@@ -406,8 +414,9 @@ def test_inverted_source_range_is_internal_error():
 
 
 def test_equal_source_records_hash_equal():
-    # a token's hash covers its range, locations and comments
+    # a token's hash covers its offsets and its comments' ranges
     for text in RECORD_TEXTS:
         file = SourceFile("r.mc", text)
         for a, b in zip(tokenize(file), tokenize(file)):
             assert a is not b and a == b and hash(a) == hash(b)
+            assert (a.begin, a.end) == (b.begin, b.end) and a.text == text[a.begin:a.end]

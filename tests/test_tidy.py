@@ -5,11 +5,12 @@ import inspect
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from minilang.diagnostics import format_message, Severity
+from minilang.diagnostics import Diagnostic, FixKind, format_message, Severity
 from minilang.frontend import load_unit, tokenize, walk
 from minilang.frontend.astnodes import DeclRef, VarDecl
-from minilang.source import InternalError, SourceFile, SourceRange
+from minilang.source import InternalError, SourceFile, SourceLocation, SourceRange
 from minilang import tidy
 from minilang.tidy import (
     apply_fixes, emit_diag, FixIt, make_checks, RedundantPointerCheck,
@@ -350,6 +351,92 @@ def test_apply_fixes_skips_overlapping_groups():
     fixed, warnings = apply_fixes(fe.file.text, [first, second])
     assert "int bb = 2" in fixed
     assert len(warnings) == 1 and "second" in warnings[0]
+
+
+def reference_apply_fixes(text, diagnostics):
+    """`apply_fixes` as it was before the replacement set: an all-pairs
+    conflict check and right-to-left slicing."""
+    accepted, warnings, spans = [], [], []
+    for diag in diagnostics:
+        group = list(diag.fixits)
+        for note in diag.attached_notes:
+            group.extend(note.fixits)
+        if not group:
+            continue
+        gspans = [(f.range.begin.offset, f.range.end.offset) for f in group]
+        conflict = any(
+            b0 < e1 and b1 < e0 or (b0 == b1 and e0 == b0 and e1 == b1)
+            for (b0, e0) in gspans for (b1, e1) in spans
+        )
+        if conflict:
+            warnings.append(
+                f"{diag.location}: fix for '{diag.message}' overlaps an earlier fix; skipped")
+            continue
+        accepted.extend(group)
+        spans.extend(gspans)
+    new_text = text
+    for fx in sorted(accepted, key=lambda f: f.range.begin.offset, reverse=True):
+        b, e = fx.range.begin.offset, fx.range.end.offset
+        if fx.kind is FixKind.REMOVAL:
+            new_text = new_text[:b] + new_text[e:]
+        elif fx.kind is FixKind.REPLACEMENT:
+            new_text = new_text[:b] + fx.text + new_text[e:]
+        else:
+            new_text = new_text[:b] + fx.text + new_text[b:]
+    return new_text, warnings
+
+
+FIX_TEXT = "0123456789abcdef"
+
+
+@st.composite
+def fix_diagnostics(draw):
+    """Diagnostics over FIX_TEXT whose fix-its are dense enough to tie,
+    touch and overlap: within one diagnostic they may only touch, as
+    `Diagnostic` requires, while its notes' fix-its may overlap it."""
+    file = SourceFile("f.mc", FIX_TEXT)
+
+    def fixits():
+        count = draw(st.integers(0, 3))
+        offsets = sorted(draw(st.lists(st.integers(0, len(FIX_TEXT)),
+                                       min_size=2 * count, max_size=2 * count)))
+        made = []
+        for begin, end in zip(offsets[::2], offsets[1::2]):
+            rng = SourceRange(file.location(begin), file.location(end))
+            kind = draw(st.sampled_from(FixKind))
+            text = draw(st.sampled_from(["", "X", "YZ"]))
+            made.append(FixIt.insertion(rng.begin, text) if kind is FixKind.INSERTION
+                        else FixIt(kind, rng, text))
+        return made
+
+    diags = []
+    for index in range(draw(st.integers(0, 5))):
+        notes = [Diagnostic(file.location(0), "note", Severity.NOTE, fixits=fixits())
+                 for _ in range(draw(st.integers(0, 2)))]
+        location = file.location(draw(st.integers(0, len(FIX_TEXT))))
+        diags.append(Diagnostic(location, f"d{index}", Severity.WARNING,
+                                fixits=fixits(), attached_notes=notes))
+    return diags
+
+
+@given(fix_diagnostics())
+@settings(max_examples=400, deadline=None)
+def test_apply_fixes_matches_pairwise_check_and_slicing(diags):
+    assert apply_fixes(FIX_TEXT, diags) == reference_apply_fixes(FIX_TEXT, diags)
+
+
+def test_apply_fixes_keeps_slicing_order_at_one_offset():
+    # ties apply in list order, each slicing what the one before it wrote
+    file = SourceFile("t.mc", "abcdef")
+    at = file.location
+    diag = Diagnostic(at(0), "d", Severity.WARNING,
+                      fixits=[FixIt.insertion(at(2), "XY")],
+                      attached_notes=[Diagnostic(at(0), "n", Severity.NOTE, fixits=[
+                          FixIt.replacement(SourceRange(at(2), at(3)), "Q"),
+                          FixIt.insertion(at(4), "Z")])])
+    expected = reference_apply_fixes(file.text, [diag])
+    assert expected == ("abQYcdZef", [])
+    assert apply_fixes(file.text, [diag]) == expected
 
 
 def test_fix_ranges_stay_within_file():
