@@ -173,7 +173,7 @@ class _EditRanges:
 
 
 def apply_fixes(text: str, diagnostics: list[Diagnostic]) -> tuple[str, list[str]]:
-    """Apply fix-it edits, right-to-left by offset.
+    """Apply fix-it edits as one replacement set.
 
     A diagnostic and its attached notes form one edit group; a group whose
     edits overlap an already accepted edit is skipped whole, with a tool

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from minilang.diagnostics import Diagnostic, FixKind, format_message, Severity
 from minilang.frontend import load_unit, tokenize, walk
 from minilang.frontend.astnodes import DeclRef, VarDecl
-from minilang.source import InternalError, SourceFile, SourceLocation, SourceRange
+from minilang.source import InternalError, SourceFile, SourceRange
 from minilang import tidy
 from minilang.tidy import (
     apply_fixes, emit_diag, FixIt, make_checks, RedundantPointerCheck,
