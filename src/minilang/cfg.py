@@ -8,7 +8,7 @@ simple expressions. Blocks are numbered in reverse post-order from entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .frontend.astnodes import (
     Block, BreakStmt, ContinueStmt, DeleteStmt, ExprStmt, FunctionDecl, IfStmt,
@@ -17,13 +17,11 @@ from .frontend.astnodes import (
 from .source import InternalError, SourceLocation
 
 
-@dataclass(frozen=True)
-class StmtElement:
+class StmtElement(NamedTuple):
     stmt: Node
 
 
-@dataclass(frozen=True)
-class ImplicitDtorElement:
+class ImplicitDtorElement(NamedTuple):
     var: VarDecl  # a local of string type
     loc: SourceLocation  # where the scope is left
 
@@ -31,20 +29,17 @@ class ImplicitDtorElement:
 CfgElement = StmtElement | ImplicitDtorElement
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     cond: Node
     true_target: int
     false_target: int
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(NamedTuple):
     target: int
 
 
-@dataclass(frozen=True)
-class Ret:
+class Ret(NamedTuple):
     stmt: ReturnStmt | None
     target: int  # always the exit block
 
@@ -52,11 +47,12 @@ class Ret:
 Terminator = Branch | Jump | Ret
 
 
-@dataclass
 class BasicBlock:
-    id: int
-    elements: list[CfgElement] = field(default_factory=list)
-    terminator: Terminator | None = None
+    def __init__(self, id: int, elements: list[CfgElement] | None = None,
+                 terminator: Terminator | None = None):
+        self.id = id
+        self.elements = [] if elements is None else elements
+        self.terminator = terminator
 
     def successors(self) -> list[int]:
         t = self.terminator
@@ -67,13 +63,14 @@ class BasicBlock:
         return []
 
 
-@dataclass
 class Cfg:
-    fn: FunctionDecl
-    blocks: list[BasicBlock]
-    entry: int
-    exit: int
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, fn: FunctionDecl, blocks: list[BasicBlock], entry: int,
+                 exit: int, notes: list[str] | None = None):
+        self.fn = fn
+        self.blocks = blocks
+        self.entry = entry
+        self.exit = exit
+        self.notes = [] if notes is None else notes
 
     def block(self, bid: int) -> BasicBlock:
         return self.blocks[bid]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Severity
 from .frontend.astnodes import Assign, Call, MethodCall, Node
@@ -40,8 +40,7 @@ class AllocationFamily(enum.Enum):
     INNER_BUFFER = "inner buffer"
 
 
-@dataclass(frozen=True)
-class RefState:
+class RefState(NamedTuple):
     status: RefStatus
     family: AllocationFamily
     origin: Node | None = None  # may be None (destructor-triggered release)
@@ -89,15 +88,17 @@ def is_symbol_tracked(state: ProgramState, sym: Symbol) -> bool:
 
 # --- bug reports ---------------------------------------------------------------
 
-@dataclass
 class BugReport:
-    message: str
-    check_name: str
-    location: SourceLocation
-    highlight: SourceRange | None = None
-    visitors: list = field(default_factory=list)
-    error_node: object = None  # set by the engine; always a sink
-    graph: object = None  # set by the engine: the exploded graph holding error_node
+    def __init__(self, message: str, check_name: str, location: SourceLocation,
+                 highlight: SourceRange | None = None, visitors: list | None = None,
+                 error_node: object = None, graph: object = None):
+        self.message = message
+        self.check_name = check_name
+        self.location = location
+        self.highlight = highlight
+        self.visitors = [] if visitors is None else visitors
+        self.error_node = error_node  # set by the engine; always a sink
+        self.graph = graph  # set by the engine: the exploded graph holding error_node
 
     def add_visitor(self, visitor) -> None:
         self.visitors.append(visitor)
@@ -371,8 +372,7 @@ class DivZero(Checker):
 
 # --- registry ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckerDescriptor:
+class CheckerDescriptor(NamedTuple):
     factory: type[Checker]
     help: str
     dependencies: tuple[str, ...] = ()

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from . import checkers as checker_registry
 from .cfg import build_cfg, dump_cfg
-from .diagnostics import displayed, render_diagnostic, Severity
+from .diagnostics import apply_fixes, displayed, render_diagnostic, Severity
 from .frontend import dump_ast, load_unit
 from .frontend.astnodes import FunctionDecl
 from .reporting import (
@@ -20,24 +19,28 @@ from .reporting import (
 )
 from .source import InternalError
 from .symexec import AnalysisConfig, Engine, dump_dot
-from .tidy import apply_fixes, CHECKS, make_checks, run_checks
 
 
-@dataclass
 class RunConfig:
-    command: str  # "analyze" | "tidy"
-    inputs: list[str]
-    std_mode: int = 14
-    checks: list[str] | None = None  # checker (analyze) or check (tidy) names; None: all
-    fix: bool = False
-    verify: bool = False
-    output_mode: str = "text"  # "text" or "html:<path>"
-    dump_flags: set[str] = field(default_factory=set)
-    egraph_path: str | None = None
-    unroll: int = 4
-    node_budget: int = 50_000
-    inline_depth: int = 5
-    duplicate_warning_note: bool = True
+    def __init__(self, command: str, inputs: list[str], std_mode: int = 14,
+                 checks: list[str] | None = None, fix: bool = False,
+                 verify: bool = False, output_mode: str = "text",
+                 dump_flags: set[str] | None = None, egraph_path: str | None = None,
+                 unroll: int = 4, node_budget: int = 50_000, inline_depth: int = 5,
+                 duplicate_warning_note: bool = True):
+        self.command = command  # "analyze" | "tidy"
+        self.inputs = inputs
+        self.std_mode = std_mode
+        self.checks = checks  # checker (analyze) or check (tidy) names; None: all
+        self.fix = fix
+        self.verify = verify
+        self.output_mode = output_mode  # "text" or "html:<path>"
+        self.dump_flags = set() if dump_flags is None else dump_flags
+        self.egraph_path = egraph_path
+        self.unroll = unroll
+        self.node_budget = node_budget
+        self.inline_depth = inline_depth
+        self.duplicate_warning_note = duplicate_warning_note
 
     def validate(self) -> str | None:
         if self.fix and self.command != "tidy":
@@ -58,7 +61,11 @@ class RunConfig:
             if value < 0:
                 return f"{flag} must not be negative (got {value})"
         analyze = self.command == "analyze"
-        known = checker_registry.CHECKERS if analyze else CHECKS
+        if analyze:
+            known = checker_registry.CHECKERS
+        else:
+            from . import tidy
+            known = tidy.CHECKS
         for name in self.checks or ():
             if name not in known:
                 return f"unknown {'checker' if analyze else 'check'} {name!r}"
@@ -125,6 +132,13 @@ def parse_tidy_args(argv: list[str]) -> RunConfig | int:
         fix=ns.fix, verify=ns.verify, dump_flags=dumps)
 
 
+def run_checks(unit, file, checks) -> list:
+    """`tidy.run_checks`, imported on the first call: `mini-analyze` never
+    loads the lint framework or the matcher library."""
+    from . import tidy
+    return tidy.run_checks(unit, file, checks)
+
+
 def _write(path: str, text: str, err) -> bool:
     """Write `text` to `path`, or print why not and return False."""
     try:
@@ -188,7 +202,8 @@ def run(config: RunConfig, out=None, err=None) -> int:
                 for note in result.notes:
                     print(note, file=err)
             else:
-                diags = run_checks(fe.unit, fe.file, make_checks(
+                from . import tidy
+                diags = run_checks(fe.unit, fe.file, tidy.make_checks(
                     config.checks, fe.file, config.std_mode, fe.unit.structs))
             if html_path is not None:
                 if not _write(html_path, render_html(fe.file, diags), err):

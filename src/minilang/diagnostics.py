@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .source import InternalError, SourceLocation, SourceRange
 
@@ -22,8 +22,7 @@ class FixKind(enum.Enum):
     REMOVAL = "removal"
 
 
-@dataclass(frozen=True)
-class FixIt:
+class FixIt(NamedTuple):
     kind: FixKind
     range: SourceRange
     text: str = ""
@@ -41,17 +40,18 @@ class FixIt:
         return FixIt(FixKind.REMOVAL, rng)
 
 
-@dataclass
 class Diagnostic:
-    location: SourceLocation
-    message: str  # placeholders already substituted
-    severity: Severity
-    check_name: str = ""
-    fixits: list[FixIt] = field(default_factory=list)
-    attached_notes: list["Diagnostic"] = field(default_factory=list)
-    highlight: SourceRange | None = None
-
-    def __post_init__(self):
+    def __init__(self, location: SourceLocation, message: str, severity: Severity,
+                 check_name: str = "", fixits: list[FixIt] | None = None,
+                 attached_notes: list[Diagnostic] | None = None,
+                 highlight: SourceRange | None = None):
+        self.location = location
+        self.message = message  # placeholders already substituted
+        self.severity = severity
+        self.check_name = check_name
+        self.fixits = [] if fixits is None else fixits
+        self.attached_notes = [] if attached_notes is None else attached_notes
+        self.highlight = highlight
         for note in self.attached_notes:
             if note.attached_notes:
                 raise InternalError("notes carry no nested notes")

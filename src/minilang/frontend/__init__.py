@@ -6,8 +6,6 @@ translation unit (or diagnostics) out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..diagnostics import Diagnostic
 from ..source import SourceFile, get_source_text
 from .astnodes import (  # noqa: F401  (re-exported surface)
@@ -24,12 +22,14 @@ from .parser import parse
 from .typecheck import typecheck
 
 
-@dataclass
 class FrontendResult:
-    file: SourceFile
-    unit: TranslationUnit | None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    comments: list[Comment] = field(default_factory=list)  # every `//` comment, in order
+    def __init__(self, file: SourceFile, unit: TranslationUnit | None,
+                 diagnostics: list[Diagnostic] | None = None,
+                 comments: list[Comment] | None = None):
+        self.file = file
+        self.unit = unit
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.comments = [] if comments is None else comments  # every `//` comment, in order
 
     @property
     def ok(self) -> bool:

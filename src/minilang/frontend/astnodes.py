@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..source import SourceLocation, SourceRange
 
 BUILTIN_BASES = ("int", "bool", "char", "void", "string")
 
 
-@dataclass(frozen=True)
-class TypeRef:
+class TypeRef(NamedTuple):
     base: str  # builtin name or a declared struct name
     indirections: int = 0
     is_const: bool = False

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .astnodes import BOOL, CHAR, CHAR_PTR, INT, STRING, TypeRef, VOID
 
 STRING_REF = TypeRef("string", is_reference=True)
 
 
-@dataclass(frozen=True)
-class StringMethod:
+class StringMethod(NamedTuple):
     name: str
     params: tuple[TypeRef, ...]
     returns: TypeRef

@@ -16,7 +16,7 @@ admit it, as Clang's MatchFinder does.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .frontend.astnodes import (
     AddressOf, Assign, BinaryOp, Block, Call, DeclRef, DeleteStmt, Expr,
@@ -38,27 +38,43 @@ class MatcherConfigError(Exception):
 Evaluate = Callable[[Node, list], "list[dict] | None"]
 
 
-@dataclass(frozen=True)
 class Matcher:
     """A compiled matcher. `kind` and `args` record how it was built;
     `kinds` is the set of node kinds at which it can match, None for any
     kind, a necessary condition only. `compile(label)` builds the evaluation
-    function, which binds the matched node to `label` unless that is None."""
+    function, which binds the matched node to `label` unless that is None.
+    Immutable; equal when kind, args and binding are."""
 
-    kind: str
-    args: tuple
-    kinds: frozenset | None = field(repr=False, compare=False)
-    compile: Callable[[str | None], Evaluate] = field(repr=False, compare=False)
-    binding: str | None = None
-    evaluate: Evaluate = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "args", "kinds", "compile", "binding", "evaluate")
 
-    def __post_init__(self):
-        object.__setattr__(self, "evaluate", self.compile(self.binding))
+    def __init__(self, kind: str, args: tuple, kinds: frozenset | None,
+                 compile: Callable[[str | None], Evaluate], binding: str | None = None):
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "args", args)
+        init(self, "kinds", kinds)
+        init(self, "compile", compile)
+        init(self, "binding", binding)
+        init(self, "evaluate", compile(binding))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable matcher")
+
+    def _bound(self, label: str) -> "Matcher":
+        return Matcher(self.kind, self.args, self.kinds, self.compile, label)
 
     def bind(self, label: str) -> "Matcher":
         if self.binding is not None:
             raise MatcherConfigError(f"{self!r} is bound already")
-        return replace(self, binding=label)
+        return self._bound(label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.args, self.binding) == (other.kind, other.args, other.binding)
+
+    def __hash__(self):
+        return hash((self.kind, self.args, self.binding))
 
     def __repr__(self):
         inner = ", ".join(repr(a) for a in self.args)
@@ -66,15 +82,23 @@ class Matcher:
         return f"{self.kind}({inner}){suffix}"
 
 
-@dataclass(frozen=True, repr=False)
 class TypeMatcher(Matcher):
     """A predicate on a `TypeRef`, usable only as the argument of `hasType`."""
 
-    test: Callable[[TypeRef], bool] = field(kw_only=True, repr=False, compare=False)
+    __slots__ = ("test",)
+
+    def __init__(self, kind: str, args: tuple, kinds: frozenset | None,
+                 compile: Callable[[str | None], Evaluate], binding: str | None = None,
+                 *, test: Callable[[TypeRef], bool]):
+        super().__init__(kind, args, kinds, compile, binding)
+        object.__setattr__(self, "test", test)
+
+    def _bound(self, label: str) -> "TypeMatcher":
+        return TypeMatcher(self.kind, self.args, self.kinds, self.compile, label,
+                           test=self.test)
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     root: Node
     bound: dict  # label -> Node
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import html
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checkers import BugReport
 from .diagnostics import Diagnostic, displayed, render_diagnostic, Severity
@@ -65,6 +64,7 @@ def render_html(file: SourceFile, warnings: list[Diagnostic]) -> str:
     """One self-contained page: a section per warning that lists its notes
     and then the warning itself as numbered path steps, each with a source
     excerpt. No external assets."""
+    import html  # only html output needs it: the text path does not load it
 
     def excerpt(loc: SourceLocation) -> str:
         src = html.escape(file.line_text(loc.line))
@@ -102,8 +102,7 @@ class VerifyError(Exception):
     """Malformed directive; verify runs exit with code 2 on this."""
 
 
-@dataclass(frozen=True)
-class VerifyDirective:
+class VerifyDirective(NamedTuple):
     kind: str  # "expected-warning" | "expected-note"
     line: int  # target line, offset already applied
     text: str  # message text between {{ }}
@@ -137,8 +136,7 @@ def parse_directives(file: SourceFile, comments: list[Comment]) -> list[VerifyDi
     return directives
 
 
-@dataclass
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     passed: bool
     mismatches: list[str]
 

@@ -11,15 +11,15 @@ gets `node_budget` nodes before its remaining paths are abandoned.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..cfg import (
     Branch, build_cfg, Cfg, ImplicitDtorElement, Jump, Ret, StmtElement,
 )
 from ..frontend.astnodes import (
-    AddressOf, Assign, BinaryOp, BOOL, BoolLit, BreakStmt, Call, ContinueStmt,
-    DeclRef, DeleteStmt, ExprStmt, ExternDecl, FieldAccess, FunctionDecl,
-    IntLit, MethodCall, NewExpr, Node, Paren, ParamDecl, ReturnStmt,
+    AddressOf, Assign, BinaryOp, BOOL, BoolLit, BreakStmt, BUILTIN_BASES, Call,
+    ContinueStmt, DeclRef, DeleteStmt, ExprStmt, ExternDecl, FieldAccess,
+    FunctionDecl, IntLit, MethodCall, NewExpr, Node, Paren, ParamDecl, ReturnStmt,
     StringLit, TranslationUnit, TypeRef, UnaryOp, VarDecl, strip_parens,
 )
 from ..source import InternalError, SourceFile, SourceLocation
@@ -45,17 +45,20 @@ def _c_div(a: int, b: int) -> int:
     return -q if (a < 0) != (b < 0) else q
 
 
-@dataclass
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     unroll: int = 4
     node_budget: int = 50_000
     inline_depth: int = 5
 
 
 # --- program points ----------------------------------------------------------
+# Named tuples, compared and hashed as tuples of all their fields. A point's
+# node (var, loc) is the one its node_id (var_id, block and index) names, so
+# comparing it too changes nothing. The two call points have the same shape
+# and so compare their class as well: no two points of different classes are
+# equal.
 
-@dataclass(frozen=True)
-class BlockEdgePoint:
+class BlockEdgePoint(NamedTuple):
     src: int
     dst: int
     frame: int
@@ -65,54 +68,65 @@ class BlockEdgePoint:
             else f"BlockEdge (entry -> B{self.dst})"
 
 
-@dataclass(frozen=True)
-class PreStmtPoint:
+class PreStmtPoint(NamedTuple):
     node_id: int
     frame: int
-    node: Node = field(compare=False, hash=False)
+    node: Node
 
     def describe(self) -> str:
         return f"PreStmt {self.node.kind}"
 
 
-@dataclass(frozen=True)
-class PostStmtPoint:
+class PostStmtPoint(NamedTuple):
     node_id: int
     block: int  # -1 for sub-expression transitions (not steppable)
     index: int
     frame: int
-    node: Node = field(compare=False, hash=False)
+    node: Node
 
     def describe(self) -> str:
         return f"PostStmt {self.node.kind}"
 
 
-@dataclass(frozen=True)
-class CallEnterPoint:
+def _same_class_eq(self, other) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+def _same_class_ne(self, other) -> bool:
+    return not _same_class_eq(self, other)
+
+
+class CallEnterPoint(NamedTuple):
     call_id: int
     frame: int  # the callee frame
+
+    __eq__ = _same_class_eq
+    __ne__ = _same_class_ne
+    __hash__ = tuple.__hash__
 
     def describe(self) -> str:
         return "CallEnter"
 
 
-@dataclass(frozen=True)
-class CallExitPoint:
+class CallExitPoint(NamedTuple):
     call_id: int
     frame: int  # the caller frame resumed into
+
+    __eq__ = _same_class_eq
+    __ne__ = _same_class_ne
+    __hash__ = tuple.__hash__
 
     def describe(self) -> str:
         return "CallExit"
 
 
-@dataclass(frozen=True)
-class PostImplicitCallPoint:
+class PostImplicitCallPoint(NamedTuple):
     var_id: int
     block: int
     index: int
     frame: int
-    var: Node = field(compare=False, hash=False)
-    loc: SourceLocation = field(compare=False, hash=False)
+    var: Node
+    loc: SourceLocation
 
     def describe(self) -> str:
         return f"PostImplicitCall ~{self.var.name}"
@@ -171,8 +185,7 @@ class ExplodedGraph:
         return len(self.nodes)
 
 
-@dataclass
-class CallInfo:
+class CallInfo(NamedTuple):
     """What the post-call checker dispatch sees about one evaluated call."""
 
     node: Node  # Call, MethodCall or Assign
@@ -184,11 +197,12 @@ class CallInfo:
     is_extern: bool = False
 
 
-@dataclass
 class AnalysisResult:
-    graphs: dict[str, ExplodedGraph] = field(default_factory=dict)
-    reports: list = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, graphs: dict[str, ExplodedGraph] | None = None,
+                 reports: list | None = None, notes: list[str] | None = None):
+        self.graphs = {} if graphs is None else graphs
+        self.reports = [] if reports is None else reports
+        self.notes = [] if notes is None else notes
 
 
 class CheckerContext:
@@ -212,12 +226,12 @@ class CheckerContext:
         self.report = report
 
 
-@dataclass
 class _Frame:
-    id: int
-    fn: FunctionDecl
-    depth: int
-    aliases: dict[int, MemRegion] = field(default_factory=dict)  # param id -> region
+    def __init__(self, id: int, fn: FunctionDecl, depth: int):
+        self.id = id
+        self.fn = fn
+        self.depth = depth
+        self.aliases: dict[int, MemRegion] = {}  # param id -> region
 
 
 class Engine:
@@ -228,6 +242,7 @@ class Engine:
         self.config = config or AnalysisConfig()
         self.checkers = checkers or []
         self.result = AnalysisResult()
+        self._noted: set[str] = set()  # every text in result.notes, for `note`
         self._cfgs: dict[int, Cfg] = {}
         self._inlined: set[int] = set()
         self._frames: dict[int, _Frame] = {}
@@ -252,8 +267,8 @@ class Engine:
         if cfg is None:
             cfg = build_cfg(fn)
             self._cfgs[fn.node_id] = cfg
-            for note in cfg.notes:
-                self.result.notes.append(note)
+            self.result.notes.extend(cfg.notes)
+            self._noted.update(cfg.notes)
         return cfg
 
     def conjure(self, value_type: TypeRef, hint: str = "") -> SVal:
@@ -272,7 +287,8 @@ class Engine:
         return self._frames[fid]
 
     def note(self, text: str):
-        if text not in self.result.notes:
+        if text not in self._noted:
+            self._noted.add(text)
             self.result.notes.append(text)
 
     # --- top level ---
@@ -454,7 +470,6 @@ class Engine:
         return out
 
     def _is_struct_value(self, t: TypeRef | None) -> bool:
-        from ..frontend.astnodes import BUILTIN_BASES
         return (t is not None and t.indirections == 0
                 and t.base not in BUILTIN_BASES)
 

@@ -1,8 +1,16 @@
-"""Symbolic values, memory regions and integer range sets."""
+"""Symbolic values, memory regions and integer range sets.
+
+Values, expressions and regions are named tuples: built, compared and
+hashed by the interpreter's tuple code, with no generated methods. Tuple
+equality ignores the class, so each kind either differs from every other
+in arity or field types, or says what it equals itself: a symbol only
+itself, a field region its (parent, field name), and the field-less values
+are singleton objects.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..frontend.astnodes import Node, TypeRef
 
@@ -12,8 +20,7 @@ IMAX = (1 << 63) - 1
 
 # --- symbols and symbolic expressions ---------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class Symbol:
+class Symbol(NamedTuple):
     """A symbol compares and hashes by identity, as Clang's uniqued symbols
     compare by pointer. `Engine.conjure` and `Engine.conjure_param` make
     each one exactly once, under a fresh id per analyzed function, so no two
@@ -24,37 +31,42 @@ class Symbol:
     origin: str  # program point description of the conjuring site
     value_type: TypeRef
 
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
     def __str__(self):
         return f"${self.name}"
 
 
-class SymExpr:
-    """Base of the (deliberately small) symbolic expression language."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class SymAtom(SymExpr):
+class SymAtom(NamedTuple):
     symbol: Symbol
 
     def __str__(self):
         return str(self.symbol)
 
 
-@dataclass(frozen=True)
-class SymIntOp(SymExpr):
+class _SymIntOpFields(NamedTuple):
     lhs: SymExpr  # never a constant: constants fold
     op: str  # one of + - *
     rhs: int
 
-    def __post_init__(self):
-        assert self.op in ("+", "-", "*")
+
+class SymIntOp(_SymIntOpFields):
+    __slots__ = ()
+
+    def __new__(cls, lhs: SymExpr, op: str, rhs: int):
+        assert op in ("+", "-", "*")
+        return tuple.__new__(cls, (lhs, op, rhs))
 
     def __str__(self):
         if self.op == "+" and self.rhs < 0:
             return f"{self.lhs}-{-self.rhs}"
         return f"{self.lhs}{self.op}{self.rhs}"
+
+
+# The (deliberately small) symbolic expression language.
+SymExpr = SymAtom | SymIntOp
 
 
 def sym_add(expr: SymExpr, c: int) -> SymExpr:
@@ -100,57 +112,63 @@ def expr_symbols(expr: SymExpr) -> frozenset[Symbol]:
 
 # --- SVal --------------------------------------------------------------------
 
-class SVal:
+class _Singleton:
+    """A field-less value. The module makes one object of each such class
+    (`UNDEFINED`, `UNKNOWN`, `NULL_LOC`), equal only to itself."""
+
     __slots__ = ()
+    text = ""
+
+    def __str__(self):
+        return self.text
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
 
 
-@dataclass(frozen=True)
-class UndefinedVal(SVal):
+class UndefinedVal(_Singleton):
     """Read of never-written storage."""
 
-    def __str__(self):
-        return "undef"
+    __slots__ = ()
+    text = "undef"
 
 
-@dataclass(frozen=True)
-class UnknownVal(SVal):
-    def __str__(self):
-        return "unknown"
+class UnknownVal(_Singleton):
+    __slots__ = ()
+    text = "unknown"
 
 
-@dataclass(frozen=True)
-class ConcreteInt(SVal):
+class NullLocVal(_Singleton):
+    __slots__ = ()
+    text = "null"
+
+
+class ConcreteInt(NamedTuple):
     value: int
 
     def __str__(self):
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class SymbolicVal(SVal):
+class SymbolicVal(NamedTuple):
     expr: SymExpr
 
     def __str__(self):
         return str(self.expr)
 
 
-@dataclass(frozen=True)
-class LocVal(SVal):
-    region: "MemRegion"
+class LocVal(NamedTuple):
+    region: MemRegion
 
     def __str__(self):
         return f"&{self.region}"
 
 
-@dataclass(frozen=True)
-class NullLocVal(SVal):
-    def __str__(self):
-        return "null"
-
-
 UNDEFINED = UndefinedVal()
 UNKNOWN = UnknownVal()
 NULL_LOC = NullLocVal()
+
+SVal = UndefinedVal | UnknownVal | ConcreteInt | SymbolicVal | LocVal | NullLocVal
 
 
 def sym_val(symbol: Symbol) -> SymbolicVal:
@@ -172,12 +190,7 @@ def val_symbols(val: SVal) -> frozenset[Symbol]:
 
 # --- memory regions ----------------------------------------------------------
 
-class MemRegion:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class VarRegion(MemRegion):
+class VarRegion(NamedTuple):
     decl: Node  # VarDecl or ParamDecl; identity-compared
     frame: int
 
@@ -185,14 +198,28 @@ class VarRegion(MemRegion):
         return self.decl.name
 
 
-@dataclass(frozen=True)
-class FieldRegion(MemRegion):
+class FieldRegion(NamedTuple):
+    """Compares and hashes on (parent, field_name): `field_type` rides along."""
+
     parent: MemRegion
     field_name: str
-    field_type: TypeRef = field(compare=False, default=None)
+    field_type: TypeRef | None = None
+
+    def __eq__(self, other):
+        return (other.__class__ is FieldRegion and self.field_name == other.field_name
+                and self.parent == other.parent)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((self.parent, self.field_name))
 
     def __str__(self):
         return f"{self.parent}.{self.field_name}"
+
+
+MemRegion = VarRegion | FieldRegion
 
 
 def region_type(region: MemRegion) -> TypeRef | None:
@@ -221,8 +248,7 @@ def region_within(region: MemRegion, ancestor: MemRegion) -> bool:
 
 # --- range sets --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RangeSet:
+class RangeSet(NamedTuple):
     """Ordered, disjoint, non-adjacent closed intervals over signed 64-bit ints.
 
     The empty set marks infeasibility and is never stored in a state.

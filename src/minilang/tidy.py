@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from . import matchers as M
 from .diagnostics import (  # noqa: F401  (re-exported framework surface)
@@ -30,21 +29,20 @@ class UsageKind(enum.IntEnum):
     GUARD = 3
 
 
-@dataclass
 class VarUsage:
-    usage_kind: UsageKind
-    decl_ref: DeclRef
-    deref_expr: Node | None = None  # DEREFERENCE, DEREF_INIT
-    inited_var: VarDecl | None = None  # DEREF_INIT
-    guard_if: IfStmt | None = None  # GUARD
-    flow_stmt: Node | None = None  # GUARD
-
-    def __post_init__(self):
-        k = self.usage_kind
-        assert (self.deref_expr is not None) == (
-            k in (UsageKind.DEREFERENCE, UsageKind.DEREF_INIT))
-        assert (self.inited_var is not None) == (k is UsageKind.DEREF_INIT)
-        assert (self.guard_if is not None) == (k is UsageKind.GUARD)
+    def __init__(self, usage_kind: UsageKind, decl_ref: DeclRef,
+                 deref_expr: Node | None = None, inited_var: VarDecl | None = None,
+                 guard_if: IfStmt | None = None, flow_stmt: Node | None = None):
+        assert (deref_expr is not None) == (
+            usage_kind in (UsageKind.DEREFERENCE, UsageKind.DEREF_INIT))
+        assert (inited_var is not None) == (usage_kind is UsageKind.DEREF_INIT)
+        assert (guard_if is not None) == (usage_kind is UsageKind.GUARD)
+        self.usage_kind = usage_kind
+        self.decl_ref = decl_ref
+        self.deref_expr = deref_expr  # DEREFERENCE, DEREF_INIT
+        self.inited_var = inited_var  # DEREF_INIT
+        self.guard_if = guard_if  # GUARD
+        self.flow_stmt = flow_stmt  # GUARD
 
 
 def _specializes(new: UsageKind, old: UsageKind) -> bool:
@@ -53,10 +51,10 @@ def _specializes(new: UsageKind, old: UsageKind) -> bool:
     return old is UsageKind.DEREFERENCE and new is UsageKind.DEREF_INIT
 
 
-@dataclass
 class TrackedPointer:
-    decl: VarDecl
-    usages: dict[int, VarUsage] = field(default_factory=dict)  # decl_ref id -> usage
+    def __init__(self, decl: VarDecl, usages: dict[int, VarUsage] | None = None):
+        self.decl = decl
+        self.usages = {} if usages is None else usages  # decl_ref id -> usage
 
     def ordered_usages(self) -> list[VarUsage]:
         return sorted(self.usages.values(), key=lambda u: u.decl_ref.range.begin.offset)

@@ -1,0 +1,210 @@
+"""The value records (values, regions, points, CFG parts, fix-its, checker
+and matcher records) are named tuples or hand-written classes. Tuple
+equality ignores the class, so these tests pin the identity rules each
+record had as a frozen dataclass: what it compares on, which records of
+different classes never compare equal, what its constructor rejects, and
+that none of its fields can be assigned."""
+
+import pytest
+
+from minilang import matchers as M
+from minilang.cfg import Branch, ImplicitDtorElement, Jump, Ret, StmtElement
+from minilang.checkers import (
+    AllocationFamily, CHECKERS, CheckerDescriptor, RefState, RefStatus,
+)
+from minilang.diagnostics import Diagnostic, FixIt, Severity
+from minilang.frontend.astnodes import INT, TypeRef
+from minilang.frontend.builtins import STRING_METHODS
+from minilang.reporting import VerifyDirective
+from minilang.source import InternalError, SourceFile, SourceRange
+from minilang.symexec import (
+    BlockEdgePoint, CallEnterPoint, CallExitPoint, ConcreteInt, ExplodedGraph,
+    FieldRegion, LocVal, NULL_LOC, PostImplicitCallPoint, PostStmtPoint,
+    PreStmtPoint, ProgramState, RangeSet, SymAtom, Symbol, SymbolicVal,
+    SymIntOp, UNDEFINED, UNKNOWN, VarRegion,
+)
+from minilang.tidy import UsageKind, VarUsage
+
+from conftest import frontend
+
+FILE = SourceFile("records.mc", "int f(int a) { return a; }\n")
+UNIT = frontend(FILE.text).unit
+NODE = UNIT.preorder[1]
+LOC = FILE.location(4)
+
+
+def symbol(sid: int = 1) -> Symbol:
+    return Symbol(sid, "a", "param a", INT)
+
+
+def test_field_region_identity_ignores_field_type():
+    parent = VarRegion(NODE, 1)
+    typed = FieldRegion(parent, "x", INT)
+    untyped = FieldRegion(parent, "x")
+    assert typed == untyped and not typed != untyped
+    assert hash(typed) == hash(untyped)
+    assert len({typed, untyped}) == 1
+    assert typed != FieldRegion(parent, "y", INT)
+    assert typed != FieldRegion(VarRegion(NODE, 2), "x", INT)
+    assert typed != (parent, "x", INT)
+
+
+def one_point_of_each_class() -> list:
+    return [
+        BlockEdgePoint(1, 1, 1),
+        PreStmtPoint(1, 1, NODE),
+        PostStmtPoint(1, 1, 1, 1, NODE),
+        CallEnterPoint(1, 1),
+        CallExitPoint(1, 1),
+        PostImplicitCallPoint(1, 1, 1, 1, NODE, LOC),
+    ]
+
+
+def test_points_of_different_classes_never_compare_equal():
+    points = one_point_of_each_class()
+    for i, a in enumerate(points):
+        for j, b in enumerate(one_point_of_each_class()):
+            assert (a == b) is (i == j), (a, b)
+            assert (a != b) is (i != j), (a, b)
+
+
+def test_each_point_class_gets_its_own_graph_node():
+    graph = ExplodedGraph()
+    state = ProgramState()
+    added = [graph.add(point, state, None) for point in one_point_of_each_class()]
+    assert all(is_new for _, is_new in added)
+    assert len({id(node) for node, _ in added}) == len(added) == len(graph)
+    again = [graph.add(point, state, None) for point in one_point_of_each_class()]
+    assert [node for node, _ in again] == [node for node, _ in added]
+    assert not any(is_new for _, is_new in again)
+
+
+def test_field_less_values_are_distinct_singletons():
+    singles = [UNDEFINED, UNKNOWN, NULL_LOC]
+    for i, a in enumerate(singles):
+        for j, b in enumerate(singles):
+            assert (a == b) is (i == j)
+        assert a != () and a
+    assert len(set(singles)) == 3
+    assert [str(v) for v in singles] == ["undef", "unknown", "null"]
+
+
+def test_symbols_compare_by_identity():
+    a, b = symbol(), symbol()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert len({a, b}) == 2
+    assert SymAtom(a) != SymAtom(b)
+
+
+def test_values_of_different_kinds_never_compare_equal():
+    sym = symbol()
+    region = VarRegion(NODE, 1)
+    values = [ConcreteInt(0), SymbolicVal(SymAtom(sym)), LocVal(region),
+              LocVal(FieldRegion(region, "x")), UNDEFINED, UNKNOWN, NULL_LOC]
+    for i, a in enumerate(values):
+        for j, b in enumerate(values):
+            assert (a == b) is (i == j), (a, b)
+
+
+def test_sym_int_op_rejects_other_operators():
+    lhs = SymAtom(symbol())
+    for op in ("+", "-", "*"):
+        assert SymIntOp(lhs, op, 2).op == op
+    for op in ("/", "%", "<", ""):
+        with pytest.raises(AssertionError):
+            SymIntOp(lhs, op, 2)
+
+
+def test_var_usage_rejects_fields_its_kind_does_not_have():
+    VarUsage(UsageKind.NORMAL, NODE)
+    VarUsage(UsageKind.DEREF_INIT, NODE, deref_expr=NODE, inited_var=NODE)
+    VarUsage(UsageKind.GUARD, NODE, guard_if=NODE, flow_stmt=NODE)
+    for kind, extra in ((UsageKind.NORMAL, {"deref_expr": NODE}),
+                        (UsageKind.DEREFERENCE, {}),
+                        (UsageKind.DEREFERENCE, {"deref_expr": NODE, "inited_var": NODE}),
+                        (UsageKind.GUARD, {"flow_stmt": NODE})):
+        with pytest.raises(AssertionError):
+            VarUsage(kind, NODE, **extra)
+
+
+def test_diagnostic_rejects_nested_notes_and_overlapping_fixits():
+    note = Diagnostic(LOC, "n", Severity.NOTE)
+    nested = Diagnostic(LOC, "m", Severity.NOTE, attached_notes=[note])
+    with pytest.raises(InternalError, match="nested notes"):
+        Diagnostic(LOC, "w", Severity.WARNING, attached_notes=[nested])
+    first = FixIt.removal(SourceRange(FILE.location(0), FILE.location(5)))
+    second = FixIt.replacement(SourceRange(FILE.location(4), FILE.location(8)), "x")
+    with pytest.raises(InternalError, match="overlapping fixits"):
+        Diagnostic(LOC, "w", Severity.WARNING, fixits=[first, second])
+    touching = FixIt.insertion(FILE.location(5), "y")
+    assert Diagnostic(LOC, "w", Severity.WARNING, fixits=[first, touching]).fixits
+
+
+def test_mutable_records_get_fresh_containers():
+    a = Diagnostic(LOC, "a", Severity.WARNING)
+    b = Diagnostic(LOC, "b", Severity.WARNING)
+    a.fixits.append(FixIt.insertion(LOC, "x"))
+    a.attached_notes.append(b)
+    assert b.fixits == [] and b.attached_notes == []
+
+
+def frozen_records() -> list:
+    """One instance of every record that was a frozen dataclass."""
+    sym = symbol()
+    region = VarRegion(NODE, 1)
+    matcher = M.varDecl()
+    return [
+        sym, SymAtom(sym), SymIntOp(SymAtom(sym), "+", 1), UNDEFINED, UNKNOWN,
+        NULL_LOC, ConcreteInt(1), SymbolicVal(SymAtom(sym)), LocVal(region),
+        region, FieldRegion(region, "x", INT), RangeSet.full(),
+        *one_point_of_each_class(),
+        StmtElement(NODE), ImplicitDtorElement(NODE, LOC), Branch(NODE, 1, 2),
+        Jump(1), Ret(None, 0),
+        FixIt.insertion(LOC, "x"),
+        RefState.allocated(AllocationFamily.HEAP, None),
+        next(iter(CHECKERS.values())),
+        VerifyDirective("expected-warning", 1, "x"),
+        TypeRef("int"), STRING_METHODS["c_str"],
+        matcher, matcher.bind("v"), M.pointerType(),
+        next(iter(M.match(M.functionDecl(), UNIT))),
+    ]
+
+
+def field_names(record) -> list[str]:
+    """A named tuple's fields, a slotted class's slots, else a class attribute."""
+    if hasattr(record, "_fields"):
+        return list(record._fields)
+    slots = [name for cls in type(record).__mro__ for name in getattr(cls, "__slots__", ())]
+    return slots or ["text"]
+
+
+def test_no_field_of_a_frozen_record_can_be_assigned():
+    for record in frozen_records():
+        for name in field_names(record):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+
+def test_matchers_compare_on_kind_args_and_binding():
+    assert M.varDecl() == M.varDecl()
+    assert hash(M.varDecl()) == hash(M.varDecl())
+    assert M.varDecl() != M.varDecl().bind("v")
+    assert M.varDecl().bind("v") == M.varDecl().bind("v")
+    assert M.varDecl() != M.ifStmt()
+    pointer = M.pointerType()
+    bound = pointer.bind("t")
+    assert isinstance(bound, M.TypeMatcher) and bound.test is pointer.test
+    assert bound != pointer and bound.binding == "t" and pointer.binding is None
+    assert repr(M.varDecl(M.hasName("x")).bind("v")) == "varDecl(hasName('x')).bind('v')"
+
+
+def test_record_constructors_keep_their_keywords_and_defaults():
+    assert FieldRegion(VarRegion(NODE, 1), "x").field_type is None
+    assert RefState(RefStatus.RELEASED, AllocationFamily.HEAP).origin is None
+    assert CheckerDescriptor(object, "help").dependencies == ()
+    assert TypeRef("int") == TypeRef(base="int", indirections=0, is_const=False,
+                                     is_reference=False)
+    assert FixIt.removal(SourceRange(LOC, LOC)).text == ""
