@@ -111,9 +111,11 @@ class _Builder:
         if decl.declared_type.base == "string" and decl.declared_type.indirections == 0:
             self.scopes[-1].strings.append(decl)
 
-    def emit_dtors(self, down_to: int, loc: SourceLocation):
+    def emit_dtors(self, down_to: int, offset: int):
         """Destructor elements for every string in scopes deeper than `down_to`,
-        innermost scope first, reverse declaration order within a scope."""
+        innermost scope first, reverse declaration order within a scope, each
+        located at `offset`, where the scope is left."""
+        loc = SourceLocation(self.fn.file, offset)
         for scope in reversed(self.scopes[down_to:]):
             for var in reversed(scope.strings):
                 self.emit(ImplicitDtorElement(var, loc))
@@ -126,7 +128,7 @@ class _Builder:
         self.scopes.append(_Scope())
         self.lower_stmts(self.fn.body.stmts)
         if self.current is not None:
-            self.emit_dtors(0, self.fn.body.range.end)
+            self.emit_dtors(0, self.fn.body.end)
             self.terminate(Ret(None, self.exit))
         self.scopes.pop()
         return self._finish(first.id)
@@ -134,7 +136,7 @@ class _Builder:
     def lower_stmts(self, stmts: list[Node]):
         for i, stmt in enumerate(stmts):
             if self.current is None:
-                loc = stmt.range.begin
+                loc = SourceLocation(stmt.file, stmt.begin)
                 self.notes.append(f"{loc}: note: unreachable code dropped")
                 return
             self.lower_stmt(stmt)
@@ -147,29 +149,28 @@ class _Builder:
             self.emit(StmtElement(stmt))
         elif isinstance(stmt, ReturnStmt):
             self.emit(StmtElement(stmt))
-            self.emit_dtors(0, stmt.range.begin)
+            self.emit_dtors(0, stmt.begin)
             self.terminate(Ret(stmt, self.exit))
         elif isinstance(stmt, BreakStmt):
             if not self.loops:
                 raise InternalError("'break' outside of a loop reached the CFG")
             self.emit(StmtElement(stmt))
             _, break_target, depth = self.loops[-1]
-            self.emit_dtors(depth, stmt.range.begin)
+            self.emit_dtors(depth, stmt.begin)
             self.terminate(Jump(break_target))
         elif isinstance(stmt, ContinueStmt):
             if not self.loops:
                 raise InternalError("'continue' outside of a loop reached the CFG")
             self.emit(StmtElement(stmt))
             continue_target, _, depth = self.loops[-1]
-            self.emit_dtors(depth, stmt.range.begin)
+            self.emit_dtors(depth, stmt.begin)
             self.terminate(Jump(continue_target))
         elif isinstance(stmt, Block):
             self.scopes.append(_Scope())
             self.lower_stmts(stmt.stmts)
             if self.current is not None:
-                end = stmt.range.file.location(max(stmt.range.begin.offset,
-                                                   stmt.range.end.offset - 1))
-                self.emit_dtors(len(self.scopes) - 1, end)
+                # at the closing brace
+                self.emit_dtors(len(self.scopes) - 1, max(stmt.begin, stmt.end - 1))
             self.scopes.pop()
         elif isinstance(stmt, IfStmt):
             self.lower_if(stmt)
@@ -198,7 +199,7 @@ class _Builder:
             if self.current is not None:
                 self.terminate(Jump(join.id))
         self.current = join
-        self.emit_dtors(len(self.scopes) - 1, stmt.range.end)
+        self.emit_dtors(len(self.scopes) - 1, stmt.end)
         self.scopes.pop()
 
     def lower_while(self, stmt: WhileStmt):
@@ -287,9 +288,10 @@ def dump_cfg(cfg: Cfg) -> str:
         lines.append(f"  B{block.id}{tag}:")
         for element in block.elements:
             if isinstance(element, StmtElement):
-                loc = element.stmt.range.begin
-                text = " ".join(node_text(element.stmt).split())
-                lines.append(f"    <{loc.line}:{loc.column}> {text}")
+                stmt = element.stmt
+                line, column = stmt.file.line_column(stmt.begin)
+                text = " ".join(node_text(stmt).split())
+                lines.append(f"    <{line}:{column}> {text}")
             else:
                 lines.append(f"    ~{element.var.name}() [string dtor]")
         t = block.terminator

@@ -104,6 +104,30 @@ class BugReport:
         self.visitors.append(visitor)
 
 
+def assemble_bug_path(report: BugReport) -> Diagnostic:
+    """The report as a warning whose notes are its path events in
+    chronological order: from the error node, walk the predecessor chain
+    backwards, let every visitor contribute notes, then flip the order."""
+    error_node = report.error_node
+    nodes = report.graph.nodes
+    if (error_node is None or error_node.seq >= len(nodes)
+            or nodes[error_node.seq] is not error_node):
+        raise InternalError("report's error node is not part of the graph")
+    notes: list[Diagnostic] = []
+    node = error_node
+    while node is not None:
+        pred = node.first_pred()
+        for visitor in report.visitors:
+            note = visitor.visit_node(node, pred)
+            if note is not None:
+                notes.append(note)
+        node = pred
+    notes.reverse()
+    return Diagnostic(report.location, report.message, Severity.WARNING,
+                      report.check_name, attached_notes=notes,
+                      highlight=report.highlight)
+
+
 # --- bug-path visitors ------------------------------------------------------------
 # Each walks backward from the error node and contributes one note to the
 # report's path: the first (latest) node where its event happened.

@@ -2,6 +2,10 @@
 
 Exit codes: 0 = no findings (or verify passed), 1 = findings emitted (or
 verify failed), 2 = usage, parse or I/O error, 3 = internal error.
+
+Each tool loads only what it runs: the engine, the checkers and the CFG
+builder are imported by the analyze command (and `--dump-cfg`), the lint
+framework and the matcher library by the tidy command.
 """
 
 from __future__ import annotations
@@ -9,16 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import checkers as checker_registry
-from .cfg import build_cfg, dump_cfg
-from .diagnostics import apply_fixes, displayed, render_diagnostic, Severity
+from .diagnostics import apply_fixes, Diagnostic, displayed, render_diagnostic, Severity
 from .frontend import dump_ast, load_unit
 from .frontend.astnodes import FunctionDecl
-from .reporting import (
-    assemble_bug_path, render_html, render_text, verify_run, VerifyError,
-)
+from .reporting import render_html, render_text, verify_run, VerifyError
 from .source import InternalError
-from .symexec import AnalysisConfig, Engine, dump_dot
 
 
 class RunConfig:
@@ -62,7 +61,8 @@ class RunConfig:
                 return f"{flag} must not be negative (got {value})"
         analyze = self.command == "analyze"
         if analyze:
-            known = checker_registry.CHECKERS
+            from . import checkers
+            known = checkers.CHECKERS
         else:
             from . import tidy
             known = tidy.CHECKS
@@ -99,7 +99,8 @@ def parse_analyze_args(argv: list[str]) -> RunConfig | int:
     except SystemExit as err:
         return 0 if err.code == 0 else 2
     if ns.analyzer_checker_help:
-        print(checker_registry.registry_list())
+        from .checkers import registry_list
+        print(registry_list())
         return 0
     dumps = set()
     if ns.dump_ast:
@@ -139,6 +140,13 @@ def run_checks(unit, file, checks) -> list:
     return tidy.run_checks(unit, file, checks)
 
 
+def assemble_bug_path(report) -> Diagnostic:
+    """`checkers.assemble_bug_path`, imported on the first call:
+    `mini-tidy` never loads the checkers or the engine."""
+    from . import checkers
+    return checkers.assemble_bug_path(report)
+
+
 def _write(path: str, text: str, err) -> bool:
     """Write `text` to `path`, or print why not and return False."""
     try:
@@ -176,7 +184,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
             try:
                 with open(path, encoding="utf-8") as handle:
                     text = handle.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: cannot read {path}: {exc}", file=err)
                 return 2
             fe = load_unit(path, text, config.std_mode)
@@ -187,14 +195,17 @@ def run(config: RunConfig, out=None, err=None) -> int:
             if "ast" in config.dump_flags:
                 print(dump_ast(fe.unit), file=out)
             if "cfg" in config.dump_flags:
+                from .cfg import build_cfg, dump_cfg
                 for decl in fe.unit.decls:
                     if isinstance(decl, FunctionDecl):
                         print(dump_cfg(build_cfg(decl)), file=out)
             if analyze:
+                from . import checkers
+                from .symexec import AnalysisConfig, dump_dot, Engine
                 result = Engine(fe.unit, fe.file,
                                 AnalysisConfig(config.unroll, config.node_budget,
                                                config.inline_depth),
-                                checker_registry.make_checkers(config.checks)).run()
+                                checkers.make_checkers(config.checks)).run()
                 if config.egraph_path:
                     egraph_chunks += (dump_dot(graph, name)
                                       for name, graph in result.graphs.items())

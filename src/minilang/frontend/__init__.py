@@ -7,13 +7,13 @@ translation unit (or diagnostics) out.
 from __future__ import annotations
 
 from ..diagnostics import Diagnostic
-from ..source import SourceFile, get_source_text
+from ..source import SourceFile
 from .astnodes import (  # noqa: F401  (re-exported surface)
     AddressOf, Assign, BinaryOp, Block, BOOL, BoolLit, BreakStmt, Call, CHAR,
     CHAR_PTR, ContinueStmt, DeclRef, DeleteStmt, dump_ast, Expr, ExprStmt,
     ExternDecl, FieldAccess, FieldDecl, FunctionDecl, IfStmt, INT, IntLit,
     MethodCall, NewExpr, Node, Paren, ParamDecl, ReturnStmt, STRING, StringLit,
-    strip_parens, StructDecl, structure_signature, TranslationUnit, TypeRef,
+    strip_parens, StructDecl, TranslationUnit, TypeRef,
     UnaryOp, VarDecl, VOID, walk, WhileStmt,
 )
 from .builtins import STRING_METHODS  # noqa: F401
@@ -53,4 +53,4 @@ def load_unit(name: str, text: str, std: int = 14) -> FrontendResult:
 
 def node_text(node: Node) -> str:
     """Exact source spelling of a node."""
-    return get_source_text(node.range)
+    return node.file.text[node.begin:node.end]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..source import SourceLocation, SourceRange
+from ..source import SourceFile, SourceLocation, SourceRange
 
 BUILTIN_BASES = ("int", "bool", "char", "void", "string")
 
@@ -29,7 +29,9 @@ class TypeRef(NamedTuple):
 
     def value_type(self) -> "TypeRef":
         """Type with reference/const stripped (what an rvalue read yields)."""
-        return TypeRef(self.base, self.indirections)
+        if self.is_const or self.is_reference:
+            return TypeRef(self.base, self.indirections)
+        return self
 
 
 INT = TypeRef("int")
@@ -41,20 +43,37 @@ CHAR_PTR = TypeRef("char", 1)
 
 
 class Node:
-    """Base of every AST node. Identity-hashed; fields are set by the parser."""
+    """Base of every AST node; identity-hashed.
 
+    As in Clang, a node holds its extent as file offsets: `begin` is the
+    offset of its first token, `end` the offset just past its last one, and
+    `file` the buffer they index. `range` and the `*_loc` properties build
+    locations from them only when something reads them. Every class is
+    slotted (no instance dict) and sets its own fields, with no `super()`
+    chain. The parser links each child to its `parent` when it builds the
+    parent; `number_tree` assigns `node_id` and `last_id` once the unit is
+    complete.
+    """
+
+    __slots__ = ("file", "begin", "end", "parent", "node_id", "last_id")
     kind: str = "Node"
-    is_expr: bool = False
+    type: TypeRef | None = None  # only expressions are typed; `Expr` declares the slot
 
-    def __init__(self, range_: SourceRange):
-        self.range = range_
-        self.node_id: int = -1
-        self.last_id: int = -1  # node_id of the last node of the subtree
-        self.parent: Node | None = None
-        self.type: TypeRef | None = None  # expressions, post-typecheck
+    @property
+    def range(self) -> SourceRange:
+        file = self.file
+        return SourceRange(SourceLocation(file, self.begin), SourceLocation(file, self.end))
 
-    def children(self) -> list["Node"]:
-        return []
+    def push_children(self, stack: list[Node]) -> None:
+        """Append the children to `stack` last first, so that popping the
+        stack yields them in source order."""
+
+    def children(self) -> list[Node]:
+        """The children in source order."""
+        stack: list[Node] = []
+        self.push_children(stack)
+        stack.reverse()
+        return stack
 
     def __repr__(self):
         return f"<{self.kind} #{self.node_id}>"
@@ -65,38 +84,72 @@ def _n(cls):
     return cls
 
 
+def _offset_loc(slot: str) -> property:
+    """A read-only location built from the offset stored in `slot`."""
+    def loc(node: Node) -> SourceLocation:
+        return SourceLocation(node.file, getattr(node, slot))
+    return property(loc)
+
+
+_name_loc = _offset_loc("name_offset")
+_member_loc = _offset_loc("member_offset")
+
+
 # --- declarations ---------------------------------------------------------
 
 @_n
 class TranslationUnit(Node):
-    def __init__(self, range_, decls: list[Node]):
-        super().__init__(range_)
+    __slots__ = ("decls", "preorder", "structs", "functions")
+
+    def __init__(self, file: SourceFile, begin: int, end: int, decls: list[Node]):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.parent = None
         self.decls = decls
         self.preorder: list[Node] = []  # every node, indexed by node_id
+        self.structs: dict[str, StructDecl] = {}  # filled by the typechecker
+        self.functions: dict[str, FunctionDecl | ExternDecl] = {}  # likewise
+        for decl in decls:
+            decl.parent = self
 
-    def children(self):
-        return list(self.decls)
+    def push_children(self, stack):
+        stack.extend(reversed(self.decls))
 
 
 @_n
 class FieldDecl(Node):
-    def __init__(self, range_, name: str, declared_type: TypeRef, name_loc: SourceLocation):
-        super().__init__(range_)
+    __slots__ = ("name", "declared_type", "name_offset")
+    name_loc = _name_loc
+
+    def __init__(self, file: SourceFile, begin: int, end: int, name: str,
+                 declared_type: TypeRef, name_offset: int):
+        self.file = file
+        self.begin = begin
+        self.end = end
         self.name = name
         self.declared_type = declared_type
-        self.name_loc = name_loc
+        self.name_offset = name_offset
 
 
 @_n
 class StructDecl(Node):
-    def __init__(self, range_, name: str, fields: list[FieldDecl], name_loc: SourceLocation):
-        super().__init__(range_)
+    __slots__ = ("name", "fields", "name_offset")
+    name_loc = _name_loc
+
+    def __init__(self, file: SourceFile, begin: int, end: int, name: str,
+                 fields: list[FieldDecl], name_offset: int):
+        self.file = file
+        self.begin = begin
+        self.end = end
         self.name = name
         self.fields = fields
-        self.name_loc = name_loc
+        self.name_offset = name_offset
+        for field in fields:
+            field.parent = self
 
-    def children(self):
-        return list(self.fields)
+    def push_children(self, stack):
+        stack.extend(reversed(self.fields))
 
     def field(self, name: str) -> FieldDecl | None:
         for f in self.fields:
@@ -107,283 +160,458 @@ class StructDecl(Node):
 
 @_n
 class ParamDecl(Node):
-    def __init__(self, range_, name: str, declared_type: TypeRef, name_loc: SourceLocation):
-        super().__init__(range_)
+    __slots__ = ("name", "declared_type", "name_offset")
+    name_loc = _name_loc
+
+    def __init__(self, file: SourceFile, begin: int, end: int, name: str,
+                 declared_type: TypeRef, name_offset: int):
+        self.file = file
+        self.begin = begin
+        self.end = end
         self.name = name
         self.declared_type = declared_type
-        self.name_loc = name_loc
+        self.name_offset = name_offset
 
 
 @_n
 class FunctionDecl(Node):
-    def __init__(self, range_, name: str, return_type: TypeRef,
-                 params: list[ParamDecl], body: "Block", name_loc: SourceLocation):
-        super().__init__(range_)
+    __slots__ = ("name", "return_type", "params", "body", "name_offset", "noreturn")
+    name_loc = _name_loc
+
+    def __init__(self, file: SourceFile, begin: int, end: int, name: str,
+                 return_type: TypeRef, params: list[ParamDecl], body: Block,
+                 name_offset: int):
+        self.file = file
+        self.begin = begin
+        self.end = end
         self.name = name
         self.return_type = return_type
         self.params = params
         self.body = body
-        self.name_loc = name_loc
+        self.name_offset = name_offset
         self.noreturn = False
+        for param in params:
+            param.parent = self
+        body.parent = self
 
-    def children(self):
-        return [*self.params, self.body]
+    def push_children(self, stack):
+        stack.append(self.body)
+        stack.extend(reversed(self.params))
 
 
 @_n
 class ExternDecl(Node):
-    def __init__(self, range_, name: str, return_type: TypeRef,
-                 params: list[ParamDecl], noreturn: bool, name_loc: SourceLocation):
-        super().__init__(range_)
+    __slots__ = ("name", "return_type", "params", "noreturn", "name_offset", "body")
+    name_loc = _name_loc
+
+    def __init__(self, file: SourceFile, begin: int, end: int, name: str,
+                 return_type: TypeRef, params: list[ParamDecl], noreturn: bool,
+                 name_offset: int):
+        self.file = file
+        self.begin = begin
+        self.end = end
         self.name = name
         self.return_type = return_type
         self.params = params
         self.noreturn = noreturn
-        self.name_loc = name_loc
+        self.name_offset = name_offset
         self.body = None
+        for param in params:
+            param.parent = self
 
-    def children(self):
-        return list(self.params)
+    def push_children(self, stack):
+        stack.extend(reversed(self.params))
 
 
 @_n
 class VarDecl(Node):
     """A local variable declaration; used directly in statement position."""
 
-    def __init__(self, range_, name: str, declared_type: TypeRef,
-                 init: Node | None, name_loc: SourceLocation):
-        super().__init__(range_)
+    __slots__ = ("name", "declared_type", "init", "name_offset")
+    name_loc = _name_loc
+
+    def __init__(self, file: SourceFile, begin: int, end: int, name: str,
+                 declared_type: TypeRef, init: Node | None, name_offset: int):
+        self.file = file
+        self.begin = begin
+        self.end = end
         self.name = name
         self.declared_type = declared_type
         self.init = init
-        self.name_loc = name_loc
+        self.name_offset = name_offset
+        if init is not None:
+            init.parent = self
 
-    def children(self):
-        return [self.init] if self.init is not None else []
+    def push_children(self, stack):
+        if self.init is not None:
+            stack.append(self.init)
 
 
 # --- statements -----------------------------------------------------------
 
 @_n
 class Block(Node):
-    def __init__(self, range_, stmts: list[Node]):
-        super().__init__(range_)
-        self.stmts = stmts
+    __slots__ = ("stmts",)
 
-    def children(self):
-        return list(self.stmts)
+    def __init__(self, file: SourceFile, begin: int, end: int, stmts: list[Node]):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.stmts = stmts
+        for stmt in stmts:
+            stmt.parent = self
+
+    def push_children(self, stack):
+        stack.extend(reversed(self.stmts))
 
 
 @_n
 class IfStmt(Node):
-    def __init__(self, range_, init: VarDecl | None, cond: Node,
-                 then_branch: Node, else_branch: Node | None):
-        super().__init__(range_)
+    __slots__ = ("init", "cond", "then_branch", "else_branch")
+
+    def __init__(self, file: SourceFile, begin: int, end: int, init: VarDecl | None,
+                 cond: Node, then_branch: Node, else_branch: Node | None):
+        self.file = file
+        self.begin = begin
+        self.end = end
         self.init = init
         self.cond = cond
         self.then_branch = then_branch
         self.else_branch = else_branch
+        if init is not None:
+            init.parent = self
+        cond.parent = then_branch.parent = self
+        if else_branch is not None:
+            else_branch.parent = self
 
-    def children(self):
-        out = [self.init] if self.init is not None else []
-        out += [self.cond, self.then_branch]
+    def push_children(self, stack):
         if self.else_branch is not None:
-            out.append(self.else_branch)
-        return out
+            stack.append(self.else_branch)
+        stack.append(self.then_branch)
+        stack.append(self.cond)
+        if self.init is not None:
+            stack.append(self.init)
 
 
 @_n
 class WhileStmt(Node):
-    def __init__(self, range_, cond: Node, body: Node):
-        super().__init__(range_)
+    __slots__ = ("cond", "body")
+
+    def __init__(self, file: SourceFile, begin: int, end: int, cond: Node, body: Node):
+        self.file = file
+        self.begin = begin
+        self.end = end
         self.cond = cond
         self.body = body
+        cond.parent = body.parent = self
 
-    def children(self):
-        return [self.cond, self.body]
+    def push_children(self, stack):
+        stack.append(self.body)
+        stack.append(self.cond)
 
 
 @_n
 class ReturnStmt(Node):
-    def __init__(self, range_, value: Node | None):
-        super().__init__(range_)
-        self.value = value
+    __slots__ = ("value",)
 
-    def children(self):
-        return [self.value] if self.value is not None else []
+    def __init__(self, file: SourceFile, begin: int, end: int, value: Node | None):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.value = value
+        if value is not None:
+            value.parent = self
+
+    def push_children(self, stack):
+        if self.value is not None:
+            stack.append(self.value)
 
 
 @_n
 class BreakStmt(Node):
-    pass
+    __slots__ = ()
+
+    def __init__(self, file: SourceFile, begin: int, end: int):
+        self.file = file
+        self.begin = begin
+        self.end = end
 
 
 @_n
 class ContinueStmt(Node):
-    pass
+    __slots__ = ()
+
+    def __init__(self, file: SourceFile, begin: int, end: int):
+        self.file = file
+        self.begin = begin
+        self.end = end
 
 
 @_n
 class DeleteStmt(Node):
-    def __init__(self, range_, operand: Node):
-        super().__init__(range_)
-        self.operand = operand
+    __slots__ = ("operand",)
 
-    def children(self):
-        return [self.operand]
+    def __init__(self, file: SourceFile, begin: int, end: int, operand: Node):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.operand = operand
+        operand.parent = self
+
+    def push_children(self, stack):
+        stack.append(self.operand)
 
 
 @_n
 class ExprStmt(Node):
-    def __init__(self, range_, expr: Node):
-        super().__init__(range_)
-        self.expr = expr
+    __slots__ = ("expr",)
 
-    def children(self):
-        return [self.expr]
+    def __init__(self, file: SourceFile, begin: int, end: int, expr: Node):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.expr = expr
+        expr.parent = self
+
+    def push_children(self, stack):
+        stack.append(self.expr)
 
 
 # --- expressions ----------------------------------------------------------
 
 class Expr(Node):
-    is_expr = True
+    """An expression; `type` is None until the typechecker sets it."""
+
+    __slots__ = ("type",)
 
 
 @_n
 class IntLit(Expr):
-    def __init__(self, range_, value: int):
-        super().__init__(range_)
+    __slots__ = ("value",)
+
+    def __init__(self, file: SourceFile, begin: int, end: int, value: int):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.type = None
         self.value = value
 
 
 @_n
 class BoolLit(Expr):
-    def __init__(self, range_, value: bool):
-        super().__init__(range_)
+    __slots__ = ("value",)
+
+    def __init__(self, file: SourceFile, begin: int, end: int, value: bool):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.type = None
         self.value = value
 
 
 @_n
 class StringLit(Expr):
-    def __init__(self, range_, value: str):
-        super().__init__(range_)
+    __slots__ = ("value",)
+
+    def __init__(self, file: SourceFile, begin: int, end: int, value: str):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.type = None
         self.value = value
 
 
 @_n
 class DeclRef(Expr):
-    def __init__(self, range_, name: str):
-        super().__init__(range_)
+    __slots__ = ("name", "decl")
+
+    def __init__(self, file: SourceFile, begin: int, end: int, name: str):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.type = None
         self.name = name
         self.decl: Node | None = None  # resolved by typecheck
 
 
 @_n
 class UnaryOp(Expr):
-    def __init__(self, range_, op: str, operand: Node, op_loc: SourceLocation):
-        super().__init__(range_)
+    __slots__ = ("op", "operand")
+
+    def __init__(self, file: SourceFile, begin: int, end: int, op: str, operand: Node):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.type = None
         self.op = op
         self.operand = operand
-        self.op_loc = op_loc
+        operand.parent = self
 
-    def children(self):
-        return [self.operand]
+    @property
+    def op_loc(self) -> SourceLocation:
+        return SourceLocation(self.file, self.begin)  # a prefix operator
+
+    def push_children(self, stack):
+        stack.append(self.operand)
 
 
 @_n
 class AddressOf(Expr):
+    __slots__ = ("operand",)
     op = "&"
+    op_loc = UnaryOp.op_loc
 
-    def __init__(self, range_, operand: Node, op_loc: SourceLocation):
-        super().__init__(range_)
+    def __init__(self, file: SourceFile, begin: int, end: int, operand: Node):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.type = None
         self.operand = operand
-        self.op_loc = op_loc
+        operand.parent = self
 
-    def children(self):
-        return [self.operand]
+    def push_children(self, stack):
+        stack.append(self.operand)
 
 
 @_n
 class BinaryOp(Expr):
-    def __init__(self, range_, op: str, lhs: Node, rhs: Node, op_loc: SourceLocation):
-        super().__init__(range_)
+    """A binary operator; the extent runs from `lhs` through `rhs`."""
+
+    __slots__ = ("op", "lhs", "rhs", "op_offset")
+    op_loc = _offset_loc("op_offset")
+
+    def __init__(self, file: SourceFile, op: str, lhs: Node, rhs: Node, op_offset: int):
+        self.file = file
+        self.begin = lhs.begin
+        self.end = rhs.end
+        self.type = None
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
-        self.op_loc = op_loc
+        self.op_offset = op_offset
+        lhs.parent = rhs.parent = self
 
-    def children(self):
-        return [self.lhs, self.rhs]
+    def push_children(self, stack):
+        stack.append(self.rhs)
+        stack.append(self.lhs)
 
 
 @_n
 class Assign(Expr):
-    def __init__(self, range_, op: str, lhs: Node, rhs: Node, op_loc: SourceLocation):
-        super().__init__(range_)
-        self.op = op  # "=" or "+="
+    """`=` or `+=`; the extent runs from `lhs` through `rhs`."""
+
+    __slots__ = ("op", "lhs", "rhs", "op_offset")
+    op_loc = BinaryOp.op_loc
+
+    def __init__(self, file: SourceFile, op: str, lhs: Node, rhs: Node, op_offset: int):
+        self.file = file
+        self.begin = lhs.begin
+        self.end = rhs.end
+        self.type = None
+        self.op = op
         self.lhs = lhs
         self.rhs = rhs
-        self.op_loc = op_loc
+        self.op_offset = op_offset
+        lhs.parent = rhs.parent = self
 
-    def children(self):
-        return [self.lhs, self.rhs]
+    push_children = BinaryOp.push_children
 
 
 @_n
 class FieldAccess(Expr):
-    def __init__(self, range_, base: Node, field_name: str, is_arrow: bool,
-                 member_loc: SourceLocation):
-        super().__init__(range_)
+    __slots__ = ("base", "field_name", "is_arrow", "member_offset", "field_decl")
+    member_loc = _member_loc
+
+    def __init__(self, file: SourceFile, begin: int, end: int, base: Node,
+                 field_name: str, is_arrow: bool, member_offset: int):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.type = None
         self.base = base
         self.field_name = field_name
         self.is_arrow = is_arrow
-        self.member_loc = member_loc
+        self.member_offset = member_offset
+        self.field_decl: FieldDecl | None = None  # resolved by typecheck
+        base.parent = self
 
-    def children(self):
-        return [self.base]
+    def push_children(self, stack):
+        stack.append(self.base)
 
 
 @_n
 class MethodCall(Expr):
-    def __init__(self, range_, receiver: Node, method_name: str,
-                 args: list[Node], is_arrow: bool, member_loc: SourceLocation):
-        super().__init__(range_)
+    __slots__ = ("receiver", "method_name", "args", "is_arrow", "member_offset", "method")
+    member_loc = _member_loc
+
+    def __init__(self, file: SourceFile, begin: int, end: int, receiver: Node,
+                 method_name: str, args: list[Node], is_arrow: bool, member_offset: int):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.type = None
         self.receiver = receiver
         self.method_name = method_name
         self.args = args
         self.is_arrow = is_arrow
-        self.member_loc = member_loc
+        self.member_offset = member_offset
+        self.method = None  # the builtin StringMethod, resolved by typecheck
+        receiver.parent = self
+        for arg in args:
+            arg.parent = self
 
-    def children(self):
-        return [self.receiver, *self.args]
+    def push_children(self, stack):
+        stack.extend(reversed(self.args))
+        stack.append(self.receiver)
 
 
 @_n
 class Call(Expr):
-    def __init__(self, range_, callee: DeclRef, args: list[Node]):
-        super().__init__(range_)
+    __slots__ = ("callee", "args")
+
+    def __init__(self, file: SourceFile, begin: int, end: int, callee: DeclRef,
+                 args: list[Node]):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.type = None
         self.callee = callee
         self.args = args
+        callee.parent = self
+        for arg in args:
+            arg.parent = self
 
-    def children(self):
-        return [self.callee, *self.args]
+    def push_children(self, stack):
+        stack.extend(reversed(self.args))
+        stack.append(self.callee)
 
 
 @_n
 class NewExpr(Expr):
-    def __init__(self, range_, type_name: str):
-        super().__init__(range_)
+    __slots__ = ("type_name",)
+
+    def __init__(self, file: SourceFile, begin: int, end: int, type_name: str):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.type = None
         self.type_name = type_name
 
 
 @_n
 class Paren(Expr):
-    def __init__(self, range_, inner: Node):
-        super().__init__(range_)
-        self.inner = inner
+    __slots__ = ("inner",)
 
-    def children(self):
-        return [self.inner]
+    def __init__(self, file: SourceFile, begin: int, end: int, inner: Node):
+        self.file = file
+        self.begin = begin
+        self.end = end
+        self.type = None
+        self.inner = inner
+        inner.parent = self
+
+    def push_children(self, stack):
+        stack.append(self.inner)
 
 
 # --- helpers --------------------------------------------------------------
@@ -394,7 +622,7 @@ def walk(node: Node):
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(node.children()))
+        node.push_children(stack)
 
 
 def strip_parens(node: Node) -> Node:
@@ -404,23 +632,23 @@ def strip_parens(node: Node) -> Node:
 
 
 def number_tree(unit: TranslationUnit) -> None:
-    """Assign pre-order node ids, parent links and subtree ends, and keep
-    the pre-order list as `unit.preorder`. The descendants of a node `n` are
-    then the slice `unit.preorder[n.node_id + 1 : n.last_id + 1]`."""
+    """Assign pre-order node ids and subtree ends, and keep the pre-order
+    list as `unit.preorder`. The descendants of a node `n` are then the
+    slice `unit.preorder[n.node_id + 1 : n.last_id + 1]`. Parent links are
+    already set: each node's constructor sets those of its children."""
     order: list[Node] = []
+    add = order.append
     stack: list[Node] = [unit]
+    pop = stack.pop
     while stack:
-        node = stack.pop()
+        node = pop()
         node.node_id = node.last_id = len(order)
-        order.append(node)
-        children = node.children()
-        for child in children:
-            child.parent = node
-        stack.extend(reversed(children))
+        add(node)
+        node.push_children(stack)
     # In reverse pre-order a subtree is finished before its root is reached.
-    for node in reversed(order[1:]):
+    for node in reversed(order):
         parent = node.parent
-        if parent.last_id < node.last_id:
+        if parent is not None and parent.last_id < node.last_id:
             parent.last_id = node.last_id
     unit.preorder = order
 
@@ -432,22 +660,14 @@ def tree_index(node: Node) -> list[Node]:
     return node.preorder
 
 
-def structure_signature(node: Node):
-    """Nested tuple capturing kind/child-order structure and scalar payloads."""
-    scalars = tuple(
-        (k, v) for k, v in sorted(vars(node).items())
-        if isinstance(v, (str, int, bool)) and k not in ("node_id",)
-    )
-    return (node.kind, scalars, tuple(structure_signature(c) for c in node.children()))
-
-
 def dump_ast(root: Node) -> str:
     """Indented dump: one node per line, `Kind <line:col, line:col> [type]`."""
     out: list[str] = []
+    line_column = root.file.line_column
 
     def rec(node: Node, depth: int):
-        b, e = node.range.begin, node.range.end
-        line = f"{'  ' * depth}{node.kind} <{b.line}:{b.column}, {e.line}:{e.column}>"
+        (bl, bc), (el, ec) = line_column(node.begin), line_column(node.end)
+        line = f"{'  ' * depth}{node.kind} <{bl}:{bc}, {el}:{ec}>"
         if node.type is not None:
             line += f" [{node.type}]"
         out.append(line)

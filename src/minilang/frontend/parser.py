@@ -50,8 +50,8 @@ class _NestingTooDeep(Exception):
 class Parser:
     """Keywords and punctuators are tested by spelling: the lexer gives each
     one a spelling no other token kind has. `tok` is the current token, as
-    in Clang's parser; locations are built from token offsets only for the
-    nodes made and for error highlights."""
+    in Clang's parser. Nodes are made from token and child offsets; only an
+    error highlight builds locations."""
 
     def __init__(self, file: SourceFile, tokens: list[Token], std: int = 14):
         self.file = file
@@ -75,22 +75,12 @@ class Parser:
     def at_end(self) -> bool:
         return self.tok.kind is TokenKind.EOF
 
-    def loc(self, tok: Token) -> SourceLocation:
-        return SourceLocation(self.file, tok.begin)
-
-    def extend(self, node: Node, last: Token) -> SourceRange:
-        """From the start of `node` through the token `last`."""
-        return SourceRange(node.range.begin, SourceLocation(self.file, last.end))
-
-    def span(self, first: Token, last: Token | Node) -> SourceRange:
-        """From `first` through `last`, a token or a node."""
+    def highlight(self, tok: Token) -> SourceRange:
         file = self.file
-        end = last.range.end if isinstance(last, Node) else SourceLocation(file, last.end)
-        return SourceRange(SourceLocation(file, first.begin), end)
+        return SourceRange(SourceLocation(file, tok.begin), SourceLocation(file, tok.end))
 
     def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.tok
-        highlight = self.span(tok, tok)
+        highlight = self.highlight(tok or self.tok)
         self.diags.append(Diagnostic(highlight.begin, message, Severity.ERROR,
                                      highlight=highlight))
         raise _ParseBail()
@@ -99,7 +89,7 @@ class Parser:
         """Enter one nesting level; the caller leaves it in a `finally`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            highlight = self.span(tok, tok)
+            highlight = self.highlight(tok)
             self.diags.append(Diagnostic(
                 highlight.begin, f"nesting level exceeds maximum of {MAX_NESTING}",
                 Severity.ERROR, highlight=highlight))
@@ -160,7 +150,7 @@ class Parser:
 
     def parse_translation_unit(self) -> TranslationUnit:
         decls: list[Node] = []
-        first = self.loc(self.tok)
+        first = self.tok.begin
         while not self.at_end():
             try:
                 if self.tok.text == "struct":
@@ -174,8 +164,8 @@ class Parser:
                 if self.tok.text == "}":
                     self.advance()
         if decls:
-            return TranslationUnit(SourceRange(decls[0].range.begin, decls[-1].range.end), decls)
-        return TranslationUnit(SourceRange(first, first), decls)
+            return TranslationUnit(self.file, decls[0].begin, decls[-1].end, decls)
+        return TranslationUnit(self.file, first, first, decls)
 
     def parse_struct(self) -> StructDecl:
         kw = self.advance()
@@ -188,11 +178,12 @@ class Parser:
             ftype = self.parse_type()
             fname = self.expect_ident()
             self.expect_punct(";")
-            fields.append(FieldDecl(self.span(fbegin, fname), fname.text,
-                                    ftype, self.loc(fname)))
+            fields.append(FieldDecl(self.file, fbegin.begin, fname.end, fname.text,
+                                    ftype, fname.begin))
         self.expect_punct("}")
         semi = self.expect_punct(";")
-        return StructDecl(self.span(kw, semi), name_tok.text, fields, self.loc(name_tok))
+        return StructDecl(self.file, kw.begin, semi.end, name_tok.text, fields,
+                          name_tok.begin)
 
     def parse_param_list(self) -> list[ParamDecl]:
         self.expect_punct("(")
@@ -202,8 +193,8 @@ class Parser:
                 begin = self.tok
                 ptype = self.parse_type(allow_reference=True)
                 name_tok = self.expect_ident()
-                params.append(ParamDecl(self.span(begin, name_tok), name_tok.text,
-                                        ptype, self.loc(name_tok)))
+                params.append(ParamDecl(self.file, begin.begin, name_tok.end,
+                                        name_tok.text, ptype, name_tok.begin))
                 if self.tok.text != ",":
                     break
                 self.advance()
@@ -220,8 +211,8 @@ class Parser:
         name_tok = self.expect_ident()
         params = self.parse_param_list()
         semi = self.expect_punct(";")
-        return ExternDecl(self.span(kw, semi), name_tok.text, rtype, params,
-                          noreturn, self.loc(name_tok))
+        return ExternDecl(self.file, kw.begin, semi.end, name_tok.text, rtype, params,
+                          noreturn, name_tok.begin)
 
     def parse_function(self) -> FunctionDecl:
         begin = self.tok
@@ -229,8 +220,8 @@ class Parser:
         name_tok = self.expect_ident()
         params = self.parse_param_list()
         body = self.parse_block()
-        return FunctionDecl(self.span(begin, body), name_tok.text, rtype,
-                            params, body, self.loc(name_tok))
+        return FunctionDecl(self.file, begin.begin, body.end, name_tok.text, rtype,
+                            params, body, name_tok.begin)
 
     # --- statements ---
 
@@ -242,7 +233,7 @@ class Parser:
             if stmt is not None:
                 stmts.append(stmt)
         rbrace = self.expect_punct("}")
-        return Block(self.span(lbrace, rbrace), stmts)
+        return Block(self.file, lbrace.begin, rbrace.end, stmts)
 
     def parse_stmt_recovering(self) -> Node | None:
         try:
@@ -267,27 +258,27 @@ class Parser:
                 if self.tok.text != ";":
                     value = self.parse_expr()
                 semi = self.expect_punct(";")
-                return ReturnStmt(self.span(tok, semi), value)
+                return ReturnStmt(self.file, tok.begin, semi.end, value)
             if tok.text == "break":
                 self.advance()
                 semi = self.expect_punct(";")
-                return BreakStmt(self.span(tok, semi))
+                return BreakStmt(self.file, tok.begin, semi.end)
             if tok.text == "continue":
                 self.advance()
                 semi = self.expect_punct(";")
-                return ContinueStmt(self.span(tok, semi))
+                return ContinueStmt(self.file, tok.begin, semi.end)
             if tok.text == "delete":
                 self.advance()
                 operand = self.parse_expr()
                 semi = self.expect_punct(";")
-                return DeleteStmt(self.span(tok, semi), operand)
+                return DeleteStmt(self.file, tok.begin, semi.end, operand)
             if self.at_type_start():
                 decl = self.parse_var_decl()
                 self.expect_punct(";")
                 return decl
             expr = self.parse_expr()
             semi = self.expect_punct(";")
-            return ExprStmt(self.span(tok, semi), expr)
+            return ExprStmt(self.file, tok.begin, semi.end, expr)
         finally:
             self.depth -= 1
 
@@ -297,13 +288,13 @@ class Parser:
         dtype = self.parse_type()
         name_tok = self.expect_ident()
         init = None
-        last: Token | Node = name_tok
+        end = name_tok.end
         if self.tok.text == "=":
             self.advance()
             init = self.parse_assign()
-            last = init
-        return VarDecl(self.span(begin, last), name_tok.text, dtype, init,
-                       self.loc(name_tok))
+            end = init.end
+        return VarDecl(self.file, begin.begin, end, name_tok.text, dtype, init,
+                       name_tok.begin)
 
     def parse_if(self) -> IfStmt:
         kw = self.advance()
@@ -323,7 +314,7 @@ class Parser:
             self.advance()
             else_branch = self.parse_stmt()
             last = else_branch
-        return IfStmt(self.span(kw, last), init, cond, then_branch, else_branch)
+        return IfStmt(self.file, kw.begin, last.end, init, cond, then_branch, else_branch)
 
     def parse_while(self) -> WhileStmt:
         kw = self.advance()
@@ -331,7 +322,7 @@ class Parser:
         cond = self.parse_expr()
         self.expect_punct(")")
         body = self.parse_stmt()
-        return WhileStmt(self.span(kw, body), cond, body)
+        return WhileStmt(self.file, kw.begin, body.end, cond, body)
 
     # --- expressions ---
 
@@ -341,8 +332,7 @@ class Parser:
         while self.tok.text == ",":
             op_tok = self.advance()
             rhs = self.parse_assign()
-            expr = BinaryOp(SourceRange(expr.range.begin, rhs.range.end), ",",
-                            expr, rhs, self.loc(op_tok))
+            expr = BinaryOp(self.file, ",", expr, rhs, op_tok.begin)
         return expr
 
     def parse_assign(self) -> Node:
@@ -351,8 +341,7 @@ class Parser:
         if tok.text in ("=", "+="):
             op_tok = self.advance()
             rhs = self.parse_assign()
-            return Assign(SourceRange(lhs.range.begin, rhs.range.end),
-                          op_tok.text, lhs, rhs, self.loc(op_tok))
+            return Assign(self.file, op_tok.text, lhs, rhs, op_tok.begin)
         return lhs
 
     def parse_binary(self, min_precedence: int = 1) -> Node:
@@ -362,8 +351,7 @@ class Parser:
         while _BINARY_PRECEDENCE.get(self.tok.text, 0) >= min_precedence:
             op_tok = self.advance()
             rhs = self.parse_binary(_BINARY_PRECEDENCE[op_tok.text] + 1)
-            expr = BinaryOp(SourceRange(expr.range.begin, rhs.range.end),
-                            op_tok.text, expr, rhs, self.loc(op_tok))
+            expr = BinaryOp(self.file, op_tok.text, expr, rhs, op_tok.begin)
         return expr
 
     def parse_unary(self) -> Node:
@@ -373,10 +361,9 @@ class Parser:
             if tok.text in _UNARY_OPERATORS:
                 self.advance()
                 operand = self.parse_unary()
-                rng = SourceRange(self.loc(tok), operand.range.end)
                 if tok.text == "&":
-                    return AddressOf(rng, operand, rng.begin)
-                return UnaryOp(rng, tok.text, operand, rng.begin)
+                    return AddressOf(self.file, tok.begin, operand.end, operand)
+                return UnaryOp(self.file, tok.begin, operand.end, tok.text, operand)
             return self.parse_postfix()
         finally:
             self.depth -= 1
@@ -390,16 +377,17 @@ class Parser:
                 name_tok = self.expect_ident()
                 if self.tok.text == "(":
                     args, close = self.parse_args()
-                    expr = MethodCall(self.extend(expr, close), expr, name_tok.text, args,
-                                      tok.text == "->", self.loc(name_tok))
+                    expr = MethodCall(self.file, expr.begin, close.end, expr,
+                                      name_tok.text, args, tok.text == "->",
+                                      name_tok.begin)
                 else:
-                    expr = FieldAccess(self.extend(expr, name_tok), expr, name_tok.text,
-                                       tok.text == "->", self.loc(name_tok))
+                    expr = FieldAccess(self.file, expr.begin, name_tok.end, expr,
+                                       name_tok.text, tok.text == "->", name_tok.begin)
             elif tok.text == "(":
                 if not isinstance(expr, DeclRef):
                     self.error("called object is not a function name", tok)
                 args, close = self.parse_args()
-                expr = Call(self.extend(expr, close), expr, args)
+                expr = Call(self.file, expr.begin, close.end, expr, args)
             else:
                 return expr
 
@@ -419,13 +407,13 @@ class Parser:
         tok = self.tok
         if tok.kind is TokenKind.INT:
             self.advance()
-            return IntLit(self.span(tok, tok), int(tok.text))
+            return IntLit(self.file, tok.begin, tok.end, int(tok.text))
         if tok.text in ("true", "false"):
             self.advance()
-            return BoolLit(self.span(tok, tok), tok.text == "true")
+            return BoolLit(self.file, tok.begin, tok.end, tok.text == "true")
         if tok.kind is TokenKind.STRING:
             self.advance()
-            return StringLit(self.span(tok, tok), _decode_string(tok.text))
+            return StringLit(self.file, tok.begin, tok.end, _decode_string(tok.text))
         if tok.text == "new":
             self.advance()
             name_tok = self.tok
@@ -435,15 +423,15 @@ class Parser:
                 self.error("expected type name after 'new'")
             self.expect_punct("(")
             close = self.expect_punct(")")
-            return NewExpr(self.span(tok, close), name_tok.text)
+            return NewExpr(self.file, tok.begin, close.end, name_tok.text)
         if tok.kind is TokenKind.IDENT:
             self.advance()
-            return DeclRef(self.span(tok, tok), tok.text)
+            return DeclRef(self.file, tok.begin, tok.end, tok.text)
         if tok.text == "(":
             self.advance()
             inner = self.parse_expr()
             close = self.expect_punct(")")
-            return Paren(self.span(tok, close), inner)
+            return Paren(self.file, tok.begin, close.end, inner)
         self.error("expected expression")
 
 

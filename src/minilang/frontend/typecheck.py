@@ -64,7 +64,7 @@ class TypeChecker:
                     if fld.name in seen:
                         self.error(fld.name_loc, f"duplicate field '{fld.name}'")
                     seen.add(fld.name)
-                    self.check_type(fld.declared_type, fld.name_loc, allow_void=False)
+                    self.check_type(fld.declared_type, fld, allow_void=False)
             elif isinstance(decl, (FunctionDecl, ExternDecl)):
                 if not self.globals.declare(decl.name, decl):
                     self.error(decl.name_loc, f"redefinition of '{decl.name}'")
@@ -78,20 +78,21 @@ class TypeChecker:
                 self.check_signature(decl)
         return self.diags
 
-    def check_type(self, t: TypeRef, loc: SourceLocation, allow_void: bool):
+    def check_type(self, t: TypeRef, decl: Node, allow_void: bool):
+        """Check the type written in `decl`; errors point at its name."""
         if t.base not in BUILTIN_BASES and t.base not in self.structs:
-            self.error(loc, f"unknown type '{t.base}'")
+            self.error(decl.name_loc, f"unknown type '{t.base}'")
         if t.base == "void" and t.indirections == 0 and not allow_void:
-            self.error(loc, "variable of void type")
+            self.error(decl.name_loc, "variable of void type")
 
     def check_signature(self, decl):
-        self.check_type(decl.return_type, decl.name_loc, allow_void=True)
+        self.check_type(decl.return_type, decl, allow_void=True)
         seen = set()
         for p in decl.params:
             if p.name in seen:
                 self.error(p.name_loc, f"duplicate parameter '{p.name}'")
             seen.add(p.name)
-            self.check_type(p.declared_type, p.name_loc, allow_void=False)
+            self.check_type(p.declared_type, p, allow_void=False)
 
     def check_function(self, fn: FunctionDecl):
         self.check_signature(fn)
@@ -152,7 +153,7 @@ class TypeChecker:
                 self.error(stmt.operand.range.begin, "delete requires a pointer operand")
 
     def check_var_decl(self, decl: VarDecl, scope: _Scope):
-        self.check_type(decl.declared_type, decl.name_loc, allow_void=False)
+        self.check_type(decl.declared_type, decl, allow_void=False)
         if decl.init is not None:
             it = self.expr(decl.init, scope)
             dt = decl.declared_type

@@ -843,8 +843,9 @@ class Engine:
         return UNKNOWN, state, via
 
     def eval_new(self, via, state, frame, expr: NewExpr):
+        line, _ = expr.file.line_column(expr.begin)
         val = self.conjure(TypeRef(expr.type_name, 1),
-                           f"new{expr.range.begin.line}_{self._conjure_counter + 1}")
+                           f"new{line}_{self._conjure_counter + 1}")
         sym = as_symbol(val)
         state = state.constrain(sym, RangeSet.singleton(0).complement())
         state, via, sank = self.dispatch(

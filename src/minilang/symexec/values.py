@@ -322,15 +322,6 @@ class RangeSet(NamedTuple):
     def contains(self, v: int) -> bool:
         return any(lo <= v <= hi for lo, hi in self.intervals)
 
-    def sample(self, prefer_within: tuple[int, int] | None = None) -> int:
-        """Any member; prefers one inside `prefer_within` when possible."""
-        assert self.intervals, "sampling the empty range set"
-        if prefer_within is not None:
-            w = self.intersect(RangeSet.of(prefer_within))
-            if not w.is_empty:
-                return w.intervals[0][0]
-        return self.intervals[0][0]
-
     def __str__(self):
         def bound(v: int) -> str:
             if v == IMIN:

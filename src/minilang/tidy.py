@@ -17,8 +17,9 @@ from .diagnostics import (  # noqa: F401  (re-exported framework surface)
     apply_fixes, Diagnostic, emit_diag, FixIt, FixKind, format_message,
     render_diagnostic, Severity,
 )
+from .frontend import node_text
 from .frontend.astnodes import DeclRef, IfStmt, Node, VarDecl
-from .source import InternalError, SourceFile, SourceRange, get_source_text
+from .source import InternalError, SourceFile, SourceRange
 
 
 class UsageKind(enum.IntEnum):
@@ -57,7 +58,7 @@ class TrackedPointer:
         self.usages = {} if usages is None else usages  # decl_ref id -> usage
 
     def ordered_usages(self) -> list[VarUsage]:
-        return sorted(self.usages.values(), key=lambda u: u.decl_ref.range.begin.offset)
+        return sorted(self.usages.values(), key=lambda u: u.decl_ref.begin)
 
 
 class UsageLedger:
@@ -213,7 +214,7 @@ class RedundantPointerCheck(TidyCheck):
     def on_end_of_translation_unit(self) -> list[Diagnostic]:
         diags: list[Diagnostic] = []
         entries = sorted(self.ledger.pointers.values(),
-                         key=lambda e: e.decl.range.begin.offset)
+                         key=lambda e: e.decl.begin)
         for entry in entries:
             usages = entry.ordered_usages()
             if len(usages) == 0 or len(usages) >= 3:
@@ -225,8 +226,7 @@ class RedundantPointerCheck(TidyCheck):
             inits = [u for u in usages if u.usage_kind is UsageKind.DEREF_INIT]
             if (len(guards) == 1 and len(inits) == 1 and self.std >= 17
                     and self._rewritable_var(inits[0].inited_var)
-                    and guards[0].decl_ref.range.begin.offset
-                    < inits[0].decl_ref.range.begin.offset):
+                    and guards[0].decl_ref.begin < inits[0].decl_ref.begin):
                 try:
                     diags.extend(self.build_guard_rewrite(entry, guards[0], inits[0]))
                 except InternalError:
@@ -242,17 +242,17 @@ class RedundantPointerCheck(TidyCheck):
 
     def _inline_single_use(self, entry: TrackedPointer, usage: VarUsage) -> Diagnostic:
         decl = entry.decl
-        init_text = get_source_text(decl.init.range)
         warning = emit_diag(
             decl.name_loc, "redundant pointer variable with only one usage",
             (), Severity.WARNING, CHECK_NAME,
             fixits=[FixIt.removal(statement_range(decl, self.file))],
             highlight=decl.range)
+        ref_range = usage.decl_ref.range
         note = emit_diag(
-            usage.decl_ref.range.begin, "pointer usage location", (),
+            ref_range.begin, "pointer usage location", (),
             Severity.NOTE, CHECK_NAME,
-            fixits=[FixIt.replacement(usage.decl_ref.range, f"({init_text})")],
-            highlight=usage.decl_ref.range)
+            fixits=[FixIt.replacement(ref_range, f"({node_text(decl.init)})")],
+            highlight=ref_range)
         warning.attached_notes.append(note)
         return warning
 
@@ -261,11 +261,10 @@ class RedundantPointerCheck(TidyCheck):
         decl = entry.decl
         var = init.inited_var
         cond = guard.guard_if.cond
-        decl_text = get_source_text(decl.range)
-        cond_text = get_source_text(cond.range)
-        deref_text = get_source_text(init.deref_expr.range)
         hoisted = f"{var.declared_type} {var.name};"
-        new_cond = f"{decl_text}; ({cond_text}) || (({var.name} = {deref_text}), false)"
+        new_cond = (f"{node_text(decl)}; ({node_text(cond)}) || "
+                    f"(({var.name} = {node_text(init.deref_expr)}), false)")
+        cond_range = cond.range
         d1 = emit_diag(
             decl.name_loc, "redundant pointer variable declared", (),
             Severity.WARNING, CHECK_NAME,
@@ -282,8 +281,8 @@ class RedundantPointerCheck(TidyCheck):
             guard.guard_if.range.begin,
             "rewrite the conditional to C++17 initialise the pointer", (),
             Severity.WARNING, CHECK_NAME,
-            fixits=[FixIt.replacement(cond.range, new_cond)],  # if's outer () stay
-            highlight=cond.range)
+            fixits=[FixIt.replacement(cond_range, new_cond)],  # if's outer () stay
+            highlight=cond_range)
         return [d1, d3]
 
 
@@ -294,13 +293,13 @@ def statement_range(decl: VarDecl, file: SourceFile, widen: bool = True) -> Sour
     removal does not leave a blank line behind.
     """
     text = file.text
-    end = decl.range.end.offset
+    end = decl.end
     while end < len(text) and text[end] in " \t":
         end += 1
     if end >= len(text) or text[end] != ";":
         raise InternalError("declaration statement without trailing ';'")
     end += 1
-    begin = decl.range.begin.offset
+    begin = decl.begin
     if widen:
         line_start = text.rfind("\n", 0, begin) + 1
         line_end = text.find("\n", end)

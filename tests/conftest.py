@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from minilang.checkers import make_checkers
-from minilang.frontend import load_unit
+from minilang.frontend import load_unit, walk
 from minilang.symexec import AnalysisConfig, Engine
 
 
@@ -13,6 +13,38 @@ def frontend(source: str, name: str = "input.mc", std: int = 14):
     result = load_unit(name, source, std)
     assert result.ok, [f"{d.location}: {d.message}" for d in result.diagnostics]
     return result
+
+
+def structure_signature(node):
+    """Nested tuple capturing kind/child-order structure and scalar payloads:
+    each declared slot that holds a str, int or bool, except `node_id`."""
+    slots = sorted(name for cls in type(node).__mro__
+                   for name in getattr(cls, "__slots__", ()) if name != "node_id")
+    scalars = tuple((name, value) for name in slots
+                    if isinstance(value := getattr(node, name, None), (str, int, bool)))
+    return (node.kind, scalars, tuple(structure_signature(c) for c in node.children()))
+
+
+def recursive_preorder(node) -> list:
+    out = [node]
+    for child in node.children():
+        out += recursive_preorder(child)
+    return out
+
+
+def check_preorder_index(unit) -> None:
+    """The parser's pre-order index, ids, parent links and subtree ends
+    agree with a recursive walk of the tree."""
+    order = recursive_preorder(unit)
+    assert unit.preorder == order
+    assert list(walk(unit)) == order
+    assert [n.node_id for n in order] == list(range(len(order)))
+    assert unit.parent is None
+    for node in order:
+        assert all(child.parent is node for child in node.children())
+        if node is not unit:
+            assert any(c is node for c in node.parent.children())
+        assert unit.preorder[node.node_id + 1:node.last_id + 1] == recursive_preorder(node)[1:]
 
 
 def analyze(source: str, name: str = "input.mc", std: int = 14,

@@ -31,12 +31,20 @@ def leaf_decisions(leaf: ExplodedNode, cfg: Cfg) -> list[tuple[int, bool]]:
     return decisions
 
 
+def sample(ranges: RangeSet, prefer_within: tuple[int, int]) -> int:
+    """Any member of `ranges`; one inside `prefer_within` when there is one."""
+    assert ranges.intervals, "sampling the empty range set"
+    inside = ranges.intersect(RangeSet.of(prefer_within))
+    if not inside.is_empty:
+        return inside.intervals[0][0]
+    return ranges.intervals[0][0]
+
+
 def leaf_witness(leaf: ExplodedNode, param_names: list[str]) -> dict[str, int]:
     """A concrete assignment drawn from the leaf's range constraints,
     preferring values inside the generator's witness box."""
     witness = {}
     by_name = {sym.name: rng for sym, rng in leaf.state.constraints.items()}
     for name in param_names:
-        rng = by_name.get(name, RangeSet.full())
-        witness[name] = rng.sample(prefer_within=(-GRID, GRID))
+        witness[name] = sample(by_name.get(name, RangeSet.full()), (-GRID, GRID))
     return witness

@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import minilang.matchers as M
 from minilang.cfg import build_cfg
-from minilang.checkers import make_checkers
+from minilang.checkers import assemble_bug_path, make_checkers
 from minilang.cli import parse_analyze_args, parse_tidy_args, run_analyze, run_tidy
 from minilang.diagnostics import displayed
 from minilang.frontend import load_unit, tokenize, walk
-from minilang.reporting import assemble_bug_path, render_text, verify_run
+from minilang.reporting import render_text, verify_run
 from minilang.source import SourceFile
 from minilang.symexec import Engine
 

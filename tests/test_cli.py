@@ -69,6 +69,18 @@ def test_missing_file_exit_two():
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["tidy"], ["tidy", "--std=17", "--fix"]])
+def test_input_that_is_not_utf8_exits_two_with_one_error(argv, tmp_path):
+    path = tmp_path / "latin.mc"
+    data = b"\xff\xfe" + REDUNDANT_PTR.encode()
+    path.write_bytes(data)
+    run = analyze_cli if argv[0] == "analyze" else tidy_cli
+    code, out, err = run([*argv[1:], str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+    assert path.read_bytes() == data
+
+
 def test_minilang_parse_error_exit_two(mc):
     path = mc("void f( {", "broken.mc")
     code, _, err = analyze_cli([path])

@@ -5,9 +5,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minilang.frontend import (
-    load_unit, node_text, structure_signature, tokenize, walk,
-)
+from minilang.frontend import load_unit, node_text, tokenize, walk
 from minilang.frontend.astnodes import (
     Assign, BinaryOp, Call, DeclRef, IntLit, VarDecl,
 )
@@ -18,7 +16,7 @@ from minilang.source import (
     InternalError, SourceFile, SourceLocation, SourceRange, get_source_text,
 )
 
-from conftest import frontend
+from conftest import frontend, structure_signature
 from proggen import generate_function
 
 

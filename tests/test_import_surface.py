@@ -4,7 +4,9 @@ Every tool invocation pays its start-up, so `mini-analyze`'s start path
 imports no module that generates code at import (`dataclasses`) and none
 that only `mini-tidy` runs (the lint framework and the matcher library).
 The tidy command loads them on first use, also under the bench tracer,
-which patches `cli.run_checks` before that first use."""
+which patches `cli.run_checks` before that first use. In reverse, a
+`mini-tidy` run loads no module of the engine (`minilang.symexec*`,
+`minilang.checkers`) and no CFG builder unless `--dump-cfg` asks for it."""
 
 import json
 import os
@@ -46,13 +48,39 @@ print(json.dumps({"loaded": loaded, "after_tracing_import": after_tracing_import
 """
 
 
-def test_analyze_start_loads_no_dataclasses_and_no_tidy_modules(tmp_path):
-    source = ROOT / "scripts" / "examples" / "redundant_ptr.mc"
+TIDY_START = """
+import io, json, shutil, sys
+from minilang import cli
+
+source, copy = sys.argv[1], sys.argv[2]
+
+def engine_modules():
+    return sorted(m for m in sys.modules if m.startswith("minilang.symexec")
+                  or m in ("minilang.cfg", "minilang.checkers"))
+
+shutil.copyfile(source, copy)
+out, err = io.StringIO(), io.StringIO()
+rc = cli.run(cli.RunConfig("tidy", [copy], std_mode=17, fix=True), out, err)
+after_fix = engine_modules()
+dump = io.StringIO()
+dump_rc = cli.run(cli.RunConfig("tidy", [source], dump_flags={"cfg"}), dump, err)
+print(json.dumps({"rc": rc, "out": out.getvalue(), "after_fix": after_fix,
+                  "dump_rc": dump_rc, "dump": dump.getvalue(),
+                  "after_dump": engine_modules()}))
+"""
+
+
+def run_child(script: str, source: pathlib.Path, copy: pathlib.Path) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "bench"))))
     child = subprocess.run(
-        [sys.executable, "-c", COLD_START, str(source), str(tmp_path / source.name)],
+        [sys.executable, "-c", script, str(source), str(copy)],
         env=env, cwd=ROOT, check=True, capture_output=True, text=True, timeout=120)
-    got = json.loads(child.stdout.splitlines()[-1])
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def test_analyze_start_loads_no_dataclasses_and_no_tidy_modules(tmp_path):
+    source = ROOT / "scripts" / "examples" / "redundant_ptr.mc"
+    got = run_child(COLD_START, source, tmp_path / source.name)
     assert got["loaded"] == []
     assert got["after_tracing_import"] == []
     # the first tidy run, inside the tracer, loads the tidy modules itself
@@ -63,3 +91,13 @@ def test_analyze_start_loads_no_dataclasses_and_no_tidy_modules(tmp_path):
     assert got["layers"]["tidy.match_s"] > 0
     assert got["layers"]["diagnostics.fix_s"] > 0
     assert got["counts"]["tidy.diags"] > 0
+
+
+def test_tidy_start_loads_no_engine_module(tmp_path):
+    source = ROOT / "scripts" / "examples" / "redundant_ptr.mc"
+    got = run_child(TIDY_START, source, tmp_path / source.name)
+    assert got["rc"] == 1 and "readability-redundant-pointer" in got["out"]
+    assert got["after_fix"] == []
+    # --dump-cfg under tidy loads the CFG builder and still no engine
+    assert got["dump_rc"] == 1 and "entry=B" in got["dump"]
+    assert got["after_dump"] == ["minilang.cfg"]

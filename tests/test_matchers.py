@@ -13,7 +13,7 @@ from minilang.frontend.astnodes import DeclRef, FunctionDecl, IfStmt, VarDecl
 from minilang.source import SourceFile
 from minilang.tidy import RedundantPointerCheck, run_checks, TidyCheck
 
-from conftest import frontend
+from conftest import check_preorder_index, frontend, recursive_preorder
 
 
 @pytest.fixture(scope="module")
@@ -360,13 +360,6 @@ _UNITS.update((p.stem, frontend(p.read_text(encoding="utf-8"), p.name, 17).unit)
 _TIDY_MATCHERS = list(RedundantPointerCheck(SourceFile("m.mc", ""), 17).register_matchers())
 
 
-def recursive_preorder(node) -> list:
-    out = [node]
-    for child in node.children():
-        out += recursive_preorder(child)
-    return out
-
-
 def match_at_every_node(matcher, root, unit) -> list[tuple]:
     """`M.match` without the index slice and the kind filter: every node of
     the subtree, by the recursive reference walk, with the same dedup key."""
@@ -386,17 +379,7 @@ def match_roots(unit) -> list:
 
 @pytest.mark.parametrize("name", sorted(_UNITS))
 def test_preorder_index_matches_a_recursive_walk(name):
-    unit = _UNITS[name]
-    order = recursive_preorder(unit)
-    assert unit.preorder == order
-    assert list(walk(unit)) == order
-    assert [n.node_id for n in order] == list(range(len(order)))
-    assert unit.parent is None
-    for node in order:
-        assert all(child.parent is node for child in node.children())
-        if node is not unit:
-            assert any(c is node for c in node.parent.children())
-        assert unit.preorder[node.node_id + 1:node.last_id + 1] == recursive_preorder(node)[1:]
+    check_preorder_index(_UNITS[name])
 
 
 @pytest.mark.parametrize("name", sorted(_UNITS))

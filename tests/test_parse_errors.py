@@ -5,7 +5,10 @@ seeded set of mutants, each one token deleted, duplicated or swapped with
 its successor. The exit code, stdout and stderr of `mini-analyze` and
 `mini-tidy --std=17` on every mutant must stay byte-identical to
 tests/golden/parse_errors.txt, which pins the parser's error locations and
-highlights. No run may end in an internal error or a traceback.
+highlights. No run may end in an internal error or a traceback. On the
+mutants that still give a unit, the pre-order index holds only the nodes
+the unit kept, and on those that parse cleanly, `mini-tidy --fix` writes
+text that parses cleanly again.
 
 Regenerate the golden with `PYTHONPATH=src python tests/test_parse_errors.py`.
 """
@@ -20,6 +23,9 @@ import re
 import tempfile
 
 from minilang.cli import parse_analyze_args, parse_tidy_args, run
+from minilang.frontend import load_unit
+
+from conftest import check_preorder_index
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "parse_errors.txt"
@@ -82,6 +88,29 @@ def test_mutant_outcomes_match_golden(tmp_path, monkeypatch):
     assert "Traceback" not in output
     assert not re.search(r": exit (?![0-2]\n)", output)
     assert output == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_units_recovered_from_mutants_index_only_kept_nodes():
+    """Statements dropped in recovery leave no node in the index and no id."""
+    for source in SOURCES:
+        for _, text in mutants(source):
+            for std in (14, 17):
+                unit = load_unit("mutant.mc", text, std).unit
+                if unit is not None:
+                    check_preorder_index(unit)
+
+
+def test_fix_output_of_clean_mutants_parses_cleanly(tmp_path):
+    for source in SOURCES:
+        for index, (what, text) in enumerate(mutants(source)):
+            if not load_unit("mutant.mc", text, 17).ok:
+                continue
+            path = tmp_path / f"{source.stem}.{index}.mc"
+            path.write_text(text, encoding="utf-8")
+            status, out, err = run_tool(["tidy", "--std=17", "--fix", str(path)])
+            assert status in (0, 1) and "Traceback" not in out + err, (what, err)
+            fixed = load_unit(path.name, path.read_text(encoding="utf-8"), 17)
+            assert fixed.diagnostics == [], (what, fixed.diagnostics)
 
 
 if __name__ == "__main__":

@@ -4,11 +4,11 @@ from html.parser import HTMLParser
 
 import pytest
 
+from minilang.checkers import assemble_bug_path
 from minilang.diagnostics import displayed, Severity
 from minilang.frontend import load_unit
 from minilang.reporting import (
-    assemble_bug_path, parse_directives, render_html, render_text, verify_run,
-    VerifyError,
+    parse_directives, render_html, render_text, verify_run, VerifyError,
 )
 
 from conftest import analyze, DEREF_AFTER_CLEAR_VERIFY, USE_AFTER_CLEAR, USE_AFTER_FREE
