@@ -54,24 +54,13 @@ class RefState(NamedTuple):
         return RefState(RefStatus.RELEASED, family, origin)
 
 
-def region_state_map(state: ProgramState) -> dict:
-    return dict(state.slot(MALLOC_SLOT))
-
-
-def raw_ptr_map(state: ProgramState) -> dict:
-    return dict(state.slot(RAWPTR_SLOT))
-
-
 def mark_released(state: ProgramState, symbols: Iterable[Symbol],
                   origin: Node | None) -> ProgramState:
     """Hand buffer symbols over to MallocLite in released state, with one
     slot write. The new state only joins the graph once the caller's
     addTransition commits it."""
-    mapping = region_state_map(state)
     released = RefState.released(AllocationFamily.INNER_BUFFER, origin)
-    for sym in symbols:
-        mapping[sym] = released
-    return state.set_slot(MALLOC_SLOT, mapping)
+    return state.update_slot(MALLOC_SLOT, dict.fromkeys(symbols, released))
 
 
 def get_container_obj_region(state: ProgramState, sym: Symbol) -> MemRegion | None:
@@ -233,9 +222,8 @@ class MallocLite(Checker):
     # allocation --------------------------------------------------------------
 
     def check_post_new(self, ctx: CheckerContext, expr: Node, sym: Symbol) -> None:
-        mapping = region_state_map(ctx.state)
-        mapping[sym] = RefState.allocated(AllocationFamily.HEAP, expr)
-        ctx.add_transition(ctx.state.set_slot(MALLOC_SLOT, mapping))
+        ctx.add_transition(ctx.state.update_slot(
+            MALLOC_SLOT, {sym: RefState.allocated(AllocationFamily.HEAP, expr)}))
 
     def check_pre_delete(self, ctx: CheckerContext, stmt: Node, val: SVal) -> None:
         if isinstance(val, NullLocVal):
@@ -247,8 +235,7 @@ class MallocLite(Checker):
                     "argument is not memory allocated by new",
                     "unix.MallocLite", stmt.range.begin, stmt.range))
             return
-        mapping = region_state_map(ctx.state)
-        ref = mapping.get(sym)
+        ref = ctx.state.slot(MALLOC_SLOT).get(sym)
         if ref is None:
             return  # unknown origin: stay quiet
         if ref.status is RefStatus.RELEASED:
@@ -256,8 +243,8 @@ class MallocLite(Checker):
                 "Attempt to free released memory",
                 "unix.MallocLite", stmt.range.begin, stmt.range))
             return
-        mapping[sym] = RefState.released(ref.family, stmt)
-        ctx.add_transition(ctx.state.set_slot(MALLOC_SLOT, mapping))
+        ctx.add_transition(ctx.state.update_slot(
+            MALLOC_SLOT, {sym: RefState.released(ref.family, stmt)}))
 
     # use detection -------------------------------------------------------------
 
@@ -297,10 +284,10 @@ class MallocLite(Checker):
 
     def check_dead_symbols(self, ctx: CheckerContext, dead: frozenset,
                            dead_regions: frozenset) -> None:
-        mapping = region_state_map(ctx.state)
-        trimmed = {s: r for s, r in mapping.items() if s not in dead}
-        if len(trimmed) != len(mapping):
-            ctx.add_transition(ctx.state.set_slot(MALLOC_SLOT, trimmed))
+        mapping = ctx.state.slot(MALLOC_SLOT)
+        doomed = {sym: None for sym in dead if sym in mapping}
+        if doomed:
+            ctx.add_transition(ctx.state.update_slot(MALLOC_SLOT, doomed))
 
 
 class InnerPointer(Checker):
@@ -313,10 +300,10 @@ class InnerPointer(Checker):
                 sym = as_symbol(info.ret_val)
                 if sym is None:
                     return  # result not symbol-convertible
-                mapping = raw_ptr_map(state)
-                ptr_set = mapping.get(info.receiver_region, frozenset())
-                mapping[info.receiver_region] = ptr_set | {sym}
-                ctx.add_transition(state.set_slot(RAWPTR_SLOT, mapping))
+                region = info.receiver_region
+                ptr_set = state.slot(RAWPTR_SLOT).get(region, frozenset())
+                ctx.add_transition(state.update_slot(
+                    RAWPTR_SLOT, {region: ptr_set | {sym}}))
                 return
             if is_invalidating_member_function(info):
                 state = self.mark_ptr_symbols_released(
@@ -332,12 +319,11 @@ class InnerPointer(Checker):
     @staticmethod
     def mark_ptr_symbols_released(state: ProgramState, region: MemRegion,
                                   origin: Node | None) -> ProgramState:
-        mapping = raw_ptr_map(state)
-        ptr_set = mapping.pop(region, None)
+        ptr_set = state.slot(RAWPTR_SLOT).get(region)
         if ptr_set is None:
             return state  # nobody asked for a buffer pointer: nothing to do
         state = mark_released(state, ptr_set, origin)
-        return state.set_slot(RAWPTR_SLOT, mapping)
+        return state.update_slot(RAWPTR_SLOT, {region: None})
 
     def check_function_arguments(self, state: ProgramState,
                                  info: CallInfo) -> ProgramState:
@@ -362,19 +348,15 @@ class InnerPointer(Checker):
 
     def check_dead_symbols(self, ctx: CheckerContext, dead: frozenset,
                            dead_regions: frozenset) -> None:
-        mapping = raw_ptr_map(ctx.state)
-        changed = False
-        for region in list(mapping):
-            ptr_set = mapping[region]
-            trimmed = frozenset(s for s in ptr_set if s not in dead)
+        changes = {}
+        for region, ptr_set in ctx.state.slot(RAWPTR_SLOT).items():
+            trimmed = ptr_set - dead
             if region in dead_regions or not trimmed:
-                del mapping[region]
-                changed = True
+                changes[region] = None
             elif trimmed != ptr_set:
-                mapping[region] = trimmed
-                changed = True
-        if changed:
-            ctx.add_transition(ctx.state.set_slot(RAWPTR_SLOT, mapping))
+                changes[region] = trimmed
+        if changes:
+            ctx.add_transition(ctx.state.update_slot(RAWPTR_SLOT, changes))
 
 
 class DivZero(Checker):

@@ -147,10 +147,11 @@ def assemble_bug_path(report) -> Diagnostic:
     return checkers.assemble_bug_path(report)
 
 
-def _write(path: str, text: str, err) -> bool:
-    """Write `text` to `path`, or print why not and return False."""
+def _write(path: str, text: str, err, newline: str | None = None) -> bool:
+    """Write `text` to `path`, each "\n" as `newline` when given, or print
+    why not and return False."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8", newline=newline) as handle:
             handle.write(text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=err)
@@ -166,7 +167,11 @@ def run(config: RunConfig, out=None, err=None) -> int:
     0 otherwise. An escaping InternalError or RecursionError (an input
     whose expressions chain deeper than a recursive pass can follow) ends
     the run with one `internal error:` line and 3, not a traceback with the
-    exit code that means findings."""
+    exit code that means findings.
+
+    The tools see LF-only text without a leading UTF-8 byte-order mark, as
+    Clang skips it. --fix writes the mark back, and the file's line ending
+    when it has one kind; a file with mixed line endings is written as LF."""
     out = out or sys.stdout
     err = err or sys.stderr
     problem = config.validate()
@@ -184,10 +189,12 @@ def run(config: RunConfig, out=None, err=None) -> int:
             try:
                 with open(path, encoding="utf-8") as handle:
                     text = handle.read()
+                    newline = handle.newlines  # None, one string, or a tuple
             except (OSError, UnicodeDecodeError) as exc:
                 print(f"error: cannot read {path}: {exc}", file=err)
                 return 2
-            fe = load_unit(path, text, config.std_mode)
+            bom = "\ufeff" if text.startswith("\ufeff") else ""
+            fe = load_unit(path, text[len(bom):], config.std_mode)
             if fe.diagnostics:
                 for diag in fe.diagnostics:
                     print(render_diagnostic(diag), file=err)
@@ -241,7 +248,9 @@ def run(config: RunConfig, out=None, err=None) -> int:
                 fixed, warnings = apply_fixes(fe.file.text, diags)
                 for warning in warnings:
                     print(f"warning: {warning}", file=err)
-                if fixed != fe.file.text and not _write(path, fixed, err):
+                if fixed != fe.file.text and not _write(
+                        path, bom + fixed, err,
+                        newline if isinstance(newline, str) else None):
                     return 2
         if config.egraph_path and not _write(
                 config.egraph_path, "\n".join(egraph_chunks) + "\n", err):
@@ -274,3 +283,7 @@ def main_analyze() -> None:
 
 def main_tidy() -> None:
     sys.exit(main(["tidy", *sys.argv[1:]]))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

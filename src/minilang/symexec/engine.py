@@ -23,14 +23,12 @@ from ..frontend.astnodes import (
     StringLit, TranslationUnit, TypeRef, UnaryOp, VarDecl, strip_parens,
 )
 from ..source import InternalError, SourceFile, SourceLocation
-from .state import assume, assume_comparison, ProgramState
+from .state import assume, assume_comparison, COMPARISONS, ProgramState
 from .values import (
     as_symbol, ConcreteInt, FieldRegion, LocVal, MemRegion, NullLocVal,
     RangeSet, region_root, region_type, region_within, SVal, sym_add, sym_mul,
     sym_val, Symbol, SymbolicVal, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
 )
-
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 # The checker callbacks the engine dispatches; a checker implements any subset.
 CHECKER_HOOKS = (
@@ -419,7 +417,7 @@ class Engine:
             return [(not truth, st, v)
                     for truth, st, v in self.branch_split(via, state, frame, cond.operand)]
         out = []
-        if isinstance(cond, BinaryOp) and cond.op in _CMP_OPS:
+        if isinstance(cond, BinaryOp) and cond.op in COMPARISONS:
             for lv, st1, v1 in self.eval(via, state, frame, cond.lhs):
                 for rv, st2, v2 in self.eval(v1, st1, frame, cond.rhs):
                     for truth in (True, False):
@@ -706,12 +704,7 @@ class Engine:
         if sank:
             return None
         if isinstance(pointer, NullLocVal) or self.known_null(state, pointer):
-            loc = expr.range.begin
-            self.note(f"{loc}: note: null dereference, path terminated")
-            node, _ = self._graph.add(
-                PreStmtPoint(expr.node_id, frame.id, expr), state, via)
-            node.is_sink = True
-            return None
+            return self.null_deref_sink(via, state, frame, expr)
         if isinstance(pointer, LocVal):
             val, state = self.load(state, pointer.region, frame)
             return val, state, via
@@ -719,6 +712,13 @@ class Engine:
             refined = assume(state, pointer, True)  # surviving deref: non-null
             return UNKNOWN, refined if refined is not None else state, via
         return UNKNOWN, state, via
+
+    def null_deref_sink(self, via, state, frame, expr: Node) -> None:
+        """End the path at a dereference of null: a note and a sink node."""
+        self.note(f"{expr.range.begin}: note: null dereference, path terminated")
+        node, _ = self._graph.add(
+            PreStmtPoint(expr.node_id, frame.id, expr), state, via)
+        node.is_sink = True
 
     @staticmethod
     def known_null(state: ProgramState, val: SVal) -> bool:
@@ -765,12 +765,10 @@ class Engine:
         return out
 
     def fold_binary(self, op: str, lv: SVal, rv: SVal) -> SVal:
-        if op in _CMP_OPS:
+        compare = COMPARISONS.get(op)
+        if compare is not None:
             if isinstance(lv, ConcreteInt) and isinstance(rv, ConcreteInt):
-                table = {"==": lv.value == rv.value, "!=": lv.value != rv.value,
-                         "<": lv.value < rv.value, "<=": lv.value <= rv.value,
-                         ">": lv.value > rv.value, ">=": lv.value >= rv.value}
-                return ConcreteInt(1 if table[op] else 0)
+                return ConcreteInt(1 if compare(lv.value, rv.value) else 0)
             return UNKNOWN
         if isinstance(lv, ConcreteInt) and isinstance(rv, ConcreteInt):
             if op == "+":
@@ -827,11 +825,7 @@ class Engine:
         if sank:
             return None
         if isinstance(base, NullLocVal) or self.known_null(state, base):
-            self.note(f"{expr.range.begin}: note: null dereference, path terminated")
-            node, _ = self._graph.add(
-                PreStmtPoint(expr.node_id, frame.id, expr), state, via)
-            node.is_sink = True
-            return None
+            return self.null_deref_sink(via, state, frame, expr)
         if isinstance(base, LocVal):
             region = FieldRegion(base.region, expr.field_name, field_type)
             val, state = self.load(state, region, frame)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from collections.abc import KeysView, Mapping
 
 from ..source import InternalError
@@ -10,6 +11,9 @@ from .values import (
     SymbolicVal, SymExpr, linear_form, UndefinedVal, UnknownVal, val_symbols,
 )
 
+# The six comparison operators, each with its meaning on two ints.
+COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _FLIP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _MIRROR = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
@@ -41,7 +45,7 @@ class ProgramState:
         self._digests = (
             _digest(self.store.items()),
             _digest(self.constraints.items()),
-            _digest(_slot_item(key, k, v) for key, mapping in self.gdm.items()
+            _digest((key, k, v) for key, mapping in self.gdm.items()
                     for k, v in mapping.items()),
             _digest(self.ret_vals.items()),
             _digest(self.loop_counts.items()),
@@ -230,32 +234,45 @@ class ProgramState:
     def slot(self, key: str) -> Mapping:
         return self.gdm.get(key, {})
 
-    def set_slot(self, key: str, mapping: Mapping) -> "ProgramState":
-        """Replace one slot. Other slots are not read, and only the entries
-        that are not the very objects already stored are hashed and
-        recounted."""
+    def update_slot(self, key: str, changes: Mapping) -> "ProgramState":
+        """Write some entries of one slot, as Clang's `state->set<>` and
+        `remove<>` do: `changes` maps entry keys to new values, and a value
+        of None removes the entry (slot values are never None). Only these
+        entries are hashed and recounted, and a write that changes nothing
+        returns this state. An overwritten entry keeps its position, and a
+        slot left empty is dropped."""
         old = self.gdm.get(key, {})
-        fresh = dict(mapping)
+        mapping = None
         delta = 0
         came: list[Symbol] = []
         gone: list[Symbol] = []
-        for k, v in old.items():
-            if fresh.get(k, _ABSENT) is not v:
-                delta ^= hash(_slot_item(key, k, v))
-                gone.extend(_item_symbols(k, v))
-        for k, v in fresh.items():
-            if old.get(k, _ABSENT) is not v:
-                delta ^= hash(_slot_item(key, k, v))
+        for k, v in changes.items():
+            was = old.get(k)
+            if was is v:
+                continue  # the very object stored, or removing an absent key
+            if mapping is None:
+                mapping = dict(old)
+            if was is not None:
+                delta ^= hash((key, k, was))
+                gone.extend(_item_symbols(k, was))
+            if v is None:
+                del mapping[k]
+            else:
+                mapping[k] = v
+                delta ^= hash((key, k, v))
                 came.extend(_item_symbols(k, v))
+        if mapping is None:
+            return self
         new = self._derive()
         gdm = dict(self.gdm)
-        if fresh:
-            gdm[key] = fresh
+        if mapping:
+            gdm[key] = mapping
         else:
-            gdm.pop(key, None)
+            del gdm[key]
         new.gdm = gdm
         new._mix(_GDM, delta)
-        new._recount_slots(came, gone)
+        if came != gone:
+            new._recount_slots(came, gone)
         return new
 
     # --- per-frame bits ---
@@ -367,14 +384,9 @@ def _same(a: dict, b: dict) -> bool:
     return a is b or a == b
 
 
-def _slot_item(key: str, k, v) -> tuple:
-    """The hashable form of one checker-slot entry (set values frozen)."""
-    return key, k, frozenset(v) if isinstance(v, (set, frozenset)) else v
-
-
 def _item_symbols(k, v) -> list[Symbol]:
     out = [k] if isinstance(k, Symbol) else []
-    if isinstance(v, (set, frozenset)):
+    if isinstance(v, frozenset):
         out.extend(s for s in v if isinstance(s, Symbol))
     return out
 
@@ -422,7 +434,7 @@ def assume_comparison(state: ProgramState, lhs: SVal, op: str, rhs: SVal,
     concrete/concrete decides, symbolic/concrete refines a range, location
     null tests decide, everything else stays unconstrained."""
     if isinstance(lhs, ConcreteInt) and isinstance(rhs, ConcreteInt):
-        return state if _eval_cmp(lhs.value, op, rhs.value) == truth else INFEASIBLE
+        return state if COMPARISONS[op](lhs.value, rhs.value) == truth else INFEASIBLE
     if isinstance(lhs, SymbolicVal) and isinstance(rhs, ConcreteInt):
         return assume_relation(state, lhs.expr, op, rhs.value, truth)
     if isinstance(lhs, ConcreteInt) and isinstance(rhs, SymbolicVal):
@@ -446,9 +458,3 @@ def assume_comparison(state: ProgramState, lhs: SVal, op: str, rhs: SVal,
             return INFEASIBLE if same == unequal else state
     return state
 
-
-def _eval_cmp(a: int, op: str, b: int) -> bool:
-    return {
-        "==": a == b, "!=": a != b, "<": a < b,
-        "<=": a <= b, ">": a > b, ">=": a >= b,
-    }[op]

@@ -81,6 +81,18 @@ def test_input_that_is_not_utf8_exits_two_with_one_error(argv, tmp_path):
     assert path.read_bytes() == data
 
 
+@pytest.mark.parametrize("tool", sorted(TOOLS))
+def test_a_utf8_byte_order_mark_is_skipped(tool, tmp_path):
+    run, source = TOOLS[tool]
+    plain, marked = tmp_path / "plain.mc", tmp_path / "marked.mc"
+    plain.write_bytes(source.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + source.encode())
+    code, out, err = run([str(marked)])
+    plain_code, plain_out, plain_err = run([str(plain)])
+    assert code == plain_code == 1 and err == plain_err
+    assert out == plain_out.replace(str(plain), str(marked))
+
+
 def test_minilang_parse_error_exit_two(mc):
     path = mc("void f( {", "broken.mc")
     code, _, err = analyze_cli([path])
@@ -342,6 +354,35 @@ def test_tidy_findings_exit_one_and_fix_rewrites(mc, tmp_path):
     assert "(function_call())->value" in fixed
 
 
+def fixed_bytes(tmp_path, data: bytes) -> bytes:
+    """`data` after `mini-tidy --fix`."""
+    path = tmp_path / "fix.mc"
+    path.write_bytes(data)
+    code, _, _ = tidy_cli([str(path), "--fix"])
+    assert code == 1
+    return path.read_bytes()
+
+
+def test_tidy_fix_writes_the_byte_order_mark_back(tmp_path):
+    plain = fixed_bytes(tmp_path, REDUNDANT_PTR.encode())
+    assert plain != REDUNDANT_PTR.encode()
+    assert fixed_bytes(tmp_path, b"\xef\xbb\xbf" + REDUNDANT_PTR.encode()) \
+        == b"\xef\xbb\xbf" + plain
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+def test_tidy_fix_keeps_the_line_endings(ending, tmp_path):
+    plain = fixed_bytes(tmp_path, REDUNDANT_PTR.encode())
+    data = REDUNDANT_PTR.encode().replace(b"\n", ending)
+    assert fixed_bytes(tmp_path, data) == plain.replace(b"\n", ending)
+
+
+def test_tidy_fix_writes_mixed_line_endings_as_lf(tmp_path):
+    plain = fixed_bytes(tmp_path, REDUNDANT_PTR.encode())
+    data = REDUNDANT_PTR.encode().replace(b"\n", b"\r\n", 1)
+    assert fixed_bytes(tmp_path, data) == plain
+
+
 def test_tidy_clean_exit_zero(mc):
     path = mc("void f() { int x = 1; x = x + 1; }")
     code, out, _ = tidy_cli([path])
@@ -413,6 +454,19 @@ def test_console_entry_points_exit_codes(entry, mc, tmp_path):
             env=env, capture_output=True, text=True, timeout=60)
         assert child.returncode == code, child.stdout + child.stderr
         assert "Traceback" not in child.stdout + child.stderr
+
+
+def test_cli_module_runs_as_a_script():
+    # `python -m minilang.cli` runs `main`, exit code included
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    path = root / "scripts" / "examples" / "div_zero.mc"
+    child = subprocess.run(
+        [sys.executable, "-m", "minilang.cli", "analyze", str(path)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 1, child.stdout + child.stderr
+    assert f"{path}:11:11: warning: Division by zero [core.DivideZero]" in child.stdout
 
 
 def test_analyze_accepts_std17_sources(mc):

@@ -29,10 +29,23 @@ EDGES = [(3, 1, 1), (4, 2, 1), (3, 1, 2)]
 symbols = st.sampled_from(SYMBOLS)
 regions = st.sampled_from(REGIONS)
 values = st.sampled_from(VALUES)
+
+
+def slot_changes(keys, new_values):
+    """Change sets for one slot. Besides a new value, a change may name the
+    stored object again ("same"), an equal but distinct copy of it ("copy")
+    or None, which removes the entry; `resolve` makes the first two into
+    objects, and a key may be absent for any of them."""
+    change = st.one_of(new_values, st.sampled_from(("same", "copy", None)))
+    return st.dictionaries(keys, change, max_size=3)
+
+
 # One slot maps symbols to plain values, the other regions to symbol sets.
-slot_entries = st.one_of(
-    st.tuples(st.just(SLOTS[0]), symbols, st.integers(0, 2)),
-    st.tuples(st.just(SLOTS[1]), regions, st.frozensets(symbols, max_size=2)),
+SLOT_CHANGES = st.one_of(
+    st.tuples(st.just(SLOTS[0]),
+              slot_changes(symbols, st.integers(0, 2).map(lambda n: ("v", n)))),
+    st.tuples(st.just(SLOTS[1]),
+              slot_changes(regions, st.frozensets(symbols, max_size=2))),
 )
 
 OPS = st.one_of(
@@ -41,10 +54,7 @@ OPS = st.one_of(
     st.tuples(st.just("unbind_where"), st.frozensets(regions, max_size=2)),
     st.tuples(st.just("constrain"), symbols, st.sampled_from(RANGES)),
     st.tuples(st.just("drop_constraints"), st.lists(symbols, max_size=3)),
-    st.tuples(st.just("set_slot"), st.sampled_from(SLOTS),
-              st.lists(slot_entries, max_size=3)),
-    # edit a copy of the stored slot, as the checkers do
-    st.tuples(st.just("edit_slot"), slot_entries, st.booleans()),
+    st.tuples(st.just("update_slot"), SLOT_CHANGES),
     st.tuples(st.just("set_ret"), st.integers(1, 2), values),
     st.tuples(st.just("drop_frame"), st.integers(1, 2)),
     st.tuples(st.just("bump_loop"), st.sampled_from(EDGES)),
@@ -59,18 +69,28 @@ def apply(state: ProgramState, op) -> ProgramState:
         return state.bind_many(args[0])
     if name == "unbind_where":
         return state.unbind_where(lambda r: r in args[0])
-    if name == "set_slot":
-        key, entries = args
-        return state.set_slot(key, {k: v for slot, k, v in entries if slot == key})
-    if name == "edit_slot":
-        (key, k, v), delete = args
-        mapping = dict(state.slot(key))
-        if delete:
-            mapping.pop(k, None)
-        else:
-            mapping[k] = v
-        return state.set_slot(key, mapping)
+    if name == "update_slot":
+        key, changes = args[0]
+        return state.update_slot(key, resolve(state.slot(key), changes))
     return getattr(state, name)(*args)
+
+
+def resolve(stored, changes) -> dict:
+    """`changes` with "same" and "copy" made into the stored object and an
+    equal but distinct copy of it (an absent key gets a fresh value)."""
+    out = {}
+    for k, v in changes.items():
+        if v in ("same", "copy"):
+            old = stored.get(k)
+            if old is None:
+                v = ("v", 0) if isinstance(k, Symbol) else frozenset()
+            elif v == "same":
+                v = old
+            else:
+                v = type(old)(list(old))
+                assert v == old and v is not old
+        out[k] = v
+    return out
 
 
 def run(ops) -> ProgramState:
@@ -112,7 +132,7 @@ def reordered(state):
     for sym, rng in reversed(state.constraints.items()):
         out = out.constrain(sym, rng)
     for key, mapping in reversed(state.gdm.items()):
-        out = out.set_slot(key, dict(reversed(mapping.items())))
+        out = out.update_slot(key, dict(reversed(mapping.items())))
     for frame, val in reversed(state.ret_vals.items()):
         out = out.set_ret(frame, val)
     for edge, count in reversed(state.loop_counts.items()):
@@ -164,7 +184,36 @@ def test_equality_is_equality_of_contents(ops_a, ops_b):
 
 def test_mutators_leave_unchanged_components_shared():
     state = ProgramState().bind(_A, sym_val(SYMBOLS[0]))
-    state = state.set_slot(SLOTS[0], {SYMBOLS[0]: 1})
+    state = state.update_slot(SLOTS[0], {SYMBOLS[0]: 1})
     bound = state.bind(_B, ConcreteInt(1))
     assert bound.gdm is state.gdm and bound.constraints is state.constraints
     assert bound._live is state._live  # a concrete value holds no symbol
+
+
+@given(st.lists(SLOT_CHANGES, min_size=1, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_update_slot_is_a_dict_edit_of_the_named_entries(writes):
+    # one live symbol, so that slot writes make symbols both dead and not
+    state = ProgramState().bind(_A, sym_val(SYMBOLS[0]))
+    for key, changes in writes:
+        changes = resolve(state.slot(key), changes)
+        expected = dict(state.slot(key))
+        for k, v in changes.items():
+            if v is None:
+                expected.pop(k, None)
+            else:
+                expected[k] = v  # an overwritten entry keeps its position
+        updated = state.update_slot(key, changes)
+        assert list(updated.slot(key).items()) == list(expected.items())
+        assert all(a is b for a, b in zip(updated.slot(key).values(),
+                                          expected.values()))
+        assert (key in updated.gdm) == bool(expected)  # an emptied slot is dropped
+        assert updated.store is state.store and updated._live is state._live
+        if all(state.slot(key).get(k) is v for k, v in changes.items()):
+            assert updated is state  # nothing to write
+        fresh = rebuilt(updated)
+        assert updated._digests == fresh._digests
+        assert updated._slot_refs == fresh._slot_refs
+        assert set(updated.dead_symbols()) == set(fresh.dead_symbols())
+        assert updated == fresh and hash(updated) == hash(fresh)
+        state = updated

@@ -315,7 +315,7 @@ def test_state_immutability_under_every_operation():
     sym = fresh_sym("s")
     region = VarRegion_stub()
     state = (ProgramState().bind(region, sym_val(sym))
-             .constrain(sym, RangeSet.of((1, 9))).set_slot("k", {sym: 1})
+             .constrain(sym, RangeSet.of((1, 9))).update_slot("k", {sym: 1})
              .set_ret(0, sym_val(sym)).bump_loop((2, 1, 0)))
 
     def snapshot():
@@ -328,8 +328,9 @@ def test_state_immutability_under_every_operation():
     state.unbind_where(lambda r: True)
     state.constrain(sym, RangeSet.of((0, 5)))
     state.drop_constraints([sym])
-    state.set_slot("k", {"a": 1})
-    state.set_slot("k", {})
+    state.update_slot("k", {"a": 1})
+    state.update_slot("k", {sym: 2})
+    state.update_slot("k", {sym: None})
     state.set_ret(0, ConcreteInt(2))
     state.drop_frame(0)
     state.bump_loop((2, 1, 0))
@@ -339,19 +340,21 @@ def test_state_immutability_under_every_operation():
 def test_slot_set_get_roundtrip_and_persistence():
     state = ProgramState()
     sym = fresh_sym("s")
-    updated = state.set_slot("checker.key", {sym: "tracked"})
+    updated = state.update_slot("checker.key", {sym: "tracked"})
     assert updated.slot("checker.key") == {sym: "tracked"}
     assert state.slot("checker.key") == {}
+    assert updated.update_slot("checker.key", {sym: None}) == state
 
 
 def test_two_checker_slots_are_independent():
     state = ProgramState()
-    one = state.set_slot("first", {"a": 1})
-    both = one.set_slot("second", {"b": 2})
+    one = state.update_slot("first", {"a": 1})
+    both = one.update_slot("second", {"b": 2})
     assert both.slot("first") == {"a": 1}
     assert both.slot("second") == {"b": 2}
-    only_second = both.set_slot("first", {})
+    only_second = both.update_slot("first", {"a": None})
     assert only_second.slot("first") == {} and only_second.slot("second") == {"b": 2}
+    assert "first" not in only_second.gdm  # an emptied slot is dropped
 
 
 def test_duplicate_state_slot_is_a_configuration_error():
@@ -498,6 +501,6 @@ def test_add_transition_twice_in_one_callback_is_an_error():
     from minilang.symexec.engine import CheckerContext
 
     ctx = CheckerContext(ProgramState())
-    ctx.add_transition(ProgramState().set_slot("k", {"a": 1}))
+    ctx.add_transition(ProgramState().update_slot("k", {"a": 1}))
     with pytest.raises(InternalError):
         ctx.add_transition(ProgramState())
