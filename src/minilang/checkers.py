@@ -43,7 +43,12 @@ class AllocationFamily(enum.Enum):
 class RefState(NamedTuple):
     status: RefStatus
     family: AllocationFamily
-    origin: Node | None = None  # may be None (destructor-triggered release)
+    # The statement that allocated or released, None for a release by a
+    # destructor. No code reads it, but it is part of the state's identity,
+    # as the statement is in Clang's `RefState::Profile`: two paths that
+    # freed one pointer at different `delete`s stay two states, so a later
+    # double free is reported on each path instead of once after a merge.
+    origin: Node | None = None
 
     @staticmethod
     def allocated(family: AllocationFamily, origin: Node | None) -> "RefState":

@@ -16,28 +16,24 @@ class Severity(enum.Enum):
     NOTE = "note"
 
 
-class FixKind(enum.Enum):
-    INSERTION = "insertion"
-    REPLACEMENT = "replacement"
-    REMOVAL = "removal"
-
-
 class FixIt(NamedTuple):
-    kind: FixKind
+    """Replace `range` with `text`, as Clang's `FixItHint` does: an insertion
+    has an empty range, a removal an empty text."""
+
     range: SourceRange
     text: str = ""
 
     @staticmethod
     def insertion(loc: SourceLocation, text: str) -> "FixIt":
-        return FixIt(FixKind.INSERTION, SourceRange(loc, loc), text)
+        return FixIt(SourceRange(loc, loc), text)
 
     @staticmethod
     def replacement(rng: SourceRange, text: str) -> "FixIt":
-        return FixIt(FixKind.REPLACEMENT, rng, text)
+        return FixIt(rng, text)
 
     @staticmethod
     def removal(rng: SourceRange) -> "FixIt":
-        return FixIt(FixKind.REMOVAL, rng)
+        return FixIt(rng)
 
 
 class Diagnostic:
@@ -123,7 +119,7 @@ def render_diagnostic(diag: Diagnostic) -> str:
         caret += "~" * min(extra, max(0, len(src) - loc.column))
     lines.append(caret)
     for fx in diag.fixits:
-        if fx.kind in (FixKind.INSERTION, FixKind.REPLACEMENT) and fx.text:
+        if fx.text:
             lines.append(" " * (fx.range.begin.column - 1) + fx.text)
     return "\n".join(lines)
 
@@ -205,8 +201,7 @@ def _rewrite(text: str, edits: list[FixIt]) -> str:
     pieces: list[str] = []  # rewritten text[low:], rightmost piece first
     low = len(text)
     for fx in sorted(edits, key=lambda f: f.range.begin.offset, reverse=True):
-        begin = fx.range.begin.offset
-        end = begin if fx.kind is FixKind.INSERTION else fx.range.end.offset
+        begin, end = fx.range.begin.offset, fx.range.end.offset
         if end <= low:
             pieces.append(text[end:low])
         else:
@@ -217,7 +212,7 @@ def _rewrite(text: str, edits: list[FixIt]) -> str:
                     pieces.append(piece[cut:])
                     break
                 cut -= len(piece)
-        pieces.append("" if fx.kind is FixKind.REMOVAL else fx.text)
+        pieces.append(fx.text)
         low = begin
     pieces.append(text[:low])
     return "".join(reversed(pieces))

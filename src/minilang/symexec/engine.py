@@ -26,7 +26,7 @@ from ..source import InternalError, SourceFile, SourceLocation
 from .state import assume, assume_comparison, COMPARISONS, ProgramState
 from .values import (
     as_symbol, ConcreteInt, FieldRegion, LocVal, MemRegion, NullLocVal,
-    RangeSet, region_root, region_type, region_within, SVal, sym_add, sym_mul,
+    RangeSet, region_root, region_within, SVal, sym_add, sym_mul,
     sym_val, Symbol, SymbolicVal, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
 )
 
@@ -35,6 +35,10 @@ CHECKER_HOOKS = (
     "check_pre_delete", "check_implicit_dtor", "check_post_dtor", "check_use",
     "check_dead_symbols", "check_div", "check_post_new", "check_post_call",
 )
+
+# The engine's own data-map slot, as Clang's loop unroller keeps its loop
+# stack in the generic data map: back edge (src, dst, frame) -> times taken.
+LOOP_SLOT = "Engine.LoopCounts"
 
 
 def _c_div(a: int, b: int) -> int:
@@ -50,11 +54,10 @@ class AnalysisConfig(NamedTuple):
 
 
 # --- program points ----------------------------------------------------------
-# Named tuples, compared and hashed as tuples of all their fields. A point's
-# node (var, loc) is the one its node_id (var_id, block and index) names, so
-# comparing it too changes nothing. The two call points have the same shape
-# and so compare their class as well: no two points of different classes are
-# equal.
+# Named tuples, compared and hashed as tuples of all their fields; an AST node
+# field compares by identity. The classes differ in arity or field types,
+# except the two call points, which have the same shape and so compare their
+# class as well: no two points of different classes are equal.
 
 class BlockEdgePoint(NamedTuple):
     src: int
@@ -67,7 +70,6 @@ class BlockEdgePoint(NamedTuple):
 
 
 class PreStmtPoint(NamedTuple):
-    node_id: int
     frame: int
     node: Node
 
@@ -76,7 +78,6 @@ class PreStmtPoint(NamedTuple):
 
 
 class PostStmtPoint(NamedTuple):
-    node_id: int
     block: int  # -1 for sub-expression transitions (not steppable)
     index: int
     frame: int
@@ -119,7 +120,6 @@ class CallExitPoint(NamedTuple):
 
 
 class PostImplicitCallPoint(NamedTuple):
-    var_id: int
     block: int
     index: int
     frame: int
@@ -247,7 +247,7 @@ class Engine:
         self._frame_counter = 0
         self._conjure_counter = 0
         self._graph: ExplodedGraph | None = None
-        slots = set()
+        slots = {LOOP_SLOT}  # the engine's own
         for checker in self.checkers:
             for key in getattr(checker, "state_slots", ()):
                 if key in slots:
@@ -269,11 +269,10 @@ class Engine:
             self._noted.update(cfg.notes)
         return cfg
 
-    def conjure(self, value_type: TypeRef, hint: str = "") -> SVal:
+    def conjure(self, hint: str = "") -> SVal:
         self._conjure_counter += 1
         name = hint or f"c{self._conjure_counter}"
-        sym = Symbol(self._conjure_counter, name, hint or "conjured", value_type)
-        return sym_val(sym)
+        return sym_val(Symbol(self._conjure_counter, name))
 
     def new_frame(self, fn: FunctionDecl, depth: int) -> _Frame:
         self._frame_counter += 1
@@ -306,7 +305,7 @@ class Engine:
         frame = self.new_frame(fn, 0)
         state = ProgramState()
         for param in fn.params:
-            sym = self.conjure_param(param)
+            sym = self.conjure(param.name)
             state = state.bind(VarRegion(param, frame.id), sym)
             state = self._constrain_fresh(state, sym, param.declared_type)
         cfg = self.cfg_of(fn)
@@ -324,12 +323,6 @@ class Engine:
                 self.note(exhausted)
         self.result.graphs[fn.name] = graph
         return graph
-
-    def conjure_param(self, param: ParamDecl) -> SVal:
-        self._conjure_counter += 1
-        sym = Symbol(self._conjure_counter, param.name, f"param {param.name}",
-                     param.declared_type.value_type())
-        return sym_val(sym)
 
     def _constrain_fresh(self, state: ProgramState, val: SVal,
                          declared: TypeRef) -> ProgramState:
@@ -364,8 +357,7 @@ class Engine:
                 out: list[ExplodedNode] = []
                 for st, v in self.exec_stmt(via, state, frame, element.stmt):
                     st = self.reap(st)
-                    point = PostStmtPoint(element.stmt.node_id, block_id, index,
-                                          fid, element.stmt)
+                    point = PostStmtPoint(block_id, index, fid, element.stmt)
                     node, is_new = self._graph.add(point, st, v)
                     if is_new:
                         out.append(node)
@@ -400,11 +392,12 @@ class Engine:
         state = self.reap(state)
         if dst <= src:  # back edge under reverse post-order numbering
             edge = (src, dst, frame.id)
-            if state.loop_count(edge) >= self.config.unroll:
+            count = state.slot(LOOP_SLOT).get(edge, 0)
+            if count >= self.config.unroll:
                 self.note(f"{frame.fn.name}: note: loop unroll limit reached, "
                           "path abandoned")
                 return None
-            state = state.bump_loop(edge)
+            state = state.update_slot(LOOP_SLOT, {edge: count + 1})
         node, is_new = self._graph.add(BlockEdgePoint(src, dst, frame.id), state, via)
         return node if is_new else None
 
@@ -454,8 +447,7 @@ class Engine:
         if decl.init is None:
             if declared.base == "string" and declared.indirections == 0:
                 # default construction: the string gets a fresh value identity
-                state = state.bind(region, self.conjure(declared.value_type(),
-                                                        f"{decl.name}_str"))
+                state = state.bind(region, self.conjure(f"{decl.name}_str"))
             return [(state, via)]
         out = []
         for val, st, v in self.eval(via, state, frame, decl.init):
@@ -504,7 +496,7 @@ class Engine:
         for val, st, v in self.eval(via, state, frame, stmt.operand):
             st, v, sank = self.dispatch(
                 "check_pre_delete", v, st,
-                lambda: PreStmtPoint(stmt.node_id, frame.id, stmt),
+                lambda: PreStmtPoint(frame.id, stmt),
                 stmt, val, make_node=False)
             if sank:
                 continue
@@ -516,8 +508,8 @@ class Engine:
         """Run one implicit string destructor. Returns (state, via, node|None),
         or None when the path sank."""
         region = VarRegion(element.var, frame.id)
-        point = PostImplicitCallPoint(element.var.node_id, block_id, index,
-                                      frame.id, element.var, element.loc)
+        point = PostImplicitCallPoint(block_id, index, frame.id, element.var,
+                                      element.loc)
         made = None
         new_state, via2, sank = self.dispatch(
             "check_implicit_dtor", via, state, lambda: point,
@@ -565,7 +557,7 @@ class Engine:
     def dispatch_use(self, via, state, frame, node: Node, val: SVal, kind: str):
         return self.dispatch(
             "check_use", via, state,
-            lambda: PreStmtPoint(node.node_id, frame.id, node),
+            lambda: PreStmtPoint(frame.id, node),
             node, val, kind, make_node=False)
 
     def reap(self, state: ProgramState) -> ProgramState:
@@ -642,8 +634,7 @@ class Engine:
             parent_val = state.lookup(region.parent)
             if isinstance(parent_val, SymbolicVal):
                 # unknown struct contents: conjure once and remember
-                fresh = self.conjure(region.field_type.value_type()
-                                     if region.field_type else TypeRef("int"))
+                fresh = self.conjure()
                 return fresh, state.bind(region, fresh)
         return UNDEFINED, state
 
@@ -717,7 +708,7 @@ class Engine:
         """End the path at a dereference of null: a note and a sink node."""
         self.note(f"{expr.range.begin}: note: null dereference, path terminated")
         node, _ = self._graph.add(
-            PreStmtPoint(expr.node_id, frame.id, expr), state, via)
+            PreStmtPoint(frame.id, expr), state, via)
         node.is_sink = True
 
     @staticmethod
@@ -742,7 +733,7 @@ class Engine:
                 if op == "/":
                     st2, v2, sank = self.dispatch(
                         "check_div", v2, st2,
-                        lambda: PreStmtPoint(expr.node_id, frame.id, expr),
+                        lambda: PreStmtPoint(frame.id, expr),
                         expr, rv, make_node=False)
                     if sank:
                         continue
@@ -832,19 +823,17 @@ class Engine:
             return val, state, via
         if isinstance(base, SymbolicVal):
             refined = assume(state, base, True)
-            ft = field_type.value_type() if field_type else TypeRef("int")
-            return self.conjure(ft), refined if refined is not None else state, via
+            return self.conjure(), refined if refined is not None else state, via
         return UNKNOWN, state, via
 
     def eval_new(self, via, state, frame, expr: NewExpr):
         line, _ = expr.file.line_column(expr.begin)
-        val = self.conjure(TypeRef(expr.type_name, 1),
-                           f"new{line}_{self._conjure_counter + 1}")
+        val = self.conjure(f"new{line}_{self._conjure_counter + 1}")
         sym = as_symbol(val)
         state = state.constrain(sym, RangeSet.singleton(0).complement())
         state, via, sank = self.dispatch(
             "check_post_new", via, state,
-            lambda: PreStmtPoint(expr.node_id, frame.id, expr),
+            lambda: PreStmtPoint(frame.id, expr),
             expr, sym, make_node=False)
         if sank:
             return []
@@ -860,7 +849,7 @@ class Engine:
                 continue
             if expr.op == "+=":
                 if lhs_type is not None and lhs_type.base == "string":
-                    result = self.conjure(TypeRef("string"))
+                    result = self.conjure()
                 else:
                     current, st1 = self.load(st1, region, frame)
                     result = self.fold_binary("+", current, rv)
@@ -875,7 +864,7 @@ class Engine:
                                 region, result, [])
                 st2, v1, sank = self.dispatch(
                     "check_post_call", v1, st2,
-                    lambda: PostStmtPoint(expr.node_id, -1, -1, frame.id, expr),
+                    lambda: PostStmtPoint(-1, -1, frame.id, expr),
                     info, make_node=True)
                 if sank:
                     continue
@@ -906,19 +895,18 @@ class Engine:
                     continue
                 ret = UNKNOWN
                 if method is not None and method.returns.base != "void":
-                    ret = self.conjure(method.returns.value_type(),
-                                       f"{expr.method_name}{self._conjure_counter + 1}")
+                    ret = self.conjure(f"{expr.method_name}{self._conjure_counter + 1}")
                 st2 = st1
                 if method is not None and method.invalidating and region is not None:
-                    st2 = st2.bind(region, self.conjure(TypeRef("string")))
+                    st2 = st2.bind(region, self.conjure())
                 for ptype, _, lregion in args:
                     if ptype is not None and ptype.is_reference \
                             and not ptype.is_const and lregion is not None:
-                        st2 = st2.bind(lregion, self.conjure(ptype.value_type()))
+                        st2 = st2.bind(lregion, self.conjure())
                 info = CallInfo(expr, expr.method_name, "method", region, ret, args)
                 st2, v2, sank = self.dispatch(
                     "check_post_call", v1, st2,
-                    lambda: PostStmtPoint(expr.node_id, -1, -1, frame.id, expr),
+                    lambda: PostStmtPoint(-1, -1, frame.id, expr),
                     info, make_node=True)
                 if sank:
                     continue
@@ -981,27 +969,20 @@ class Engine:
                 target = val.region
             if target is None:
                 continue
-            rebinds = {}
-            for region in state.store:
-                if region_within(region, target):
-                    rt = (region.field_type if isinstance(region, FieldRegion)
-                          else region_type(region))
-                    rebinds[region] = self.conjure(
-                        rt.value_type() if rt else TypeRef("int"))
+            rebinds = {region: self.conjure() for region in state.store
+                       if region_within(region, target)}
             if target not in rebinds:
-                rt = region_type(target)
-                rebinds[target] = self.conjure(rt.value_type() if rt else TypeRef("int"))
+                rebinds[target] = self.conjure()
             state = state.bind_many(rebinds)
         ret: SVal = UNKNOWN
         if decl.return_type.base != "void" or decl.return_type.indirections:
-            ret = self.conjure(decl.return_type.value_type(),
-                               f"{decl.name}{self._conjure_counter + 1}")
+            ret = self.conjure(f"{decl.name}{self._conjure_counter + 1}")
             state = self._constrain_fresh(state, ret, decl.return_type)
         info = CallInfo(expr, decl.name, "function", None, ret, args,
                         is_extern=isinstance(decl, ExternDecl))
         state, via, sank = self.dispatch(
             "check_post_call", via, state,
-            lambda: PostStmtPoint(expr.node_id, -1, -1, frame.id, expr),
+            lambda: PostStmtPoint(-1, -1, frame.id, expr),
             info, make_node=True)
         if sank:
             return []
@@ -1045,14 +1026,15 @@ class Engine:
                 if isinstance(region_root(r), VarRegion)
                 and region_root(r).frame == new_frame.id)
             st = st.unbind_where(lambda r: r in dead_regions)
-            st = st.drop_frame(new_frame.id)
+            st = st.drop_frame(new_frame.id).update_slot(LOOP_SLOT, {
+                edge: None for edge in st.slot(LOOP_SLOT) if edge[2] == new_frame.id})
             st = self._reap_with(st, dead_regions)
             exit_point = CallExitPoint(expr.node_id, frame.id)
             exit_n, _ = self._graph.add(exit_point, st, exit_node)
             info = CallInfo(expr, callee.name, "function", None, ret, args)
             st, v2, sank = self.dispatch(
                 "check_post_call", exit_n, st,
-                lambda: PostStmtPoint(expr.node_id, -1, -1, frame.id, expr),
+                lambda: PostStmtPoint(-1, -1, frame.id, expr),
                 info, make_node=True)
             if sank:
                 continue

@@ -19,8 +19,8 @@ _MIRROR = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 class ProgramState:
-    """Store, range constraints, checker data and per-frame bits, as one
-    immutable value; every mutator returns a fresh state.
+    """Store, range constraints, checker data and pending return values, as
+    one immutable value; every mutator returns a fresh state.
 
     Each mutator costs what it changes, not the size of the state. Every
     component keeps a digest, the XOR of its items' hashes, which the
@@ -32,23 +32,20 @@ class ProgramState:
     share every dict they do not change, so a dict is never mutated after
     the state that owns it has been returned."""
 
-    __slots__ = ("store", "constraints", "gdm", "ret_vals", "loop_counts",
+    __slots__ = ("store", "constraints", "gdm", "ret_vals",
                  "_digests", "_live", "_slot_refs", "_dead", "_hash")
 
-    def __init__(self, store=None, constraints=None, gdm=None, ret_vals=None,
-                 loop_counts=None):
+    def __init__(self, store=None, constraints=None, gdm=None, ret_vals=None):
         self.store: dict[MemRegion, SVal] = dict(store or {})
         self.constraints: dict[Symbol, RangeSet] = dict(constraints or {})
         self.gdm: dict[str, Mapping] = {k: dict(v) for k, v in (gdm or {}).items()}
         self.ret_vals: dict[int, SVal] = dict(ret_vals or {})
-        self.loop_counts: dict[tuple, int] = dict(loop_counts or {})
         self._digests = (
             _digest(self.store.items()),
             _digest(self.constraints.items()),
             _digest((key, k, v) for key, mapping in self.gdm.items()
                     for k, v in mapping.items()),
             _digest(self.ret_vals.items()),
-            _digest(self.loop_counts.items()),
         )
         self._live: dict[Symbol, int] = {}
         self._slot_refs: dict[Symbol, int] = {}
@@ -69,7 +66,6 @@ class ProgramState:
         new.constraints = self.constraints
         new.gdm = self.gdm
         new.ret_vals = self.ret_vals
-        new.loop_counts = self.loop_counts
         new._digests = self._digests
         new._live = self._live
         new._slot_refs = self._slot_refs
@@ -275,7 +271,7 @@ class ProgramState:
             new._recount_slots(came, gone)
         return new
 
-    # --- per-frame bits ---
+    # --- pending return values, one per frame ---
 
     def set_ret(self, frame: int, val: SVal) -> "ProgramState":
         new = self._derive()
@@ -298,39 +294,16 @@ class ProgramState:
         return self.ret_vals.get(frame)
 
     def drop_frame(self, frame: int) -> "ProgramState":
-        new = self._derive()
         old = self.ret_vals.get(frame, _ABSENT)
-        if old is not _ABSENT:
-            ret_vals = dict(self.ret_vals)
-            del ret_vals[frame]
-            new.ret_vals = ret_vals
-            new._mix(_RET_VALS, hash((frame, old)))
-            new._recount_live((), val_symbols(old))
-        doomed = [(e, c) for e, c in self.loop_counts.items() if e[2] == frame]
-        if doomed:
-            loop_counts = dict(self.loop_counts)
-            delta = 0
-            for edge, count in doomed:
-                del loop_counts[edge]
-                delta ^= hash((edge, count))
-            new.loop_counts = loop_counts
-            new._mix(_LOOP_COUNTS, delta)
-        return new
-
-    def bump_loop(self, edge: tuple) -> "ProgramState":
+        if old is _ABSENT:
+            return self
         new = self._derive()
-        loop_counts = dict(self.loop_counts)
-        count = loop_counts.get(edge, 0)
-        delta = hash((edge, count + 1))
-        if count:
-            delta ^= hash((edge, count))
-        loop_counts[edge] = count + 1
-        new.loop_counts = loop_counts
-        new._mix(_LOOP_COUNTS, delta)
+        ret_vals = dict(self.ret_vals)
+        del ret_vals[frame]
+        new.ret_vals = ret_vals
+        new._mix(_RET_VALS, hash((frame, old)))
+        new._recount_live((), val_symbols(old))
         return new
-
-    def loop_count(self, edge: tuple) -> int:
-        return self.loop_counts.get(edge, 0)
 
     # --- identity ---
 
@@ -345,8 +318,7 @@ class ProgramState:
         return (_same(self.store, other.store)
                 and _same(self.constraints, other.constraints)
                 and _same(self.gdm, other.gdm)
-                and _same(self.ret_vals, other.ret_vals)
-                and _same(self.loop_counts, other.loop_counts))
+                and _same(self.ret_vals, other.ret_vals))
 
     def __hash__(self):
         if self._hash is None:
@@ -368,7 +340,7 @@ class ProgramState:
         return self._dead.keys()
 
 
-_STORE, _CONSTRAINTS, _GDM, _RET_VALS, _LOOP_COUNTS = range(5)
+_STORE, _CONSTRAINTS, _GDM, _RET_VALS = range(4)
 _ABSENT = object()
 _new_state = object.__new__
 

@@ -22,14 +22,12 @@ IMAX = (1 << 63) - 1
 
 class Symbol(NamedTuple):
     """A symbol compares and hashes by identity, as Clang's uniqued symbols
-    compare by pointer. `Engine.conjure` and `Engine.conjure_param` make
-    each one exactly once, under a fresh id per analyzed function, so no two
-    distinct symbols of one exploded graph have equal fields."""
+    compare by pointer. `Engine.conjure` makes each one exactly once, under
+    a fresh id per analyzed function, so no two distinct symbols of one
+    exploded graph have equal fields."""
 
     id: int
-    name: str  # render hint: parameter name or conjure counter
-    origin: str  # program point description of the conjuring site
-    value_type: TypeRef
+    name: str  # render hint: parameter name, conjuring site or counter
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 from . import matchers as M
 from .diagnostics import (  # noqa: F401  (re-exported framework surface)
-    apply_fixes, Diagnostic, emit_diag, FixIt, FixKind, format_message,
+    apply_fixes, Diagnostic, emit_diag, FixIt, format_message,
     render_diagnostic, Severity,
 )
 from .frontend import node_text
@@ -33,7 +33,7 @@ class UsageKind(enum.IntEnum):
 class VarUsage:
     def __init__(self, usage_kind: UsageKind, decl_ref: DeclRef,
                  deref_expr: Node | None = None, inited_var: VarDecl | None = None,
-                 guard_if: IfStmt | None = None, flow_stmt: Node | None = None):
+                 guard_if: IfStmt | None = None):
         assert (deref_expr is not None) == (
             usage_kind in (UsageKind.DEREFERENCE, UsageKind.DEREF_INIT))
         assert (inited_var is not None) == (usage_kind is UsageKind.DEREF_INIT)
@@ -43,7 +43,6 @@ class VarUsage:
         self.deref_expr = deref_expr  # DEREFERENCE, DEREF_INIT
         self.inited_var = inited_var  # DEREF_INIT
         self.guard_if = guard_if  # GUARD
-        self.flow_stmt = flow_stmt  # GUARD
 
 
 def _specializes(new: UsageKind, old: UsageKind) -> bool:
@@ -184,8 +183,7 @@ class RedundantPointerCheck(TidyCheck):
             ref = M.getBound(result, "UsedVar", DeclRef)
             if flow is None or ref is None:
                 raise InternalError("guard match without its bindings")
-            self.ledger.add_usage(ref, VarUsage(UsageKind.GUARD, ref,
-                                                guard_if=guard, flow_stmt=flow))
+            self.ledger.add_usage(ref, VarUsage(UsageKind.GUARD, ref, guard_if=guard))
             return
         inited = M.getBound(result, "InitedVar", VarDecl)
         if inited is not None:

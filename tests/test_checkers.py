@@ -7,7 +7,6 @@ from minilang.checkers import (
     is_invalidating_member_function, mark_released, MALLOC_SLOT, RAWPTR_SLOT,
     RefStatus, registry_list, resolve_enabled, UnknownCheckerError,
 )
-from minilang.frontend.astnodes import TypeRef
 from minilang.symexec import ProgramState, Symbol
 from minilang.symexec.engine import CallInfo
 
@@ -136,7 +135,7 @@ void f() {
 # --- markReleased / container region ------------------------------------------------
 
 def test_mark_released_is_idempotent_and_keeps_origin_none():
-    sym = Symbol(1, "c", "test", TypeRef("char", 1))
+    sym = Symbol(1, "c")
     state = ProgramState()
     one = mark_released(state, [sym], None)
     two = mark_released(one, [sym], None)

@@ -10,7 +10,7 @@ import pytest
 from minilang import matchers as M
 from minilang.cfg import Branch, ImplicitDtorElement, Jump, Ret, StmtElement
 from minilang.checkers import (
-    AllocationFamily, CHECKERS, CheckerDescriptor, RefState, RefStatus,
+    AllocationFamily, CHECKERS, CheckerDescriptor, MALLOC_SLOT, RefState, RefStatus,
 )
 from minilang.diagnostics import Diagnostic, FixIt, Severity
 from minilang.frontend.astnodes import INT, TypeRef
@@ -34,7 +34,7 @@ LOC = FILE.location(4)
 
 
 def symbol(sid: int = 1) -> Symbol:
-    return Symbol(sid, "a", "param a", INT)
+    return Symbol(sid, "a")
 
 
 def test_field_region_identity_ignores_field_type():
@@ -52,11 +52,11 @@ def test_field_region_identity_ignores_field_type():
 def one_point_of_each_class() -> list:
     return [
         BlockEdgePoint(1, 1, 1),
-        PreStmtPoint(1, 1, NODE),
-        PostStmtPoint(1, 1, 1, 1, NODE),
+        PreStmtPoint(1, NODE),
+        PostStmtPoint(1, 1, 1, NODE),
         CallEnterPoint(1, 1),
         CallExitPoint(1, 1),
-        PostImplicitCallPoint(1, 1, 1, 1, NODE, LOC),
+        PostImplicitCallPoint(1, 1, 1, NODE, LOC),
     ]
 
 
@@ -66,6 +66,33 @@ def test_points_of_different_classes_never_compare_equal():
         for j, b in enumerate(one_point_of_each_class()):
             assert (a == b) is (i == j), (a, b)
             assert (a != b) is (i != j), (a, b)
+
+
+def test_engine_records_name_each_fact_once():
+    assert Symbol._fields == ("id", "name")
+    assert PreStmtPoint._fields == ("frame", "node")
+    assert PostStmtPoint._fields == ("block", "index", "frame", "node")
+    assert PostImplicitCallPoint._fields == ("block", "index", "frame", "var", "loc")
+    assert FixIt._fields == ("range", "text")
+
+
+def test_points_compare_their_node_by_identity():
+    twin = UNIT.preorder[2]
+    assert PreStmtPoint(1, NODE) == PreStmtPoint(1, NODE)
+    assert PreStmtPoint(1, NODE) != PreStmtPoint(1, twin)
+    assert PostStmtPoint(1, 1, 1, NODE) != PostStmtPoint(1, 1, 1, twin)
+
+
+def test_ref_state_origin_keeps_two_released_states_apart():
+    # nothing reads `origin`, but it is part of the state's identity
+    sym = symbol()
+    states = [ProgramState().update_slot(MALLOC_SLOT, {
+        sym: RefState.released(AllocationFamily.HEAP, origin)})
+        for origin in (NODE, UNIT.preorder[2])]
+    assert states[0] != states[1]
+    graph = ExplodedGraph()
+    added = [graph.add(BlockEdgePoint(1, 1, 1), state, None) for state in states]
+    assert all(is_new for _, is_new in added) and len(graph) == 2
 
 
 def test_each_point_class_gets_its_own_graph_node():
@@ -119,11 +146,12 @@ def test_sym_int_op_rejects_other_operators():
 def test_var_usage_rejects_fields_its_kind_does_not_have():
     VarUsage(UsageKind.NORMAL, NODE)
     VarUsage(UsageKind.DEREF_INIT, NODE, deref_expr=NODE, inited_var=NODE)
-    VarUsage(UsageKind.GUARD, NODE, guard_if=NODE, flow_stmt=NODE)
+    VarUsage(UsageKind.GUARD, NODE, guard_if=NODE)
     for kind, extra in ((UsageKind.NORMAL, {"deref_expr": NODE}),
                         (UsageKind.DEREFERENCE, {}),
                         (UsageKind.DEREFERENCE, {"deref_expr": NODE, "inited_var": NODE}),
-                        (UsageKind.GUARD, {"flow_stmt": NODE})):
+                        (UsageKind.GUARD, {}),
+                        (UsageKind.NORMAL, {"guard_if": NODE})):
         with pytest.raises(AssertionError):
             VarUsage(kind, NODE, **extra)
 

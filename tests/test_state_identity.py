@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from minilang.frontend.astnodes import TypeRef
 from minilang.symexec import (
-    ConcreteInt, FieldRegion, NULL_LOC, ProgramState, RangeSet, sym_add,
-    sym_val, SymAtom, Symbol, SymbolicVal, UNKNOWN, val_symbols, VarRegion,
+    ConcreteInt, FieldRegion, LOOP_SLOT, NULL_LOC, ProgramState, RangeSet,
+    sym_add, sym_val, SymAtom, Symbol, SymbolicVal, UNKNOWN, val_symbols,
+    VarRegion,
 )
 
 
@@ -15,7 +16,7 @@ def _decl(name):
                           "declared_type": TypeRef("int")})()
 
 
-SYMBOLS = [Symbol(i, f"s{i}", "test", TypeRef("int")) for i in range(1, 5)]
+SYMBOLS = [Symbol(i, f"s{i}") for i in range(1, 5)]
 _A, _B = VarRegion(_decl("a"), 1), VarRegion(_decl("b"), 2)
 REGIONS = [_A, _B, FieldRegion(_A, "f", TypeRef("int")), VarRegion(_decl("c"), 1)]
 VALUES = ([ConcreteInt(0), ConcreteInt(7), UNKNOWN, NULL_LOC]
@@ -23,7 +24,7 @@ VALUES = ([ConcreteInt(0), ConcreteInt(7), UNKNOWN, NULL_LOC]
           + [SymbolicVal(sym_add(SymAtom(s), 3)) for s in SYMBOLS])
 RANGES = [RangeSet.singleton(0), RangeSet.of((1, 9)), RangeSet.full(),
           RangeSet.singleton(0).complement()]
-SLOTS = ("Checker.SymbolMap", "Checker.RegionSets")
+SLOTS = ("Checker.SymbolMap", "Checker.RegionSets", LOOP_SLOT)
 EDGES = [(3, 1, 1), (4, 2, 1), (3, 1, 2)]
 
 symbols = st.sampled_from(SYMBOLS)
@@ -40,12 +41,15 @@ def slot_changes(keys, new_values):
     return st.dictionaries(keys, change, max_size=3)
 
 
-# One slot maps symbols to plain values, the other regions to symbol sets.
+# One slot maps symbols to plain values, one regions to symbol sets, and the
+# engine's loop slot back edges to counts.
 SLOT_CHANGES = st.one_of(
     st.tuples(st.just(SLOTS[0]),
               slot_changes(symbols, st.integers(0, 2).map(lambda n: ("v", n)))),
     st.tuples(st.just(SLOTS[1]),
               slot_changes(regions, st.frozensets(symbols, max_size=2))),
+    st.tuples(st.just(SLOTS[2]),
+              slot_changes(st.sampled_from(EDGES), st.integers(1, 5))),
 )
 
 OPS = st.one_of(
@@ -57,7 +61,6 @@ OPS = st.one_of(
     st.tuples(st.just("update_slot"), SLOT_CHANGES),
     st.tuples(st.just("set_ret"), st.integers(1, 2), values),
     st.tuples(st.just("drop_frame"), st.integers(1, 2)),
-    st.tuples(st.just("bump_loop"), st.sampled_from(EDGES)),
 )
 
 
@@ -71,20 +74,24 @@ def apply(state: ProgramState, op) -> ProgramState:
         return state.unbind_where(lambda r: r in args[0])
     if name == "update_slot":
         key, changes = args[0]
-        return state.update_slot(key, resolve(state.slot(key), changes))
+        return state.update_slot(key, resolve(key, state.slot(key), changes))
     return getattr(state, name)(*args)
 
 
-def resolve(stored, changes) -> dict:
+FRESH = (("v", 0), frozenset(), 1)  # per slot of SLOTS
+
+
+def resolve(key, stored, changes) -> dict:
     """`changes` with "same" and "copy" made into the stored object and an
-    equal but distinct copy of it (an absent key gets a fresh value)."""
+    equal but distinct copy of it (an absent key gets a fresh value). An int
+    count has no distinct copy, so its "copy" is "same"."""
     out = {}
     for k, v in changes.items():
         if v in ("same", "copy"):
             old = stored.get(k)
             if old is None:
-                v = ("v", 0) if isinstance(k, Symbol) else frozenset()
-            elif v == "same":
+                v = FRESH[SLOTS.index(key)]
+            elif v == "same" or isinstance(old, int):
                 v = old
             else:
                 v = type(old)(list(old))
@@ -120,8 +127,7 @@ def slot_symbols_reference(state):
 
 def rebuilt(state):
     return ProgramState(store=state.store, constraints=state.constraints,
-                        gdm=state.gdm, ret_vals=state.ret_vals,
-                        loop_counts=state.loop_counts)
+                        gdm=state.gdm, ret_vals=state.ret_vals)
 
 
 def reordered(state):
@@ -135,15 +141,11 @@ def reordered(state):
         out = out.update_slot(key, dict(reversed(mapping.items())))
     for frame, val in reversed(state.ret_vals.items()):
         out = out.set_ret(frame, val)
-    for edge, count in reversed(state.loop_counts.items()):
-        for _ in range(count):
-            out = out.bump_loop(edge)
     return out
 
 
 def contents(state):
-    return (state.store, state.constraints, state.gdm, state.ret_vals,
-            state.loop_counts)
+    return state.store, state.constraints, state.gdm, state.ret_vals
 
 
 @given(st.lists(OPS, max_size=30))
@@ -196,7 +198,7 @@ def test_update_slot_is_a_dict_edit_of_the_named_entries(writes):
     # one live symbol, so that slot writes make symbols both dead and not
     state = ProgramState().bind(_A, sym_val(SYMBOLS[0]))
     for key, changes in writes:
-        changes = resolve(state.slot(key), changes)
+        changes = resolve(key, state.slot(key), changes)
         expected = dict(state.slot(key))
         for k, v in changes.items():
             if v is None:

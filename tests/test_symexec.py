@@ -9,9 +9,9 @@ from minilang.cfg import build_cfg
 from minilang.frontend.astnodes import TypeRef
 from minilang.source import InternalError
 from minilang.symexec import (
-    AnalysisConfig, as_symbol, assume, assume_relation, ConcreteInt, dump_dot,
-    Engine, IMAX, IMIN, ProgramState, RangeSet, sym_val, SymAtom, Symbol,
-    SymIntOp, VarRegion,
+    AnalysisConfig, as_symbol, assume, assume_relation, CallExitPoint,
+    ConcreteInt, dump_dot, Engine, IMAX, IMIN, LOOP_SLOT, ProgramState,
+    RangeSet, sym_val, SymAtom, Symbol, SymIntOp, VarRegion,
 )
 
 from conftest import analyze, EXPLODED_G, frontend
@@ -19,8 +19,8 @@ from engine_paths import leaf_decisions, leaf_witness
 from interp_oracle import run_function
 
 
-def fresh_sym(name="s", base="int") -> Symbol:
-    return Symbol(1, name, "test", TypeRef(base))
+def fresh_sym(name="s") -> Symbol:
+    return Symbol(1, name)
 
 
 def store_of(node):
@@ -262,6 +262,28 @@ int id(int a) { return a; }
     assert "CallEnterPoint" in kinds and "CallExitPoint" in kinds
 
 
+def test_call_exit_drops_the_callee_loop_counts():
+    result, _ = analyze("""\
+int count(int n) {
+  int i = 0;
+  while (i < n)
+    i = i + 1;
+  return i;
+}
+void g(int n) { int r = count(n); }
+""")
+    exits = [n for n in result.graphs["g"].nodes if isinstance(n.point, CallExitPoint)]
+    assert exits
+    counted = 0
+    for node in exits:
+        (pred,) = node.preds  # the callee's exit edge
+        callee = pred.point.frame
+        assert callee != node.point.frame
+        counted += any(edge[2] == callee for edge in pred.state.slot(LOOP_SLOT))
+        assert not any(edge[2] == callee for edge in node.state.slot(LOOP_SLOT))
+    assert counted  # some path took the callee's back edge before returning
+
+
 # --- loops and budgets --------------------------------------------------------------------
 
 def test_loop_fully_executes_within_unroll():
@@ -316,11 +338,11 @@ def test_state_immutability_under_every_operation():
     region = VarRegion_stub()
     state = (ProgramState().bind(region, sym_val(sym))
              .constrain(sym, RangeSet.of((1, 9))).update_slot("k", {sym: 1})
-             .set_ret(0, sym_val(sym)).bump_loop((2, 1, 0)))
+             .set_ret(0, sym_val(sym)).update_slot(LOOP_SLOT, {(2, 1, 0): 1}))
 
     def snapshot():
         return (dict(state.store), dict(state.constraints), dict(state.gdm),
-                dict(state.ret_vals), dict(state.loop_counts), hash(state))
+                dict(state.ret_vals), hash(state))
 
     before = snapshot()
     state.bind(region, ConcreteInt(1))
@@ -333,7 +355,7 @@ def test_state_immutability_under_every_operation():
     state.update_slot("k", {sym: None})
     state.set_ret(0, ConcreteInt(2))
     state.drop_frame(0)
-    state.bump_loop((2, 1, 0))
+    state.update_slot(LOOP_SLOT, {(2, 1, 0): 2})
     assert snapshot() == before
 
 
@@ -364,9 +386,14 @@ def test_duplicate_state_slot_is_a_configuration_error():
     class B:
         state_slots = ("dup.key",)
 
+    class Squatter:  # the slot the engine keeps its loop counts in
+        state_slots = (LOOP_SLOT,)
+
     fe = frontend("void f() { }")
     with pytest.raises(InternalError):
         Engine(fe.unit, fe.file, checkers=[A(), B()])
+    with pytest.raises(InternalError):
+        Engine(fe.unit, fe.file, checkers=[Squatter()])
 
 
 def test_dead_symbol_constraints_reaped():

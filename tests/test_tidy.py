@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minilang.diagnostics import Diagnostic, FixKind, format_message, Severity
+from minilang.diagnostics import Diagnostic, format_message, Severity
 from minilang.frontend import load_unit, tokenize, walk
 from minilang.frontend.astnodes import DeclRef, VarDecl
 from minilang.source import InternalError, SourceFile, SourceRange
@@ -377,12 +377,7 @@ def reference_apply_fixes(text, diagnostics):
     new_text = text
     for fx in sorted(accepted, key=lambda f: f.range.begin.offset, reverse=True):
         b, e = fx.range.begin.offset, fx.range.end.offset
-        if fx.kind is FixKind.REMOVAL:
-            new_text = new_text[:b] + new_text[e:]
-        elif fx.kind is FixKind.REPLACEMENT:
-            new_text = new_text[:b] + fx.text + new_text[e:]
-        else:
-            new_text = new_text[:b] + fx.text + new_text[b:]
+        new_text = new_text[:b] + fx.text + new_text[e:]
     return new_text, warnings
 
 
@@ -402,11 +397,9 @@ def fix_diagnostics(draw):
                                        min_size=2 * count, max_size=2 * count)))
         made = []
         for begin, end in zip(offsets[::2], offsets[1::2]):
+            end = draw(st.sampled_from((begin, end)))  # an empty range inserts
             rng = SourceRange(file.location(begin), file.location(end))
-            kind = draw(st.sampled_from(FixKind))
-            text = draw(st.sampled_from(["", "X", "YZ"]))
-            made.append(FixIt.insertion(rng.begin, text) if kind is FixKind.INSERTION
-                        else FixIt(kind, rng, text))
+            made.append(FixIt(rng, draw(st.sampled_from(["", "X", "YZ"]))))
         return made
 
     diags = []
