@@ -237,18 +237,17 @@ class _Builder:
     # --- numbering and cleanup ---
 
     def _finish(self, first: int) -> Cfg:
-        order: list[int] = []
-        seen = set()
-
-        def dfs(bid: int):
-            if bid in seen:
-                return
-            seen.add(bid)
-            for succ in self.blocks[bid].successors():
-                dfs(succ)
-            order.append(bid)
-
-        dfs(first)
+        order: list[int] = []  # depth-first post-order, on an explicit stack
+        seen = {first}
+        stack = [(first, iter(self.blocks[first].successors()))]
+        while stack:
+            succs = stack[-1][1]
+            succ = next((s for s in succs if s not in seen), None)
+            if succ is None:
+                order.append(stack.pop()[0])
+            else:
+                seen.add(succ)
+                stack.append((succ, iter(self.blocks[succ].successors())))
         order.reverse()
         if self.exit in seen:
             order.remove(self.exit)

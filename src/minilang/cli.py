@@ -89,7 +89,8 @@ def parse_analyze_args(argv: list[str]) -> RunConfig | int:
                         help="text or html:<path>")
     parser.add_argument("--dump-cfg", action="store_true")
     parser.add_argument("--dump-egraph", metavar="PATH.dot", default=None)
-    parser.add_argument("--unroll", type=int, default=4)
+    parser.add_argument("--unroll", type=int, default=4,
+                        help="times a path may take one loop back edge")
     parser.add_argument("--node-budget", type=int, default=50_000)
     parser.add_argument("--inline-depth", type=int, default=5)
     parser.add_argument("--analyzer-checker-help", action="store_true")

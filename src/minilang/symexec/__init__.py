@@ -3,7 +3,7 @@
 from .engine import (  # noqa: F401
     AnalysisConfig, AnalysisResult, BlockEdgePoint, CallEnterPoint,
     CallExitPoint, CallInfo, CheckerContext, dump_dot, Engine, ExplodedGraph,
-    ExplodedNode, LOOP_SLOT, PostImplicitCallPoint, PostStmtPoint, PreStmtPoint,
+    ExplodedNode, PostImplicitCallPoint, PostStmtPoint, PreStmtPoint,
 )
 from .state import assume, assume_comparison, assume_relation, INFEASIBLE, ProgramState  # noqa: F401
 from .values import (  # noqa: F401

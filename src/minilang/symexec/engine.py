@@ -4,7 +4,7 @@ Exploration is worklist-driven (FIFO) over per-function CFGs. Exploded-graph
 nodes are created at block edges, after each statement element, after calls
 that change checker state, around inlined calls, and after implicit
 destructor elements; exact (point, state) duplicates are merged. Loop back
-edges are taken at most `unroll` times per frame and each top-level function
+edges are taken at most `unroll` times per path and each top-level function
 gets `node_budget` nodes before its remaining paths are abandoned.
 """
 
@@ -35,10 +35,6 @@ CHECKER_HOOKS = (
     "check_pre_delete", "check_implicit_dtor", "check_post_dtor", "check_use",
     "check_dead_symbols", "check_div", "check_post_new", "check_post_call",
 )
-
-# The engine's own data-map slot, as Clang's loop unroller keeps its loop
-# stack in the generic data map: back edge (src, dst, frame) -> times taken.
-LOOP_SLOT = "Engine.LoopCounts"
 
 
 def _c_div(a: int, b: int) -> int:
@@ -133,11 +129,12 @@ class PostImplicitCallPoint(NamedTuple):
 # --- exploded graph ----------------------------------------------------------
 
 class ExplodedNode:
-    __slots__ = ("point", "state", "preds", "succs", "is_sink", "seq")
+    __slots__ = ("point", "state", "loops", "preds", "succs", "is_sink", "seq")
 
-    def __init__(self, point, state: ProgramState, seq: int):
+    def __init__(self, point, state: ProgramState, loops: dict, seq: int):
         self.point = point
         self.state = state
+        self.loops = loops  # back edge (src, dst, frame) -> times taken on this path
         self.preds: list[ExplodedNode] = []
         self.succs: list[ExplodedNode] = []
         self.is_sink = False
@@ -160,15 +157,19 @@ class ExplodedGraph:
         self.budget = budget
         self._index: dict = {}
 
-    def add(self, point, state: ProgramState,
-            pred: ExplodedNode | None) -> tuple[ExplodedNode, bool]:
+    def add(self, point, state: ProgramState, pred: ExplodedNode | None,
+            loops: dict | None = None) -> tuple[ExplodedNode, bool]:
+        """A new node takes `loops`, by default its predecessor's. They stay out
+        of the state, as Clang's BlockCounter, so equal states still merge."""
         key = (point, state)
         node = self._index.get(key)
         is_new = node is None
         if is_new:
             if self.budget is not None and len(self.nodes) >= self.budget:
                 raise BudgetExhausted()
-            node = ExplodedNode(point, state, len(self.nodes))
+            if loops is None:
+                loops = pred.loops if pred is not None else {}
+            node = ExplodedNode(point, state, loops, len(self.nodes))
             self.nodes.append(node)
             self._index[key] = node
         if pred is not None and node not in pred.succs:
@@ -247,7 +248,7 @@ class Engine:
         self._frame_counter = 0
         self._conjure_counter = 0
         self._graph: ExplodedGraph | None = None
-        slots = {LOOP_SLOT}  # the engine's own
+        slots = set()
         for checker in self.checkers:
             for key in getattr(checker, "state_slots", ()):
                 if key in slots:
@@ -390,15 +391,17 @@ class Engine:
     def make_block_edge(self, via: ExplodedNode, state: ProgramState,
                         frame: _Frame, src: int, dst: int) -> ExplodedNode | None:
         state = self.reap(state)
+        loops = None
         if dst <= src:  # back edge under reverse post-order numbering
             edge = (src, dst, frame.id)
-            count = state.slot(LOOP_SLOT).get(edge, 0)
+            count = via.loops.get(edge, 0)
             if count >= self.config.unroll:
                 self.note(f"{frame.fn.name}: note: loop unroll limit reached, "
                           "path abandoned")
                 return None
-            state = state.update_slot(LOOP_SLOT, {edge: count + 1})
-        node, is_new = self._graph.add(BlockEdgePoint(src, dst, frame.id), state, via)
+            loops = {**via.loops, edge: count + 1}
+        node, is_new = self._graph.add(
+            BlockEdgePoint(src, dst, frame.id), state, via, loops)
         return node if is_new else None
 
     def branch_split(self, via: ExplodedNode, state: ProgramState, frame: _Frame,
@@ -510,14 +513,11 @@ class Engine:
         region = VarRegion(element.var, frame.id)
         point = PostImplicitCallPoint(block_id, index, frame.id, element.var,
                                       element.loc)
-        made = None
         new_state, via2, sank = self.dispatch(
             "check_implicit_dtor", via, state, lambda: point,
             element, region, make_node=True)
         if sank:
             return None
-        if via2 is not via:
-            made = via2
         # a released return value "manifests" here, once the dtor has run
         pending = new_state.ret(frame.id)
         if pending is not None:
@@ -527,7 +527,7 @@ class Engine:
             if sank:
                 return None
             new_state = st3
-        return new_state, via2, made
+        return new_state, via2, via2 if via2 is not via else None
 
     # --- checker dispatch ---
 
@@ -1025,9 +1025,7 @@ class Engine:
                 r for r in st.store
                 if isinstance(region_root(r), VarRegion)
                 and region_root(r).frame == new_frame.id)
-            st = st.unbind_where(lambda r: r in dead_regions)
-            st = st.drop_frame(new_frame.id).update_slot(LOOP_SLOT, {
-                edge: None for edge in st.slot(LOOP_SLOT) if edge[2] == new_frame.id})
+            st = st.unbind_where(lambda r: r in dead_regions).drop_frame(new_frame.id)
             st = self._reap_with(st, dead_regions)
             exit_point = CallExitPoint(expr.node_id, frame.id)
             exit_n, _ = self._graph.add(exit_point, st, exit_node)

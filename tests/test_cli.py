@@ -547,6 +547,15 @@ def test_long_operator_chain_exits_three_without_a_traceback(chain, mc):
         assert err.count("internal error: ") == 1
 
 
+def test_a_long_flat_function_runs_both_tools(mc):
+    # 1000 `if`s in a row make a CFG of some 2000 blocks, which the block
+    # numbering walks without a Python frame per block.
+    path = mc("void f(int a) { int x = 0; " + "if (a > 0) x = 1; " * 1000 + "}\n")
+    for run in (analyze_cli, tidy_cli):
+        code, out, err = run([path])
+        assert (code, err) == (0, "")
+
+
 def test_internal_error_exits_three(mc, monkeypatch):
     def fail(*args):
         raise InternalError("offset 7 outside 'input.mc'")

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from minilang.frontend.astnodes import TypeRef
 from minilang.symexec import (
-    ConcreteInt, FieldRegion, LOOP_SLOT, NULL_LOC, ProgramState, RangeSet,
+    ConcreteInt, FieldRegion, NULL_LOC, ProgramState, RangeSet,
     sym_add, sym_val, SymAtom, Symbol, SymbolicVal, UNKNOWN, val_symbols,
     VarRegion,
 )
@@ -24,7 +24,7 @@ VALUES = ([ConcreteInt(0), ConcreteInt(7), UNKNOWN, NULL_LOC]
           + [SymbolicVal(sym_add(SymAtom(s), 3)) for s in SYMBOLS])
 RANGES = [RangeSet.singleton(0), RangeSet.of((1, 9)), RangeSet.full(),
           RangeSet.singleton(0).complement()]
-SLOTS = ("Checker.SymbolMap", "Checker.RegionSets", LOOP_SLOT)
+SLOTS = ("Checker.SymbolMap", "Checker.RegionSets", "Checker.EdgeCounts")
 EDGES = [(3, 1, 1), (4, 2, 1), (3, 1, 2)]
 
 symbols = st.sampled_from(SYMBOLS)
@@ -41,8 +41,8 @@ def slot_changes(keys, new_values):
     return st.dictionaries(keys, change, max_size=3)
 
 
-# One slot maps symbols to plain values, one regions to symbol sets, and the
-# engine's loop slot back edges to counts.
+# One slot maps symbols to plain values, one regions to symbol sets, and one
+# tuple keys (shaped like CFG edges) to int counts.
 SLOT_CHANGES = st.one_of(
     st.tuples(st.just(SLOTS[0]),
               slot_changes(symbols, st.integers(0, 2).map(lambda n: ("v", n)))),

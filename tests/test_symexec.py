@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minilang.cfg import build_cfg
+from minilang.checkers import make_checkers
 from minilang.frontend.astnodes import TypeRef
 from minilang.source import InternalError
 from minilang.symexec import (
-    AnalysisConfig, as_symbol, assume, assume_relation, CallExitPoint,
-    ConcreteInt, dump_dot, Engine, IMAX, IMIN, LOOP_SLOT, ProgramState,
+    AnalysisConfig, as_symbol, assume, assume_relation,
+    ConcreteInt, dump_dot, Engine, IMAX, IMIN, ProgramState,
     RangeSet, sym_val, SymAtom, Symbol, SymIntOp, VarRegion,
 )
 
@@ -262,26 +263,43 @@ int id(int a) { return a; }
     assert "CallEnterPoint" in kinds and "CallExitPoint" in kinds
 
 
-def test_call_exit_drops_the_callee_loop_counts():
-    result, _ = analyze("""\
+def test_engine_writes_no_state_slot_and_each_call_counts_its_own_loops():
+    # Loop counts ride on the path: the data map holds only checker slots.
+    # The callee's loop runs 3 times per call; with a count shared across
+    # calls the second call would pass the unroll limit of 4.
+    fe = frontend("""\
+extern bool g();
+struct S { int x; };
 int count(int n) {
   int i = 0;
   while (i < n)
     i = i + 1;
   return i;
 }
-void g(int n) { int r = count(n); }
+int f() {
+  S* p = new S();
+  string s;
+  char* c = s.c_str();
+  while (g()) { s.clear(); }
+  delete p;
+  int a = count(3);
+  int b = count(3);
+  return a + b;
+}
 """)
-    exits = [n for n in result.graphs["g"].nodes if isinstance(n.point, CallExitPoint)]
-    assert exits
-    counted = 0
-    for node in exits:
-        (pred,) = node.preds  # the callee's exit edge
-        callee = pred.point.frame
-        assert callee != node.point.frame
-        counted += any(edge[2] == callee for edge in pred.state.slot(LOOP_SLOT))
-        assert not any(edge[2] == callee for edge in node.state.slot(LOOP_SLOT))
-    assert counted  # some path took the callee's back edge before returning
+    engine = Engine(fe.unit, fe.file, AnalysisConfig(unroll=4), make_checkers(None))
+    result = engine.run()
+    declared = {key for c in engine.checkers for key in getattr(c, "state_slots", ())}
+    nodes = result.graphs["f"].nodes
+    assert any(n.state.gdm for n in nodes)  # the checkers did write their slots
+    assert all(set(n.state.gdm) <= declared for n in nodes)
+    exits = [n for n in result.graphs["f"].leaves()
+             if n.state.ret(n.point.frame) is not None]
+    assert {str(n.state.ret(n.point.frame)) for n in exits} == {"6"}
+    for leaf in exits:
+        callee_counts = sorted(count for (_, _, frame), count in leaf.loops.items()
+                               if frame != leaf.point.frame)
+        assert callee_counts == [3, 3]  # two frames, each counted from zero
 
 
 # --- loops and budgets --------------------------------------------------------------------
@@ -317,6 +335,108 @@ void f(int n) {
     assert back  # the loop back edge was explored, but boundedly
 
 
+def test_paths_that_differ_only_in_loop_counts_merge():
+    # Every trip count leaves the same state behind, so the paths meet again
+    # after the loop and the unroll limit is never reached.
+    result, _ = analyze("""\
+extern bool g();
+void f() { int i = 0; while (g()) i = 1; i = 0; int y = 1; }
+""")
+    graph = result.graphs["f"]
+    assert len(graph) == 12
+    (leaf,) = graph.leaves()
+    assert store_of(leaf) == {"i": "0", "y": "1"}
+    assert not any("unroll" in note for note in result.notes)
+
+
+LOOP_THEN_DIVISION = """\
+extern bool g();
+int f(int a, int b) {
+  bool done = false;
+  while (g())
+    done = true;
+  int x = 0;
+  if (a > 0) x = 1;
+  if (b > 0) x = x + 2;
+  int z = 0;
+  if (a > 5) z = 0;
+  return x / 0;
+}
+"""
+
+
+def test_a_loop_doubles_the_reports_after_it_once_per_outcome():
+    # `done` leaves the loop false or true; each branch path after it reports
+    # once per outcome, however often the loop went round.
+    looped, _ = analyze(LOOP_THEN_DIVISION)
+    twin, _ = analyze(LOOP_THEN_DIVISION.replace("  while (g())\n    done = true;\n", ""))
+    assert len(twin.reports) == 6
+    assert len(looped.reports) == 2 * len(twin.reports)
+
+
+LOOP_PROGRAMS = {
+    "counting": """\
+int f(int n) {
+  int i = 0;
+  while (i < n)
+    i = i + 1;
+  return i;
+}
+""",
+    "extern condition": """\
+extern bool more();
+int f() {
+  int i = 0;
+  while (more())
+    i = i + 2;
+  return i;
+}
+""",
+    "break": """\
+int f(int n) {
+  int i = 0;
+  while (i < 100) {
+    if (i == n)
+      break;
+    i = i + 1;
+  }
+  return i;
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", LOOP_PROGRAMS)
+def test_loop_leaves_replay_in_the_oracle(name):
+    unroll = 4
+    result, fe = analyze(LOOP_PROGRAMS[name], config=AnalysisConfig(unroll=unroll))
+    fn = fe.unit.functions["f"]
+    params = [p.name for p in fn.params]
+    cfg = build_cfg(fn)
+    returned = []  # (leaf, its range for n, its return value)
+    for leaf in result.graphs["f"].leaves():
+        ret = leaf.state.ret(leaf.point.frame)
+        if ret is None:
+            continue  # a path the unroll limit abandoned
+        assert isinstance(ret, ConcreteInt)
+        decisions = leaf_decisions(leaf, cfg)
+        truths = iter([truth for _, truth in decisions])  # the model of `more`
+        witness = leaf_witness(leaf, params)
+        replay = run_function(fe.unit, "f", tuple(witness[p] for p in params),
+                              {"more": lambda args: next(truths)})
+        assert replay.error is None
+        assert replay.ret == ret.value
+        assert replay.branch_trace == decisions
+        by_name = {sym.name: rng for sym, rng in leaf.state.constraints.items()}
+        returned.append((by_name.get("n", RangeSet.full()), ret.value))
+    assert len(returned) == unroll + 1  # one per trip count the limit allows
+    low = {"counting": -2, "extern condition": None, "break": 0}[name]
+    if low is not None:
+        for n in range(low, unroll + 1):
+            (ret,) = [value for rng, value in returned if rng.contains(n)]
+            assert run_function(fe.unit, "f", (n,)).ret == ret == max(n, 0)
+
+
 def test_node_budget_is_a_hard_cap():
     result, _ = analyze("""\
 void f(int a, int b, int c, int d) {
@@ -338,7 +458,7 @@ def test_state_immutability_under_every_operation():
     region = VarRegion_stub()
     state = (ProgramState().bind(region, sym_val(sym))
              .constrain(sym, RangeSet.of((1, 9))).update_slot("k", {sym: 1})
-             .set_ret(0, sym_val(sym)).update_slot(LOOP_SLOT, {(2, 1, 0): 1}))
+             .set_ret(0, sym_val(sym)).update_slot("edges", {(2, 1, 0): 1}))
 
     def snapshot():
         return (dict(state.store), dict(state.constraints), dict(state.gdm),
@@ -355,7 +475,7 @@ def test_state_immutability_under_every_operation():
     state.update_slot("k", {sym: None})
     state.set_ret(0, ConcreteInt(2))
     state.drop_frame(0)
-    state.update_slot(LOOP_SLOT, {(2, 1, 0): 2})
+    state.update_slot("edges", {(2, 1, 0): 2})
     assert snapshot() == before
 
 
@@ -386,14 +506,9 @@ def test_duplicate_state_slot_is_a_configuration_error():
     class B:
         state_slots = ("dup.key",)
 
-    class Squatter:  # the slot the engine keeps its loop counts in
-        state_slots = (LOOP_SLOT,)
-
     fe = frontend("void f() { }")
     with pytest.raises(InternalError):
         Engine(fe.unit, fe.file, checkers=[A(), B()])
-    with pytest.raises(InternalError):
-        Engine(fe.unit, fe.file, checkers=[Squatter()])
 
 
 def test_dead_symbol_constraints_reaped():
