@@ -45,7 +45,7 @@ def main() -> int:
         assert fe.ok, [d.message for d in fe.diagnostics]
         fn = fe.unit.functions["probe"]
         cfg = build_cfg(fn)
-        engine = Engine(fe.unit, fe.file, checkers=make_checkers())
+        engine = Engine(fe.unit, checkers=make_checkers())
         graph = engine.run().graphs["probe"]
         leaves = graph.leaves()
         traces = set()

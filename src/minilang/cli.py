@@ -210,7 +210,7 @@ def run(config: RunConfig, out=None, err=None) -> int:
             if analyze:
                 from . import checkers
                 from .symexec import AnalysisConfig, dump_dot, Engine
-                result = Engine(fe.unit, fe.file,
+                result = Engine(fe.unit,
                                 AnalysisConfig(config.unroll, config.node_budget,
                                                config.inline_depth),
                                 checkers.make_checkers(config.checks)).run()

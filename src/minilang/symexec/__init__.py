@@ -9,7 +9,7 @@ from .state import assume, assume_comparison, assume_relation, INFEASIBLE, Progr
 from .values import (  # noqa: F401
     as_symbol, ConcreteInt, FieldRegion, IMAX, IMIN,
     LocVal, MemRegion, NULL_LOC, NullLocVal, RangeSet, region_root,
-    region_type, region_within, SVal, sym_add, sym_mul, sym_val, SymAtom,
-    Symbol, SymbolicVal, SymExpr, SymIntOp, UNDEFINED, UndefinedVal, UNKNOWN,
-    UnknownVal, val_symbols, VarRegion,
+    region_type, region_within, RetRegion, SVal, sym_add, sym_mul, sym_val,
+    SymAtom, Symbol, SymbolicVal, SymExpr, SymIntOp, UNDEFINED, UndefinedVal,
+    UNKNOWN, UnknownVal, val_symbols, VarRegion,
 )

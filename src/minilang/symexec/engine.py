@@ -6,6 +6,11 @@ that change checker state, around inlined calls, and after implicit
 destructor elements; exact (point, state) duplicates are merged. Loop back
 edges are taken at most `unroll` times per path and each top-level function
 gets `node_budget` nodes before its remaining paths are abandoned.
+
+A call to a defined function is inlined into a new frame while
+`inline_depth` allows. Its return statement binds the value to
+the frame's `RetRegion`, and CallExit reads it there, then drops every
+binding rooted in the callee frame and the frame's back-edge counts.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from ..frontend.astnodes import (
     FunctionDecl, IntLit, MethodCall, NewExpr, Node, Paren, ParamDecl, ReturnStmt,
     StringLit, TranslationUnit, TypeRef, UnaryOp, VarDecl, strip_parens,
 )
-from ..source import InternalError, SourceFile, SourceLocation
+from ..source import InternalError, SourceLocation
 from .state import assume, assume_comparison, COMPARISONS, ProgramState
 from .values import (
     as_symbol, ConcreteInt, FieldRegion, LocVal, MemRegion, NullLocVal,
-    RangeSet, region_root, region_within, SVal, sym_add, sym_mul,
+    RangeSet, region_root, region_within, RetRegion, SVal, sym_add, sym_mul,
     sym_val, Symbol, SymbolicVal, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
 )
 
@@ -234,10 +239,9 @@ class _Frame:
 
 
 class Engine:
-    def __init__(self, unit: TranslationUnit, file: SourceFile,
-                 config: AnalysisConfig | None = None, checkers: list | None = None):
+    def __init__(self, unit: TranslationUnit, config: AnalysisConfig | None = None,
+                 checkers: list | None = None):
         self.unit = unit
-        self.file = file
         self.config = config or AnalysisConfig()
         self.checkers = checkers or []
         self.result = AnalysisResult()
@@ -407,11 +411,8 @@ class Engine:
     def branch_split(self, via: ExplodedNode, state: ProgramState, frame: _Frame,
                      cond: Node) -> list[tuple[bool, ProgramState, ExplodedNode]]:
         """Evaluate a branch condition once; return the feasible refinements
-        for both truth values."""
-        cond = strip_parens(cond)
-        if isinstance(cond, UnaryOp) and cond.op == "!":
-            return [(not truth, st, v)
-                    for truth, st, v in self.branch_split(via, state, frame, cond.operand)]
+        for both truth values. `cfg.lower_cond` has already taken parentheses
+        and `!` off the condition."""
         out = []
         if isinstance(cond, BinaryOp) and cond.op in COMPARISONS:
             for lv, st1, v1 in self.eval(via, state, frame, cond.lhs):
@@ -491,7 +492,7 @@ class Engine:
             st, v, sank = self.dispatch_use(v, st, frame, stmt, val, "return")
             if sank:
                 continue
-            out.append((st.set_ret(frame.id, val), v))
+            out.append((st.bind(RetRegion(frame.id), val), v))
         return out
 
     def exec_delete(self, via, state, frame, stmt: DeleteStmt):
@@ -519,7 +520,7 @@ class Engine:
         if sank:
             return None
         # a released return value "manifests" here, once the dtor has run
-        pending = new_state.ret(frame.id)
+        pending = new_state.lookup(RetRegion(frame.id))
         if pending is not None:
             st3, via3, sank = self.dispatch(
                 "check_post_dtor", via2, new_state, lambda: point,
@@ -644,17 +645,15 @@ class Engine:
         if isinstance(expr, DeclRef):
             return self.decl_region(expr, frame)
         if isinstance(expr, FieldAccess):
-            field_decl = getattr(expr, "field_decl", None)
-            field_type = field_decl.declared_type if field_decl else None
             base_region = self.lvalue_region(state, frame, expr.base)
             if expr.is_arrow:
                 pointer = state.lookup(base_region) if base_region else None
                 if isinstance(pointer, LocVal):
-                    return FieldRegion(pointer.region, expr.field_name, field_type)
+                    return _field_region(pointer.region, expr)
                 return None
             if base_region is None:
                 return None
-            return FieldRegion(base_region, expr.field_name, field_type)
+            return _field_region(base_region, expr)
         if isinstance(expr, UnaryOp) and expr.op == "*":
             region = self.lvalue_region(state, frame, expr.operand)
             val = state.lookup(region) if region is not None else None
@@ -690,18 +689,22 @@ class Engine:
         return out
 
     def deref(self, via, state, frame, expr: Node, pointer: SVal):
-        """Load through a pointer value; None when the path sank."""
+        """Load through a pointer value: the pointee for `*p`, the field for
+        `p->f`. None when the path sank."""
         state, via, sank = self.dispatch_use(via, state, frame, expr, pointer, "deref")
         if sank:
             return None
         if isinstance(pointer, NullLocVal) or self.known_null(state, pointer):
             return self.null_deref_sink(via, state, frame, expr)
+        is_field = isinstance(expr, FieldAccess)
         if isinstance(pointer, LocVal):
-            val, state = self.load(state, pointer.region, frame)
+            region = _field_region(pointer.region, expr) if is_field else pointer.region
+            val, state = self.load(state, region, frame)
             return val, state, via
         if isinstance(pointer, SymbolicVal):
             refined = assume(state, pointer, True)  # surviving deref: non-null
-            return UNKNOWN, refined if refined is not None else state, via
+            val = self.conjure() if is_field else UNKNOWN
+            return val, refined if refined is not None else state, via
         return UNKNOWN, state, via
 
     def null_deref_sink(self, via, state, frame, expr: Node) -> None:
@@ -795,12 +798,10 @@ class Engine:
         return UNKNOWN  # symbol-vs-symbol arithmetic is not modeled
 
     def eval_field(self, via, state, frame, expr: FieldAccess):
-        field_type = getattr(expr, "field_decl", None)
-        field_type = field_type.declared_type if field_type is not None else None
         if expr.is_arrow:
             out = []
             for base, st, v in self.eval(via, state, frame, expr.base):
-                result = self.deref_field(v, st, frame, expr, base, field_type)
+                result = self.deref(v, st, frame, expr, base)
                 if result is not None:
                     out.append(result)
             return out
@@ -809,22 +810,6 @@ class Engine:
             return [(UNKNOWN, state, via)]
         val, state = self.load(state, region, frame)
         return [(val, state, via)]
-
-    def deref_field(self, via, state, frame, expr: FieldAccess, base: SVal,
-                    field_type: TypeRef | None):
-        state, via, sank = self.dispatch_use(via, state, frame, expr, base, "deref")
-        if sank:
-            return None
-        if isinstance(base, NullLocVal) or self.known_null(state, base):
-            return self.null_deref_sink(via, state, frame, expr)
-        if isinstance(base, LocVal):
-            region = FieldRegion(base.region, expr.field_name, field_type)
-            val, state = self.load(state, region, frame)
-            return val, state, via
-        if isinstance(base, SymbolicVal):
-            refined = assume(state, base, True)
-            return self.conjure(), refined if refined is not None else state, via
-        return UNKNOWN, state, via
 
     def eval_new(self, via, state, frame, expr: NewExpr):
         line, _ = expr.file.line_column(expr.begin)
@@ -874,7 +859,7 @@ class Engine:
     # --- calls ---
 
     def eval_method_call(self, via, state, frame, expr: MethodCall):
-        method = getattr(expr, "method", None)
+        method = expr.method
         receiver_outcomes = []
         if expr.is_arrow:
             for pval, st, v in self.eval(via, state, frame, expr.receiver):
@@ -1018,17 +1003,18 @@ class Engine:
         out = []
         for exit_node in exits:
             st = exit_node.state
-            ret = st.ret(new_frame.id)
+            ret = st.lookup(RetRegion(new_frame.id))
             if ret is None:
                 ret = UNKNOWN if callee.return_type.base == "void" else UNDEFINED
+            # the callee's variables, fields and return slot, and its back edges
             dead_regions = frozenset(
-                r for r in st.store
-                if isinstance(region_root(r), VarRegion)
-                and region_root(r).frame == new_frame.id)
-            st = st.unbind_where(lambda r: r in dead_regions).drop_frame(new_frame.id)
-            st = self._reap_with(st, dead_regions)
+                r for r in st.store if region_root(r).frame == new_frame.id)
+            st = self._reap_with(st.unbind_where(dead_regions.__contains__),
+                                 dead_regions)
+            loops = {edge: count for edge, count in exit_node.loops.items()
+                     if edge[2] != new_frame.id}
             exit_point = CallExitPoint(expr.node_id, frame.id)
-            exit_n, _ = self._graph.add(exit_point, st, exit_node)
+            exit_n, _ = self._graph.add(exit_point, st, exit_node, loops)
             info = CallInfo(expr, callee.name, "function", None, ret, args)
             st, v2, sank = self.dispatch(
                 "check_post_call", exit_n, st,
@@ -1038,6 +1024,12 @@ class Engine:
                 continue
             out.append((ret, st, v2))
         return out
+
+
+def _field_region(base: MemRegion, expr: FieldAccess) -> FieldRegion:
+    decl = expr.field_decl
+    return FieldRegion(base, expr.field_name,
+                       decl.declared_type if decl is not None else None)
 
 
 def _remap_region(region: MemRegion, src: MemRegion, dst: MemRegion) -> MemRegion:
@@ -1059,10 +1051,10 @@ def dump_dot(graph: ExplodedGraph, title: str) -> str:
         label_parts = [node.point.describe()]
         if node.is_sink:
             label_parts[0] += " (sink)"
-        store_bits = []
-        for region, val in sorted(node.state.store.items(),
-                                  key=lambda kv: _region_sort_key(kv[0])):
-            store_bits.append(f"{region}: {val}")
+        bindings = [kv for kv in node.state.store.items()
+                    if not isinstance(kv[0], RetRegion)]
+        store_bits = [f"{region}: {val}" for region, val in
+                      sorted(bindings, key=lambda kv: _region_sort_key(kv[0]))]
         if store_bits:
             label_parts.append(", ".join(store_bits))
         for sym, rng in sorted(node.state.constraints.items(), key=lambda kv: kv[0].id):

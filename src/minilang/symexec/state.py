@@ -19,41 +19,39 @@ _MIRROR = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 class ProgramState:
-    """Store, range constraints, checker data and pending return values, as
-    one immutable value; every mutator returns a fresh state.
+    """Store, range constraints and checker data, as one immutable value;
+    every mutator returns a fresh state. A frame's pending return value is
+    a store binding of its `RetRegion`.
 
     Each mutator costs what it changes, not the size of the state. Every
     component keeps a digest, the XOR of its items' hashes, which the
     mutators update with the items they add and remove (Zobrist hashing).
     `==` compares digests first and the full contents only when they match.
-    Symbols are reference-counted as the mutators go: from store and pending
-    returns (live), and from checker slots. `dead_symbols()` holds the
+    Symbols are reference-counted as the mutators go: from the store (live)
+    and from checker slots. `dead_symbols()` holds the
     symbols that constraints or slots mention but nothing live does. States
     share every dict they do not change, so a dict is never mutated after
     the state that owns it has been returned."""
 
-    __slots__ = ("store", "constraints", "gdm", "ret_vals",
+    __slots__ = ("store", "constraints", "gdm",
                  "_digests", "_live", "_slot_refs", "_dead", "_hash")
 
-    def __init__(self, store=None, constraints=None, gdm=None, ret_vals=None):
+    def __init__(self, store=None, constraints=None, gdm=None):
         self.store: dict[MemRegion, SVal] = dict(store or {})
         self.constraints: dict[Symbol, RangeSet] = dict(constraints or {})
         self.gdm: dict[str, Mapping] = {k: dict(v) for k, v in (gdm or {}).items()}
-        self.ret_vals: dict[int, SVal] = dict(ret_vals or {})
         self._digests = (
             _digest(self.store.items()),
             _digest(self.constraints.items()),
             _digest((key, k, v) for key, mapping in self.gdm.items()
                     for k, v in mapping.items()),
-            _digest(self.ret_vals.items()),
         )
         self._live: dict[Symbol, int] = {}
         self._slot_refs: dict[Symbol, int] = {}
         self._dead: dict[Symbol, None] = {}
         self._hash = None
         self._recount_live(
-            [s for v in (*self.store.values(), *self.ret_vals.values())
-             for s in val_symbols(v)], ())
+            [s for v in self.store.values() for s in val_symbols(v)], ())
         self._recount_slots(
             [s for mapping in self.gdm.values() for k, v in mapping.items()
              for s in _item_symbols(k, v)], ())
@@ -65,7 +63,6 @@ class ProgramState:
         new.store = self.store
         new.constraints = self.constraints
         new.gdm = self.gdm
-        new.ret_vals = self.ret_vals
         new._digests = self._digests
         new._live = self._live
         new._slot_refs = self._slot_refs
@@ -271,40 +268,6 @@ class ProgramState:
             new._recount_slots(came, gone)
         return new
 
-    # --- pending return values, one per frame ---
-
-    def set_ret(self, frame: int, val: SVal) -> "ProgramState":
-        new = self._derive()
-        ret_vals = dict(self.ret_vals)
-        old = ret_vals.get(frame, _ABSENT)
-        delta = hash((frame, val))
-        gone: frozenset[Symbol] = frozenset()
-        if old is not _ABSENT:
-            delta ^= hash((frame, old))
-            gone = val_symbols(old)
-        ret_vals[frame] = val
-        new.ret_vals = ret_vals
-        new._mix(_RET_VALS, delta)
-        came = val_symbols(val)
-        if came != gone:
-            new._recount_live(came, gone)
-        return new
-
-    def ret(self, frame: int) -> SVal | None:
-        return self.ret_vals.get(frame)
-
-    def drop_frame(self, frame: int) -> "ProgramState":
-        old = self.ret_vals.get(frame, _ABSENT)
-        if old is _ABSENT:
-            return self
-        new = self._derive()
-        ret_vals = dict(self.ret_vals)
-        del ret_vals[frame]
-        new.ret_vals = ret_vals
-        new._mix(_RET_VALS, hash((frame, old)))
-        new._recount_live((), val_symbols(old))
-        return new
-
     # --- identity ---
 
     def __eq__(self, other):
@@ -317,8 +280,7 @@ class ProgramState:
         # Equal digests can still hide a collision: compare the contents.
         return (_same(self.store, other.store)
                 and _same(self.constraints, other.constraints)
-                and _same(self.gdm, other.gdm)
-                and _same(self.ret_vals, other.ret_vals))
+                and _same(self.gdm, other.gdm))
 
     def __hash__(self):
         if self._hash is None:
@@ -326,8 +288,8 @@ class ProgramState:
         return self._hash
 
     def live_symbols(self) -> KeysView[Symbol]:
-        """Symbols reachable from store and pending returns (gdm references
-        are weak: checkers purge their own entries on dead-symbol sweeps)."""
+        """Symbols reachable from the store (gdm references are weak:
+        checkers purge their own entries on dead-symbol sweeps)."""
         return self._live.keys()
 
     def gdm_symbols(self) -> KeysView[Symbol]:
@@ -340,7 +302,7 @@ class ProgramState:
         return self._dead.keys()
 
 
-_STORE, _CONSTRAINTS, _GDM, _RET_VALS = range(4)
+_STORE, _CONSTRAINTS, _GDM = range(3)
 _ABSENT = object()
 _new_state = object.__new__
 

@@ -3,9 +3,11 @@
 Values, expressions and regions are named tuples: built, compared and
 hashed by the interpreter's tuple code, with no generated methods. Tuple
 equality ignores the class, so each kind either differs from every other
-in arity or field types, or says what it equals itself: a symbol only
-itself, a field region its (parent, field name), and the field-less values
-are singleton objects.
+kind it is compared with in arity or field types, or says what it equals
+itself: a symbol only itself, a field region its (parent, field name), and
+the field-less values are singleton objects. Regions are compared only
+with regions and values only with values (as store keys and store values),
+so a return region, the one 1-tuple region, may equal a `ConcreteInt`.
 """
 
 from __future__ import annotations
@@ -217,7 +219,14 @@ class FieldRegion(NamedTuple):
         return f"{self.parent}.{self.field_name}"
 
 
-MemRegion = VarRegion | FieldRegion
+class RetRegion(NamedTuple):
+    """Where a frame's return value waits for CallExit, as Clang binds the
+    ReturnStmt in the callee's Environment; it dies with the frame."""
+
+    frame: int
+
+
+MemRegion = VarRegion | FieldRegion | RetRegion
 
 
 def region_type(region: MemRegion) -> TypeRef | None:

@@ -50,7 +50,7 @@ def check_preorder_index(unit) -> None:
 def analyze(source: str, name: str = "input.mc", std: int = 14,
             checkers=None, config: AnalysisConfig | None = None):
     fe = frontend(source, name, std)
-    engine = Engine(fe.unit, fe.file, config, make_checkers(checkers))
+    engine = Engine(fe.unit, config, make_checkers(checkers))
     return engine.run(), fe
 
 

@@ -309,7 +309,7 @@ def test_criterion_10_engine_soundness():
         assert fe.ok, (seed, [d.message for d in fe.diagnostics])
         fn = fe.unit.functions["probe"]
         cfg = build_cfg(fn)
-        engine = Engine(fe.unit, fe.file, checkers=make_checkers())
+        engine = Engine(fe.unit, checkers=make_checkers())
         graph = engine.run().graphs["probe"]
         leaves = graph.leaves()
         # soundness: each leaf's witness replays to the same branch decisions

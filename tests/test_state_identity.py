@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from minilang.frontend.astnodes import TypeRef
 from minilang.symexec import (
-    ConcreteInt, FieldRegion, NULL_LOC, ProgramState, RangeSet,
+    ConcreteInt, FieldRegion, NULL_LOC, ProgramState, RangeSet, RetRegion,
     sym_add, sym_val, SymAtom, Symbol, SymbolicVal, UNKNOWN, val_symbols,
     VarRegion,
 )
@@ -18,7 +18,9 @@ def _decl(name):
 
 SYMBOLS = [Symbol(i, f"s{i}") for i in range(1, 5)]
 _A, _B = VarRegion(_decl("a"), 1), VarRegion(_decl("b"), 2)
-REGIONS = [_A, _B, FieldRegion(_A, "f", TypeRef("int")), VarRegion(_decl("c"), 1)]
+# Two frames' return slots, so the ops write and drop pending return values.
+REGIONS = [_A, _B, FieldRegion(_A, "f", TypeRef("int")), VarRegion(_decl("c"), 1),
+           RetRegion(1), RetRegion(2)]
 VALUES = ([ConcreteInt(0), ConcreteInt(7), UNKNOWN, NULL_LOC]
           + [sym_val(s) for s in SYMBOLS]
           + [SymbolicVal(sym_add(SymAtom(s), 3)) for s in SYMBOLS])
@@ -59,8 +61,6 @@ OPS = st.one_of(
     st.tuples(st.just("constrain"), symbols, st.sampled_from(RANGES)),
     st.tuples(st.just("drop_constraints"), st.lists(symbols, max_size=3)),
     st.tuples(st.just("update_slot"), SLOT_CHANGES),
-    st.tuples(st.just("set_ret"), st.integers(1, 2), values),
-    st.tuples(st.just("drop_frame"), st.integers(1, 2)),
 )
 
 
@@ -110,8 +110,7 @@ def run(ops) -> ProgramState:
 # --- references, computed by scanning the whole state ------------------------------
 
 def live_reference(state):
-    return {s for v in (*state.store.values(), *state.ret_vals.values())
-            for s in val_symbols(v)}
+    return {s for v in state.store.values() for s in val_symbols(v)}
 
 
 def slot_symbols_reference(state):
@@ -127,7 +126,7 @@ def slot_symbols_reference(state):
 
 def rebuilt(state):
     return ProgramState(store=state.store, constraints=state.constraints,
-                        gdm=state.gdm, ret_vals=state.ret_vals)
+                        gdm=state.gdm)
 
 
 def reordered(state):
@@ -139,13 +138,11 @@ def reordered(state):
         out = out.constrain(sym, rng)
     for key, mapping in reversed(state.gdm.items()):
         out = out.update_slot(key, dict(reversed(mapping.items())))
-    for frame, val in reversed(state.ret_vals.items()):
-        out = out.set_ret(frame, val)
     return out
 
 
 def contents(state):
-    return state.store, state.constraints, state.gdm, state.ret_vals
+    return state.store, state.constraints, state.gdm
 
 
 @given(st.lists(OPS, max_size=30))

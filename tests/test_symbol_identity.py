@@ -28,9 +28,9 @@ SOURCES = sorted((ROOT / "scripts" / "examples").glob("*.mc")) + sorted(
 
 
 def state_symbols(state):
-    """Every symbol a state holds: store and pending-return values,
+    """Every symbol a state holds: store values (pending returns included),
     constraint keys, and checker-slot keys and set members."""
-    for val in (*state.store.values(), *state.ret_vals.values()):
+    for val in state.store.values():
         yield from val_symbols(val)
     yield from state.constraints
     for mapping in state.gdm.values():

@@ -11,8 +11,8 @@ from minilang.frontend.astnodes import TypeRef
 from minilang.source import InternalError
 from minilang.symexec import (
     AnalysisConfig, as_symbol, assume, assume_relation,
-    ConcreteInt, dump_dot, Engine, IMAX, IMIN, ProgramState,
-    RangeSet, sym_val, SymAtom, Symbol, SymIntOp, VarRegion,
+    ConcreteInt, dump_dot, Engine, IMAX, IMIN, ProgramState, RangeSet,
+    region_root, RetRegion, sym_val, SymAtom, Symbol, SymIntOp, VarRegion,
 )
 
 from conftest import analyze, EXPLODED_G, frontend
@@ -135,10 +135,10 @@ def test_concrete_assignment_binds_concrete_int():
 
 def test_read_of_uninitialized_local_is_undefined():
     fe = frontend("int f() { int x; return x; }")
-    engine = Engine(fe.unit, fe.file)
+    engine = Engine(fe.unit)
     result = engine.run()
     leaf = result.graphs["f"].leaves()[0]
-    assert str(leaf.state.ret_vals[1]) == "undef"
+    assert str(leaf.state.lookup(RetRegion(1))) == "undef"
 
 
 # --- branching ------------------------------------------------------------------------
@@ -287,19 +287,58 @@ int f() {
   return a + b;
 }
 """)
-    engine = Engine(fe.unit, fe.file, AnalysisConfig(unroll=4), make_checkers(None))
+    engine = Engine(fe.unit, AnalysisConfig(unroll=4), make_checkers(None))
     result = engine.run()
     declared = {key for c in engine.checkers for key in getattr(c, "state_slots", ())}
     nodes = result.graphs["f"].nodes
     assert any(n.state.gdm for n in nodes)  # the checkers did write their slots
     assert all(set(n.state.gdm) <= declared for n in nodes)
     exits = [n for n in result.graphs["f"].leaves()
-             if n.state.ret(n.point.frame) is not None]
-    assert {str(n.state.ret(n.point.frame)) for n in exits} == {"6"}
+             if n.state.lookup(RetRegion(n.point.frame)) is not None]
+    # 6: each call counted its own loop from zero
+    assert {str(n.state.lookup(RetRegion(n.point.frame))) for n in exits} == {"6"}
     for leaf in exits:
         callee_counts = sorted(count for (_, _, frame), count in leaf.loops.items()
                                if frame != leaf.point.frame)
-        assert callee_counts == [3, 3]  # two frames, each counted from zero
+        assert callee_counts == []  # CallExit dropped them with the frame
+
+
+def test_call_exit_leaves_nothing_of_the_callee_frame():
+    # Variables, a struct field, the return slot and the back-edge counts of
+    # each inlined frame, nested calls included, end at its CallExit.
+    result, _ = analyze("""\
+struct S { int x; };
+int inner(int n) {
+  int i = 0;
+  while (i < n)
+    i = i + 1;
+  return i;
+}
+int count(int n) {
+  S s;
+  s.x = inner(n);
+  int j = 0;
+  while (j < 2)
+    j = j + 1;
+  return s.x + j;
+}
+int f() {
+  int a = count(2);
+  int b = count(1);
+  return a + b;
+}
+""")
+    nodes = result.graphs["f"].nodes
+    top = nodes[0].point.frame
+    (leaf,) = result.graphs["f"].leaves()
+    assert leaf.state.lookup(RetRegion(top)) == ConcreteInt(7)
+    assert sum(type(n.point).__name__ == "CallExitPoint" for n in nodes) == 4
+    callee_frames = {region_root(r).frame for n in nodes for r in n.state.store} - {top}
+    assert len(callee_frames) == 4
+    for node in nodes:
+        if node.point.frame == top:
+            assert {region_root(r).frame for r in node.state.store} <= {top}
+            assert {frame for _, _, frame in node.loops} <= {top}
 
 
 # --- loops and budgets --------------------------------------------------------------------
@@ -415,7 +454,7 @@ def test_loop_leaves_replay_in_the_oracle(name):
     cfg = build_cfg(fn)
     returned = []  # (leaf, its range for n, its return value)
     for leaf in result.graphs["f"].leaves():
-        ret = leaf.state.ret(leaf.point.frame)
+        ret = leaf.state.lookup(RetRegion(leaf.point.frame))
         if ret is None:
             continue  # a path the unroll limit abandoned
         assert isinstance(ret, ConcreteInt)
@@ -458,11 +497,11 @@ def test_state_immutability_under_every_operation():
     region = VarRegion_stub()
     state = (ProgramState().bind(region, sym_val(sym))
              .constrain(sym, RangeSet.of((1, 9))).update_slot("k", {sym: 1})
-             .set_ret(0, sym_val(sym)).update_slot("edges", {(2, 1, 0): 1}))
+             .bind(RetRegion(0), sym_val(sym)).update_slot("edges", {(2, 1, 0): 1}))
 
     def snapshot():
         return (dict(state.store), dict(state.constraints), dict(state.gdm),
-                dict(state.ret_vals), hash(state))
+                hash(state))
 
     before = snapshot()
     state.bind(region, ConcreteInt(1))
@@ -473,8 +512,7 @@ def test_state_immutability_under_every_operation():
     state.update_slot("k", {"a": 1})
     state.update_slot("k", {sym: 2})
     state.update_slot("k", {sym: None})
-    state.set_ret(0, ConcreteInt(2))
-    state.drop_frame(0)
+    state.bind(RetRegion(0), ConcreteInt(2))
     state.update_slot("edges", {(2, 1, 0): 2})
     assert snapshot() == before
 
@@ -508,7 +546,7 @@ def test_duplicate_state_slot_is_a_configuration_error():
 
     fe = frontend("void f() { }")
     with pytest.raises(InternalError):
-        Engine(fe.unit, fe.file, checkers=[A(), B()])
+        Engine(fe.unit, checkers=[A(), B()])
 
 
 def test_dead_symbol_constraints_reaped():
@@ -523,7 +561,7 @@ def test_conjured_symbol_ids_unique_per_analysis():
 extern int f();
 void g() { int a = f(); int b = f(); int c = f(); }
 """)
-    engine = Engine(fe.unit, fe.file)
+    engine = Engine(fe.unit)
     result = engine.run()
     ids = []
     for node in result.graphs["g"].nodes:
