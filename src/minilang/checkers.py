@@ -10,7 +10,6 @@ DivZero reports divisions whose divisor is known to be zero on the path.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Severity
@@ -30,14 +29,21 @@ RAWPTR_SLOT = "InnerPointer.RawPtrMap"
 
 # --- shared allocation state -------------------------------------------------
 
+# Enum members are singletons, so they hash by identity, as symbols and AST
+# nodes do; `Enum.__hash__` would hash the member's name in Python code.
+
 class RefStatus(enum.Enum):
     ALLOCATED = "allocated"
     RELEASED = "released"
+
+    __hash__ = object.__hash__
 
 
 class AllocationFamily(enum.Enum):
     HEAP = "heap"
     INNER_BUFFER = "inner buffer"
+
+    __hash__ = object.__hash__
 
 
 class RefState(NamedTuple):
@@ -59,13 +65,9 @@ class RefState(NamedTuple):
         return RefState(RefStatus.RELEASED, family, origin)
 
 
-def mark_released(state: ProgramState, symbols: Iterable[Symbol],
-                  origin: Node | None) -> ProgramState:
-    """Hand buffer symbols over to MallocLite in released state, with one
-    slot write. The new state only joins the graph once the caller's
-    addTransition commits it."""
-    released = RefState.released(AllocationFamily.INNER_BUFFER, origin)
-    return state.update_slot(MALLOC_SLOT, dict.fromkeys(symbols, released))
+# The state of an inner buffer released by a destructor, which has no
+# statement of its own.
+_DTOR_RELEASED = RefState.released(AllocationFamily.INNER_BUFFER, None)
 
 
 def get_container_obj_region(state: ProgramState, sym: Symbol) -> MemRegion | None:
@@ -324,11 +326,17 @@ class InnerPointer(Checker):
     @staticmethod
     def mark_ptr_symbols_released(state: ProgramState, region: MemRegion,
                                   origin: Node | None) -> ProgramState:
+        """Hand the buffer symbols recorded for `region` over to MallocLite
+        in released state and forget the region, in one transition. The new
+        state only joins the graph once the caller's addTransition commits
+        it."""
         ptr_set = state.slot(RAWPTR_SLOT).get(region)
         if ptr_set is None:
             return state  # nobody asked for a buffer pointer: nothing to do
-        state = mark_released(state, ptr_set, origin)
-        return state.update_slot(RAWPTR_SLOT, {region: None})
+        released = _DTOR_RELEASED if origin is None else RefState.released(
+            AllocationFamily.INNER_BUFFER, origin)
+        return state.update_slots({MALLOC_SLOT: dict.fromkeys(ptr_set, released),
+                                   RAWPTR_SLOT: {region: None}})
 
     def check_function_arguments(self, state: ProgramState,
                                  info: CallInfo) -> ProgramState:

@@ -688,23 +688,34 @@ class Engine:
                     out.append(result)
         return out
 
-    def deref(self, via, state, frame, expr: Node, pointer: SVal):
-        """Load through a pointer value: the pointee for `*p`, the field for
-        `p->f`. None when the path sank."""
+    def check_deref(self, via, state, frame, expr: Node, pointer: SVal):
+        """What every access through a pointer checks, a read, a write or a
+        method call: the checkers' "deref" use, then a pointer known to be
+        null ends the path, and a path that goes on has a non-null pointer.
+        Returns (state, via), or None when the path sank."""
         state, via, sank = self.dispatch_use(via, state, frame, expr, pointer, "deref")
         if sank:
             return None
         if isinstance(pointer, NullLocVal) or self.known_null(state, pointer):
             return self.null_deref_sink(via, state, frame, expr)
-        is_field = isinstance(expr, FieldAccess)
-        if isinstance(pointer, LocVal):
-            region = _field_region(pointer.region, expr) if is_field else pointer.region
-            val, state = self.load(state, region, frame)
-            return val, state, via
         if isinstance(pointer, SymbolicVal):
-            refined = assume(state, pointer, True)  # surviving deref: non-null
-            val = self.conjure() if is_field else UNKNOWN
-            return val, refined if refined is not None else state, via
+            refined = assume(state, pointer, True)
+            if refined is not None:
+                state = refined
+        return state, via
+
+    def deref(self, via, state, frame, expr: Node, pointer: SVal):
+        """Load through a pointer value: the pointee for `*p`, the field for
+        `p->f`. None when the path sank."""
+        checked = self.check_deref(via, state, frame, expr, pointer)
+        if checked is None:
+            return None
+        state, via = checked
+        if isinstance(pointer, LocVal):
+            val, state = self.load(state, _pointee(pointer, expr), frame)
+            return val, state, via
+        if isinstance(pointer, SymbolicVal) and isinstance(expr, FieldAccess):
+            return self.conjure(), state, via
         return UNKNOWN, state, via
 
     def null_deref_sink(self, via, state, frame, expr: Node) -> None:
@@ -827,33 +838,52 @@ class Engine:
     def eval_assign(self, via, state, frame, expr: Assign):
         lhs_type = expr.lhs.type
         out = []
-        for rv, st1, v1 in self.eval(via, state, frame, expr.rhs):
-            region = self.lvalue_region(st1, frame, expr.lhs)
-            if region is None:
-                out.append((rv, st1, v1))
-                continue
-            if expr.op == "+=":
-                if lhs_type is not None and lhs_type.base == "string":
-                    result = self.conjure()
-                else:
-                    current, st1 = self.load(st1, region, frame)
-                    result = self.fold_binary("+", current, rv)
-            else:
-                result = UNKNOWN if isinstance(rv, UndefinedVal) else rv
-            st2 = st1.bind(region, result)
-            if expr.op == "=" and self._is_struct_value(lhs_type):
-                st2 = self._copy_struct(st2, frame, region, expr.rhs)
-            if lhs_type is not None and lhs_type.base == "string" \
-                    and lhs_type.indirections == 0:
-                info = CallInfo(expr, "operator" + expr.op, "assign",
-                                region, result, [])
-                st2, v1, sank = self.dispatch(
-                    "check_post_call", v1, st2,
-                    lambda: PostStmtPoint(-1, -1, frame.id, expr),
-                    info, make_node=True)
-                if sank:
+        for rv, st0, v0 in self.eval(via, state, frame, expr.rhs):
+            for region, st1, v1 in self.lvalue_outcomes(v0, st0, frame, expr.lhs):
+                if region is None:
+                    out.append((rv, st1, v1))
                     continue
-            out.append((result, st2, v1))
+                if expr.op == "+=":
+                    if lhs_type is not None and lhs_type.base == "string":
+                        result = self.conjure()
+                    else:
+                        current, st1 = self.load(st1, region, frame)
+                        result = self.fold_binary("+", current, rv)
+                else:
+                    result = UNKNOWN if isinstance(rv, UndefinedVal) else rv
+                st2 = st1.bind(region, result)
+                if expr.op == "=" and self._is_struct_value(lhs_type):
+                    st2 = self._copy_struct(st2, frame, region, expr.rhs)
+                if lhs_type is not None and lhs_type.base == "string" \
+                        and lhs_type.indirections == 0:
+                    info = CallInfo(expr, "operator" + expr.op, "assign",
+                                    region, result, [])
+                    st2, v1, sank = self.dispatch(
+                        "check_post_call", v1, st2,
+                        lambda: PostStmtPoint(-1, -1, frame.id, expr),
+                        info, make_node=True)
+                    if sank:
+                        continue
+                out.append((result, st2, v1))
+        return out
+
+    def lvalue_outcomes(self, via, state, frame, lhs: Node):
+        """Where a write to `lhs` goes: (region or None, state, via) outcomes.
+        A write through a pointer, `*q = v` or `p->f = v`, evaluates the
+        pointer and checks it as a read through it does."""
+        lhs = strip_parens(lhs)
+        if isinstance(lhs, FieldAccess) and lhs.is_arrow:
+            base = lhs.base
+        elif isinstance(lhs, UnaryOp) and lhs.op == "*":
+            base = lhs.operand
+        else:
+            return [(self.lvalue_region(state, frame, lhs), state, via)]
+        out = []
+        for pointer, st, v in self.eval(via, state, frame, base):
+            checked = self.check_deref(v, st, frame, lhs, pointer)
+            if checked is not None:
+                region = _pointee(pointer, lhs) if isinstance(pointer, LocVal) else None
+                out.append((region, *checked))
         return out
 
     # --- calls ---
@@ -863,9 +893,10 @@ class Engine:
         receiver_outcomes = []
         if expr.is_arrow:
             for pval, st, v in self.eval(via, state, frame, expr.receiver):
-                st, v, sank = self.dispatch_use(v, st, frame, expr, pval, "deref")
-                if sank:
+                checked = self.check_deref(v, st, frame, expr, pval)
+                if checked is None:
                     continue
+                st, v = checked
                 region = pval.region if isinstance(pval, LocVal) else None
                 receiver_outcomes.append((region, st, v))
         else:
@@ -1024,6 +1055,13 @@ class Engine:
                 continue
             out.append((ret, st, v2))
         return out
+
+
+def _pointee(pointer: LocVal, expr: Node) -> MemRegion:
+    """The region `*p` or `p->f` names when `p` points to a known region."""
+    if isinstance(expr, FieldAccess):
+        return _field_region(pointer.region, expr)
+    return pointer.region
 
 
 def _field_region(base: MemRegion, expr: FieldAccess) -> FieldRegion:

@@ -71,9 +71,15 @@ class ProgramState:
         return new
 
     def _mix(self, component: int, delta: int) -> None:
-        digests = list(self._digests)
-        digests[component] ^= delta
-        self._digests = tuple(digests)
+        """XOR `delta` into one component's digest."""
+        store, constraints, gdm = self._digests
+        if component == _STORE:
+            store ^= delta
+        elif component == _CONSTRAINTS:
+            constraints ^= delta
+        else:
+            gdm ^= delta
+        self._digests = (store, constraints, gdm)
 
     # --- reference counts (only on a state fresh from `_derive`) ---
 
@@ -228,40 +234,51 @@ class ProgramState:
         return self.gdm.get(key, {})
 
     def update_slot(self, key: str, changes: Mapping) -> "ProgramState":
-        """Write some entries of one slot, as Clang's `state->set<>` and
-        `remove<>` do: `changes` maps entry keys to new values, and a value
-        of None removes the entry (slot values are never None). Only these
-        entries are hashed and recounted, and a write that changes nothing
-        returns this state. An overwritten entry keeps its position, and a
-        slot left empty is dropped."""
-        old = self.gdm.get(key, {})
-        mapping = None
+        """`update_slots` of one slot."""
+        return self.update_slots({key: changes})
+
+    def update_slots(self, writes: Mapping[str, Mapping]) -> "ProgramState":
+        """Write some entries of several slots in one transition, as Clang's
+        `state->set<>` and `remove<>` do: `writes` maps slot keys to changes,
+        and the changes map entry keys to new values, where None removes the
+        entry (slot values are never None). Only these entries are hashed
+        and recounted, and a write that changes nothing returns this state.
+        An overwritten entry keeps its position, and a slot left empty is
+        dropped. A symbol that leaves one slot for another, as a buffer
+        handed over between checkers does, leaves the counts as they are."""
+        gdm = None
         delta = 0
         came: list[Symbol] = []
         gone: list[Symbol] = []
-        for k, v in changes.items():
-            was = old.get(k)
-            if was is v:
-                continue  # the very object stored, or removing an absent key
+        for key, changes in writes.items():
+            old = self.gdm.get(key, {})
+            mapping = None
+            for k, v in changes.items():
+                was = old.get(k)
+                if was is v:
+                    continue  # the very object stored, or removing an absent key
+                if mapping is None:
+                    mapping = dict(old)
+                if was is not None:
+                    delta ^= hash((key, k, was))
+                    gone += _item_symbols(k, was)
+                if v is None:
+                    del mapping[k]
+                else:
+                    mapping[k] = v
+                    delta ^= hash((key, k, v))
+                    came += _item_symbols(k, v)
             if mapping is None:
-                mapping = dict(old)
-            if was is not None:
-                delta ^= hash((key, k, was))
-                gone.extend(_item_symbols(k, was))
-            if v is None:
-                del mapping[k]
+                continue
+            if gdm is None:
+                gdm = dict(self.gdm)
+            if mapping:
+                gdm[key] = mapping
             else:
-                mapping[k] = v
-                delta ^= hash((key, k, v))
-                came.extend(_item_symbols(k, v))
-        if mapping is None:
+                del gdm[key]
+        if gdm is None:
             return self
         new = self._derive()
-        gdm = dict(self.gdm)
-        if mapping:
-            gdm[key] = mapping
-        else:
-            del gdm[key]
         new.gdm = gdm
         new._mix(_GDM, delta)
         if came != gone:
@@ -319,9 +336,11 @@ def _same(a: dict, b: dict) -> bool:
 
 
 def _item_symbols(k, v) -> list[Symbol]:
-    out = [k] if isinstance(k, Symbol) else []
-    if isinstance(v, frozenset):
-        out.extend(s for s in v if isinstance(s, Symbol))
+    """The symbols one slot entry mentions: its key, and the members of a
+    set value."""
+    out = [k] if k.__class__ is Symbol else []
+    if v.__class__ is frozenset:
+        out += [s for s in v if s.__class__ is Symbol]
     return out
 
 
@@ -356,7 +375,10 @@ def assume_relation(state: ProgramState, expr: SymExpr, op: str, const: int,
     sym, a, b = form
     if a != 1:
         return state
-    rng = state.range_of(sym).intersect(RangeSet.relation(op, const - b))
+    old = state.range_of(sym)
+    rng = old.restrict(op, const - b)
+    if rng is old:
+        return state
     if rng.is_empty:
         return INFEASIBLE
     return state.constrain(sym, rng)

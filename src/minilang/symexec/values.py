@@ -102,14 +102,6 @@ def linear_form(expr: SymExpr) -> tuple[Symbol, int, int] | None:
     return None
 
 
-def expr_symbols(expr: SymExpr) -> frozenset[Symbol]:
-    if isinstance(expr, SymAtom):
-        return frozenset((expr.symbol,))
-    if isinstance(expr, SymIntOp):
-        return expr_symbols(expr.lhs)
-    return frozenset()
-
-
 # --- SVal --------------------------------------------------------------------
 
 class _Singleton:
@@ -182,10 +174,19 @@ def as_symbol(val: SVal) -> Symbol | None:
     return None
 
 
-def val_symbols(val: SVal) -> frozenset[Symbol]:
-    if isinstance(val, SymbolicVal):
-        return expr_symbols(val.expr)
-    return frozenset()
+def val_symbols(val: SVal) -> tuple[Symbol, ...]:
+    """The symbols a value mentions: none, or the one symbol at the root of
+    its expression, as every expression is linear in one symbol. Values
+    without a symbol share one empty tuple."""
+    if val.__class__ is not SymbolicVal:
+        return _NO_SYMBOLS
+    expr = val.expr
+    while expr.__class__ is SymIntOp:
+        expr = expr.lhs
+    return (expr.symbol,)
+
+
+_NO_SYMBOLS: tuple[Symbol, ...] = ()
 
 
 # --- memory regions ----------------------------------------------------------
@@ -275,23 +276,6 @@ class RangeSet(NamedTuple):
     def singleton(v: int) -> "RangeSet":
         return RangeSet(((v, v),))
 
-    @staticmethod
-    def relation(op: str, c: int) -> "RangeSet":
-        """The set of values v with `v op c`."""
-        if op == "==":
-            return RangeSet.singleton(c) if IMIN <= c <= IMAX else _EMPTY
-        if op == "!=":
-            return RangeSet.singleton(c).complement() if IMIN <= c <= IMAX else _FULL
-        if op == "<":
-            return RangeSet.of((IMIN, c - 1)) if c > IMIN else _EMPTY
-        if op == "<=":
-            return RangeSet.of((IMIN, min(c, IMAX))) if c >= IMIN else _EMPTY
-        if op == ">":
-            return RangeSet.of((c + 1, IMAX)) if c < IMAX else _EMPTY
-        if op == ">=":
-            return RangeSet.of((max(c, IMIN), IMAX)) if c <= IMAX else _EMPTY
-        raise ValueError(f"unknown relation {op!r}")
-
     @property
     def is_empty(self) -> bool:
         return not self.intervals
@@ -299,6 +283,42 @@ class RangeSet(NamedTuple):
     @property
     def is_full(self) -> bool:
         return self.intervals == ((IMIN, IMAX),)
+
+    def restrict(self, op: str, c: int) -> "RangeSet":
+        """The values v of this set with `v op c`, in one pass over the
+        intervals: trimming and splitting keep them ordered, disjoint and
+        non-adjacent. Returns this very set when no value goes."""
+        intervals = self.intervals
+        if op == "==":
+            for lo, hi in intervals:
+                if lo <= c <= hi:
+                    return self if intervals == ((c, c),) else RangeSet(((c, c),))
+            return self if not intervals else _EMPTY
+        out = []
+        if op == "!=":
+            for lo, hi in intervals:
+                if lo <= c <= hi:
+                    if lo < c:
+                        out.append((lo, c - 1))
+                    if c < hi:
+                        out.append((c + 1, hi))
+                else:
+                    out.append((lo, hi))
+        elif op == "<" or op == "<=":
+            top = c - 1 if op == "<" else c
+            for lo, hi in intervals:
+                if lo > top:
+                    break
+                out.append((lo, hi) if hi <= top else (lo, top))
+        elif op == ">" or op == ">=":
+            bottom = c + 1 if op == ">" else c
+            for lo, hi in intervals:
+                if hi >= bottom:
+                    out.append((lo, hi) if lo >= bottom else (bottom, hi))
+        else:
+            raise ValueError(f"unknown relation {op!r}")
+        out = tuple(out)
+        return self if out == intervals else RangeSet(out)
 
     def intersect(self, other: "RangeSet") -> "RangeSet":
         out = []

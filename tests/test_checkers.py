@@ -3,11 +3,11 @@
 import pytest
 
 from minilang.checkers import (
-    AllocationFamily, get_container_obj_region,
-    is_invalidating_member_function, mark_released, MALLOC_SLOT, RAWPTR_SLOT,
+    AllocationFamily, get_container_obj_region, InnerPointer,
+    is_invalidating_member_function, MALLOC_SLOT, RAWPTR_SLOT,
     RefStatus, registry_list, resolve_enabled, UnknownCheckerError,
 )
-from minilang.symexec import ProgramState, Symbol
+from minilang.symexec import ProgramState, Symbol, VarRegion
 from minilang.symexec.engine import CallInfo
 
 from conftest import analyze, frontend, USE_AFTER_CLEAR, USE_AFTER_FREE
@@ -132,14 +132,73 @@ void f() {
     assert len(reports) == 1
 
 
+@pytest.mark.parametrize("source, column", [
+    ("struct S { int f; }; void g() { S* p = new S(); delete p; p->f = 1; }", 59),
+    ("void h() { int* q = new int(); delete q; *q = 1; }", 42),
+])
+def test_write_through_a_freed_pointer_reports(source, column):
+    reports, _, _ = reports_of(source)
+    assert [(r.message, r.location.column) for r in reports] == [
+        ("Use of memory after it is freed", column)]
+
+
+def null_sinks(source: str):
+    """The null-dereference notes and sinks of one analysis."""
+    reports, result, _ = reports_of(source)
+    assert reports == []
+    notes = [n for n in result.notes if "null dereference" in n]
+    sinks = [n for g in result.graphs.values() for n in g.nodes if n.is_sink]
+    return notes, sinks
+
+
+def test_write_through_a_known_null_pointer_ends_the_path():
+    notes, sinks = null_sinks(
+        "struct S { int f; };\nvoid k(S* p) { if (p == 0) { p->f = 2; } }")
+    assert notes == ["input.mc:2:30: note: null dereference, path terminated"]
+    assert len(sinks) == 1
+
+
+def test_method_call_on_a_known_null_receiver_ends_the_path():
+    notes, sinks = null_sinks(
+        "int h(string* s) { if (s == 0) { return s->size(); } return 0; }")
+    assert notes == ["input.mc:1:41: note: null dereference, path terminated"]
+    assert len(sinks) == 1
+
+
+@pytest.mark.parametrize("access", [
+    "int x = p->v;", "p->v = 1;", "*q = 1;", "int n = s->size();"])
+def test_a_path_that_survives_an_access_through_a_pointer_has_it_non_null(access):
+    notes, sinks = null_sinks(f"""\
+struct S {{ int v; }};
+extern S* mk();
+extern int* mkint();
+extern string* mkstr();
+void f() {{
+  S* p = mk(); int* q = mkint(); string* s = mkstr();
+  {access}
+  if (p == 0 || q == 0 || s == 0) {{ int y = *q; }}
+  if (p == 0) {{ int z = p->v; }}
+  if (s == 0) {{ string t = *s; }}
+}}
+""")
+    # the two null-dereference notes of the paths where `access` has no say
+    assert len(notes) == len(sinks) == 2
+
+
 # --- markReleased / container region ------------------------------------------------
 
 def test_mark_released_is_idempotent_and_keeps_origin_none():
     sym = Symbol(1, "c")
-    state = ProgramState()
-    one = mark_released(state, [sym], None)
-    two = mark_released(one, [sym], None)
+    region = VarRegion(object(), 1)
+    tracked = ProgramState().update_slot(RAWPTR_SLOT, {region: frozenset({sym})})
+    one = InnerPointer.mark_ptr_symbols_released(tracked, region, None)
+    assert one.slot(RAWPTR_SLOT) == {}  # the region is forgotten
+    assert InnerPointer.mark_ptr_symbols_released(one, region, None) is one
+    two = InnerPointer.mark_ptr_symbols_released(
+        one.update_slot(RAWPTR_SLOT, {region: frozenset({sym})}), region, None)
     assert one == two
+    # the symbol moved between slots in one transition: its count stays
+    assert one._slot_refs is tracked._slot_refs and list(one.gdm_symbols()) == [sym]
     ref = one.slot(MALLOC_SLOT)[sym]
     assert ref.origin is None
     assert ref.family is AllocationFamily.INNER_BUFFER

@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from minilang.frontend.astnodes import TypeRef
 from minilang.symexec import (
-    ConcreteInt, FieldRegion, NULL_LOC, ProgramState, RangeSet, RetRegion,
+    ConcreteInt, FieldRegion, IMAX, IMIN, NULL_LOC, ProgramState, RangeSet, RetRegion,
     sym_add, sym_val, SymAtom, Symbol, SymbolicVal, UNKNOWN, val_symbols,
     VarRegion,
 )
+from minilang.symexec.state import COMPARISONS
 
 
 def _decl(name):
@@ -216,3 +217,68 @@ def test_update_slot_is_a_dict_edit_of_the_named_entries(writes):
         assert set(updated.dead_symbols()) == set(fresh.dead_symbols())
         assert updated == fresh and hash(updated) == hash(fresh)
         state = updated
+
+
+# --- several slots in one transition ----------------------------------------------
+
+@given(st.lists(SLOT_CHANGES, max_size=6), SLOT_CHANGES, SLOT_CHANGES, symbols)
+@settings(max_examples=200, deadline=None)
+def test_update_slots_equals_the_one_slot_writes_in_turn(history, first, second, moved):
+    state = ProgramState().bind(_A, sym_val(SYMBOLS[0]))
+    for key, changes in history:
+        state = state.update_slot(key, resolve(key, state.slot(key), changes))
+    # besides the drawn changes, `moved` leaves a region set for a symbol
+    # key, as a buffer handed over between checkers does
+    state = state.update_slot(SLOTS[1], {_B: frozenset({moved})})
+    writes = {SLOTS[1]: {**resolve(SLOTS[1], state.slot(SLOTS[1]), second[1]), _B: None},
+              SLOTS[0]: {**resolve(SLOTS[0], state.slot(SLOTS[0]), first[1]),
+                         moved: ("v", 9)}}
+    if first[0] == SLOTS[2]:  # a third slot, when one is drawn for it
+        writes[SLOTS[2]] = resolve(SLOTS[2], state.slot(SLOTS[2]), first[1])
+    together = state.update_slots(writes)
+    in_turn = state
+    for key, changes in writes.items():
+        in_turn = in_turn.update_slot(key, changes)
+    for key in SLOTS:
+        assert list(together.slot(key).items()) == list(in_turn.slot(key).items())
+    assert list(together.gdm) == list(in_turn.gdm)
+    assert together == in_turn and hash(together) == hash(in_turn)
+    assert together._digests == in_turn._digests
+    assert set(together.gdm_symbols()) == set(in_turn.gdm_symbols())
+    assert set(together.dead_symbols()) == set(in_turn.dead_symbols())
+    fresh = rebuilt(together)
+    assert together._slot_refs == fresh._slot_refs
+    assert set(together.dead_symbols()) == set(fresh.dead_symbols())
+
+
+def test_a_symbol_moved_between_slots_keeps_its_count():
+    sym = SYMBOLS[1]
+    state = ProgramState().update_slot(SLOTS[1], {_B: frozenset({sym})})
+    moved = state.update_slots({SLOTS[0]: {sym: ("v", 1)}, SLOTS[1]: {_B: None}})
+    assert moved.slot(SLOTS[1]) == {} and moved.slot(SLOTS[0]) == {sym: ("v", 1)}
+    assert moved._slot_refs is state._slot_refs and moved._dead is state._dead
+    assert state.update_slots({SLOTS[0]: {}, SLOTS[1]: {_A: None}}) is state
+
+
+# --- one-pass range restriction ------------------------------------------------------
+
+EDGE_POINTS = [IMIN, IMIN + 1, -2, -1, 0, 1, 2, IMAX - 1, IMAX]
+bounds = st.one_of(st.sampled_from(EDGE_POINTS), st.integers(-40, 40))
+range_sets = st.lists(st.tuples(bounds, bounds), max_size=4).map(
+    lambda ivs: RangeSet.of(*[(min(a, b), max(a, b)) for a, b in ivs]))
+
+
+@given(range_sets, st.sampled_from(sorted(COMPARISONS)),
+       st.one_of(bounds, st.sampled_from([IMIN - 1, IMAX + 1])),
+       st.lists(bounds, max_size=12))
+@settings(max_examples=400, deadline=None)
+def test_restrict_keeps_exactly_the_members_in_relation(rng, op, c, probes):
+    out = rng.restrict(op, c)
+    assert RangeSet.of(*out.intervals) == out  # ordered, disjoint, non-adjacent
+    points = set(probes) | set(EDGE_POINTS) | {c - 1, c, c + 1}
+    points |= {v for lo, hi in rng.intervals for v in (lo - 1, lo, hi, hi + 1)}
+    for v in points:
+        if IMIN <= v <= IMAX:
+            assert out.contains(v) == (rng.contains(v) and COMPARISONS[op](v, c))
+    if out == rng:
+        assert out is rng  # nothing went: the very same set
