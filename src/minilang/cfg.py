@@ -16,6 +16,8 @@ from .frontend.astnodes import (
 )
 from .source import InternalError, SourceLocation
 
+_new = tuple.__new__  # elements and terminators skip the generated `__new__`
+
 
 class StmtElement(NamedTuple):
     stmt: Node
@@ -115,10 +117,10 @@ class _Builder:
         """Destructor elements for every string in scopes deeper than `down_to`,
         innermost scope first, reverse declaration order within a scope, each
         located at `offset`, where the scope is left."""
-        loc = SourceLocation(self.fn.file, offset)
+        loc = _new(SourceLocation, (self.fn.file, offset))
         for scope in reversed(self.scopes[down_to:]):
             for var in reversed(scope.strings):
-                self.emit(ImplicitDtorElement(var, loc))
+                self.emit(_new(ImplicitDtorElement, (var, loc)))
 
     # --- statements ---
 
@@ -129,7 +131,7 @@ class _Builder:
         self.lower_stmts(self.fn.body.stmts)
         if self.current is not None:
             self.emit_dtors(0, self.fn.body.end)
-            self.terminate(Ret(None, self.exit))
+            self.terminate(_new(Ret, (None, self.exit)))
         self.scopes.pop()
         return self._finish(first.id)
 
@@ -143,28 +145,28 @@ class _Builder:
 
     def lower_stmt(self, stmt: Node):
         if isinstance(stmt, VarDecl):
-            self.emit(StmtElement(stmt))
+            self.emit(_new(StmtElement, (stmt,)))
             self.declare(stmt)
         elif isinstance(stmt, (ExprStmt, DeleteStmt)):
-            self.emit(StmtElement(stmt))
+            self.emit(_new(StmtElement, (stmt,)))
         elif isinstance(stmt, ReturnStmt):
-            self.emit(StmtElement(stmt))
+            self.emit(_new(StmtElement, (stmt,)))
             self.emit_dtors(0, stmt.begin)
-            self.terminate(Ret(stmt, self.exit))
+            self.terminate(_new(Ret, (stmt, self.exit)))
         elif isinstance(stmt, BreakStmt):
             if not self.loops:
                 raise InternalError("'break' outside of a loop reached the CFG")
-            self.emit(StmtElement(stmt))
+            self.emit(_new(StmtElement, (stmt,)))
             _, break_target, depth = self.loops[-1]
             self.emit_dtors(depth, stmt.begin)
-            self.terminate(Jump(break_target))
+            self.terminate(_new(Jump, (break_target,)))
         elif isinstance(stmt, ContinueStmt):
             if not self.loops:
                 raise InternalError("'continue' outside of a loop reached the CFG")
-            self.emit(StmtElement(stmt))
+            self.emit(_new(StmtElement, (stmt,)))
             continue_target, _, depth = self.loops[-1]
             self.emit_dtors(depth, stmt.begin)
-            self.terminate(Jump(continue_target))
+            self.terminate(_new(Jump, (continue_target,)))
         elif isinstance(stmt, Block):
             self.scopes.append(_Scope())
             self.lower_stmts(stmt.stmts)
@@ -182,7 +184,7 @@ class _Builder:
     def lower_if(self, stmt: IfStmt):
         self.scopes.append(_Scope())
         if stmt.init is not None:
-            self.emit(StmtElement(stmt.init))
+            self.emit(_new(StmtElement, (stmt.init,)))
             self.declare(stmt.init)
         then_block = self.new_block()
         else_block = self.new_block() if stmt.else_branch is not None else None
@@ -192,19 +194,19 @@ class _Builder:
         self.current = then_block
         self.lower_stmt(stmt.then_branch)
         if self.current is not None:
-            self.terminate(Jump(join.id))
+            self.terminate(_new(Jump, (join.id,)))
         if else_block is not None:
             self.current = else_block
             self.lower_stmt(stmt.else_branch)
             if self.current is not None:
-                self.terminate(Jump(join.id))
+                self.terminate(_new(Jump, (join.id,)))
         self.current = join
         self.emit_dtors(len(self.scopes) - 1, stmt.end)
         self.scopes.pop()
 
     def lower_while(self, stmt: WhileStmt):
         head = self.new_block()
-        self.terminate(Jump(head.id))
+        self.terminate(_new(Jump, (head.id,)))
         body = self.new_block()
         after = self.new_block()
         self.current = head
@@ -213,7 +215,7 @@ class _Builder:
         self.current = body
         self.lower_stmt(stmt.body)
         if self.current is not None:
-            self.terminate(Jump(head.id))  # back edge
+            self.terminate(_new(Jump, (head.id,)))  # back edge
         self.loops.pop()
         self.current = after
 
@@ -232,7 +234,7 @@ class _Builder:
             self.lower_cond(cond.lhs, true_target, mid.id)
             self.current = mid
             return self.lower_cond(cond.rhs, true_target, false_target)
-        self.terminate(Branch(cond, true_target, false_target))
+        self.terminate(_new(Branch, (cond, true_target, false_target)))
 
     # --- numbering and cleanup ---
 
@@ -262,12 +264,12 @@ class _Builder:
             b = self.blocks[old]
             term = b.terminator
             if isinstance(term, Branch):
-                term = Branch(term.cond, renumber[term.true_target],
-                              renumber[term.false_target])
+                term = _new(Branch, (term.cond, renumber[term.true_target],
+                                     renumber[term.false_target]))
             elif isinstance(term, Jump):
-                term = Jump(renumber[term.target])
+                term = _new(Jump, (renumber[term.target],))
             elif isinstance(term, Ret):
-                term = Ret(term.stmt, renumber[term.target])
+                term = _new(Ret, (term.stmt, renumber[term.target]))
             blocks.append(BasicBlock(renumber[old], list(b.elements), term))
         return Cfg(self.fn, blocks, renumber[first], renumber[self.exit], self.notes)
 

@@ -103,24 +103,44 @@ def displayed(diagnostics: list[Diagnostic], *,
     return shown
 
 
+TAB_STOP = 8  # Clang's default -ftabstop
+
+
+def display_column(line: str, column: int) -> int:
+    """The 0-based column at which the character at 0-based `column` of
+    `line` shows once the line's tabs are expanded to stops every TAB_STOP
+    columns, as `line.expandtabs(TAB_STOP)` shows it. Carets and fix-it
+    hints are placed by it, as Clang's TextDiagnostic places them; a
+    `file:line:col` location keeps the column in the file's text."""
+    if "\t" not in line:
+        return column
+    return len(line[:column].expandtabs(TAB_STOP))
+
+
 def render_diagnostic(diag: Diagnostic) -> str:
-    """`file:line:col: severity: message [check]` plus source line and caret."""
+    """`file:line:col: severity: message [check]` plus source line and caret.
+    The line is shown with its tabs expanded; the caret, the `~` run to the
+    end of the highlight on the caret's line and each fix-it hint sit at
+    their display columns."""
     loc = diag.location
-    head = f"{loc}: {diag.severity.value}: {diag.message}"
+    file = loc.file
+    line, column = file.line_column(loc.offset)
+    head = f"{file.name}:{line}:{column}: {diag.severity.value}: {diag.message}"
     if diag.check_name and diag.severity is Severity.WARNING:
         head += f" [{diag.check_name}]"
-    lines = [head]
-    src = loc.file.line_text(loc.line)
-    lines.append(src)
-    caret = " " * (loc.column - 1) + "^"
-    if diag.highlight is not None and diag.highlight.begin.line == loc.line:
-        width = diag.highlight.end.offset - diag.highlight.begin.offset
-        extra = max(0, width - 1 - (loc.offset - diag.highlight.begin.offset))
-        caret += "~" * min(extra, max(0, len(src) - loc.column))
-    lines.append(caret)
+    src = file.line_text(line)
+    line_start = loc.offset - column + 1
+    caret = " " * display_column(src, column - 1) + "^"
+    highlight = diag.highlight
+    if highlight is not None and line_start <= highlight.begin.offset <= line_start + len(src):
+        end = min(highlight.end.offset - line_start, len(src))
+        caret += "~" * (display_column(src, end) - len(caret))
+    lines = [head, src.expandtabs(TAB_STOP), caret]
     for fx in diag.fixits:
         if fx.text:
-            lines.append(" " * (fx.range.begin.column - 1) + fx.text)
+            fx_line, fx_column = file.line_column(fx.range.begin.offset)
+            fx_src = src if fx_line == line else file.line_text(fx_line)
+            lines.append(" " * display_column(fx_src, fx_column - 1) + fx.text)
     return "\n".join(lines)
 
 

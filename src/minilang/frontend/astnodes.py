@@ -8,6 +8,10 @@ from ..source import SourceFile, SourceLocation, SourceRange
 
 BUILTIN_BASES = ("int", "bool", "char", "void", "string")
 
+# Records built on hot paths skip the generated named-tuple `__new__`, a
+# Python-level call; every field is given, as no default applies here.
+_new = tuple.__new__
+
 
 class TypeRef(NamedTuple):
     base: str  # builtin name or a declared struct name
@@ -62,7 +66,8 @@ class Node:
     @property
     def range(self) -> SourceRange:
         file = self.file
-        return SourceRange(SourceLocation(file, self.begin), SourceLocation(file, self.end))
+        return SourceRange(_new(SourceLocation, (file, self.begin)),
+                           _new(SourceLocation, (file, self.end)))
 
     def push_children(self, stack: list[Node]) -> None:
         """Append the children to `stack` last first, so that popping the
@@ -87,7 +92,7 @@ def _n(cls):
 def _offset_loc(slot: str) -> property:
     """A read-only location built from the offset stored in `slot`."""
     def loc(node: Node) -> SourceLocation:
-        return SourceLocation(node.file, getattr(node, slot))
+        return _new(SourceLocation, (node.file, getattr(node, slot)))
     return property(loc)
 
 

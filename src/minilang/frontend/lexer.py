@@ -32,9 +32,6 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-_KIND_OF_GROUP = {kind.name: kind for kind in TokenKind}
-
-
 class Comment(NamedTuple):
     text: str
     range: SourceRange
@@ -84,34 +81,52 @@ _TOKEN = re.compile(r"[ \t\r\n]*+(?:" + "|".join([
 ]) + ")")
 
 
+# The token kind of each group number, None for the groups that give no
+# token; `tokenize` indexes it with `match.lastindex`.
+_GROUP_NAME = {index: name for name, index in _TOKEN.groupindex.items()}
+_KIND_OF_GROUP: list[TokenKind | None] = [
+    TokenKind.__members__.get(_GROUP_NAME.get(index)) for index in range(_TOKEN.groups + 1)]
+_COMMENT = _TOKEN.groupindex["comment"]
+_QUOTE = _TOKEN.groupindex["quote"]
+_EOF = _TOKEN.groupindex["eof"]
+
+_new = tuple.__new__
+
+
 def tokenize(file: SourceFile) -> list[Token]:
     """Token stream for `file`, final EOF token included.
 
     Raises LexError on an unterminated string literal or illegal character.
     Tokens carry offsets only; comments, which are rare, keep their ranges,
     built without `SourceFile.location`'s bounds check: they are match
-    offsets into `file.text`, so in bounds by construction.
+    offsets into `file.text`, so in bounds by construction. The token group
+    always ends its match, so a token begins its spelling's length before
+    the match ends. Tokens are built by the tuple constructor, every field
+    given; a token with no comment before it shares the empty tuple.
     """
     text = file.text
     tokens: list[Token] = []
-    pending: list[Comment] = []
+    append = tokens.append
+    pending: tuple[Comment, ...] = ()
     for match in _TOKEN.finditer(text):
-        group = match.lastgroup
-        kind = _KIND_OF_GROUP.get(group)
+        index = match.lastindex
+        kind = _KIND_OF_GROUP[index]
         if kind is not None:
-            begin, end = match.span(group)
-            tokens.append(Token(kind, text[begin:end], begin, end, tuple(pending)))
-            pending.clear()
-        elif group == "comment":
-            begin, end = match.span(group)
-            pending.append(Comment(text[begin:end], SourceRange(
-                SourceLocation(file, begin), SourceLocation(file, end))))
-        elif group == "eof":
+            spelling = match[index]
+            end = match.end()
+            append(_new(Token, (kind, spelling, end - len(spelling), end, pending)))
+            pending = ()
+        elif index == _COMMENT:
+            begin, end = match.span(index)
+            pending += (Comment(text[begin:end], SourceRange(
+                SourceLocation(file, begin), SourceLocation(file, end))),)
+        elif index == _EOF:
             break
         else:
-            pos = match.start(group)
-            message = "unterminated string literal" if group == "quote" \
+            pos = match.start(index)
+            message = "unterminated string literal" if index == _QUOTE \
                 else f"illegal character {text[pos]!r}"
             raise LexError(Diagnostic(file.location(pos), message, Severity.ERROR))
-    tokens.append(Token(TokenKind.EOF, "", len(text), len(text), tuple(pending)))
+    end = len(text)
+    append(_new(Token, (TokenKind.EOF, "", end, end, pending)))
     return tokens

@@ -33,6 +33,8 @@ _BINARY_PRECEDENCE = {
 
 _UNARY_OPERATORS = frozenset({"!", "-", "*", "&"})
 
+_new = tuple.__new__  # a TypeRef per declaration, every field given
+
 # Deepest nesting of statements plus unary and parenthesised expressions.
 # Clang's default bracket depth, 256, would overflow Python's default
 # recursion limit: one parenthesis level takes six parser frames.
@@ -144,7 +146,7 @@ class Parser:
             is_ref = True
         if base == "void" and ind > 1:
             self.error("void allows at most one level of indirection")
-        return TypeRef(base, ind, is_const, is_ref)
+        return _new(TypeRef, (base, ind, is_const, is_ref))
 
     # --- top level ---
 

@@ -103,6 +103,9 @@ class MatchResult(NamedTuple):
     bound: dict  # label -> Node
 
 
+_new = tuple.__new__  # one MatchResult per match, built without the generated `__new__`
+
+
 def getBound(result: MatchResult, label: str, expected_kind) -> Node | None:
     """The node bound as `label` iff it exists and has the expected kind."""
     node = result.bound.get(label)
@@ -443,7 +446,7 @@ def match_all(matchers: Sequence[Matcher], root: Node) -> Iterator[tuple[int, Ma
                 key = frozenset((k, id(v)) for k, v in bound.items())
                 if key not in seen:
                     seen.add(key)
-                    yield index, MatchResult(node, bound)
+                    yield index, _new(MatchResult, (node, bound))
 
 
 def match(matcher: Matcher, root: Node) -> list[MatchResult]:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, displayed, render_diagnostic, Severity
+from .diagnostics import (
+    Diagnostic, display_column, displayed, render_diagnostic, Severity, TAB_STOP,
+)
 from .frontend.lexer import Comment
 from .source import SourceFile, SourceLocation
 
@@ -40,9 +42,10 @@ def render_html(file: SourceFile, warnings: list[Diagnostic]) -> str:
     import html  # only html output needs it: the text path does not load it
 
     def excerpt(loc: SourceLocation) -> str:
-        src = html.escape(file.line_text(loc.line))
-        caret = " " * (loc.column - 1) + "^"
-        return f"<pre>{loc.line:5}| {src}\n     | {caret}</pre>"
+        line, column = file.line_column(loc.offset)
+        src = file.line_text(line)
+        caret = " " * display_column(src, column - 1) + "^"
+        return f"<pre>{line:5}| {html.escape(src.expandtabs(TAB_STOP))}\n     | {caret}</pre>"
 
     body: list[str] = [f"<h1>Analysis report for {html.escape(file.name)}</h1>"]
     for warning in displayed(warnings):

@@ -42,6 +42,14 @@ CHECKER_HOOKS = (
 )
 
 
+# Values, regions and program points are built on the hot path by the tuple
+# constructor, every field given, not through the generated named-tuple
+# `__new__`; truth values are shared.
+_new = tuple.__new__
+_FALSE = ConcreteInt(0)
+_TRUE = ConcreteInt(1)
+
+
 def _c_div(a: int, b: int) -> int:
     """Integer division truncating toward zero."""
     q = abs(a) // abs(b)
@@ -277,7 +285,7 @@ class Engine:
     def conjure(self, hint: str = "") -> SVal:
         self._conjure_counter += 1
         name = hint or f"c{self._conjure_counter}"
-        return sym_val(Symbol(self._conjure_counter, name))
+        return sym_val(_new(Symbol, (self._conjure_counter, name)))
 
     def new_frame(self, fn: FunctionDecl, depth: int) -> _Frame:
         self._frame_counter += 1
@@ -311,13 +319,13 @@ class Engine:
         state = ProgramState()
         for param in fn.params:
             sym = self.conjure(param.name)
-            state = state.bind(VarRegion(param, frame.id), sym)
+            state = state.bind(_new(VarRegion, (param, frame.id)), sym)
             state = self._constrain_fresh(state, sym, param.declared_type)
         cfg = self.cfg_of(fn)
         exhausted = f"{fn.name}: note: node budget exhausted, paths abandoned"
         work: deque[ExplodedNode] = deque()
         try:  # even the root counts against the budget
-            root, _ = graph.add(BlockEdgePoint(-1, cfg.entry, frame.id), state, None)
+            root, _ = graph.add(_new(BlockEdgePoint, (-1, cfg.entry, frame.id)), state, None)
             work.append(root)
         except BudgetExhausted:
             self.note(exhausted)
@@ -362,7 +370,7 @@ class Engine:
                 out: list[ExplodedNode] = []
                 for st, v in self.exec_stmt(via, state, frame, element.stmt):
                     st = self.reap(st)
-                    point = PostStmtPoint(block_id, index, fid, element.stmt)
+                    point = _new(PostStmtPoint, (block_id, index, fid, element.stmt))
                     node, is_new = self._graph.add(point, st, v)
                     if is_new:
                         out.append(node)
@@ -405,7 +413,7 @@ class Engine:
                 return None
             loops = {**via.loops, edge: count + 1}
         node, is_new = self._graph.add(
-            BlockEdgePoint(src, dst, frame.id), state, via, loops)
+            _new(BlockEdgePoint, (src, dst, frame.id)), state, via, loops)
         return node if is_new else None
 
     def branch_split(self, via: ExplodedNode, state: ProgramState, frame: _Frame,
@@ -446,7 +454,7 @@ class Engine:
         raise InternalError(f"statement kind {stmt.kind} reached the engine")
 
     def exec_var_decl(self, via, state, frame, decl: VarDecl):
-        region = VarRegion(decl, frame.id)
+        region = _new(VarRegion, (decl, frame.id))
         declared = decl.declared_type
         if decl.init is None:
             if declared.base == "string" and declared.indirections == 0:
@@ -492,7 +500,7 @@ class Engine:
             st, v, sank = self.dispatch_use(v, st, frame, stmt, val, "return")
             if sank:
                 continue
-            out.append((st.bind(RetRegion(frame.id), val), v))
+            out.append((st.bind(_new(RetRegion, (frame.id,)), val), v))
         return out
 
     def exec_delete(self, via, state, frame, stmt: DeleteStmt):
@@ -500,7 +508,7 @@ class Engine:
         for val, st, v in self.eval(via, state, frame, stmt.operand):
             st, v, sank = self.dispatch(
                 "check_pre_delete", v, st,
-                lambda: PreStmtPoint(frame.id, stmt),
+                lambda: _new(PreStmtPoint, (frame.id, stmt)),
                 stmt, val, make_node=False)
             if sank:
                 continue
@@ -511,16 +519,16 @@ class Engine:
                   element: ImplicitDtorElement, block_id: int, index: int):
         """Run one implicit string destructor. Returns (state, via, node|None),
         or None when the path sank."""
-        region = VarRegion(element.var, frame.id)
-        point = PostImplicitCallPoint(block_id, index, frame.id, element.var,
-                                      element.loc)
+        region = _new(VarRegion, (element.var, frame.id))
+        point = _new(PostImplicitCallPoint,
+                     (block_id, index, frame.id, element.var, element.loc))
         new_state, via2, sank = self.dispatch(
             "check_implicit_dtor", via, state, lambda: point,
             element, region, make_node=True)
         if sank:
             return None
         # a released return value "manifests" here, once the dtor has run
-        pending = new_state.lookup(RetRegion(frame.id))
+        pending = new_state.lookup(_new(RetRegion, (frame.id,)))
         if pending is not None:
             st3, via3, sank = self.dispatch(
                 "check_post_dtor", via2, new_state, lambda: point,
@@ -558,7 +566,7 @@ class Engine:
     def dispatch_use(self, via, state, frame, node: Node, val: SVal, kind: str):
         return self.dispatch(
             "check_use", via, state,
-            lambda: PreStmtPoint(frame.id, node),
+            lambda: _new(PreStmtPoint, (frame.id, node)),
             node, val, kind, make_node=False)
 
     def reap(self, state: ProgramState) -> ProgramState:
@@ -587,9 +595,9 @@ class Engine:
 
     def eval(self, via, state, frame, expr: Node):
         if isinstance(expr, IntLit):
-            return [(ConcreteInt(expr.value), state, via)]
+            return [(_new(ConcreteInt, (expr.value,)), state, via)]
         if isinstance(expr, BoolLit):
-            return [(ConcreteInt(1 if expr.value else 0), state, via)]
+            return [(_TRUE if expr.value else _FALSE, state, via)]
         if isinstance(expr, StringLit):
             return [(UNKNOWN, state, via)]
         if isinstance(expr, Paren):
@@ -624,7 +632,7 @@ class Engine:
             alias = frame.aliases.get(decl.node_id)
             if alias is not None:
                 return alias
-        return VarRegion(decl, frame.id)
+        return _new(VarRegion, (decl, frame.id))
 
     def load(self, state: ProgramState, region: MemRegion,
              frame: _Frame) -> tuple[SVal, ProgramState]:
@@ -667,19 +675,19 @@ class Engine:
         for val, st, v in self.eval(via, state, frame, expr.operand):
             if expr.op == "-":
                 if isinstance(val, ConcreteInt):
-                    out.append((ConcreteInt(-val.value), st, v))
+                    out.append((_new(ConcreteInt, (-val.value,)), st, v))
                 elif isinstance(val, SymbolicVal):
                     negated = sym_mul(val.expr, -1)
-                    out.append((SymbolicVal(negated), st, v))
+                    out.append((_new(SymbolicVal, (negated,)), st, v))
                 else:
                     out.append((UNKNOWN, st, v))
             elif expr.op == "!":
                 if isinstance(val, ConcreteInt):
-                    out.append((ConcreteInt(0 if val.value else 1), st, v))
+                    out.append((_FALSE if val.value else _TRUE, st, v))
                 elif isinstance(val, NullLocVal):
-                    out.append((ConcreteInt(1), st, v))
+                    out.append((_TRUE, st, v))
                 elif isinstance(val, LocVal):
-                    out.append((ConcreteInt(0), st, v))
+                    out.append((_FALSE, st, v))
                 else:
                     out.append((UNKNOWN, st, v))
             else:  # dereference
@@ -722,7 +730,7 @@ class Engine:
         """End the path at a dereference of null: a note and a sink node."""
         self.note(f"{expr.range.begin}: note: null dereference, path terminated")
         node, _ = self._graph.add(
-            PreStmtPoint(frame.id, expr), state, via)
+            _new(PreStmtPoint, (frame.id, expr)), state, via)
         node.is_sink = True
 
     @staticmethod
@@ -747,7 +755,7 @@ class Engine:
                 if op == "/":
                     st2, v2, sank = self.dispatch(
                         "check_div", v2, st2,
-                        lambda: PreStmtPoint(frame.id, expr),
+                        lambda: _new(PreStmtPoint, (frame.id, expr)),
                         expr, rv, make_node=False)
                     if sank:
                         continue
@@ -755,7 +763,7 @@ class Engine:
         return out
 
     def eval_short_circuit(self, via, state, frame, expr: BinaryOp):
-        stop = ConcreteInt(0) if expr.op == "&&" else ConcreteInt(1)
+        stop = _FALSE if expr.op == "&&" else _TRUE
         out = []
         for lv, st1, v1 in self.eval(via, state, frame, expr.lhs):
             if isinstance(lv, ConcreteInt):
@@ -773,30 +781,30 @@ class Engine:
         compare = COMPARISONS.get(op)
         if compare is not None:
             if isinstance(lv, ConcreteInt) and isinstance(rv, ConcreteInt):
-                return ConcreteInt(1 if compare(lv.value, rv.value) else 0)
+                return _TRUE if compare(lv.value, rv.value) else _FALSE
             return UNKNOWN
         if isinstance(lv, ConcreteInt) and isinstance(rv, ConcreteInt):
             if op == "+":
-                return ConcreteInt(lv.value + rv.value)
+                return _new(ConcreteInt, (lv.value + rv.value,))
             if op == "-":
-                return ConcreteInt(lv.value - rv.value)
+                return _new(ConcreteInt, (lv.value - rv.value,))
             if op == "*":
-                return ConcreteInt(lv.value * rv.value)
+                return _new(ConcreteInt, (lv.value * rv.value,))
             if op == "/":
                 if rv.value == 0:
                     return UNKNOWN  # a sink already fired when DivZero is on
-                return ConcreteInt(_c_div(lv.value, rv.value))
+                return _new(ConcreteInt, (_c_div(lv.value, rv.value),))
         if op == "+":
             if isinstance(lv, SymbolicVal) and isinstance(rv, ConcreteInt):
-                return SymbolicVal(sym_add(lv.expr, rv.value))
+                return _new(SymbolicVal, (sym_add(lv.expr, rv.value),))
             if isinstance(lv, ConcreteInt) and isinstance(rv, SymbolicVal):
-                return SymbolicVal(sym_add(rv.expr, lv.value))
+                return _new(SymbolicVal, (sym_add(rv.expr, lv.value),))
         if op == "-":
             if isinstance(lv, SymbolicVal) and isinstance(rv, ConcreteInt):
-                return SymbolicVal(sym_add(lv.expr, -rv.value))
+                return _new(SymbolicVal, (sym_add(lv.expr, -rv.value),))
             if isinstance(lv, ConcreteInt) and isinstance(rv, SymbolicVal):
                 negated = sym_mul(rv.expr, -1)
-                return SymbolicVal(sym_add(negated, lv.value))
+                return _new(SymbolicVal, (sym_add(negated, lv.value),))
         if op == "*":
             sym, const = None, None
             if isinstance(lv, SymbolicVal) and isinstance(rv, ConcreteInt):
@@ -805,7 +813,7 @@ class Engine:
                 sym, const = rv, lv.value
             if sym is not None:
                 product = sym_mul(sym.expr, const)
-                return ConcreteInt(0) if product is None else SymbolicVal(product)
+                return _FALSE if product is None else _new(SymbolicVal, (product,))
         return UNKNOWN  # symbol-vs-symbol arithmetic is not modeled
 
     def eval_field(self, via, state, frame, expr: FieldAccess):
@@ -829,7 +837,7 @@ class Engine:
         state = state.constrain(sym, RangeSet.singleton(0).complement())
         state, via, sank = self.dispatch(
             "check_post_new", via, state,
-            lambda: PreStmtPoint(frame.id, expr),
+            lambda: _new(PreStmtPoint, (frame.id, expr)),
             expr, sym, make_node=False)
         if sank:
             return []
@@ -860,7 +868,7 @@ class Engine:
                                     region, result, [])
                     st2, v1, sank = self.dispatch(
                         "check_post_call", v1, st2,
-                        lambda: PostStmtPoint(-1, -1, frame.id, expr),
+                        lambda: _new(PostStmtPoint, (-1, -1, frame.id, expr)),
                         info, make_node=True)
                     if sank:
                         continue
@@ -922,7 +930,7 @@ class Engine:
                 info = CallInfo(expr, expr.method_name, "method", region, ret, args)
                 st2, v2, sank = self.dispatch(
                     "check_post_call", v1, st2,
-                    lambda: PostStmtPoint(-1, -1, frame.id, expr),
+                    lambda: _new(PostStmtPoint, (-1, -1, frame.id, expr)),
                     info, make_node=True)
                 if sank:
                     continue
@@ -998,7 +1006,7 @@ class Engine:
                         is_extern=isinstance(decl, ExternDecl))
         state, via, sank = self.dispatch(
             "check_post_call", via, state,
-            lambda: PostStmtPoint(-1, -1, frame.id, expr),
+            lambda: _new(PostStmtPoint, (-1, -1, frame.id, expr)),
             info, make_node=True)
         if sank:
             return []
@@ -1015,12 +1023,12 @@ class Engine:
                 bound = val if val is not None else UNKNOWN
                 if isinstance(bound, UndefinedVal):
                     bound = UNKNOWN
-                enter_state = enter_state.bind(VarRegion(param, new_frame.id), bound)
+                enter_state = enter_state.bind(_new(VarRegion, (param, new_frame.id)), bound)
         enter_node, _ = self._graph.add(
-            CallEnterPoint(expr.node_id, new_frame.id), enter_state, via)
+            _new(CallEnterPoint, (expr.node_id, new_frame.id)), enter_state, via)
         cfg = self.cfg_of(callee)
         root, _ = self._graph.add(
-            BlockEdgePoint(-1, cfg.entry, new_frame.id), enter_state, enter_node)
+            _new(BlockEdgePoint, (-1, cfg.entry, new_frame.id)), enter_state, enter_node)
         work = deque([root])
         exits = []
         while work:
@@ -1034,7 +1042,7 @@ class Engine:
         out = []
         for exit_node in exits:
             st = exit_node.state
-            ret = st.lookup(RetRegion(new_frame.id))
+            ret = st.lookup(_new(RetRegion, (new_frame.id,)))
             if ret is None:
                 ret = UNKNOWN if callee.return_type.base == "void" else UNDEFINED
             # the callee's variables, fields and return slot, and its back edges
@@ -1044,12 +1052,12 @@ class Engine:
                                  dead_regions)
             loops = {edge: count for edge, count in exit_node.loops.items()
                      if edge[2] != new_frame.id}
-            exit_point = CallExitPoint(expr.node_id, frame.id)
+            exit_point = _new(CallExitPoint, (expr.node_id, frame.id))
             exit_n, _ = self._graph.add(exit_point, st, exit_node, loops)
             info = CallInfo(expr, callee.name, "function", None, ret, args)
             st, v2, sank = self.dispatch(
                 "check_post_call", exit_n, st,
-                lambda: PostStmtPoint(-1, -1, frame.id, expr),
+                lambda: _new(PostStmtPoint, (-1, -1, frame.id, expr)),
                 info, make_node=True)
             if sank:
                 continue

@@ -19,6 +19,10 @@ from ..frontend.astnodes import Node, TypeRef
 IMIN = -(1 << 63)
 IMAX = (1 << 63) - 1
 
+# The tuple constructor, for records built on hot paths without the
+# generated named-tuple `__new__`; every field is given.
+_new = tuple.__new__
+
 
 # --- symbols and symbolic expressions ---------------------------------------
 
@@ -57,7 +61,7 @@ class SymIntOp(_SymIntOpFields):
 
     def __new__(cls, lhs: SymExpr, op: str, rhs: int):
         assert op in ("+", "-", "*")
-        return tuple.__new__(cls, (lhs, op, rhs))
+        return _new(cls, (lhs, op, rhs))
 
     def __str__(self):
         if self.op == "+" and self.rhs < 0:
@@ -164,7 +168,7 @@ SVal = UndefinedVal | UnknownVal | ConcreteInt | SymbolicVal | LocVal | NullLocV
 
 
 def sym_val(symbol: Symbol) -> SymbolicVal:
-    return SymbolicVal(SymAtom(symbol))
+    return _new(SymbolicVal, (_new(SymAtom, (symbol,)),))
 
 
 def as_symbol(val: SVal) -> Symbol | None:

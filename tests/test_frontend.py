@@ -1,6 +1,7 @@
 """Lexer, parser, typechecker and source-extraction behavior."""
 
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,12 @@ from minilang.source import (
 )
 
 from conftest import frontend, structure_signature
+from lexer_reference import reference_tokenize
 from proggen import generate_function
+
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+
+import corpus  # noqa: E402  (read-only: the bench's generated inputs)
 
 
 def toks(source: str):
@@ -115,10 +121,11 @@ def test_non_ascii_text_in_strings_and_comments_is_legal():
 # Single characters of the language, plus quotes, backslashes, comment
 # slashes, line ends and a few characters that are illegal outside strings.
 LEX_ALPHABET = list("aZ_09 \t\r\n\"\\/=!<>&|-+(){};,*.@") + ["\u00e9", "\u00b2", "\u00a0"]
+LEX_TEXTS = st.lists(st.one_of(st.sampled_from(LEX_ALPHABET), st.sampled_from(sorted(KEYWORDS)),
+                               st.sampled_from(PUNCTUATORS)), max_size=40).map("".join)
 
 
-@given(st.lists(st.one_of(st.sampled_from(LEX_ALPHABET), st.sampled_from(sorted(KEYWORDS)),
-                          st.sampled_from(PUNCTUATORS)), max_size=40).map("".join))
+@given(LEX_TEXTS)
 @settings(max_examples=300, deadline=None)
 def test_tokenize_covers_text_or_fails_inside_it(text):
     try:
@@ -143,6 +150,55 @@ def test_tokenize_covers_text_or_fails_inside_it(text):
         assert (tok.kind is TokenKind.PUNCT) == (tok.text in PUNCTUATORS)
         pos = end
     assert tokens[-1].kind is TokenKind.EOF and pos == len(text)
+
+
+def _shape(value):
+    """A record as its class followed by its fields, nested records
+    included, so that two streams are equal only if every token, comment,
+    range and location has the same class and the same fields."""
+    if isinstance(value, tuple):
+        return (type(value), *map(_shape, value))
+    return value
+
+
+def lex_outcome(tokenizer, file: SourceFile):
+    """The token stream's shape, or the LexError's location and message."""
+    try:
+        return [_shape(tok) for tok in tokenizer(file)]
+    except LexError as err:
+        diag = err.diagnostic
+        return "LexError", _shape(diag.location), diag.message, diag.severity
+
+
+@given(LEX_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_tokenize_equals_the_reference_loop(text):
+    file = SourceFile("h.mc", text)
+    assert lex_outcome(tokenize, file) == lex_outcome(reference_tokenize, file)
+
+
+def test_tokenize_equals_the_reference_loop_around_comments():
+    file = SourceFile("c.mc", "// a\n// b\nint x; // c\nint y = 1;\n\n// d\n")
+    tokens = tokenize(file)
+    assert [len(tok.leading_comments) for tok in tokens] == [2, 0, 0, 1, 0, 0, 0, 0, 1]
+    assert lex_outcome(tokenize, file) == lex_outcome(reference_tokenize, file)
+
+
+@pytest.mark.parametrize("source", [
+    'string s = "oops;', "int x = 5 @ 3;", "// lead\nint \u00e9 = 1;", '"',
+], ids=["unterminated-string", "illegal-character", "illegal-after-comment", "lone-quote"])
+def test_tokenize_raises_the_reference_loops_lex_error(source):
+    file = SourceFile("e.mc", source)
+    outcome = lex_outcome(tokenize, file)
+    assert outcome[0] == "LexError"
+    assert outcome == lex_outcome(reference_tokenize, file)
+
+
+@pytest.mark.parametrize("workload", sorted(corpus.WORKLOADS))
+def test_tokenize_equals_the_reference_loop_on_the_bench_corpus(workload):
+    for case in corpus.WORKLOADS[workload](811):
+        file = SourceFile(case.name, case.text)
+        assert lex_outcome(tokenize, file) == lex_outcome(reference_tokenize, file), case.name
 
 
 # --- parse ------------------------------------------------------------------

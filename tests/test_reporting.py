@@ -5,6 +5,7 @@ from html.parser import HTMLParser
 import pytest
 
 from minilang.checkers import assemble_bug_path
+from minilang.cli import main
 from minilang.diagnostics import displayed, Severity
 from minilang.frontend import load_unit
 from minilang.reporting import (
@@ -177,6 +178,35 @@ int zero() { return 0; }
     text = render_text(fe.file, paths)
     assert "Division by zero [core.DivideZero]" in text
     assert "Found 1 defect(s) in main.mc" in text
+
+
+# A tab shows up to the next multiple of 8 columns, as Clang's TextDiagnostic
+# expands it; the location keeps the column in the file's text.
+@pytest.mark.parametrize("line, shown, caret", [
+    ("\treturn a / 0;", "        return a / 0;", " " * 17 + "^~~"),
+    ("  return a /\t0;", "  return a /    0;", " " * 11 + "^~~~~~"),
+], ids=["tab-before-the-caret", "tab-inside-the-highlight"])
+def test_caret_and_highlight_sit_at_display_columns_under_tabs(line, shown, caret):
+    paths, fe = paths_for(f"int f(int a) {{\n{line}\n}}\n", name="tab.mc")
+    lines = render_text(fe.file, paths).splitlines()
+    column = line.index("/") + 1
+    assert lines[:3] == [
+        f"tab.mc:2:{column}: warning: Division by zero [core.DivideZero]", shown, caret]
+
+
+def test_html_caret_sits_at_its_display_column_under_a_tab():
+    paths, fe = paths_for("int f(int a) {\n\treturn a / 0;\n}\n")
+    page = render_html(fe.file, paths)
+    assert f"<pre>    2|         return a / 0;\n     | {' ' * 17}^</pre>" in page
+
+
+def test_fixit_hint_sits_at_its_display_column_under_a_tab(mc, capsys):
+    path = mc("struct S { int v; };\nextern S* mk();\nextern void use(int v);\n"
+              "void g() {\n\tS* q = mk();\n\tint x = q->v;\n\tuse(x);\n}\n")
+    assert main(["tidy", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["        S* q = mk();", " " * 11 + "^~~~~~~~"]
+    assert lines[4:7] == ["        int x = q->v;", " " * 16 + "^", " " * 16 + "(mk())"]
 
 
 def test_text_and_html_carry_the_same_messages():

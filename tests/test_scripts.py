@@ -1,6 +1,8 @@
 """Smoke runs of the scripts under `scripts/`, which call the library the way
-a user would and are covered by no other test."""
+a user would and are covered by no other test, and the pair statistics of
+`bench_pairs.py`, whose benchmark runs take minutes."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -16,3 +18,30 @@ def test_script_runs_to_exit_zero_without_a_traceback(script, tmp_path):
                            capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stdout + child.stderr
     assert "Traceback" not in child.stdout + child.stderr
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("parent, change, better, wins, holds", [
+    # ten wins and a gap far above the parent's spread
+    ([100, 101, 99, 100, 102, 98, 100, 101, 99, 100], [110] * 10, "higher", 10, True),
+    # the same runs read as a time: every pair lost
+    ([100, 101, 99, 100, 102, 98, 100, 101, 99, 100], [110] * 10, "lower", 0, False),
+    # nine wins and a tie, which counts for neither side: 9 of 10 is enough
+    ([10] * 10, [9] * 9 + [10], "lower", 9, True),
+    # eight wins are too few, however large the gap
+    ([10] * 10, [5] * 8 + [11, 11], "lower", 8, False),
+    # every pair won, but the gap is inside the parent's spread
+    ([90, 110, 95, 105, 100, 92, 108, 97, 103, 100],
+     [91, 111, 96, 106, 101, 93, 109, 98, 104, 101], "higher", 10, False),
+    # a failed run wins nothing
+    ([10] * 10, [None] + [5] * 9, "lower", 9, True),
+])
+def test_bench_pairs_applies_the_gain_rule(parent, change, better, wins, holds):
+    stats = _bench_pairs().compare(parent, change, better)
+    assert (stats["wins"], stats["holds"]) == (wins, holds)
