@@ -1,21 +1,21 @@
 """Alternating parent/change pairs of `bench/run.py` on one workload.
 
-    python3 scripts/bench_pairs.py REV --workload W --pairs N [--seed S] [--seconds T]
+    python3 scripts/bench_pairs.py REV --workload W --pairs N [--seed S]
 
 Run from anywhere inside a checkout. The change side is that checkout as it
 is on disk; the parent side is a `git worktree` of REV, checked out under
 `.bench_work/` and removed when the script ends. Pair i runs both sides
 untraced (`--trace 0`) at seed S + i, the parent first in even pairs and
 the change first in odd ones, so that neither side always meets the machine
-first. `--seconds` is passed on to every run; without it each run measures
-for the benchmark's default time.
+first. Each run measures for the benchmark's own run time.
 
 For each end-to-end metric of BENCHMARK.json the script prints every run,
 each side's median and quartiles, the pairs the change won (ties count for
 neither side) and whether the gain rule holds: the change wins at least nine
-tenths of the pairs, and the medians differ in its favour by more than the
-parent's interquartile range. A pair in which a run failed or checked a
-wrong output is counted as not won.
+tenths of the pairs, the medians differ in its favour by more than the
+parent's interquartile range, and no more of its runs fail than of the
+parent's. A run fails when it exits non-zero or checks a wrong output; its
+pair is counted as not won, and its value is left out of the medians.
 """
 
 from __future__ import annotations
@@ -45,26 +45,26 @@ def compare(parent: list[float | None], change: list[float | None],
     sign = 1 if better == "higher" else -1
     wins = sum(1 for p, c in zip(parent, change)
                if p is not None and c is not None and sign * (c - p) > 0)
-    sides = {}
+    failed = {"parent": parent.count(None), "change": change.count(None)}
+    stats = {"pairs": len(parent), "wins": wins, "failed": failed, "holds": False}
     for side, values in (("parent", parent), ("change", change)):
         measured = [v for v in values if v is not None]
         if not measured:
-            return {"pairs": len(parent), "wins": wins, "holds": False}
+            return stats
         q1, q3 = quartiles(measured)
-        sides[side] = {"median": statistics.median(measured), "q1": q1, "q3": q3}
-    gap = sign * (sides["change"]["median"] - sides["parent"]["median"])
-    iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
-    return {"pairs": len(parent), "wins": wins, **sides, "gap": gap, "iqr": iqr,
-            "holds": wins >= WIN_SHARE * len(parent) and gap > iqr}
+        stats[side] = {"median": statistics.median(measured), "q1": q1, "q3": q3}
+    gap = sign * (stats["change"]["median"] - stats["parent"]["median"])
+    iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+    return {**stats, "gap": gap, "iqr": iqr,
+            "holds": (wins >= WIN_SHARE * len(parent) and gap > iqr
+                      and failed["change"] <= failed["parent"])}
 
 
-def bench_run(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict | None:
+def bench_run(checkout: Path, workload: str, seed: int) -> dict | None:
     """One untraced `bench/run.py` run in `checkout`: its JSON result line,
     or None when the run failed."""
     command = [sys.executable, "bench/run.py", "--workload", workload,
                "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        command += ["--seconds", str(seconds)]
     child = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = child.stdout.splitlines()
     if child.returncode != 0 or not lines:
@@ -91,14 +91,17 @@ def report(name: str, unit: str, better: str, seeds: list[int], firsts: list[str
             s = stats[side]
             print(f"  {side}: median {s['median']:.4g}, quartiles "
                   f"{s['q1']:.4g} to {s['q3']:.4g}")
-    line = f"  change won {stats['wins']} of {stats['pairs']} pairs"
+    failed = stats["failed"]
+    line = (f"  runs failed: parent {failed['parent']}, change {failed['change']}; "
+            f"change won {stats['wins']} of {stats['pairs']} pairs")
     if "gap" in stats:
         base = stats["parent"]["median"]
         line += (f"; median gap {stats['gap']:+.4g} ({100 * stats['gap'] / base:+.1f}% of "
                  f"the parent's), parent IQR {stats['iqr']:.4g}")
     print(line)
-    print(f"  gain rule (at least {WIN_SHARE:.0%} of pairs won and a median gap "
-          f"above the parent's IQR): {'holds' if stats['holds'] else 'does not hold'}")
+    print(f"  gain rule (at least {WIN_SHARE:.0%} of pairs won, a median gap above "
+          f"the parent's IQR and no more failed runs than the parent's): "
+          f"{'holds' if stats['holds'] else 'does not hold'}")
 
 
 def main(argv=None) -> int:
@@ -107,7 +110,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, help="measuring time of each run")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -129,15 +131,14 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             firsts.append(order[0])
             for side in order:
-                result = bench_run(sides[side], args.workload, seed, args.seconds)
+                result = bench_run(sides[side], args.workload, seed)
                 results[side].append(result)
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                       f"{'failed' if result is None else 'done'}", flush=True)
     finally:
         git(root, "worktree", "remove", "--force", str(tree))
     print(f"\n{args.workload}: {rev[:12]} (parent) against {root} as on disk (change), "
-          f"{args.pairs} pairs, seeds {seeds[0]} to {seeds[-1]}, --trace 0"
-          + (f", --seconds {args.seconds:g}" if args.seconds is not None else ""))
+          f"{args.pairs} pairs, seeds {seeds[0]} to {seeds[-1]}, --trace 0")
     for entry in spec["end_to_end"]:
         name = entry["name"]
         values = {side: [None if r is None else r["metrics"][name]["value"] for r in runs]

@@ -8,24 +8,25 @@ that none of its fields can be assigned."""
 import pytest
 
 from minilang import matchers as M
-from minilang.cfg import Branch, ImplicitDtorElement, Jump, Ret, StmtElement
+from minilang.cfg import Branch, build_cfg, ImplicitDtorElement, Jump, Ret, StmtElement
 from minilang.checkers import (
     AllocationFamily, CHECKERS, CheckerDescriptor, MALLOC_SLOT, RefState, RefStatus,
 )
 from minilang.diagnostics import Diagnostic, FixIt, Severity
-from minilang.frontend.astnodes import INT, TypeRef
+from minilang.frontend import tokenize, Token
+from minilang.frontend.astnodes import FunctionDecl, INT, TypeRef
 from minilang.frontend.builtins import STRING_METHODS
 from minilang.reporting import VerifyDirective
-from minilang.source import InternalError, SourceFile, SourceRange
+from minilang.source import InternalError, SourceFile, SourceLocation, SourceRange
 from minilang.symexec import (
     BlockEdgePoint, CallEnterPoint, CallExitPoint, ConcreteInt, ExplodedGraph,
     FieldRegion, LocVal, NULL_LOC, PostImplicitCallPoint, PostStmtPoint,
-    PreStmtPoint, ProgramState, RangeSet, SymAtom, Symbol, SymbolicVal,
+    PreStmtPoint, ProgramState, RangeSet, RetRegion, SymAtom, Symbol, SymbolicVal,
     SymIntOp, UNDEFINED, UNKNOWN, VarRegion,
 )
 from minilang.tidy import UsageKind, VarUsage
 
-from conftest import frontend
+from conftest import analyze, frontend
 
 FILE = SourceFile("records.mc", "int f(int a) { return a; }\n")
 UNIT = frontend(FILE.text).unit
@@ -236,3 +237,80 @@ def test_record_constructors_keep_their_keywords_and_defaults():
     assert TypeRef("int") == TypeRef(base="int", indirections=0, is_const=False,
                                      is_reference=False)
     assert FixIt.removal(SourceRange(LOC, LOC)).text == ""
+
+
+# One program that reaches every hot site building a record with
+# `tuple.__new__`: tokens, types, locations, matches, the CFG's elements and
+# terminators, and the engine's points, regions, symbols and values.
+EVERY_RECORD = """\
+extern void consume(char* c);
+struct S { int v; };
+extern S* mk();
+
+int helper(int d) {
+  return 10 / d;
+}
+
+void g(int a) {
+  string s;
+  char* c = s.c_str();
+  // the loop
+  while (a > 0) {
+    if (a == 3) { break; }
+    a = a - 1;
+  }
+  int k = 2;
+  S* p = mk();
+  if (!p) { k = p->v; }
+  int r = helper(p->v + k);
+  S* q = new S();
+  delete q;
+  consume(c);
+}
+"""
+HOT_RECORDS = {
+    Token, TypeRef, SourceLocation, M.MatchResult, StmtElement, ImplicitDtorElement,
+    Jump, Branch, Ret, BlockEdgePoint, PreStmtPoint, PostStmtPoint, CallEnterPoint,
+    CallExitPoint, PostImplicitCallPoint, VarRegion, RetRegion, ConcreteInt,
+    SymbolicVal, SymAtom, Symbol,
+}
+
+
+def _reachable(*roots):
+    """Every object reachable from `roots` through containers and through
+    the slots and attributes of the package's own objects."""
+    seen, stack = set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, str, int)):
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, dict):
+            stack += obj.keys()
+            stack += obj.values()
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack += obj
+        elif type(obj).__module__.startswith("minilang."):
+            stack += (getattr(obj, name) for cls in type(obj).__mro__
+                      for name in getattr(cls, "__slots__", ()) if hasattr(obj, name))
+            stack += getattr(obj, "__dict__", {}).values()
+
+
+def test_records_built_by_the_tuple_constructor_have_every_field():
+    """The hot sites build records with `tuple.__new__`, which applies no
+    defaults and never counts the fields: a site left behind when a field is
+    added would build a short record, which compares and hashes wrongly
+    without an error."""
+    result, fe = analyze(EVERY_RECORD)
+    unit = fe.unit
+    functions = [decl for decl in unit.decls if isinstance(decl, FunctionDecl)]
+    roots = [tokenize(SourceFile("records.mc", EVERY_RECORD)), unit,
+             [node.range for node in unit.preorder],
+             [node.name_loc for node in unit.preorder if hasattr(node, "name_loc")],
+             M.match(M.varDecl(), unit), [build_cfg(fn) for fn in functions],
+             [node for graph in result.graphs.values() for node in graph.nodes]]
+    records = [obj for obj in _reachable(*roots) if hasattr(type(obj), "_fields")]
+    short = [rec for rec in records if len(rec) != len(type(rec)._fields)]
+    assert short == []
+    assert HOT_RECORDS <= {type(rec) for rec in records}

@@ -39,9 +39,15 @@ def _bench_pairs():
     # every pair won, but the gap is inside the parent's spread
     ([90, 110, 95, 105, 100, 92, 108, 97, 103, 100],
      [91, 111, 96, 106, 101, 93, 109, 98, 104, 101], "higher", 10, False),
-    # a failed run wins nothing
-    ([10] * 10, [None] + [5] * 9, "lower", 9, True),
+    # a failed run wins nothing, and a change with more failed runs than the
+    # parent gains nothing, however the other pairs went
+    ([10] * 10, [None] + [5] * 9, "lower", 9, False),
+    # as many failed runs on each side: the rest decide
+    ([None] + [10] * 9, [None] + [5] * 9, "lower", 9, True),
+    # fewer failed runs than the parent
+    ([10, None] + [10] * 8, [5] * 10, "lower", 9, True),
 ])
 def test_bench_pairs_applies_the_gain_rule(parent, change, better, wins, holds):
     stats = _bench_pairs().compare(parent, change, better)
     assert (stats["wins"], stats["holds"]) == (wins, holds)
+    assert stats["failed"] == {"parent": parent.count(None), "change": change.count(None)}
