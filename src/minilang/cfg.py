@@ -38,15 +38,10 @@ class Branch(NamedTuple):
 
 
 class Jump(NamedTuple):
-    target: int
+    target: int  # the exit block for a return, as in Clang's CFG
 
 
-class Ret(NamedTuple):
-    stmt: ReturnStmt | None
-    target: int  # always the exit block
-
-
-Terminator = Branch | Jump | Ret
+Terminator = Branch | Jump
 
 
 class BasicBlock:
@@ -60,7 +55,7 @@ class BasicBlock:
         t = self.terminator
         if isinstance(t, Branch):
             return [t.true_target, t.false_target]
-        if isinstance(t, (Jump, Ret)):
+        if isinstance(t, Jump):
             return [t.target]
         return []
 
@@ -131,7 +126,7 @@ class _Builder:
         self.lower_stmts(self.fn.body.stmts)
         if self.current is not None:
             self.emit_dtors(0, self.fn.body.end)
-            self.terminate(_new(Ret, (None, self.exit)))
+            self.terminate(_new(Jump, (self.exit,)))
         self.scopes.pop()
         return self._finish(first.id)
 
@@ -152,7 +147,7 @@ class _Builder:
         elif isinstance(stmt, ReturnStmt):
             self.emit(_new(StmtElement, (stmt,)))
             self.emit_dtors(0, stmt.begin)
-            self.terminate(_new(Ret, (stmt, self.exit)))
+            self.terminate(_new(Jump, (self.exit,)))
         elif isinstance(stmt, BreakStmt):
             if not self.loops:
                 raise InternalError("'break' outside of a loop reached the CFG")
@@ -268,8 +263,6 @@ class _Builder:
                                      renumber[term.false_target]))
             elif isinstance(term, Jump):
                 term = _new(Jump, (renumber[term.target],))
-            elif isinstance(term, Ret):
-                term = _new(Ret, (term.stmt, renumber[term.target]))
             blocks.append(BasicBlock(renumber[old], list(b.elements), term))
         return Cfg(self.fn, blocks, renumber[first], renumber[self.exit], self.notes)
 
@@ -300,9 +293,8 @@ def dump_cfg(cfg: Cfg) -> str:
             cond = " ".join(node_text(t.cond).split())
             lines.append(f"    T: branch ({cond}) -> B{t.true_target}, B{t.false_target}")
         elif isinstance(t, Jump):
-            lines.append(f"    T: jump -> B{t.target}")
-        elif isinstance(t, Ret):
-            lines.append(f"    T: return -> B{t.target}")
+            kind = "return" if t.target == cfg.exit else "jump"
+            lines.append(f"    T: {kind} -> B{t.target}")
     for note in cfg.notes:
         lines.append(f"  ! {note}")
     return "\n".join(lines)

@@ -19,8 +19,8 @@ from .source import InternalError, SourceLocation, SourceRange
 from .symexec.engine import CallInfo, CheckerContext, ExplodedNode, PostImplicitCallPoint
 from .symexec.state import assume, ProgramState
 from .symexec.values import (
-    as_symbol, ConcreteInt, LocVal, MemRegion, NullLocVal, RangeSet, region_type,
-    SVal, Symbol, SymbolicVal,
+    as_symbol, LocVal, MemRegion, NullLocVal, RangeSet, region_type, SVal,
+    Symbol, SymbolicVal,
 )
 
 MALLOC_SLOT = "MallocLite.RegionState"
@@ -103,20 +103,26 @@ class BugReport:
 def assemble_bug_path(report: BugReport) -> Diagnostic:
     """The report as a warning whose notes are its path events in
     chronological order: from the error node, walk the predecessor chain
-    backwards, let every visitor contribute notes, then flip the order."""
+    backwards, ask each visitor at every node until it gives its note, then
+    flip the order. The walk ends once every visitor has given one."""
     error_node = report.error_node
     nodes = report.graph.nodes
     if (error_node is None or error_node.seq >= len(nodes)
             or nodes[error_node.seq] is not error_node):
         raise InternalError("report's error node is not part of the graph")
     notes: list[Diagnostic] = []
+    waiting = report.visitors
     node = error_node
-    while node is not None:
-        pred = node.first_pred()
-        for visitor in report.visitors:
+    while waiting and node is not None:
+        pred = node.pred
+        still = []
+        for visitor in waiting:
             note = visitor.visit_node(node, pred)
-            if note is not None:
+            if note is None:
+                still.append(visitor)
+            else:
                 notes.append(note)
+        waiting = still
         node = pred
     notes.reverse()
     return Diagnostic(report.location, report.message, Severity.WARNING,
@@ -125,19 +131,16 @@ def assemble_bug_path(report: BugReport) -> Diagnostic:
 
 
 # --- bug-path visitors ------------------------------------------------------------
-# Each walks backward from the error node and contributes one note to the
-# report's path: the first (latest) node where its event happened.
+# Each is asked at every node, walking backward from the error node, until it
+# returns its one note: the first (latest) node where its event happened.
 
 class MallocBugVisitor:
     """Notes the moment the tracked symbol's allocation state turned released."""
 
     def __init__(self, sym: Symbol):
         self.sym = sym
-        self._fired = False
 
     def visit_node(self, node: ExplodedNode, pred: ExplodedNode | None) -> Diagnostic | None:
-        if self._fired:
-            return None
         ref = node.state.slot(MALLOC_SLOT).get(self.sym)
         if ref is None or ref.status is not RefStatus.RELEASED:
             return None
@@ -145,7 +148,6 @@ class MallocBugVisitor:
             prev = pred.state.slot(MALLOC_SLOT).get(self.sym)
             if prev is not None and prev.status is RefStatus.RELEASED:
                 return None  # not the transition node yet
-        self._fired = True
         if ref.family is not AllocationFamily.INNER_BUFFER:
             message = "Memory is released"
         elif isinstance(node.point, PostImplicitCallPoint):
@@ -162,15 +164,11 @@ class InnerPointerBRVisitor:
 
     def __init__(self, sym: Symbol):
         self.sym = sym
-        self._fired = False
 
     def visit_node(self, node: ExplodedNode, pred: ExplodedNode | None) -> Diagnostic | None:
-        if self._fired:
-            return None
         if not is_symbol_tracked(node.state, self.sym) or (
                 pred is not None and is_symbol_tracked(pred.state, self.sym)):
             return None
-        self._fired = True
         return Diagnostic(
             _point_location(node),
             f"Pointer to inner buffer of '{_container_name(node, self.sym)}' obtained here",
@@ -374,7 +372,7 @@ class InnerPointer(Checker):
 
 class DivZero(Checker):
     def check_div(self, ctx: CheckerContext, expr: Node, divisor: SVal) -> None:
-        zero = isinstance(divisor, ConcreteInt) and divisor.value == 0
+        zero = divisor.__class__ is int and divisor == 0
         if isinstance(divisor, SymbolicVal):
             sym = as_symbol(divisor)
             if sym is not None and ctx.state.range_of(sym) == RangeSet.singleton(0):

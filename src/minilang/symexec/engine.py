@@ -19,7 +19,7 @@ from collections import deque
 from typing import NamedTuple
 
 from ..cfg import (
-    Branch, build_cfg, Cfg, ImplicitDtorElement, Jump, Ret, StmtElement,
+    Branch, build_cfg, Cfg, ImplicitDtorElement, Jump, StmtElement,
 )
 from ..frontend.astnodes import (
     AddressOf, Assign, BinaryOp, BOOL, BoolLit, BreakStmt, BUILTIN_BASES, Call,
@@ -30,9 +30,9 @@ from ..frontend.astnodes import (
 from ..source import InternalError, SourceLocation
 from .state import assume, assume_comparison, COMPARISONS, ProgramState
 from .values import (
-    as_symbol, ConcreteInt, FieldRegion, LocVal, MemRegion, NullLocVal,
-    RangeSet, region_root, region_within, RetRegion, SVal, sym_add, sym_mul,
-    sym_val, Symbol, SymbolicVal, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
+    as_symbol, FieldRegion, LocVal, MemRegion, NullLocVal, RangeSet,
+    region_root, region_within, RetRegion, SVal, sym_add, sym_mul, sym_val,
+    Symbol, SymbolicVal, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
 )
 
 # The checker callbacks the engine dispatches; a checker implements any subset.
@@ -44,10 +44,8 @@ CHECKER_HOOKS = (
 
 # Values, regions and program points are built on the hot path by the tuple
 # constructor, every field given, not through the generated named-tuple
-# `__new__`; truth values are shared.
+# `__new__`.
 _new = tuple.__new__
-_FALSE = ConcreteInt(0)
-_TRUE = ConcreteInt(1)
 
 
 def _c_div(a: int, b: int) -> int:
@@ -64,9 +62,8 @@ class AnalysisConfig(NamedTuple):
 
 # --- program points ----------------------------------------------------------
 # Named tuples, compared and hashed as tuples of all their fields; an AST node
-# field compares by identity. The classes differ in arity or field types,
-# except the two call points, which have the same shape and so compare their
-# class as well: no two points of different classes are equal.
+# field compares by identity. The classes differ in arity or field types, so
+# no two points of different classes are equal.
 
 class BlockEdgePoint(NamedTuple):
     src: int
@@ -96,21 +93,8 @@ class PostStmtPoint(NamedTuple):
         return f"PostStmt {self.node.kind}"
 
 
-def _same_class_eq(self, other) -> bool:
-    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
-
-
-def _same_class_ne(self, other) -> bool:
-    return not _same_class_eq(self, other)
-
-
 class CallEnterPoint(NamedTuple):
-    call_id: int
-    frame: int  # the callee frame
-
-    __eq__ = _same_class_eq
-    __ne__ = _same_class_ne
-    __hash__ = tuple.__hash__
+    frame: int  # the callee frame, fresh for every inlined call
 
     def describe(self) -> str:
         return "CallEnter"
@@ -119,10 +103,6 @@ class CallEnterPoint(NamedTuple):
 class CallExitPoint(NamedTuple):
     call_id: int
     frame: int  # the caller frame resumed into
-
-    __eq__ = _same_class_eq
-    __ne__ = _same_class_ne
-    __hash__ = tuple.__hash__
 
     def describe(self) -> str:
         return "CallExit"
@@ -142,19 +122,17 @@ class PostImplicitCallPoint(NamedTuple):
 # --- exploded graph ----------------------------------------------------------
 
 class ExplodedNode:
-    __slots__ = ("point", "state", "loops", "preds", "succs", "is_sink", "seq")
+    __slots__ = ("point", "state", "loops", "pred", "succs", "is_sink", "seq")
 
-    def __init__(self, point, state: ProgramState, loops: dict, seq: int):
+    def __init__(self, point, state: ProgramState, loops: dict,
+                 pred: "ExplodedNode | None", seq: int):
         self.point = point
         self.state = state
         self.loops = loops  # back edge (src, dst, frame) -> times taken on this path
-        self.preds: list[ExplodedNode] = []
+        self.pred = pred  # the node it was made from, which bug paths follow
         self.succs: list[ExplodedNode] = []
         self.is_sink = False
         self.seq = seq
-
-    def first_pred(self) -> "ExplodedNode | None":
-        return self.preds[0] if self.preds else None
 
     def __repr__(self):
         return f"<node {self.seq} {self.point.describe()}>"
@@ -182,12 +160,11 @@ class ExplodedGraph:
                 raise BudgetExhausted()
             if loops is None:
                 loops = pred.loops if pred is not None else {}
-            node = ExplodedNode(point, state, loops, len(self.nodes))
+            node = ExplodedNode(point, state, loops, pred, len(self.nodes))
             self.nodes.append(node)
             self._index[key] = node
         if pred is not None and node not in pred.succs:
             pred.succs.append(node)
-            node.preds.append(pred)
         return node, is_new
 
     def leaves(self) -> list[ExplodedNode]:
@@ -388,7 +365,7 @@ class Engine:
         term = block.terminator
         if term is None:
             return []  # function exit: a leaf of this frame's exploration
-        if isinstance(term, (Jump, Ret)):
+        if isinstance(term, Jump):
             node = self.make_block_edge(via, state, frame, block.id, term.target)
             return [node] if node is not None else []
         assert isinstance(term, Branch)
@@ -595,9 +572,9 @@ class Engine:
 
     def eval(self, via, state, frame, expr: Node):
         if isinstance(expr, IntLit):
-            return [(_new(ConcreteInt, (expr.value,)), state, via)]
+            return [(expr.value, state, via)]
         if isinstance(expr, BoolLit):
-            return [(_TRUE if expr.value else _FALSE, state, via)]
+            return [(1 if expr.value else 0, state, via)]
         if isinstance(expr, StringLit):
             return [(UNKNOWN, state, via)]
         if isinstance(expr, Paren):
@@ -674,20 +651,20 @@ class Engine:
         out = []
         for val, st, v in self.eval(via, state, frame, expr.operand):
             if expr.op == "-":
-                if isinstance(val, ConcreteInt):
-                    out.append((_new(ConcreteInt, (-val.value,)), st, v))
+                if val.__class__ is int:
+                    out.append((-val, st, v))
                 elif isinstance(val, SymbolicVal):
                     negated = sym_mul(val.expr, -1)
                     out.append((_new(SymbolicVal, (negated,)), st, v))
                 else:
                     out.append((UNKNOWN, st, v))
             elif expr.op == "!":
-                if isinstance(val, ConcreteInt):
-                    out.append((_FALSE if val.value else _TRUE, st, v))
+                if val.__class__ is int:
+                    out.append((0 if val else 1, st, v))
                 elif isinstance(val, NullLocVal):
-                    out.append((_TRUE, st, v))
+                    out.append((1, st, v))
                 elif isinstance(val, LocVal):
-                    out.append((_FALSE, st, v))
+                    out.append((0, st, v))
                 else:
                     out.append((UNKNOWN, st, v))
             else:  # dereference
@@ -737,7 +714,7 @@ class Engine:
     def known_null(state: ProgramState, val: SVal) -> bool:
         sym = as_symbol(val)
         if sym is None:
-            return isinstance(val, ConcreteInt) and val.value == 0
+            return val.__class__ is int and val == 0
         return state.range_of(sym) == RangeSet.singleton(0)
 
     def eval_binary(self, via, state, frame, expr: BinaryOp):
@@ -763,11 +740,11 @@ class Engine:
         return out
 
     def eval_short_circuit(self, via, state, frame, expr: BinaryOp):
-        stop = _FALSE if expr.op == "&&" else _TRUE
+        stop = 0 if expr.op == "&&" else 1
         out = []
         for lv, st1, v1 in self.eval(via, state, frame, expr.lhs):
-            if isinstance(lv, ConcreteInt):
-                if (expr.op == "&&") == bool(lv.value):
+            if lv.__class__ is int:
+                if (expr.op == "&&") == bool(lv):
                     out.extend(self.eval(v1, st1, frame, expr.rhs))
                 else:
                     out.append((stop, st1, v1))
@@ -778,42 +755,44 @@ class Engine:
         return out
 
     def fold_binary(self, op: str, lv: SVal, rv: SVal) -> SVal:
+        lv_int = lv.__class__ is int
+        rv_int = rv.__class__ is int
         compare = COMPARISONS.get(op)
         if compare is not None:
-            if isinstance(lv, ConcreteInt) and isinstance(rv, ConcreteInt):
-                return _TRUE if compare(lv.value, rv.value) else _FALSE
+            if lv_int and rv_int:
+                return 1 if compare(lv, rv) else 0
             return UNKNOWN
-        if isinstance(lv, ConcreteInt) and isinstance(rv, ConcreteInt):
+        if lv_int and rv_int:
             if op == "+":
-                return _new(ConcreteInt, (lv.value + rv.value,))
+                return lv + rv
             if op == "-":
-                return _new(ConcreteInt, (lv.value - rv.value,))
+                return lv - rv
             if op == "*":
-                return _new(ConcreteInt, (lv.value * rv.value,))
+                return lv * rv
             if op == "/":
-                if rv.value == 0:
+                if rv == 0:
                     return UNKNOWN  # a sink already fired when DivZero is on
-                return _new(ConcreteInt, (_c_div(lv.value, rv.value),))
+                return _c_div(lv, rv)
         if op == "+":
-            if isinstance(lv, SymbolicVal) and isinstance(rv, ConcreteInt):
-                return _new(SymbolicVal, (sym_add(lv.expr, rv.value),))
-            if isinstance(lv, ConcreteInt) and isinstance(rv, SymbolicVal):
-                return _new(SymbolicVal, (sym_add(rv.expr, lv.value),))
+            if isinstance(lv, SymbolicVal) and rv_int:
+                return _new(SymbolicVal, (sym_add(lv.expr, rv),))
+            if lv_int and isinstance(rv, SymbolicVal):
+                return _new(SymbolicVal, (sym_add(rv.expr, lv),))
         if op == "-":
-            if isinstance(lv, SymbolicVal) and isinstance(rv, ConcreteInt):
-                return _new(SymbolicVal, (sym_add(lv.expr, -rv.value),))
-            if isinstance(lv, ConcreteInt) and isinstance(rv, SymbolicVal):
+            if isinstance(lv, SymbolicVal) and rv_int:
+                return _new(SymbolicVal, (sym_add(lv.expr, -rv),))
+            if lv_int and isinstance(rv, SymbolicVal):
                 negated = sym_mul(rv.expr, -1)
-                return _new(SymbolicVal, (sym_add(negated, lv.value),))
+                return _new(SymbolicVal, (sym_add(negated, lv),))
         if op == "*":
             sym, const = None, None
-            if isinstance(lv, SymbolicVal) and isinstance(rv, ConcreteInt):
-                sym, const = lv, rv.value
-            elif isinstance(lv, ConcreteInt) and isinstance(rv, SymbolicVal):
-                sym, const = rv, lv.value
+            if isinstance(lv, SymbolicVal) and rv_int:
+                sym, const = lv, rv
+            elif lv_int and isinstance(rv, SymbolicVal):
+                sym, const = rv, lv
             if sym is not None:
                 product = sym_mul(sym.expr, const)
-                return _FALSE if product is None else _new(SymbolicVal, (product,))
+                return 0 if product is None else _new(SymbolicVal, (product,))
         return UNKNOWN  # symbol-vs-symbol arithmetic is not modeled
 
     def eval_field(self, via, state, frame, expr: FieldAccess):
@@ -824,11 +803,14 @@ class Engine:
                 if result is not None:
                     out.append(result)
             return out
-        region = self.lvalue_region(state, frame, expr)
-        if region is None:
-            return [(UNKNOWN, state, via)]
-        val, state = self.load(state, region, frame)
-        return [(val, state, via)]
+        out = []
+        for region, st, v in self.lvalue_outcomes(via, state, frame, expr):
+            if region is None:
+                out.append((UNKNOWN, st, v))
+            else:
+                val, st = self.load(st, region, frame)
+                out.append((val, st, v))
+        return out
 
     def eval_new(self, via, state, frame, expr: NewExpr):
         line, _ = expr.file.line_column(expr.begin)
@@ -876,11 +858,15 @@ class Engine:
         return out
 
     def lvalue_outcomes(self, via, state, frame, lhs: Node):
-        """Where a write to `lhs` goes: (region or None, state, via) outcomes.
-        A write through a pointer, `*q = v` or `p->f = v`, evaluates the
-        pointer and checks it as a read through it does."""
+        """Where an access to `lhs` goes: (region or None, state, via)
+        outcomes. A `.` access resolves its base first, so every `*q` and
+        `p->f` on the way evaluates the pointer and checks it once, for a
+        read, a write or a method call alike."""
         lhs = strip_parens(lhs)
-        if isinstance(lhs, FieldAccess) and lhs.is_arrow:
+        if isinstance(lhs, FieldAccess) and not lhs.is_arrow:
+            return [(_field_region(region, lhs) if region is not None else None, st, v)
+                    for region, st, v in self.lvalue_outcomes(via, state, frame, lhs.base)]
+        if isinstance(lhs, FieldAccess):
             base = lhs.base
         elif isinstance(lhs, UnaryOp) and lhs.op == "*":
             base = lhs.operand
@@ -898,8 +884,8 @@ class Engine:
 
     def eval_method_call(self, via, state, frame, expr: MethodCall):
         method = expr.method
-        receiver_outcomes = []
         if expr.is_arrow:
+            receiver_outcomes = []
             for pval, st, v in self.eval(via, state, frame, expr.receiver):
                 checked = self.check_deref(v, st, frame, expr, pval)
                 if checked is None:
@@ -908,8 +894,7 @@ class Engine:
                 region = pval.region if isinstance(pval, LocVal) else None
                 receiver_outcomes.append((region, st, v))
         else:
-            region = self.lvalue_region(state, frame, expr.receiver)
-            receiver_outcomes.append((region, state, via))
+            receiver_outcomes = self.lvalue_outcomes(via, state, frame, expr.receiver)
         out = []
         for region, st, v in receiver_outcomes:
             for args, st1, v1 in self.eval_args(v, st, frame, expr.args,
@@ -1025,7 +1010,7 @@ class Engine:
                     bound = UNKNOWN
                 enter_state = enter_state.bind(_new(VarRegion, (param, new_frame.id)), bound)
         enter_node, _ = self._graph.add(
-            _new(CallEnterPoint, (expr.node_id, new_frame.id)), enter_state, via)
+            _new(CallEnterPoint, (new_frame.id,)), enter_state, via)
         cfg = self.cfg_of(callee)
         root, _ = self._graph.add(
             _new(BlockEdgePoint, (-1, cfg.entry, new_frame.id)), enter_state, enter_node)
@@ -1073,9 +1058,7 @@ def _pointee(pointer: LocVal, expr: Node) -> MemRegion:
 
 
 def _field_region(base: MemRegion, expr: FieldAccess) -> FieldRegion:
-    decl = expr.field_decl
-    return FieldRegion(base, expr.field_name,
-                       decl.declared_type if decl is not None else None)
+    return _new(FieldRegion, (base, expr.field_decl))
 
 
 def _remap_region(region: MemRegion, src: MemRegion, dst: MemRegion) -> MemRegion:
@@ -1083,8 +1066,7 @@ def _remap_region(region: MemRegion, src: MemRegion, dst: MemRegion) -> MemRegio
     if region == src:
         return dst
     assert isinstance(region, FieldRegion)
-    return FieldRegion(_remap_region(region.parent, src, dst),
-                       region.field_name, region.field_type)
+    return _new(FieldRegion, (_remap_region(region.parent, src, dst), region.field))
 
 
 # --- graph dump ---------------------------------------------------------------
@@ -1117,5 +1099,5 @@ def dump_dot(graph: ExplodedGraph, title: str) -> str:
 def _region_sort_key(region: MemRegion):
     if isinstance(region, FieldRegion):
         parent = _region_sort_key(region.parent)
-        return (parent[0], 1, parent[2], region.field_name)
+        return (parent[0], 1, parent[2], region.field.name)
     return (region.frame, 0, region.decl.node_id, "")

@@ -7,8 +7,8 @@ from collections.abc import KeysView, Mapping
 
 from ..source import InternalError
 from .values import (
-    ConcreteInt, LocVal, MemRegion, NullLocVal, RangeSet, SVal, Symbol,
-    SymbolicVal, SymExpr, linear_form, UndefinedVal, UnknownVal, val_symbols,
+    LocVal, MemRegion, NullLocVal, RangeSet, SVal, Symbol, SymbolicVal,
+    SymExpr, linear_form, UndefinedVal, UnknownVal, val_symbols,
 )
 
 # The six comparison operators, each with its meaning on two ints.
@@ -349,8 +349,8 @@ INFEASIBLE = None  # assume() returns None for an infeasible refinement
 
 def assume(state: ProgramState, val: SVal, truth: bool) -> ProgramState | None:
     """Refine `state` by `val` being true/false; None when infeasible."""
-    if isinstance(val, ConcreteInt):
-        return state if bool(val.value) == truth else INFEASIBLE
+    if val.__class__ is int:
+        return state if bool(val) == truth else INFEASIBLE
     if isinstance(val, SymbolicVal):
         return assume_relation(state, val.expr, "!=", 0, truth)
     if isinstance(val, LocVal):
@@ -389,18 +389,18 @@ def assume_comparison(state: ProgramState, lhs: SVal, op: str, rhs: SVal,
     """Refine by `lhs op rhs`, covering the value shapes the engine produces:
     concrete/concrete decides, symbolic/concrete refines a range, location
     null tests decide, everything else stays unconstrained."""
-    if isinstance(lhs, ConcreteInt) and isinstance(rhs, ConcreteInt):
-        return state if COMPARISONS[op](lhs.value, rhs.value) == truth else INFEASIBLE
-    if isinstance(lhs, SymbolicVal) and isinstance(rhs, ConcreteInt):
-        return assume_relation(state, lhs.expr, op, rhs.value, truth)
-    if isinstance(lhs, ConcreteInt) and isinstance(rhs, SymbolicVal):
-        return assume_relation(state, rhs.expr, _MIRROR[op], lhs.value, truth)
+    lhs_int = lhs.__class__ is int
+    rhs_int = rhs.__class__ is int
+    if lhs_int and rhs_int:
+        return state if COMPARISONS[op](lhs, rhs) == truth else INFEASIBLE
+    if isinstance(lhs, SymbolicVal) and rhs_int:
+        return assume_relation(state, lhs.expr, op, rhs, truth)
+    if lhs_int and isinstance(rhs, SymbolicVal):
+        return assume_relation(state, rhs.expr, _MIRROR[op], lhs, truth)
     if op in ("==", "!="):
         unequal = (op == "!=") == truth  # the refinement demands lhs != rhs
-        lhs_null = isinstance(lhs, NullLocVal) or (
-            isinstance(lhs, ConcreteInt) and lhs.value == 0)
-        rhs_null = isinstance(rhs, NullLocVal) or (
-            isinstance(rhs, ConcreteInt) and rhs.value == 0)
+        lhs_null = isinstance(lhs, NullLocVal) or (lhs_int and lhs == 0)
+        rhs_null = isinstance(rhs, NullLocVal) or (rhs_int and rhs == 0)
         if isinstance(lhs, LocVal) and rhs_null:
             return state if unequal else INFEASIBLE
         if isinstance(rhs, LocVal) and lhs_null:

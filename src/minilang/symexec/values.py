@@ -1,20 +1,21 @@
 """Symbolic values, memory regions and integer range sets.
 
-Values, expressions and regions are named tuples: built, compared and
+Values, expressions and regions are plain Python values, as in Clang's
+static analyzer: a concrete value is an `int`, a symbol is itself a
+symbolic expression, and the rest are named tuples, built, compared and
 hashed by the interpreter's tuple code, with no generated methods. Tuple
-equality ignores the class, so each kind either differs from every other
-kind it is compared with in arity or field types, or says what it equals
-itself: a symbol only itself, a field region its (parent, field name), and
-the field-less values are singleton objects. Regions are compared only
-with regions and values only with values (as store keys and store values),
-so a return region, the one 1-tuple region, may equal a `ConcreteInt`.
+equality ignores the class, so each kind differs from every other kind it
+is compared with in arity or field types. Only two kinds say what they
+equal: a symbol equals only itself, and each field-less value is a
+singleton object. Regions are compared only with regions and values only with
+values (as store keys and store values).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..frontend.astnodes import Node, TypeRef
+from ..frontend.astnodes import FieldDecl, Node, TypeRef
 
 IMIN = -(1 << 63)
 IMAX = (1 << 63) - 1
@@ -43,16 +44,9 @@ class Symbol(NamedTuple):
         return f"${self.name}"
 
 
-class SymAtom(NamedTuple):
-    symbol: Symbol
-
-    def __str__(self):
-        return str(self.symbol)
-
-
 class _SymIntOpFields(NamedTuple):
     lhs: SymExpr  # never a constant: constants fold
-    op: str  # one of + - *
+    op: str  # + or *
     rhs: int
 
 
@@ -60,7 +54,7 @@ class SymIntOp(_SymIntOpFields):
     __slots__ = ()
 
     def __new__(cls, lhs: SymExpr, op: str, rhs: int):
-        assert op in ("+", "-", "*")
+        assert op in ("+", "*")
         return _new(cls, (lhs, op, rhs))
 
     def __str__(self):
@@ -70,7 +64,7 @@ class SymIntOp(_SymIntOpFields):
 
 
 # The (deliberately small) symbolic expression language.
-SymExpr = SymAtom | SymIntOp
+SymExpr = Symbol | SymIntOp
 
 
 def sym_add(expr: SymExpr, c: int) -> SymExpr:
@@ -91,8 +85,8 @@ def sym_mul(expr: SymExpr, c: int) -> SymExpr | None:
 
 def linear_form(expr: SymExpr) -> tuple[Symbol, int, int] | None:
     """Decompose expr as symbol*a + b, or None if it is not that shape."""
-    if isinstance(expr, SymAtom):
-        return expr.symbol, 1, 0
+    if expr.__class__ is Symbol:
+        return expr, 1, 0
     if isinstance(expr, SymIntOp):
         inner = linear_form(expr.lhs)
         if inner is None:
@@ -100,8 +94,6 @@ def linear_form(expr: SymExpr) -> tuple[Symbol, int, int] | None:
         sym, a, b = inner
         if expr.op == "+":
             return sym, a, b + expr.rhs
-        if expr.op == "-":
-            return sym, a, b - expr.rhs
         return sym, a * expr.rhs, b * expr.rhs
     return None
 
@@ -139,13 +131,6 @@ class NullLocVal(_Singleton):
     text = "null"
 
 
-class ConcreteInt(NamedTuple):
-    value: int
-
-    def __str__(self):
-        return str(self.value)
-
-
 class SymbolicVal(NamedTuple):
     expr: SymExpr
 
@@ -164,17 +149,19 @@ UNDEFINED = UndefinedVal()
 UNKNOWN = UnknownVal()
 NULL_LOC = NullLocVal()
 
-SVal = UndefinedVal | UnknownVal | ConcreteInt | SymbolicVal | LocVal | NullLocVal
+# A concrete value is an `int`. A comparison yields 0 or 1, never a `bool`,
+# which would print as `True`.
+SVal = UndefinedVal | UnknownVal | int | SymbolicVal | LocVal | NullLocVal
 
 
 def sym_val(symbol: Symbol) -> SymbolicVal:
-    return _new(SymbolicVal, (_new(SymAtom, (symbol,)),))
+    return _new(SymbolicVal, (symbol,))
 
 
 def as_symbol(val: SVal) -> Symbol | None:
     """The plain tracked symbol a value carries, if any."""
-    if isinstance(val, SymbolicVal) and isinstance(val.expr, SymAtom):
-        return val.expr.symbol
+    if val.__class__ is SymbolicVal and val.expr.__class__ is Symbol:
+        return val.expr
     return None
 
 
@@ -187,7 +174,7 @@ def val_symbols(val: SVal) -> tuple[Symbol, ...]:
     expr = val.expr
     while expr.__class__ is SymIntOp:
         expr = expr.lhs
-    return (expr.symbol,)
+    return (expr,)
 
 
 _NO_SYMBOLS: tuple[Symbol, ...] = ()
@@ -204,24 +191,11 @@ class VarRegion(NamedTuple):
 
 
 class FieldRegion(NamedTuple):
-    """Compares and hashes on (parent, field_name): `field_type` rides along."""
-
     parent: MemRegion
-    field_name: str
-    field_type: TypeRef | None = None
-
-    def __eq__(self, other):
-        return (other.__class__ is FieldRegion and self.field_name == other.field_name
-                and self.parent == other.parent)
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash((self.parent, self.field_name))
+    field: FieldDecl  # identity-compared, as Clang's FieldRegion holds its FieldDecl
 
     def __str__(self):
-        return f"{self.parent}.{self.field_name}"
+        return f"{self.parent}.{self.field.name}"
 
 
 class RetRegion(NamedTuple):
@@ -238,7 +212,7 @@ def region_type(region: MemRegion) -> TypeRef | None:
     if isinstance(region, VarRegion):
         return region.decl.declared_type.value_type()
     if isinstance(region, FieldRegion):
-        return region.field_type
+        return region.field.declared_type
     return None
 
 

@@ -14,7 +14,7 @@ def pred_chain(leaf: ExplodedNode) -> list[ExplodedNode]:
     node = leaf
     while node is not None:
         chain.append(node)
-        node = node.first_pred()
+        node = node.pred
     chain.reverse()
     return chain
 

@@ -1,7 +1,7 @@
 """CFG construction: shapes, destructor elements, numbering, dead code."""
 
 from minilang.cfg import (
-    Branch, build_cfg, dump_cfg, ImplicitDtorElement, Jump, Ret, StmtElement,
+    Branch, build_cfg, dump_cfg, ImplicitDtorElement, Jump, StmtElement,
 )
 from minilang.frontend.astnodes import (
     DeleteStmt, ExprStmt, FunctionDecl, ReturnStmt, VarDecl, walk,
@@ -41,7 +41,8 @@ def test_straight_line_body_is_one_block():
     body_blocks = [b for b in cfg.blocks
                    if b.id not in (cfg.exit,) and b.elements]
     assert len(body_blocks) == 1
-    assert isinstance(body_blocks[0].terminator, Ret)
+    term = body_blocks[0].terminator
+    assert isinstance(term, Jump) and term.target == cfg.exit
 
 
 def test_diamond_for_if_else():

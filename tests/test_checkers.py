@@ -135,11 +135,34 @@ void f() {
 @pytest.mark.parametrize("source, column", [
     ("struct S { int f; }; void g() { S* p = new S(); delete p; p->f = 1; }", 59),
     ("void h() { int* q = new int(); delete q; *q = 1; }", 42),
+    ("struct T { int v; }; struct S { T s; }; "
+     "void g() { S* p = new S(); delete p; p->s.v = 1; }", 78),
+    ("struct S { int f; }; void g() { S* p = new S(); delete p; (*p).f = 1; }", 60),
 ])
 def test_write_through_a_freed_pointer_reports(source, column):
     reports, _, _ = reports_of(source)
     assert [(r.message, r.location.column) for r in reports] == [
         ("Use of memory after it is freed", column)]
+
+
+# Accesses under a `.` whose base goes through a pointer: `p->s` or `(*p)`.
+DOT_OVER_POINTER = "struct T { int v; };\nstruct S { int f; T s; };\n"
+
+
+@pytest.mark.parametrize("access, column", [
+    ("p->s.v", 10), ("(*p).f", 11), ("(*p).s.v", 11)])
+def test_read_under_a_dot_through_a_freed_pointer_reports(access, column):
+    reports, _, _ = reports_of(
+        DOT_OVER_POINTER + f"int g() {{\n  S* p = new S(); delete p;\n  return {access};\n}}")
+    assert [(r.message, str(r.location)) for r in reports] == [
+        ("Use of memory after it is freed", f"input.mc:5:{column}")]
+
+
+def test_method_call_under_a_dot_on_a_freed_receiver_reports():
+    reports, _, _ = reports_of(
+        "int h() { string* sp = new string(); delete sp; return (*sp).size(); }")
+    assert [(r.message, r.location.column) for r in reports] == [
+        ("Use of memory after it is freed", 57)]
 
 
 def null_sinks(source: str):
@@ -155,6 +178,16 @@ def test_write_through_a_known_null_pointer_ends_the_path():
     notes, sinks = null_sinks(
         "struct S { int f; };\nvoid k(S* p) { if (p == 0) { p->f = 2; } }")
     assert notes == ["input.mc:2:30: note: null dereference, path terminated"]
+    assert len(sinks) == 1
+
+
+@pytest.mark.parametrize("access, column", [
+    ("int x = p->s.v;", 38), ("p->s.v = 2;", 30), ("int x = (*p).f;", 39),
+    ("(*p).f = 2;", 31)])
+def test_access_under_a_dot_through_a_known_null_pointer_ends_the_path(access, column):
+    notes, sinks = null_sinks(
+        DOT_OVER_POINTER + f"void k(S* p) {{ if (p == 0) {{ {access} }} }}")
+    assert notes == [f"input.mc:3:{column}: note: null dereference, path terminated"]
     assert len(sinks) == 1
 
 
@@ -215,7 +248,7 @@ def test_get_container_obj_region_pre_and_post_invalidation():
     node = error
     while node is not None:
         chain.append(node)
-        node = node.first_pred()
+        node = node.pred
     tracked = [n for n in chain if get_container_obj_region(n.state, sym)]
     assert tracked  # region visible in the pre-invalidation states
     region = get_container_obj_region(tracked[0].state, sym)

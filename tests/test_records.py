@@ -5,10 +5,13 @@ record had as a frozen dataclass: what it compares on, which records of
 different classes never compare equal, what its constructor rejects, and
 that none of its fields can be assigned."""
 
+import ast
+import pathlib
+
 import pytest
 
 from minilang import matchers as M
-from minilang.cfg import Branch, build_cfg, ImplicitDtorElement, Jump, Ret, StmtElement
+from minilang.cfg import Branch, build_cfg, ImplicitDtorElement, Jump, StmtElement
 from minilang.checkers import (
     AllocationFamily, CHECKERS, CheckerDescriptor, MALLOC_SLOT, RefState, RefStatus,
 )
@@ -19,9 +22,9 @@ from minilang.frontend.builtins import STRING_METHODS
 from minilang.reporting import VerifyDirective
 from minilang.source import InternalError, SourceFile, SourceLocation, SourceRange
 from minilang.symexec import (
-    BlockEdgePoint, CallEnterPoint, CallExitPoint, ConcreteInt, ExplodedGraph,
-    FieldRegion, LocVal, NULL_LOC, PostImplicitCallPoint, PostStmtPoint,
-    PreStmtPoint, ProgramState, RangeSet, RetRegion, SymAtom, Symbol, SymbolicVal,
+    BlockEdgePoint, CallEnterPoint, CallExitPoint, ExplodedGraph, FieldRegion,
+    LocVal, NULL_LOC, PostImplicitCallPoint, PostStmtPoint, PreStmtPoint,
+    ProgramState, RangeSet, region_type, RetRegion, Symbol, SymbolicVal,
     SymIntOp, UNDEFINED, UNKNOWN, VarRegion,
 )
 from minilang.tidy import UsageKind, VarUsage
@@ -32,22 +35,29 @@ FILE = SourceFile("records.mc", "int f(int a) { return a; }\n")
 UNIT = frontend(FILE.text).unit
 NODE = UNIT.preorder[1]
 LOC = FILE.location(4)
+# S.x, S.y and T.x: two fields of one struct, and one of another struct that
+# shares a name with the first.
+S_X, S_Y, T_X = (field for struct in frontend(
+    "struct S { int x; int y; };\nstruct T { string x; };\n").unit.decls
+    for field in struct.fields)
 
 
 def symbol(sid: int = 1) -> Symbol:
     return Symbol(sid, "a")
 
 
-def test_field_region_identity_ignores_field_type():
+def test_field_region_is_its_parent_and_field_decl():
     parent = VarRegion(NODE, 1)
-    typed = FieldRegion(parent, "x", INT)
-    untyped = FieldRegion(parent, "x")
-    assert typed == untyped and not typed != untyped
-    assert hash(typed) == hash(untyped)
-    assert len({typed, untyped}) == 1
-    assert typed != FieldRegion(parent, "y", INT)
-    assert typed != FieldRegion(VarRegion(NODE, 2), "x", INT)
-    assert typed != (parent, "x", INT)
+    region = FieldRegion(parent, S_X)
+    again = FieldRegion(parent, S_X)
+    assert region == again and not region != again
+    assert hash(region) == hash(again)
+    assert len({region, again}) == 1
+    assert region != FieldRegion(parent, S_Y)
+    assert region != FieldRegion(parent, T_X)  # same name, another struct
+    assert region != FieldRegion(VarRegion(NODE, 2), S_X)
+    assert str(region) == "f.x" and region_type(region) == INT
+    assert str(FieldRegion(region, S_Y)) == "f.x.y"
 
 
 def one_point_of_each_class() -> list:
@@ -55,7 +65,7 @@ def one_point_of_each_class() -> list:
         BlockEdgePoint(1, 1, 1),
         PreStmtPoint(1, NODE),
         PostStmtPoint(1, 1, 1, NODE),
-        CallEnterPoint(1, 1),
+        CallEnterPoint(1),
         CallExitPoint(1, 1),
         PostImplicitCallPoint(1, 1, 1, NODE, LOC),
     ]
@@ -71,6 +81,8 @@ def test_points_of_different_classes_never_compare_equal():
 
 def test_engine_records_name_each_fact_once():
     assert Symbol._fields == ("id", "name")
+    assert FieldRegion._fields == ("parent", "field")
+    assert CallEnterPoint._fields == ("frame",)
     assert PreStmtPoint._fields == ("frame", "node")
     assert PostStmtPoint._fields == ("block", "index", "frame", "node")
     assert PostImplicitCallPoint._fields == ("block", "index", "frame", "var", "loc")
@@ -122,24 +134,24 @@ def test_symbols_compare_by_identity():
     assert a == a and not a != a
     assert a != b and not a == b
     assert len({a, b}) == 2
-    assert SymAtom(a) != SymAtom(b)
+    assert SymbolicVal(a) != SymbolicVal(b)
 
 
 def test_values_of_different_kinds_never_compare_equal():
     sym = symbol()
     region = VarRegion(NODE, 1)
-    values = [ConcreteInt(0), SymbolicVal(SymAtom(sym)), LocVal(region),
-              LocVal(FieldRegion(region, "x")), UNDEFINED, UNKNOWN, NULL_LOC]
+    values = [0, SymbolicVal(sym), SymbolicVal(SymIntOp(sym, "+", 1)), LocVal(region),
+              LocVal(FieldRegion(region, S_X)), UNDEFINED, UNKNOWN, NULL_LOC]
     for i, a in enumerate(values):
         for j, b in enumerate(values):
             assert (a == b) is (i == j), (a, b)
 
 
 def test_sym_int_op_rejects_other_operators():
-    lhs = SymAtom(symbol())
-    for op in ("+", "-", "*"):
+    lhs = symbol()
+    for op in ("+", "*"):
         assert SymIntOp(lhs, op, 2).op == op
-    for op in ("/", "%", "<", ""):
+    for op in ("-", "/", "%", "<", ""):
         with pytest.raises(AssertionError):
             SymIntOp(lhs, op, 2)
 
@@ -184,12 +196,11 @@ def frozen_records() -> list:
     region = VarRegion(NODE, 1)
     matcher = M.varDecl()
     return [
-        sym, SymAtom(sym), SymIntOp(SymAtom(sym), "+", 1), UNDEFINED, UNKNOWN,
-        NULL_LOC, ConcreteInt(1), SymbolicVal(SymAtom(sym)), LocVal(region),
-        region, FieldRegion(region, "x", INT), RangeSet.full(),
-        *one_point_of_each_class(),
+        sym, SymIntOp(sym, "+", 1), UNDEFINED, UNKNOWN, NULL_LOC,
+        SymbolicVal(sym), LocVal(region), region, FieldRegion(region, S_X),
+        RangeSet.full(), *one_point_of_each_class(),
         StmtElement(NODE), ImplicitDtorElement(NODE, LOC), Branch(NODE, 1, 2),
-        Jump(1), Ret(None, 0),
+        Jump(1),
         FixIt.insertion(LOC, "x"),
         RefState.allocated(AllocationFamily.HEAP, None),
         next(iter(CHECKERS.values())),
@@ -231,7 +242,7 @@ def test_matchers_compare_on_kind_args_and_binding():
 
 
 def test_record_constructors_keep_their_keywords_and_defaults():
-    assert FieldRegion(VarRegion(NODE, 1), "x").field_type is None
+    assert FieldRegion(parent=VarRegion(NODE, 1), field=S_X).field is S_X
     assert RefState(RefStatus.RELEASED, AllocationFamily.HEAP).origin is None
     assert CheckerDescriptor(object, "help").dependencies == ()
     assert TypeRef("int") == TypeRef(base="int", indirections=0, is_const=False,
@@ -265,14 +276,16 @@ void g(int a) {
   int r = helper(p->v + k);
   S* q = new S();
   delete q;
+  S t;
+  t.v = k;
   consume(c);
 }
 """
 HOT_RECORDS = {
     Token, TypeRef, SourceLocation, M.MatchResult, StmtElement, ImplicitDtorElement,
-    Jump, Branch, Ret, BlockEdgePoint, PreStmtPoint, PostStmtPoint, CallEnterPoint,
-    CallExitPoint, PostImplicitCallPoint, VarRegion, RetRegion, ConcreteInt,
-    SymbolicVal, SymAtom, Symbol,
+    Jump, Branch, BlockEdgePoint, PreStmtPoint, PostStmtPoint, CallEnterPoint,
+    CallExitPoint, PostImplicitCallPoint, VarRegion, FieldRegion, RetRegion,
+    SymbolicVal, Symbol,
 }
 
 
@@ -314,3 +327,55 @@ def test_records_built_by_the_tuple_constructor_have_every_field():
     short = [rec for rec in records if len(rec) != len(type(rec)._fields)]
     assert short == []
     assert HOT_RECORDS <= {type(rec) for rec in records}
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "minilang"
+EQUALITY = {"__eq__", "__ne__", "__hash__"}
+
+
+def _is_named_tuple_base(base: ast.expr, named: set[str]) -> bool:
+    if isinstance(base, ast.Call):  # collections.namedtuple(...)
+        base = base.func
+    name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+    return name in ("NamedTuple", "namedtuple") or name in named
+
+
+def _targets(node: ast.AST) -> list[ast.expr]:
+    """What a statement assigns to, or the name a `def` binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [ast.Name(node.name)]
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        return [node.target]
+    return []
+
+
+def test_only_symbol_defines_named_tuple_equality():
+    """Every named tuple under `src/minilang` compares and hashes as the
+    tuple it is. `Symbol` alone compares by identity, as Clang's uniqued
+    symbols do: a class that defines or assigns `__eq__`, `__ne__` or
+    `__hash__`, in its body or from outside, fails this test, also when it
+    is a named tuple through a named-tuple base."""
+    trees = {path.relative_to(SRC).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.rglob("*.py"))}
+    classes = [node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    named: set[str] = set()
+    while True:  # until no class joins through a named-tuple base
+        more = {c.name for c in classes
+                if any(_is_named_tuple_base(b, named) for b in c.bases)} - named
+        if not more:
+            break
+        named |= more
+    found = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in named:
+                found |= {(module, node.name, t.id) for item in node.body
+                          for t in _targets(item)
+                          if isinstance(t, ast.Name) and t.id in EQUALITY}
+            found |= {(module, t.value.id, t.attr) for t in _targets(node)
+                      if isinstance(t, ast.Attribute) and t.attr in EQUALITY
+                      and isinstance(t.value, ast.Name) and t.value.id in named}
+    assert found == {("symexec/values.py", "Symbol", name) for name in EQUALITY}

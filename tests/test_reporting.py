@@ -6,7 +6,7 @@ import pytest
 
 from minilang.checkers import assemble_bug_path
 from minilang.cli import main
-from minilang.diagnostics import displayed, Severity
+from minilang.diagnostics import Diagnostic, displayed, Severity
 from minilang.frontend import load_unit
 from minilang.reporting import (
     parse_directives, render_html, render_text, verify_run, VerifyError,
@@ -40,6 +40,32 @@ def test_use_after_clear_path_pieces_in_order():
     assert pieces[0].location.line == 5
     assert pieces[1].location.line == 6
     assert pieces[2].location.line == 7
+
+
+def test_a_bug_path_can_be_assembled_again():
+    result, _ = analyze(USE_AFTER_CLEAR)
+    (report,) = result.reports
+    first, again = assemble_bug_path(report), assemble_bug_path(report)
+    assert len(first.attached_notes) == 2
+    assert [(n.location, n.message) for n in again.attached_notes] == [
+        (n.location, n.message) for n in first.attached_notes]
+
+
+def test_a_visitor_is_not_asked_again_after_its_note():
+    result, _ = analyze(USE_AFTER_CLEAR)
+    (report,) = result.reports
+    asked = []
+
+    class NotesAtOnce:
+        def visit_node(self, node, pred):
+            asked.append(node)
+            return Diagnostic(report.location, "here", Severity.NOTE)
+
+    report.visitors = [NotesAtOnce()]
+    assert [n.message for n in assemble_bug_path(report).attached_notes] == ["here"]
+    assert asked == [report.error_node]  # and the walk ended there
+    report.visitors = []
+    assert assemble_bug_path(report).attached_notes == []
 
 
 def test_piece_locations_follow_path_chronology():

@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from minilang.frontend.astnodes import TypeRef
 from minilang.symexec import (
-    ConcreteInt, FieldRegion, IMAX, IMIN, NULL_LOC, ProgramState, RangeSet, RetRegion,
-    sym_add, sym_val, SymAtom, Symbol, SymbolicVal, UNKNOWN, val_symbols,
-    VarRegion,
+    FieldRegion, IMAX, IMIN, NULL_LOC, ProgramState, RangeSet, RetRegion,
+    sym_add, sym_val, Symbol, SymbolicVal, UNKNOWN, val_symbols, VarRegion,
 )
 from minilang.symexec.state import COMPARISONS
 
@@ -20,11 +19,11 @@ def _decl(name):
 SYMBOLS = [Symbol(i, f"s{i}") for i in range(1, 5)]
 _A, _B = VarRegion(_decl("a"), 1), VarRegion(_decl("b"), 2)
 # Two frames' return slots, so the ops write and drop pending return values.
-REGIONS = [_A, _B, FieldRegion(_A, "f", TypeRef("int")), VarRegion(_decl("c"), 1),
+REGIONS = [_A, _B, FieldRegion(_A, _decl("f")), VarRegion(_decl("c"), 1),
            RetRegion(1), RetRegion(2)]
-VALUES = ([ConcreteInt(0), ConcreteInt(7), UNKNOWN, NULL_LOC]
+VALUES = ([0, 7, UNKNOWN, NULL_LOC]
           + [sym_val(s) for s in SYMBOLS]
-          + [SymbolicVal(sym_add(SymAtom(s), 3)) for s in SYMBOLS])
+          + [SymbolicVal(sym_add(s, 3)) for s in SYMBOLS])
 RANGES = [RangeSet.singleton(0), RangeSet.of((1, 9)), RangeSet.full(),
           RangeSet.singleton(0).complement()]
 SLOTS = ("Checker.SymbolMap", "Checker.RegionSets", "Checker.EdgeCounts")
@@ -185,7 +184,7 @@ def test_equality_is_equality_of_contents(ops_a, ops_b):
 def test_mutators_leave_unchanged_components_shared():
     state = ProgramState().bind(_A, sym_val(SYMBOLS[0]))
     state = state.update_slot(SLOTS[0], {SYMBOLS[0]: 1})
-    bound = state.bind(_B, ConcreteInt(1))
+    bound = state.bind(_B, 1)
     assert bound.gdm is state.gdm and bound.constraints is state.constraints
     assert bound._live is state._live  # a concrete value holds no symbol
 
