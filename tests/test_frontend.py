@@ -119,7 +119,8 @@ def test_non_ascii_text_in_strings_and_comments_is_legal():
 
 
 # Single characters of the language, plus quotes, backslashes, comment
-# slashes, line ends and a few characters that are illegal outside strings.
+# slashes, line ends, a few characters that are illegal outside strings, and
+# a whole line comment, so that comments often come before further tokens.
 LEX_ALPHABET = (list("aZ_09 \t\r\n\"\\/=!<>&|-+(){};,*.@")
                 + ["\u00e9", "\u00b2", "\u00a0", "// c\n"])
 LEX_TEXTS = st.lists(st.one_of(st.sampled_from(LEX_ALPHABET), st.sampled_from(sorted(KEYWORDS)),
