@@ -10,5 +10,5 @@ from .values import (  # noqa: F401
     as_symbol, FieldRegion, IMAX, IMIN, LocVal, MemRegion, NULL_LOC,
     NullLocVal, RangeSet, region_root, region_type, region_within, RetRegion,
     SVal, sym_add, sym_mul, sym_val, Symbol, SymbolicVal, SymExpr, SymIntOp,
-    UNDEFINED, UndefinedVal, UNKNOWN, UnknownVal, val_symbols, VarRegion,
+    TempRegion, UNDEFINED, UndefinedVal, UNKNOWN, UnknownVal, val_symbols, VarRegion,
 )

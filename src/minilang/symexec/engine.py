@@ -11,6 +11,11 @@ A call to a defined function is inlined into a new frame while
 `inline_depth` allows. Its return statement binds the value to
 the frame's `RetRegion`, and CallExit reads it there, then drops every
 binding rooted in the callee frame and the frame's back-edge counts.
+
+One evaluator, `Engine.lvalue_outcomes`, says where an expression points.
+A read, a write or a method call through `*p` or `p->f` checks the
+pointer; `&` and binding a reference parameter do not. An rvalue under `.`,
+`&` or a reference parameter is evaluated into a `TempRegion` of its frame.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .state import assume, assume_comparison, COMPARISONS, ProgramState
 from .values import (
     as_symbol, FieldRegion, LocVal, MemRegion, NullLocVal, RangeSet,
     region_root, region_within, RetRegion, SVal, sym_add, sym_mul, sym_val,
-    Symbol, SymbolicVal, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
+    Symbol, SymbolicVal, TempRegion, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
 )
 
 # The checker callbacks the engine dispatches; a checker implements any subset.
@@ -438,36 +443,29 @@ class Engine:
                 # default construction: the string gets a fresh value identity
                 state = state.bind(region, self.conjure(f"{decl.name}_str"))
             return [(state, via)]
-        out = []
-        for val, st, v in self.eval(via, state, frame, decl.init):
-            if isinstance(val, UndefinedVal):
-                val = UNKNOWN
-            st = st.bind(region, val)
-            if self._is_struct_value(declared):
-                st = self._copy_struct(st, frame, region, decl.init)
-            out.append((st, v))
-        return out
+        if self._is_struct_value(declared):
+            return [(self._copy_struct(st, frame, region, src)[1], v)
+                    for src, st, v in self.lvalue_outcomes(via, state, frame, decl.init)]
+        return [(st.bind(region, UNKNOWN if isinstance(val, UndefinedVal) else val), v)
+                for val, st, v in self.eval(via, state, frame, decl.init)]
 
     def _is_struct_value(self, t: TypeRef | None) -> bool:
         return (t is not None and t.indirections == 0
                 and t.base not in BUILTIN_BASES)
 
     def _copy_struct(self, state: ProgramState, frame: _Frame,
-                     dst: MemRegion, src_expr: Node) -> ProgramState:
-        """Value copy of a struct: mirror every known field binding."""
-        src = self.lvalue_region(state, frame, src_expr)
-        if src is None:
-            return state
-        state = state.unbind_where(
-            lambda r: region_within(r, dst) and r != dst)
-        rebinds = {}
-        for region, val in state.store.items():
-            if region_within(region, src) and region != src:
-                rebinds[_remap_region(region, src, dst)] = val
-        src_binding = state.lookup(src)
-        if src_binding is not None:
-            rebinds[dst] = src_binding
-        return state.bind_many(rebinds) if rebinds else state
+                     dst: MemRegion | None, src: MemRegion | None):
+        """Value copy of a struct from `src` to `dst`, either None when not
+        known: the struct's value and every known field binding. Returns
+        (value, state)."""
+        val, state = self.load(state, src, frame) if src is not None else (UNKNOWN, state)
+        val = UNKNOWN if isinstance(val, UndefinedVal) else val
+        if dst is not None:  # no region is within a None `src`
+            state = _bind_object(state, dst, val, [
+                (_remap_region(region, src, dst), field_val)
+                for region, field_val in state.store.items()
+                if region != src and region_within(region, src)])
+        return val, state
 
     def exec_return(self, via, state, frame, stmt: ReturnStmt):
         if stmt.value is None:
@@ -586,9 +584,9 @@ class Engine:
         if isinstance(expr, UnaryOp):
             return self.eval_unary(via, state, frame, expr)
         if isinstance(expr, AddressOf):
-            region = self.lvalue_region(state, frame, expr.operand)
-            val = LocVal(region) if region is not None else UNKNOWN
-            return [(val, state, via)]
+            return [(LocVal(region) if region is not None else UNKNOWN, st, v)
+                    for region, st, v in self.lvalue_outcomes(
+                        via, state, frame, expr.operand, access=False)]
         if isinstance(expr, BinaryOp):
             return self.eval_binary(via, state, frame, expr)
         if isinstance(expr, Assign):
@@ -624,30 +622,9 @@ class Engine:
                 return fresh, state.bind(region, fresh)
         return UNDEFINED, state
 
-    def lvalue_region(self, state: ProgramState, frame: _Frame,
-                      expr: Node) -> MemRegion | None:
-        expr = strip_parens(expr)
-        if isinstance(expr, DeclRef):
-            return self.decl_region(expr, frame)
-        if isinstance(expr, FieldAccess):
-            base_region = self.lvalue_region(state, frame, expr.base)
-            if expr.is_arrow:
-                pointer = state.lookup(base_region) if base_region else None
-                if isinstance(pointer, LocVal):
-                    return _field_region(pointer.region, expr)
-                return None
-            if base_region is None:
-                return None
-            return _field_region(base_region, expr)
-        if isinstance(expr, UnaryOp) and expr.op == "*":
-            region = self.lvalue_region(state, frame, expr.operand)
-            val = state.lookup(region) if region is not None else None
-            if isinstance(val, LocVal):
-                return val.region
-            return None
-        return None
-
     def eval_unary(self, via, state, frame, expr: UnaryOp):
+        if expr.op == "*":
+            return self.read(via, state, frame, expr)
         out = []
         for val, st, v in self.eval(via, state, frame, expr.operand):
             if expr.op == "-":
@@ -667,10 +644,6 @@ class Engine:
                     out.append((0, st, v))
                 else:
                     out.append((UNKNOWN, st, v))
-            else:  # dereference
-                result = self.deref(v, st, frame, expr, val)
-                if result is not None:
-                    out.append(result)
         return out
 
     def check_deref(self, via, state, frame, expr: Node, pointer: SVal):
@@ -688,20 +661,6 @@ class Engine:
             if refined is not None:
                 state = refined
         return state, via
-
-    def deref(self, via, state, frame, expr: Node, pointer: SVal):
-        """Load through a pointer value: the pointee for `*p`, the field for
-        `p->f`. None when the path sank."""
-        checked = self.check_deref(via, state, frame, expr, pointer)
-        if checked is None:
-            return None
-        state, via = checked
-        if isinstance(pointer, LocVal):
-            val, state = self.load(state, _pointee(pointer, expr), frame)
-            return val, state, via
-        if isinstance(pointer, SymbolicVal) and isinstance(expr, FieldAccess):
-            return self.conjure(), state, via
-        return UNKNOWN, state, via
 
     def null_deref_sink(self, via, state, frame, expr: Node) -> None:
         """End the path at a dereference of null: a note and a sink node."""
@@ -796,21 +755,26 @@ class Engine:
         return UNKNOWN  # symbol-vs-symbol arithmetic is not modeled
 
     def eval_field(self, via, state, frame, expr: FieldAccess):
-        if expr.is_arrow:
-            out = []
-            for base, st, v in self.eval(via, state, frame, expr.base):
-                result = self.deref(v, st, frame, expr, base)
-                if result is not None:
-                    out.append(result)
-            return out
+        if not expr.is_arrow:
+            return self.read(via, state, frame, expr)
         out = []
-        for region, st, v in self.lvalue_outcomes(via, state, frame, expr):
-            if region is None:
-                out.append((UNKNOWN, st, v))
-            else:
-                val, st = self.load(st, region, frame)
-                out.append((val, st, v))
+        for pointer, st, v in self.eval(via, state, frame, expr.base):
+            checked = self.check_deref(v, st, frame, expr, pointer)
+            if checked is None:
+                continue
+            st, v = checked
+            if isinstance(pointer, LocVal):
+                out.append((*self.load(st, _field_region(pointer.region, expr), frame), v))
+            else:  # a field behind a symbolic pointer gets a fresh symbol
+                out.append((self.conjure() if isinstance(pointer, SymbolicVal) else UNKNOWN,
+                            st, v))
         return out
+
+    def read(self, via, state, frame, expr: Node):
+        """Load what `e.f` or `*p` holds; unknown where it points nowhere known."""
+        return [(*self.load(st, region, frame), v) if region is not None
+                else (UNKNOWN, st, v)
+                for region, st, v in self.lvalue_outcomes(via, state, frame, expr)]
 
     def eval_new(self, via, state, frame, expr: NewExpr):
         line, _ = expr.file.line_column(expr.begin)
@@ -827,6 +791,10 @@ class Engine:
 
     def eval_assign(self, via, state, frame, expr: Assign):
         lhs_type = expr.lhs.type
+        if expr.op == "=" and self._is_struct_value(lhs_type):
+            return [(*self._copy_struct(st1, frame, dst, src), v1)
+                    for src, st0, v0 in self.lvalue_outcomes(via, state, frame, expr.rhs)
+                    for dst, st1, v1 in self.lvalue_outcomes(v0, st0, frame, expr.lhs)]
         out = []
         for rv, st0, v0 in self.eval(via, state, frame, expr.rhs):
             for region, st1, v1 in self.lvalue_outcomes(v0, st0, frame, expr.lhs):
@@ -842,8 +810,6 @@ class Engine:
                 else:
                     result = UNKNOWN if isinstance(rv, UndefinedVal) else rv
                 st2 = st1.bind(region, result)
-                if expr.op == "=" and self._is_struct_value(lhs_type):
-                    st2 = self._copy_struct(st2, frame, region, expr.rhs)
                 if lhs_type is not None and lhs_type.base == "string" \
                         and lhs_type.indirections == 0:
                     info = CallInfo(expr, "operator" + expr.op, "assign",
@@ -857,27 +823,37 @@ class Engine:
                 out.append((result, st2, v1))
         return out
 
-    def lvalue_outcomes(self, via, state, frame, lhs: Node):
-        """Where an access to `lhs` goes: (region or None, state, via)
-        outcomes. A `.` access resolves its base first, so every `*q` and
-        `p->f` on the way evaluates the pointer and checks it once, for a
-        read, a write or a method call alike."""
-        lhs = strip_parens(lhs)
-        if isinstance(lhs, FieldAccess) and not lhs.is_arrow:
-            return [(_field_region(region, lhs) if region is not None else None, st, v)
-                    for region, st, v in self.lvalue_outcomes(via, state, frame, lhs.base)]
-        if isinstance(lhs, FieldAccess):
-            base = lhs.base
-        elif isinstance(lhs, UnaryOp) and lhs.op == "*":
-            base = lhs.operand
+    def lvalue_outcomes(self, via, state, frame, expr: Node, access: bool = True):
+        """Where `expr` points: (region or None, state, via) outcomes. A `.`
+        resolves its base first; `*q` and `p->f` evaluate the pointer and,
+        for an access, check it once. Any other expression, such as a call,
+        is evaluated into a temporary of this frame."""
+        expr = strip_parens(expr)
+        if expr.__class__ is DeclRef:
+            return [(self.decl_region(expr, frame), state, via)]
+        if isinstance(expr, FieldAccess) and not expr.is_arrow:
+            return [(_field_region(region, expr) if region is not None else None, st, v)
+                    for region, st, v in self.lvalue_outcomes(
+                        via, state, frame, expr.base, access)]
+        if isinstance(expr, FieldAccess):
+            base = expr.base
+        elif isinstance(expr, UnaryOp) and expr.op == "*":
+            base = expr.operand
         else:
-            return [(self.lvalue_region(state, frame, lhs), state, via)]
+            temp = _new(TempRegion, (expr, frame.id))
+            return [(temp, _bind_object(st, temp, val), v)
+                    for val, st, v in self.eval(via, state, frame, expr)]
         out = []
         for pointer, st, v in self.eval(via, state, frame, base):
-            checked = self.check_deref(v, st, frame, lhs, pointer)
-            if checked is not None:
-                region = _pointee(pointer, lhs) if isinstance(pointer, LocVal) else None
-                out.append((region, *checked))
+            if access:
+                checked = self.check_deref(v, st, frame, expr, pointer)
+                if checked is None:
+                    continue
+                st, v = checked
+            region = pointer.region if isinstance(pointer, LocVal) else None
+            if region is not None and isinstance(expr, FieldAccess):
+                region = _field_region(region, expr)
+            out.append((region, st, v))
         return out
 
     # --- calls ---
@@ -933,9 +909,10 @@ class Engine:
             next_outcomes = []
             for collected, st, v in outcomes:
                 if ptype is not None and ptype.is_reference:
-                    region = self.lvalue_region(st, frame, arg)
-                    val = st.lookup(region) if region is not None else None
-                    next_outcomes.append((collected + [(ptype, val, region)], st, v))
+                    for region, st1, v1 in self.lvalue_outcomes(
+                            v, st, frame, arg, access=False):
+                        val = st1.lookup(region) if region is not None else None
+                        next_outcomes.append((collected + [(ptype, val, region)], st1, v1))
                 else:
                     for val, st1, v1 in self.eval(v, st, frame, arg):
                         next_outcomes.append((collected + [(ptype, val, None)], st1, v1))
@@ -1050,15 +1027,16 @@ class Engine:
         return out
 
 
-def _pointee(pointer: LocVal, expr: Node) -> MemRegion:
-    """The region `*p` or `p->f` names when `p` points to a known region."""
-    if isinstance(expr, FieldAccess):
-        return _field_region(pointer.region, expr)
-    return pointer.region
-
-
 def _field_region(base: MemRegion, expr: FieldAccess) -> FieldRegion:
     return _new(FieldRegion, (base, expr.field_decl))
+
+
+def _bind_object(state: ProgramState, region: MemRegion, val: SVal,
+                 fields=()) -> ProgramState:
+    """A new object in `region`: its value and the field bindings `fields`,
+    none of what its fields held before."""
+    state = state.unbind_where(lambda r: r != region and region_within(r, region))
+    return state.bind_many([(region, val), *fields])
 
 
 def _remap_region(region: MemRegion, src: MemRegion, dst: MemRegion) -> MemRegion:
@@ -1100,4 +1078,5 @@ def _region_sort_key(region: MemRegion):
     if isinstance(region, FieldRegion):
         parent = _region_sort_key(region.parent)
         return (parent[0], 1, parent[2], region.field.name)
-    return (region.frame, 0, region.decl.node_id, "")
+    node = region.expr if isinstance(region, TempRegion) else region.decl
+    return (region.frame, 0, node.node_id, "")

@@ -205,7 +205,19 @@ class RetRegion(NamedTuple):
     frame: int
 
 
-MemRegion = VarRegion | FieldRegion | RetRegion
+class TempRegion(NamedTuple):
+    """An rvalue under `.`, `&` or a reference parameter, as Clang's
+    CXXTempObjectRegion. Its node is an expression, never a declaration,
+    so it never equals a `VarRegion`."""
+
+    expr: Node  # identity-compared
+    frame: int
+
+    def __str__(self):
+        return "temp({}:{})".format(*self.expr.file.line_column(self.expr.begin))
+
+
+MemRegion = VarRegion | FieldRegion | RetRegion | TempRegion
 
 
 def region_type(region: MemRegion) -> TypeRef | None:

@@ -352,6 +352,14 @@ class Interpreter:
         args = [self.eval(a, scope) for a in expr.args]
         return self.string_method(receiver, expr.method_name, args)
 
+    def arg_cell(self, ptype, arg: Node, scope) -> Cell:
+        """The cell a parameter binds: a reference binds the argument's own,
+        or a fresh one holding an rvalue passed to a const reference, as a
+        by-value parameter does."""
+        if ptype.is_reference and (not ptype.is_const or _is_lvalue(arg)):
+            return self.lvalue(arg, scope)
+        return Cell(self.eval(arg, scope))
+
     def string_method(self, box: StrBox, name: str, args):
         text = box.text
         if name in ("c_str", "data"):
@@ -401,26 +409,24 @@ class Interpreter:
 
     def eval_call(self, expr: Call, scope):
         decl = expr.callee.decl
+        cells = [self.arg_cell(param.declared_type, arg, scope)
+                 for param, arg in zip(decl.params, expr.args)]
         if isinstance(decl, FunctionDecl):
-            cells = []
-            for param, arg in zip(decl.params, expr.args):
-                if param.declared_type.is_reference:
-                    cells.append(self.lvalue(arg, scope))
-                else:
-                    cells.append(Cell(self.eval(arg, scope)))
             return self._call(decl, cells)
         # extern: record the call, use the stub (or a neutral default)
-        args = []
-        for param, arg in zip(decl.params, expr.args):
-            if param.declared_type.is_reference:
-                args.append(self.lvalue(arg, scope).value)
-            else:
-                args.append(self.eval(arg, scope))
+        args = [cell.value for cell in cells]
         self.outcome.extern_trace.append((decl.name, tuple(_render(a) for a in args)))
         stub = self.externs.get(decl.name)
         if stub is not None:
             return stub(args) if callable(stub) else stub
         return _default_value(decl.return_type)
+
+
+def _is_lvalue(expr: Node) -> bool:
+    while isinstance(expr, Paren):
+        expr = expr.inner
+    return isinstance(expr, (DeclRef, FieldAccess)) or (
+        isinstance(expr, UnaryOp) and expr.op == "*")
 
 
 def _text_of(value) -> str:

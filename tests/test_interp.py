@@ -58,6 +58,18 @@ int f() { int x = 1; bump(x); bump(x); return x; }
     assert run_function(fe.unit, "f").ret == 3
 
 
+def test_rvalues_bind_to_const_references_in_a_fresh_cell():
+    fe = frontend("""\
+extern void emit(const int& v);
+int twice(const int& r) { return r + r; }
+int one() { return 1; }
+int f() { int x = 4; emit(one()); emit(x * 3); emit(x); return twice(one()) + twice(x - 1); }
+""")
+    out = run_function(fe.unit, "f")
+    assert out.error is None and out.ret == 8
+    assert out.extern_trace == [("emit", (1,)), ("emit", (12,)), ("emit", (4,))]
+
+
 def test_short_circuit_skips_side_effect():
     fe = frontend("""\
 int f(bool gate) {

@@ -25,7 +25,7 @@ from minilang.symexec import (
     BlockEdgePoint, CallEnterPoint, CallExitPoint, ExplodedGraph, FieldRegion,
     LocVal, NULL_LOC, PostImplicitCallPoint, PostStmtPoint, PreStmtPoint,
     ProgramState, RangeSet, region_type, RetRegion, Symbol, SymbolicVal,
-    SymIntOp, UNDEFINED, UNKNOWN, VarRegion,
+    SymIntOp, TempRegion, UNDEFINED, UNKNOWN, VarRegion,
 )
 from minilang.tidy import UsageKind, VarUsage
 
@@ -147,6 +147,18 @@ def test_values_of_different_kinds_never_compare_equal():
             assert (a == b) is (i == j), (a, b)
 
 
+def test_regions_of_different_kinds_never_compare_equal():
+    # A variable's and a temporary's node differ: a declaration is never an
+    # expression.
+    expr = next(n for n in UNIT.preorder if n.kind == "DeclRef")
+    var = VarRegion(NODE, 1)
+    regions = [var, TempRegion(expr, 1), FieldRegion(var, S_X), RetRegion(1)]
+    for i, a in enumerate(regions):
+        for j, b in enumerate(regions):
+            assert (a == b) is (i == j), (a, b)
+    assert str(TempRegion(expr, 1)) == "temp(1:23)"
+
+
 def test_sym_int_op_rejects_other_operators():
     lhs = symbol()
     for op in ("+", "*"):
@@ -257,6 +269,7 @@ EVERY_RECORD = """\
 extern void consume(char* c);
 struct S { int v; };
 extern S* mk();
+extern S make();
 
 int helper(int d) {
   return 10 / d;
@@ -278,6 +291,7 @@ void g(int a) {
   delete q;
   S t;
   t.v = k;
+  k = make().v;
   consume(c);
 }
 """
@@ -285,7 +299,7 @@ HOT_RECORDS = {
     Token, TypeRef, SourceLocation, M.MatchResult, StmtElement, ImplicitDtorElement,
     Jump, Branch, BlockEdgePoint, PreStmtPoint, PostStmtPoint, CallEnterPoint,
     CallExitPoint, PostImplicitCallPoint, VarRegion, FieldRegion, RetRegion,
-    SymbolicVal, Symbol,
+    TempRegion, SymbolicVal, Symbol,
 }
 
 
