@@ -17,7 +17,7 @@ from .astnodes import (  # noqa: F401  (re-exported surface)
     UnaryOp, VarDecl, VOID, walk, WhileStmt,
 )
 from .builtins import STRING_METHODS  # noqa: F401
-from .lexer import Comment, LexError, Token, TokenKind, tokenize  # noqa: F401
+from .lexer import Comment, LexError, TokenKind, Tokens, tokenize  # noqa: F401
 from .parser import parse
 from .typecheck import typecheck
 
@@ -43,12 +43,11 @@ def load_unit(name: str, text: str, std: int = 14) -> FrontendResult:
         tokens = tokenize(file)
     except LexError as err:
         return FrontendResult(file, None, [err.diagnostic])
-    comments = [comment for token in tokens for comment in token.leading_comments]
     unit, diags = parse(file, tokens, std)
     if diags:
-        return FrontendResult(file, unit, diags, comments)
+        return FrontendResult(file, unit, diags, tokens.comments)
     diags = typecheck(unit)
-    return FrontendResult(file, unit, diags, comments)
+    return FrontendResult(file, unit, diags, tokens.comments)
 
 
 def node_text(node: Node) -> str:

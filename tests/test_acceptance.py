@@ -140,7 +140,7 @@ def test_criterion_3_invalidation_matrix():
 
 
 def _norm_tokens(source: str):
-    return [t.text for t in tokenize(SourceFile("golden.mc", source))]
+    return tokenize(SourceFile("golden.mc", source)).spellings
 
 
 @criterion(4, "single-use redundant pointer: --fix inlines the initializer")

@@ -36,11 +36,12 @@ def concrete_node_classes() -> set[type]:
     return {cls for cls in subclasses(A.Node) if cls.kind == cls.__name__}
 
 
-def expected_tokens(node, toks: list) -> dict:
-    """Each location attribute of `node`, mapped to the token it names, found
-    by position among the tokens of the node's extent."""
-    inside = [t for t in toks if node.begin <= t.begin < node.end]
-    texts = [t.text for t in inside]
+def expected_tokens(node, toks) -> dict:
+    """Each location attribute of `node`, mapped to the index of the token
+    it names, found by position among the tokens of the node's extent."""
+    begins = toks.begins
+    inside = [i for i, begin in enumerate(begins) if node.begin <= begin < node.end]
+    texts = [toks.spellings[i] for i in inside]
     if isinstance(node, A.StructDecl):
         return {"name_loc": inside[1]}
     if isinstance(node, (A.FunctionDecl, A.ExternDecl)):
@@ -51,13 +52,13 @@ def expected_tokens(node, toks: list) -> dict:
     if isinstance(node, (A.UnaryOp, A.AddressOf)):
         return {"op_loc": inside[0]}
     if isinstance(node, (A.BinaryOp, A.Assign)):
-        between = [t for t in inside if node.lhs.end <= t.begin < node.rhs.begin]
+        between = [i for i in inside if node.lhs.end <= begins[i] < node.rhs.begin]
         assert len(between) == 1
         return {"op_loc": between[0]}
     if isinstance(node, (A.FieldAccess, A.MethodCall)):
         base = node.base if isinstance(node, A.FieldAccess) else node.receiver
-        after = [t for t in inside if t.begin >= base.end]
-        assert after[0].text in (".", "->")
+        after = [i for i in inside if begins[i] >= base.end]
+        assert toks.spellings[after[0]] in (".", "->")
         return {"member_loc": after[1]}
     return {}
 
@@ -78,8 +79,8 @@ def test_ranges_and_token_locations_are_built_from_offsets(name):
     for node in unit.preorder:
         assert node.range == SourceRange(file.location(node.begin), file.location(node.end))
         for attr, tok in expected_tokens(node, toks).items():
-            assert getattr(node, attr) == file.location(tok.begin), (node, attr)
-            assert tok.text == spelling(node, attr)
+            assert getattr(node, attr) == file.location(toks.begins[tok]), (node, attr)
+            assert toks.spellings[tok] == spelling(node, attr)
 
 
 def test_every_node_class_is_slotted():

@@ -4,7 +4,7 @@ import pathlib
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minilang.frontend import load_unit, node_text, tokenize, walk
 from minilang.frontend.astnodes import (
@@ -18,7 +18,7 @@ from minilang.source import (
 )
 
 from conftest import frontend, structure_signature
-from lexer_reference import reference_tokenize
+from lexer_reference import reference_columns
 from proggen import generate_function
 
 sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
@@ -31,7 +31,9 @@ def toks(source: str):
 
 
 def kinds_and_texts(source: str):
-    return [(t.kind.value, t.text) for t in toks(source) if t.kind is not TokenKind.EOF]
+    tokens = toks(source)
+    return [(kind.value, text) for kind, text in zip(tokens.kinds, tokens.spellings)
+            if kind is not TokenKind.EOF]
 
 
 # --- tokenize ---------------------------------------------------------------
@@ -45,11 +47,11 @@ def test_tokenize_canonical_split():
 
 def test_tokenize_assignment_expression_has_five_leaves():
     # the b = a + 1 expression of the canonical syntax-tree figure
-    assert [t.text for t in toks("b = a + 1")[:-1]] == ["b", "=", "a", "+", "1"]
+    assert toks("b = a + 1").spellings[:-1] == ["b", "=", "a", "+", "1"]
 
 
 def test_tokenize_method_call_split():
-    assert [t.text for t in toks("s.c_str()")[:-1]] == ["s", ".", "c_str", "(", ")"]
+    assert toks("s.c_str()").spellings[:-1] == ["s", ".", "c_str", "(", ")"]
 
 
 def test_tokens_cover_all_non_whitespace_bytes():
@@ -57,19 +59,19 @@ def test_tokens_cover_all_non_whitespace_bytes():
     file = SourceFile("t.mc", source)
     tokens = tokenize(file)
     covered = set()
-    for tok in tokens:
-        assert tok.text == source[tok.begin:tok.end]
-        covered.update(range(tok.begin, tok.end))
-        for comment in tok.leading_comments:
-            covered.update(range(comment.range.begin.offset, comment.range.end.offset))
+    for spelling, begin, end in zip(tokens.spellings, tokens.begins, tokens.ends):
+        assert spelling == source[begin:end]
+        covered.update(range(begin, end))
+    for comment in tokens.comments:
+        covered.update(range(comment.range.begin.offset, comment.range.end.offset))
     uncovered = [source[i] for i in range(len(source)) if i not in covered]
     assert all(ch in " \t\r\n" for ch in uncovered)
 
 
 def test_comment_trivia_attaches_to_following_token():
     tokens = toks("// lead\nint x;")
-    assert tokens[0].text == "int"
-    assert [c.text for c in tokens[0].leading_comments] == ["// lead"]
+    assert tokens.spellings[0] == "int"
+    assert [(c.text, c.token) for c in tokens.comments] == [("// lead", 0)]
 
 
 def test_unterminated_string_literal_is_a_lex_error():
@@ -112,9 +114,9 @@ def test_non_ascii_text_in_strings_and_comments_is_legal():
     source = ('// caf\u00e9 \u00b2\nvoid f() { string s; s.append("h\u00e9llo \u00b2"); }'
               ' // \u03bb\n')
     tokens = toks(source)
-    assert [c.text for c in tokens[0].leading_comments] == ["// caf\u00e9 \u00b2"]
-    assert any(t.kind is TokenKind.STRING and t.text == '"h\u00e9llo \u00b2"' for t in tokens)
-    assert [c.text for c in tokens[-1].leading_comments] == ["// \u03bb"]
+    assert [(c.text, c.token) for c in tokens.comments] == [
+        ("// caf\u00e9 \u00b2", 0), ("// \u03bb", len(tokens) - 1)]
+    assert (TokenKind.STRING, '"h\u00e9llo \u00b2"') in zip(tokens.kinds, tokens.spellings)
     assert frontend(source).ok
 
 
@@ -127,63 +129,79 @@ LEX_TEXTS = st.lists(st.one_of(st.sampled_from(LEX_ALPHABET), st.sampled_from(so
                                st.sampled_from(PUNCTUATORS)), max_size=40).map("".join)
 
 
+# A comment before two tokens: a comment recorded again for the second
+# token, or against the wrong one, fails both properties below at every seed.
+COMMENT_BEFORE_TWO_TOKENS = "// c\na b"
+
+
 @given(LEX_TEXTS)
+@example(COMMENT_BEFORE_TWO_TOKENS)
 @settings(max_examples=300, deadline=None)
 def test_tokenize_covers_text_or_fails_inside_it(text):
+    """Comments and tokens, read in order, tile the text up to whitespace:
+    each comment comes just before the token whose index it holds."""
     try:
         tokens = tokenize(SourceFile("h.mc", text))
     except LexError as err:
         assert 0 <= err.diagnostic.location.offset < len(text)
         return
-    pos = 0
-    for tok in tokens:
-        for comment in tok.leading_comments:
-            begin, end = comment.range.begin.offset, comment.range.end.offset
-            assert text[pos:begin].strip(" \t\r\n") == ""
-            assert comment.text == text[begin:end]
+    assert len(tokens.spellings) == len(tokens.begins) == len(tokens.ends) == len(tokens)
+    comments = tokens.comments
+    pos = seen = 0
+    for index, (kind, spelling, begin, end) in enumerate(
+            zip(tokens.kinds, tokens.spellings, tokens.begins, tokens.ends)):
+        while seen < len(comments) and comments[seen].token == index:
+            comment = comments[seen]
+            cbegin, cend = comment.range.begin.offset, comment.range.end.offset
+            assert pos <= cbegin and text[pos:cbegin].strip(" \t\r\n") == ""
+            assert comment.text == text[cbegin:cend]
             assert comment.text.startswith("//") and "\n" not in comment.text
-            assert end == len(text) or text[end] == "\n"
-            pos = end
-        begin, end = tok.begin, tok.end
-        assert text[pos:begin].strip(" \t\r\n") == ""
-        assert tok.text == text[begin:end]
+            assert cend == len(text) or text[cend] == "\n"
+            pos = cend
+            seen += 1
+        assert pos <= begin and text[pos:begin].strip(" \t\r\n") == ""
+        assert spelling == text[begin:end]
         # the parser tests keywords and punctuators by spelling alone
-        assert (tok.kind is TokenKind.KEYWORD) == (tok.text in KEYWORDS)
-        assert (tok.kind is TokenKind.PUNCT) == (tok.text in PUNCTUATORS)
+        assert (kind is TokenKind.KEYWORD) == (spelling in KEYWORDS)
+        assert (kind is TokenKind.PUNCT) == (spelling in PUNCTUATORS)
         pos = end
-    assert tokens[-1].kind is TokenKind.EOF and pos == len(text)
+    assert seen == len(comments)
+    assert tokens.kinds[-1] is TokenKind.EOF and pos == len(text)
 
 
 def _shape(value):
     """A record as its class followed by its fields, nested records
-    included, so that two streams are equal only if every token, comment,
-    range and location has the same class and the same fields."""
+    included, so that two streams are equal only if every comment, range
+    and location has the same class and the same fields."""
     if isinstance(value, tuple):
         return (type(value), *map(_shape, value))
     return value
 
 
 def lex_outcome(tokenizer, file: SourceFile):
-    """The token stream's shape, or the LexError's location and message."""
+    """The token columns, comments in their shape, or the LexError's
+    location and message."""
     try:
-        return [_shape(tok) for tok in tokenizer(file)]
+        tokens = tokenizer(file)
+        return (tokens.kinds, tokens.spellings, tokens.begins, tokens.ends,
+                [_shape(comment) for comment in tokens.comments])
     except LexError as err:
         diag = err.diagnostic
         return "LexError", _shape(diag.location), diag.message, diag.severity
 
 
 @given(LEX_TEXTS)
+@example(COMMENT_BEFORE_TWO_TOKENS)
 @settings(max_examples=300, deadline=None)
 def test_tokenize_equals_the_reference_loop(text):
     file = SourceFile("h.mc", text)
-    assert lex_outcome(tokenize, file) == lex_outcome(reference_tokenize, file)
+    assert lex_outcome(tokenize, file) == lex_outcome(reference_columns, file)
 
 
 def test_tokenize_equals_the_reference_loop_around_comments():
     file = SourceFile("c.mc", "// a\n// b\nint x; // c\nint y = 1;\n\n// d\n")
-    tokens = tokenize(file)
-    assert [len(tok.leading_comments) for tok in tokens] == [2, 0, 0, 1, 0, 0, 0, 0, 1]
-    assert lex_outcome(tokenize, file) == lex_outcome(reference_tokenize, file)
+    assert [comment.token for comment in tokenize(file).comments] == [0, 0, 3, 8]
+    assert lex_outcome(tokenize, file) == lex_outcome(reference_columns, file)
 
 
 @pytest.mark.parametrize("source", [
@@ -193,14 +211,14 @@ def test_tokenize_raises_the_reference_loops_lex_error(source):
     file = SourceFile("e.mc", source)
     outcome = lex_outcome(tokenize, file)
     assert outcome[0] == "LexError"
-    assert outcome == lex_outcome(reference_tokenize, file)
+    assert outcome == lex_outcome(reference_columns, file)
 
 
 @pytest.mark.parametrize("workload", sorted(corpus.WORKLOADS))
 def test_tokenize_equals_the_reference_loop_on_the_bench_corpus(workload):
     for case in corpus.WORKLOADS[workload](811):
         file = SourceFile(case.name, case.text)
-        assert lex_outcome(tokenize, file) == lex_outcome(reference_tokenize, file), case.name
+        assert lex_outcome(tokenize, file) == lex_outcome(reference_columns, file), case.name
 
 
 # --- parse ------------------------------------------------------------------
@@ -255,6 +273,33 @@ def test_comma_expression_parses_inside_parens():
     fe = frontend("void f() { int v = 0; bool b = ((v = 3), false); }")
     commas = [n for n in walk(fe.unit) if isinstance(n, BinaryOp) and n.op == ","]
     assert len(commas) == 1
+
+
+def test_a_long_assignment_chain_parses_right_nested():
+    # Three times as many operands as the default recursion limit has
+    # frames; `=` and `+=` alternate, so each level keeps its own operator.
+    count = 3000
+    assert sys.getrecursionlimit() < count
+    ops = ["=" if i % 2 == 0 else "+=" for i in range(count - 1)]
+    source = "void f(int a) { a"
+    operand_begins, op_begins = [len(source) - 1], []
+    for op in ops:
+        op_begins.append(len(source) + 1)
+        source += f" {op} "
+        operand_begins.append(len(source))
+        source += "a"
+    source += "; }"
+    file = SourceFile("chain.mc", source)
+    unit, diags = parse(file, tokenize(file))
+    assert diags == []
+    expr = unit.decls[0].body.stmts[0].expr
+    for op, op_begin, lhs_begin in zip(ops, op_begins, operand_begins):
+        assert type(expr) is Assign and expr.op == op and expr.op_offset == op_begin
+        assert type(expr.lhs) is DeclRef and expr.lhs.begin == lhs_begin
+        assert (expr.begin, expr.end) == (lhs_begin, operand_begins[-1] + 1)
+        assert expr.lhs.parent is expr.rhs.parent is expr
+        expr = expr.rhs
+    assert type(expr) is DeclRef and expr.begin == operand_begins[-1]
 
 
 # --- typecheck ----------------------------------------------------------------
@@ -362,12 +407,11 @@ def test_round_trip_every_node_relexes_to_its_tokens(source):
     for node in walk(fe.unit):
         text = node_text(node)
         slice_file = SourceFile("slice.mc", text)
-        slice_tokens = [t.text for t in tokenize(slice_file)
-                        if t.kind is not TokenKind.EOF]
-        original = [t.text for t in tokenize(fe.file)
-                    if t.kind is not TokenKind.EOF
-                    and node.range.begin.offset <= t.begin
-                    and t.end <= node.range.end.offset]
+        slice_tokens = tokenize(slice_file).spellings[:-1]
+        tokens = tokenize(fe.file)
+        original = [spelling for spelling, begin, end
+                    in zip(tokens.spellings[:-1], tokens.begins, tokens.ends)
+                    if node.range.begin.offset <= begin and end <= node.range.end.offset]
         assert slice_tokens == original
 
 
@@ -435,30 +479,34 @@ RECORD_TEXTS = [
 
 def test_lexer_locations_equal_bounds_checked_locations():
     # the lexer builds comment locations without `SourceFile.location`;
-    # tokens carry plain offsets that spell their text
+    # tokens are plain offsets that spell their text
     for text in RECORD_TEXTS:
         file = SourceFile("r.mc", text)
-        for tok in tokenize(file):
-            assert not hasattr(tok, "range")
-            assert type(tok.begin) is type(tok.end) is int
-            assert 0 <= tok.begin <= tok.end <= len(text)
-            assert tok.text == text[tok.begin:tok.end]
-            for rng in (c.range for c in tok.leading_comments):
-                assert type(rng) is SourceRange
-                assert rng.begin == file.location(rng.begin.offset)
-                assert rng.end == file.location(rng.end.offset)
-                assert type(rng.begin) is type(rng.end) is SourceLocation
+        tokens = tokenize(file)
+        for spelling, begin, end in zip(tokens.spellings, tokens.begins, tokens.ends):
+            assert type(begin) is type(end) is int
+            assert 0 <= begin <= end <= len(text)
+            assert spelling == text[begin:end]
+        for comment in tokens.comments:
+            rng = comment.range
+            assert type(rng) is SourceRange
+            assert rng.begin == file.location(rng.begin.offset)
+            assert rng.end == file.location(rng.end.offset)
+            assert type(rng.begin) is type(rng.end) is SourceLocation
+            assert type(comment.token) is int and 0 <= comment.token < len(tokens)
 
 
 def test_source_records_are_immutable():
-    tok = toks("// lead\nint x;")[0]
-    comment = tok.leading_comments[0]
+    tokens = toks("// lead\nint x;")
+    comment = tokens.comments[0]
     for record, field in ((comment.range.begin, "offset"), (comment.range, "begin"),
-                          (tok, "begin"), (tok, "end"), (tok, "text"), (comment, "text")):
+                          (comment, "text"), (comment, "token")):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
         with pytest.raises(AttributeError):
             record.extra = 1
+    with pytest.raises(AttributeError):
+        tokens.extra = 1  # the columns are slotted
 
 
 def test_inverted_source_range_is_internal_error():
@@ -470,9 +518,11 @@ def test_inverted_source_range_is_internal_error():
 
 
 def test_equal_source_records_hash_equal():
-    # a token's hash covers its offsets and its comments' ranges
+    # a comment's hash covers its text, its range and its token index
     for text in RECORD_TEXTS:
         file = SourceFile("r.mc", text)
-        for a, b in zip(tokenize(file), tokenize(file)):
+        first, second = tokenize(file), tokenize(file)
+        assert len(first.comments) == len(second.comments)
+        for a, b in zip(first.comments, second.comments):
             assert a is not b and a == b and hash(a) == hash(b)
-            assert (a.begin, a.end) == (b.begin, b.end) and a.text == text[a.begin:a.end]
+            assert a.text == text[a.range.begin.offset:a.range.end.offset]

@@ -16,7 +16,7 @@ from minilang.checkers import (
     AllocationFamily, CHECKERS, CheckerDescriptor, MALLOC_SLOT, RefState, RefStatus,
 )
 from minilang.diagnostics import Diagnostic, FixIt, Severity
-from minilang.frontend import tokenize, Token
+from minilang.frontend import tokenize
 from minilang.frontend.astnodes import FunctionDecl, INT, TypeRef
 from minilang.frontend.builtins import STRING_METHODS
 from minilang.reporting import VerifyDirective
@@ -296,7 +296,7 @@ void g(int a) {
 }
 """
 HOT_RECORDS = {
-    Token, TypeRef, SourceLocation, M.MatchResult, StmtElement, ImplicitDtorElement,
+    TypeRef, SourceLocation, M.MatchResult, StmtElement, ImplicitDtorElement,
     Jump, Branch, BlockEdgePoint, PreStmtPoint, PostStmtPoint, CallEnterPoint,
     CallExitPoint, PostImplicitCallPoint, VarRegion, FieldRegion, RetRegion,
     TempRegion, SymbolicVal, Symbol,

@@ -20,6 +20,16 @@ def test_script_runs_to_exit_zero_without_a_traceback(script, tmp_path):
     assert "Traceback" not in child.stdout + child.stderr
 
 
+def test_lexer_ratio_prints_one_ratio_per_workload(tmp_path):
+    # a smoke run with few rounds: the ratios themselves are timings, not checked
+    child = subprocess.run([sys.executable, str(SCRIPTS / "lexer_ratio.py"), "--rounds", "2"],
+                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stdout + child.stderr
+    lines = child.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["analyze-deep", "analyze-wide", "tidy-fix"]
+    assert all(float(line.rsplit("ratio ", 1)[1]) > 0 for line in lines)
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
