@@ -3,11 +3,14 @@
     python3 scripts/bench_pairs.py REV --workload W --pairs N [--seed S]
 
 Run from anywhere inside a checkout. The change side is that checkout as it
-is on disk; the parent side is a `git worktree` of REV, checked out under
-`.bench_work/` and removed when the script ends. Pair i runs both sides
-untraced (`--trace 0`) at seed S + i, the parent first in even pairs and
-the change first in odd ones, so that neither side always meets the machine
-first. Each run measures for the benchmark's own run time.
+is on disk; the parent side is REV's committed files, exported with `git
+archive` under `.bench_work/` and removed when the script ends. Both sides
+run with `PYTHONDONTWRITEBYTECODE=1` and `PYTHONPYCACHEPREFIX` set to a
+fresh empty directory, so Python ignores every `__pycache__` in either tree
+and compiles each side from source, as in a clean checkout. Pair i runs
+both sides untraced (`--trace 0`) at seed S + i, the parent first in even
+pairs and the change first in odd ones, so that neither side always meets
+the machine first. Each run measures for the benchmark's own run time.
 
 For each end-to-end metric of BENCHMARK.json the script prints every run,
 each side's median and quartiles, the pairs the change won (ties count for
@@ -22,9 +25,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WIN_SHARE = 0.9  # share of pairs the change must win for a gain
@@ -60,12 +66,16 @@ def compare(parent: list[float | None], change: list[float | None],
                       and failed["change"] <= failed["parent"])}
 
 
-def bench_run(checkout: Path, workload: str, seed: int) -> dict | None:
+def bench_run(checkout: Path, workload: str, seed: int, pycache: Path) -> dict | None:
     """One untraced `bench/run.py` run in `checkout`: its JSON result line,
-    or None when the run failed."""
+    or None when the run failed. Bytecode is neither read from the tree's
+    `__pycache__` nor written: `pycache`, an empty directory, stands in
+    for every cache."""
     command = [sys.executable, "bench/run.py", "--workload", workload,
                "--seed", str(seed), "--trace", "0"]
-    child = subprocess.run(command, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=str(pycache))
+    child = subprocess.run(command, cwd=checkout, env=env, stdout=subprocess.PIPE,
+                           text=True)
     lines = child.stdout.splitlines()
     if child.returncode != 0 or not lines:
         return None
@@ -118,10 +128,14 @@ def main(argv=None) -> int:
     if args.workload not in [w["name"] for w in spec["workloads"]]:
         parser.error(f"unknown workload {args.workload!r}")
     rev = git(root, "rev-parse", "--verify", f"{args.rev}^{{commit}}")
-    tree = root / ".bench_work" / f"parent-{rev[:12]}"
-    if tree.exists():
-        git(root, "worktree", "remove", "--force", str(tree))
-    git(root, "worktree", "add", "--detach", str(tree), rev)
+    work = root / ".bench_work"
+    tree = work / f"parent-{rev[:12]}"
+    shutil.rmtree(tree, ignore_errors=True)  # left by a run that was killed
+    tree.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=root, check=True,
+                             stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    pycache = Path(tempfile.mkdtemp(prefix="pycache-", dir=work))
     sides = {"parent": tree, "change": root}
     results: dict[str, list[dict | None]] = {"parent": [], "change": []}
     seeds = [args.seed + i for i in range(args.pairs)]
@@ -131,12 +145,13 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             firsts.append(order[0])
             for side in order:
-                result = bench_run(sides[side], args.workload, seed)
+                result = bench_run(sides[side], args.workload, seed, pycache)
                 results[side].append(result)
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                       f"{'failed' if result is None else 'done'}", flush=True)
     finally:
-        git(root, "worktree", "remove", "--force", str(tree))
+        shutil.rmtree(tree, ignore_errors=True)
+        shutil.rmtree(pycache, ignore_errors=True)
     print(f"\n{args.workload}: {rev[:12]} (parent) against {root} as on disk (change), "
           f"{args.pairs} pairs, seeds {seeds[0]} to {seeds[-1]}, --trace 0")
     for entry in spec["end_to_end"]:

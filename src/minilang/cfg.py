@@ -234,37 +234,42 @@ class _Builder:
     # --- numbering and cleanup ---
 
     def _finish(self, first: int) -> Cfg:
+        """Number the reachable blocks in reverse post-order, the exit last,
+        in place: each kept block takes its new id and retargets its
+        terminator."""
+        blocks = self.blocks
         order: list[int] = []  # depth-first post-order, on an explicit stack
         seen = {first}
-        stack = [(first, iter(self.blocks[first].successors()))]
+        stack = [(first, iter(blocks[first].successors()))]
         while stack:
-            succs = stack[-1][1]
-            succ = next((s for s in succs if s not in seen), None)
-            if succ is None:
-                order.append(stack.pop()[0])
+            for succ in stack[-1][1]:  # resumes where this block's last visit left
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((succ, iter(blocks[succ].successors())))
+                    break
             else:
-                seen.add(succ)
-                stack.append((succ, iter(self.blocks[succ].successors())))
+                order.append(stack.pop()[0])
         order.reverse()
         if self.exit in seen:
             order.remove(self.exit)
         order.append(self.exit)  # exit numbered last, keeps dumps stable
-        for bid in range(len(self.blocks)):
-            if bid not in seen and bid != self.exit and self.blocks[bid].elements:
+        for bid in range(len(blocks)):
+            if bid not in seen and bid != self.exit and blocks[bid].elements:
                 self.notes.append(
                     f"{self.fn.name}: note: unreachable block dropped")
-        renumber = {old: new for new, old in enumerate(order)}
-        blocks = []
-        for old in order:
-            b = self.blocks[old]
+        renumber = [-1] * len(blocks)  # old id -> new id; -1 for a dropped block
+        for new, old in enumerate(order):
+            renumber[old] = new
+        kept = [blocks[old] for old in order]
+        for new, b in enumerate(kept):
+            b.id = new
             term = b.terminator
             if isinstance(term, Branch):
-                term = _new(Branch, (term.cond, renumber[term.true_target],
-                                     renumber[term.false_target]))
+                b.terminator = _new(Branch, (term.cond, renumber[term.true_target],
+                                             renumber[term.false_target]))
             elif isinstance(term, Jump):
-                term = _new(Jump, (renumber[term.target],))
-            blocks.append(BasicBlock(renumber[old], list(b.elements), term))
-        return Cfg(self.fn, blocks, renumber[first], renumber[self.exit], self.notes)
+                b.terminator = _new(Jump, (renumber[term.target],))
+        return Cfg(self.fn, kept, renumber[first], renumber[self.exit], self.notes)
 
 
 def build_cfg(fn: FunctionDecl) -> Cfg:

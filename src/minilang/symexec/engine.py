@@ -16,6 +16,10 @@ One evaluator, `Engine.lvalue_outcomes`, says where an expression points.
 A read, a write or a method call through `*p` or `p->f` checks the
 pointer; `&` and binding a reference parameter do not. An rvalue under `.`,
 `&` or a reference parameter is evaluated into a `TempRegion` of its frame.
+
+Every error path ends in a sink of its own, but reports are uniqued as
+Clang's BugReporter does: `Engine.report` keeps one per (check name,
+message, location), the one with the shortest path to its error node.
 """
 
 from __future__ import annotations
@@ -179,6 +183,14 @@ class ExplodedGraph:
         return len(self.nodes)
 
 
+def _ends_first(a: ExplodedNode, b: ExplodedNode) -> bool:
+    """Whether `a`'s `pred` chain is strictly shorter than `b`'s. The two are
+    walked in step, so the cost is the shorter chain's length."""
+    while a is not None and b is not None:
+        a, b = a.pred, b.pred
+    return b is not None
+
+
 class CallInfo(NamedTuple):
     """What the post-call checker dispatch sees about one evaluated call."""
 
@@ -226,6 +238,7 @@ class _Frame:
         self.fn = fn
         self.depth = depth
         self.aliases: dict[int, MemRegion] = {}  # param id -> region
+        self.cfg: Cfg | None = None  # fn's CFG, set when the frame is entered
 
 
 class Engine:
@@ -236,6 +249,9 @@ class Engine:
         self.checkers = checkers or []
         self.result = AnalysisResult()
         self._noted: set[str] = set()  # every text in result.notes, for `note`
+        # (check name, message, offset) -> index of its class's report in
+        # result.reports, for `report`
+        self._classes: dict[tuple, int] = {}
         self._cfgs: dict[int, Cfg] = {}
         self._inlined: set[int] = set()
         self._frames: dict[int, _Frame] = {}
@@ -275,13 +291,24 @@ class Engine:
         self._frames[frame.id] = frame
         return frame
 
-    def frame(self, fid: int) -> _Frame:
-        return self._frames[fid]
-
     def note(self, text: str):
         if text not in self._noted:
             self._noted.add(text)
             self.result.notes.append(text)
+
+    def report(self, report) -> None:
+        """Keep one report per equivalence class, as Clang's BugReporter
+        does: reports with the same check name, message and location are one
+        defect. The class keeps the report whose error node has the shortest
+        `pred` chain, the first emitted on a tie, at the index of its first
+        report, so only that one gets a bug path."""
+        key = (report.check_name, report.message, report.location.offset)
+        index = self._classes.get(key)
+        if index is None:
+            self._classes[key] = len(self.result.reports)
+            self.result.reports.append(report)
+        elif _ends_first(report.error_node, self.result.reports[index].error_node):
+            self.result.reports[index] = report
 
     # --- top level ---
 
@@ -303,7 +330,7 @@ class Engine:
             sym = self.conjure(param.name)
             state = state.bind(_new(VarRegion, (param, frame.id)), sym)
             state = self._constrain_fresh(state, sym, param.declared_type)
-        cfg = self.cfg_of(fn)
+        cfg = frame.cfg = self.cfg_of(fn)
         exhausted = f"{fn.name}: note: node budget exhausted, paths abandoned"
         work: deque[ExplodedNode] = deque()
         try:  # even the root counts against the budget
@@ -330,9 +357,10 @@ class Engine:
 
     def step(self, node: ExplodedNode) -> list[ExplodedNode]:
         point = node.point
-        if isinstance(point, BlockEdgePoint):
+        kind = point.__class__  # no point class has subclasses
+        if kind is BlockEdgePoint:
             return self.exec_block_from(node, point.frame, point.dst, 0)
-        if isinstance(point, (PostStmtPoint, PostImplicitCallPoint)):
+        if kind is PostStmtPoint or kind is PostImplicitCallPoint:
             if point.block < 0:
                 return []
             return self.exec_block_from(node, point.frame, point.block, point.index + 1)
@@ -340,10 +368,9 @@ class Engine:
 
     def exec_block_from(self, via: ExplodedNode, fid: int, block_id: int,
                         index: int) -> list[ExplodedNode]:
-        frame = self.frame(fid)
-        cfg = self.cfg_of(frame.fn)
+        frame = self._frames[fid]
         state = via.state
-        block = cfg.block(block_id)
+        block = frame.cfg.blocks[block_id]
         while True:
             if index == len(block.elements):
                 return self.exec_terminator(via, state, frame, block)
@@ -529,7 +556,7 @@ class Engine:
                 node.is_sink = True
                 ctx.report.error_node = node
                 ctx.report.graph = self._graph
-                self.result.reports.append(ctx.report)
+                self.report(ctx.report)
                 return state, via, True
             if ctx._pending is not None:
                 state = ctx._pending
@@ -545,6 +572,8 @@ class Engine:
             node, val, kind, make_node=False)
 
     def reap(self, state: ProgramState) -> ProgramState:
+        if not state.dead_symbols():
+            return state
         return self._reap_with(state, dead_regions=frozenset())
 
     def _reap_with(self, state: ProgramState, dead_regions: frozenset) -> ProgramState:
@@ -988,7 +1017,7 @@ class Engine:
                 enter_state = enter_state.bind(_new(VarRegion, (param, new_frame.id)), bound)
         enter_node, _ = self._graph.add(
             _new(CallEnterPoint, (new_frame.id,)), enter_state, via)
-        cfg = self.cfg_of(callee)
+        cfg = new_frame.cfg = self.cfg_of(callee)
         root, _ = self._graph.add(
             _new(BlockEdgePoint, (-1, cfg.entry, new_frame.id)), enter_state, enter_node)
         work = deque([root])

@@ -133,6 +133,22 @@ void paths(int a) {
 }
 """
 
+# One division after a loop and three branches: many error paths, one defect.
+LOOP_THEN_DIVISION = """\
+extern bool g();
+int f(int a, int b) {
+  bool done = false;
+  while (g())
+    done = true;
+  int x = 0;
+  if (a > 0) x = 1;
+  if (b > 0) x = x + 2;
+  int z = 0;
+  if (a > 5) z = 0;
+  return x / 0;
+}
+"""
+
 EXPLODED_G = """\
 void g(int b, int& x) {
   if (b != 0)

@@ -19,6 +19,12 @@ def pred_chain(leaf: ExplodedNode) -> list[ExplodedNode]:
     return chain
 
 
+def error_sinks(result) -> list[ExplodedNode]:
+    """Every error node of every graph: one per path that reached a defect."""
+    return [node for graph in result.graphs.values() for node in graph.nodes
+            if node.is_sink]
+
+
 def leaf_decisions(leaf: ExplodedNode, cfg: Cfg) -> list[tuple[int, bool]]:
     """The (condition node id, truth) sequence along the leaf's path."""
     decisions = []

@@ -1,18 +1,29 @@
 """Path assembly, visitors, text/HTML rendering and the verify harness."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from html.parser import HTMLParser
 
 import pytest
 
-from minilang.checkers import assemble_bug_path
+from minilang.checkers import assemble_bug_path, BugReport
 from minilang.cli import main
 from minilang.diagnostics import Diagnostic, displayed, Severity
 from minilang.frontend import load_unit
 from minilang.reporting import (
     parse_directives, render_html, render_text, verify_run, VerifyError,
 )
+from minilang.source import SourceLocation
+from minilang.symexec.engine import Engine, ExplodedNode
 
-from conftest import analyze, DEREF_AFTER_CLEAR_VERIFY, USE_AFTER_CLEAR, USE_AFTER_FREE
+from conftest import (
+    analyze, DEREF_AFTER_CLEAR_VERIFY, frontend, LOOP_THEN_DIVISION, USE_AFTER_CLEAR,
+    USE_AFTER_FREE,
+)
+from engine_paths import error_sinks, leaf_witness, pred_chain
+from interp_oracle import run_function
 
 
 def paths_for(source: str, name: str = "input.mc", checkers=None):
@@ -158,6 +169,125 @@ def test_exactly_one_final_warning_and_it_is_last():
         finals = [p for p in steps(paths[0]) if p.severity is Severity.WARNING]
         assert len(finals) == 1
         assert steps(paths[0])[-1] is finals[0]
+
+
+# --- one report per defect ----------------------------------------------------------
+# Each error path through one division ends in an error sink of its own; the
+# engine keeps one report per (check name, message, location), whose path is
+# the only one assembled and shown.
+
+ONE_DEFECT = {
+    "if-else": """\
+int f(int a) { int x = 0; if (a > 0) x = 1; else x = 2; return x / 0; }
+""",
+    "inlined by two callers": """\
+int h(int v) { return 10 / v; }
+int g1() { return h(0); }
+int g2() { return h(0); }
+""",
+    "three branches": """\
+int f(int a, int b, int c) {
+  int x = 0;
+  if (a > 0) x = 1;
+  if (b > 0) x = 2;
+  if (c > 0) x = 3;
+  return 10 / 0;
+}
+""",
+    "loop then division": LOOP_THEN_DIVISION,
+}
+
+# Two deletes on paths of equal length: the note shows which path was kept.
+FREED_ON_BOTH_BRANCHES = """\
+struct S { int v; };
+void f(int a) {
+  S* p = new S();
+  if (a > 0)
+    delete p;
+  else
+    delete p;
+  int x = p->v;
+}
+"""
+
+
+@pytest.mark.parametrize("source", ONE_DEFECT.values(), ids=ONE_DEFECT)
+def test_one_defect_on_many_paths_is_one_warning(source, mc, capsys):
+    result, _ = analyze(source)
+    assert len(error_sinks(result)) > 1
+    assert len(result.reports) == 1
+    path = mc(source)
+    assert main(["analyze", path]) == 1
+    out = capsys.readouterr().out
+    assert out.count(": warning: ") == 1
+    assert out.splitlines()[-1] == f"Found 1 defect(s) in {path}"
+
+
+@pytest.mark.parametrize("source", ONE_DEFECT.values(), ids=ONE_DEFECT)
+def test_the_report_kept_has_the_shortest_path_of_its_class(source):
+    result, _ = analyze(source)
+    (report,) = result.reports
+    assert len(pred_chain(report.error_node)) == min(
+        len(pred_chain(sink)) for sink in error_sinks(result))
+
+
+def test_a_shorter_path_wins_over_the_first_branch():
+    longer_then = FREED_ON_BOTH_BRANCHES.replace(
+        "  if (a > 0)\n    delete p;\n", "  if (a > 0) {\n    a = 1;\n    delete p;\n  }\n")
+    paths, _ = paths_for(longer_then)
+    assert [(n.message, n.location.line) for n in paths[0].attached_notes] == [
+        ("Memory is released", 9)]
+
+
+def test_a_class_keeps_its_place_and_its_shortest_first_report():
+    engine = Engine(frontend("").unit)
+    file = engine.unit.file
+    root = ExplodedNode(None, None, {}, None, 0)
+    mid = ExplodedNode(None, None, {}, root, 1)
+
+    def emit(message: str, offset: int, node: ExplodedNode) -> BugReport:
+        report = BugReport(message, "core.DivideZero", SourceLocation(file, offset))
+        report.error_node = node
+        engine.report(report)
+        return report
+
+    emit("Division by zero", 0, ExplodedNode(None, None, {}, mid, 2))
+    elsewhere = emit("Division by zero", 1, root)
+    other = emit("Other", 0, root)
+    shorter = emit("Division by zero", 0, mid)
+    emit("Division by zero", 0, mid)  # a tie: the first stays
+    assert engine.result.reports == [shorter, elsewhere, other]
+
+
+def test_the_report_kept_is_the_same_on_every_run(mc):
+    path = mc(FREED_ON_BOTH_BRANCHES)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-m", "minilang.cli", "analyze", path],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert child.returncode == 1, child.stdout + child.stderr
+        outputs.add(child.stdout)
+    (out,) = outputs
+    assert out.count(": warning: ") == 1
+    assert f"{path}:5:5: note: Memory is released" in out
+
+
+@pytest.mark.parametrize("source", ONE_DEFECT.values(), ids=ONE_DEFECT)
+def test_each_report_replays_to_a_division_by_zero(source):
+    # a witness drawn from the error node's constraints makes the oracle
+    # divide by zero in the function whose graph holds the report
+    result, fe = analyze(source)
+    names = {id(graph): name for name, graph in result.graphs.items()}
+    for report in result.reports:
+        fn = fe.unit.functions[names[id(report.graph)]]
+        params = [param.name for param in fn.params]
+        witness = leaf_witness(report.error_node, params)
+        outcome = run_function(fe.unit, fn.name, tuple(witness[p] for p in params))
+        assert outcome.error == "division by zero", (fn.name, witness)
 
 
 # --- text rendering -----------------------------------------------------------------

@@ -61,3 +61,26 @@ def test_bench_pairs_applies_the_gain_rule(parent, change, better, wins, holds):
     stats = _bench_pairs().compare(parent, change, better)
     assert (stats["wins"], stats["holds"]) == (wins, holds)
     assert stats["failed"] == {"parent": parent.count(None), "change": change.count(None)}
+
+
+def test_bench_pairs_runs_each_side_without_cached_bytecode(tmp_path, monkeypatch):
+    # every `__pycache__` in the tree is ignored and none is written, so both
+    # sides compile from source; the rest of the environment is inherited
+    module = _bench_pairs()
+    calls = []
+
+    def fake_run(command, **kwargs):
+        calls.append(kwargs)
+        return subprocess.CompletedProcess(command, 0, stdout='{"correct": true}\n')
+
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    pycache = tmp_path / "pycache"
+    assert module.bench_run(tmp_path, "analyze-wide", 7, pycache) == {"correct": True}
+    (call,) = calls
+    assert call["cwd"] == tmp_path
+    env = call["env"]
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert env["PYTHONPYCACHEPREFIX"] == str(pycache)
+    assert env["BENCH_PAIRS_PROBE"] == "kept"
