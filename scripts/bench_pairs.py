@@ -3,11 +3,15 @@
     python3 scripts/bench_pairs.py REV --workload W --pairs N [--seed S]
 
 Run from anywhere inside a checkout. The change side is that checkout as it
-is on disk; the parent side is REV's committed files, exported with `git
-archive` under `.bench_work/` and removed when the script ends. Both sides
-run with `PYTHONDONTWRITEBYTECODE=1` and `PYTHONPYCACHEPREFIX` set to a
-fresh empty directory, so Python ignores every `__pycache__` in either tree
-and compiles each side from source, as in a clean checkout. Pair i runs
+is on disk, its tracked and its untracked, not ignored files, copied to
+`.bench_work/change-<rev12>` (HEAD's); the parent side is REV's committed
+files, exported with `git archive` to `.bench_work/parent-<rev12>`. The two
+copies sit at the same depth under names of the same length, as a run's
+peak RSS depends on the path it runs from, and both are removed when the
+script ends. Both sides run with `PYTHONDONTWRITEBYTECODE=1` and
+`PYTHONPYCACHEPREFIX` set to a fresh empty directory, so Python ignores
+every `__pycache__` in either tree and compiles each side from source, as
+in a clean checkout. Pair i runs
 both sides untraced (`--trace 0`) at seed S + i, the parent first in even
 pairs and the change first in odd ones, so that neither side always meets
 the machine first. Each run measures for the benchmark's own run time.
@@ -88,6 +92,22 @@ def git(root: Path, *args: str) -> str:
                           stdout=subprocess.PIPE, text=True).stdout.strip()
 
 
+def copy_checkout(root: Path, dest: Path) -> None:
+    """Copy the checkout at `root` as it is on disk to `dest`: its tracked
+    and its untracked, not ignored files, skipping tracked files deleted on
+    disk."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, stdout=subprocess.PIPE).stdout.decode().split("\0")
+    for name in filter(None, names):
+        source = root / name
+        if not source.is_file():
+            continue
+        target = dest / name
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(source, target)
+
+
 def report(name: str, unit: str, better: str, seeds: list[int], firsts: list[str],
            parent: list[float | None], change: list[float | None]) -> None:
     stats = compare(parent, change, better)
@@ -129,14 +149,16 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {args.workload!r}")
     rev = git(root, "rev-parse", "--verify", f"{args.rev}^{{commit}}")
     work = root / ".bench_work"
-    tree = work / f"parent-{rev[:12]}"
-    shutil.rmtree(tree, ignore_errors=True)  # left by a run that was killed
-    tree.mkdir(parents=True)
+    sides = {"parent": work / f"parent-{rev[:12]}",
+             "change": work / f"change-{git(root, 'rev-parse', 'HEAD')[:12]}"}
+    for tree in sides.values():
+        shutil.rmtree(tree, ignore_errors=True)  # left by a run that was killed
+        tree.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", rev], cwd=root, check=True,
                              stdout=subprocess.PIPE).stdout
-    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    subprocess.run(["tar", "-x", "-C", str(sides["parent"])], input=archive, check=True)
+    copy_checkout(root, sides["change"])
     pycache = Path(tempfile.mkdtemp(prefix="pycache-", dir=work))
-    sides = {"parent": tree, "change": root}
     results: dict[str, list[dict | None]] = {"parent": [], "change": []}
     seeds = [args.seed + i for i in range(args.pairs)]
     firsts = []
@@ -150,8 +172,8 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
                       f"{'failed' if result is None else 'done'}", flush=True)
     finally:
-        shutil.rmtree(tree, ignore_errors=True)
-        shutil.rmtree(pycache, ignore_errors=True)
+        for tree in (*sides.values(), pycache):
+            shutil.rmtree(tree, ignore_errors=True)
     print(f"\n{args.workload}: {rev[:12]} (parent) against {root} as on disk (change), "
           f"{args.pairs} pairs, seeds {seeds[0]} to {seeds[-1]}, --trace 0")
     for entry in spec["end_to_end"]:

@@ -13,14 +13,12 @@ import enum
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Severity
-from .frontend.astnodes import Assign, Call, MethodCall, Node
-from .frontend.builtins import STRING_METHODS
+from .frontend.astnodes import Assign, Call, ExternDecl, MethodCall, Node
 from .source import InternalError, SourceLocation, SourceRange
 from .symexec.engine import CallInfo, CheckerContext, ExplodedNode, PostImplicitCallPoint
 from .symexec.state import assume, ProgramState
 from .symexec.values import (
-    as_symbol, LocVal, MemRegion, NullLocVal, RangeSet, region_type, SVal,
-    Symbol, SymbolicVal,
+    as_symbol, LocVal, MemRegion, NullLocVal, region_type, SVal, Symbol,
 )
 
 MALLOC_SLOT = "MallocLite.RegionState"
@@ -205,14 +203,14 @@ def _callee_name(node: ExplodedNode) -> str:
 
 # --- call classification ----------------------------------------------------------
 
-def is_invalidating_member_function(info: CallInfo) -> bool:
+def is_invalidating_member_function(call: CallInfo) -> bool:
     """True for the standard's invalidating string operations: the non-const
-    methods (minus the element accessors), operator= / operator+=, and the
-    destructor; false for c_str, data, size, empty, at, front, back."""
-    if info.kind == "assign":
-        return info.callee_name in ("operator=", "operator+=")
-    # the typechecker admits only the table's methods, with their arities
-    return info.kind == "method" and STRING_METHODS[info.callee_name].invalidating
+    methods (minus the element accessors) and operator= / operator+=, the
+    only string assignments; false for c_str, data, size, empty, at, front,
+    back and for function calls."""
+    node = call.node
+    return isinstance(node, Assign) or (isinstance(node, MethodCall)
+                                        and node.method.invalidating)
 
 
 # --- the checkers ----------------------------------------------------------------
@@ -298,26 +296,21 @@ class MallocLite(Checker):
 class InnerPointer(Checker):
     state_slots = (RAWPTR_SLOT,)
 
-    def check_post_call(self, ctx: CheckerContext, info: CallInfo) -> None:
+    def check_post_call(self, ctx: CheckerContext, call: CallInfo) -> None:
         state = ctx.state
-        if info.kind == "method" and info.receiver_region is not None:
-            if STRING_METHODS[info.callee_name].buffer_obtaining:
-                sym = as_symbol(info.ret_val)
+        node, region = call.node, call.receiver_region
+        if region is not None:  # a method call or a string assignment
+            if isinstance(node, MethodCall) and node.method.buffer_obtaining:
+                sym = as_symbol(call.ret_val)
                 if sym is None:
                     return  # result not symbol-convertible
-                region = info.receiver_region
                 ptr_set = state.slot(RAWPTR_SLOT).get(region, frozenset())
                 ctx.add_transition(state.update_slot(
                     RAWPTR_SLOT, {region: ptr_set | {sym}}))
                 return
-            if is_invalidating_member_function(info):
-                state = self.mark_ptr_symbols_released(
-                    state, info.receiver_region, info.node)
-        elif info.kind == "assign" and info.receiver_region is not None:
-            if is_invalidating_member_function(info):
-                state = self.mark_ptr_symbols_released(
-                    state, info.receiver_region, info.node)
-        state = self.check_function_arguments(state, info)
+            if is_invalidating_member_function(call):
+                state = self.mark_ptr_symbols_released(state, region, node)
+        state = self.check_function_arguments(state, call)
         if state is not ctx.state:
             ctx.add_transition(state)
 
@@ -337,18 +330,16 @@ class InnerPointer(Checker):
                                    RAWPTR_SLOT: {region: None}})
 
     def check_function_arguments(self, state: ProgramState,
-                                 info: CallInfo) -> ProgramState:
+                                 call: CallInfo) -> ProgramState:
         # Unknown-body library calls only: externs, plus the builtin string
         # methods (swap takes string&). Inlined user functions are simulated.
-        if not (info.is_extern or info.kind == "method"):
+        node = call.node
+        if not (isinstance(node, MethodCall) or (
+                isinstance(node, Call) and isinstance(node.callee.decl, ExternDecl))):
             return state
-        for param_type, _, arg_region in info.args:
-            if param_type is None or not param_type.is_reference \
-                    or param_type.is_const:
-                continue
-            if arg_region is None:
-                continue
-            state = self.mark_ptr_symbols_released(state, arg_region, info.node)
+        for param_type, _, region in call.args:
+            if region is not None and not param_type.is_const:  # a non-const reference
+                state = self.mark_ptr_symbols_released(state, region, node)
         return state
 
     def check_implicit_dtor(self, ctx: CheckerContext, element,
@@ -372,18 +363,14 @@ class InnerPointer(Checker):
 
 class DivZero(Checker):
     def check_div(self, ctx: CheckerContext, expr: Node, divisor: SVal) -> None:
-        zero = divisor.__class__ is int and divisor == 0
-        if isinstance(divisor, SymbolicVal):
-            sym = as_symbol(divisor)
-            if sym is not None and ctx.state.range_of(sym) == RangeSet.singleton(0):
-                zero = True
-        if zero:
+        # As Clang's DivZeroChecker: the divisor is zero on this path when it
+        # cannot be non-zero; otherwise the path goes on knowing it is not.
+        refined = assume(ctx.state, divisor, True)
+        if refined is None:
             loc = getattr(expr, "op_loc", expr.range.begin)
             ctx.emit_report(BugReport("Division by zero", "core.DivideZero", loc,
                                       expr.range))
-            return
-        refined = assume(ctx.state, divisor, True)  # keep: divisor != 0
-        if refined is not None and refined is not ctx.state:
+        elif refined is not ctx.state:
             ctx.add_transition(refined)
 
 

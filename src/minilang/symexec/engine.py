@@ -13,9 +13,10 @@ the frame's `RetRegion`, and CallExit reads it there, then drops every
 binding rooted in the callee frame and the frame's back-edge counts.
 
 One evaluator, `Engine.lvalue_outcomes`, says where an expression points.
-A read, a write or a method call through `*p` or `p->f` checks the
-pointer; `&` and binding a reference parameter do not. An rvalue under `.`,
-`&` or a reference parameter is evaluated into a `TempRegion` of its frame.
+A read, a write or a method call through `*p`, `p->f` or `p->m()` checks
+the pointer, in `Engine.pointer_outcomes`; `&` and binding a reference
+parameter do not. An rvalue under `.`, `&` or a reference parameter is
+evaluated into a `TempRegion` of its frame.
 
 Every error path ends in a sink of its own, but reports are uniqued as
 Clang's BugReporter does: `Engine.report` keeps one per (check name,
@@ -32,7 +33,7 @@ from ..cfg import (
 )
 from ..frontend.astnodes import (
     AddressOf, Assign, BinaryOp, BOOL, BoolLit, BreakStmt, BUILTIN_BASES, Call,
-    ContinueStmt, DeclRef, DeleteStmt, ExprStmt, ExternDecl, FieldAccess,
+    ContinueStmt, DeclRef, DeleteStmt, ExprStmt, FieldAccess,
     FunctionDecl, IntLit, MethodCall, NewExpr, Node, Paren, ParamDecl, ReturnStmt,
     StringLit, TranslationUnit, TypeRef, UnaryOp, VarDecl, strip_parens,
 )
@@ -192,15 +193,16 @@ def _ends_first(a: ExplodedNode, b: ExplodedNode) -> bool:
 
 
 class CallInfo(NamedTuple):
-    """What the post-call checker dispatch sees about one evaluated call."""
+    """One evaluated call, as the post-call checker dispatch sees it, after
+    Clang's `CallEvent`: the callee, and whether it is a method, a string
+    assignment or an extern function, are read off `node`."""
 
     node: Node  # Call, MethodCall or Assign
-    callee_name: str
-    kind: str  # "function" | "method" | "assign"
     receiver_region: MemRegion | None
     ret_val: SVal
+    # (parameter type, value, region) per argument: a reference argument
+    # carries its region and no value, any other its value and no region
     args: list[tuple[TypeRef | None, SVal | None, MemRegion | None]]
-    is_extern: bool = False
 
 
 class AnalysisResult:
@@ -509,8 +511,7 @@ class Engine:
         out = []
         for val, st, v in self.eval(via, state, frame, stmt.operand):
             st, v, sank = self.dispatch(
-                "check_pre_delete", v, st,
-                lambda: _new(PreStmtPoint, (frame.id, stmt)),
+                "check_pre_delete", v, st, _new(PreStmtPoint, (frame.id, stmt)),
                 stmt, val, make_node=False)
             if sank:
                 continue
@@ -525,16 +526,15 @@ class Engine:
         point = _new(PostImplicitCallPoint,
                      (block_id, index, frame.id, element.var, element.loc))
         new_state, via2, sank = self.dispatch(
-            "check_implicit_dtor", via, state, lambda: point,
-            element, region, make_node=True)
+            "check_implicit_dtor", via, state, point, element, region, make_node=True)
         if sank:
             return None
         # a released return value "manifests" here, once the dtor has run
         pending = new_state.lookup(_new(RetRegion, (frame.id,)))
         if pending is not None:
             st3, via3, sank = self.dispatch(
-                "check_post_dtor", via2, new_state, lambda: point,
-                element, pending, make_node=False)
+                "check_post_dtor", via2, new_state, point, element, pending,
+                make_node=False)
             if sank:
                 return None
             new_state = st3
@@ -543,16 +543,17 @@ class Engine:
     # --- checker dispatch ---
 
     def dispatch(self, hook: str, via: ExplodedNode, state: ProgramState,
-                 make_point, *args, make_node: bool):
-        """Run one callback on every checker, threading the state. Returns
-        (state, via, sank)."""
+                 point, *args, make_node: bool):
+        """Run one callback on every checker, threading the state; a report
+        or, with `make_node`, a changed state gets a node at `point`.
+        Returns (state, via, sank)."""
         original = state
         for fn in self._hooks[hook]:
             ctx = CheckerContext(state)
             fn(ctx, *args)
             if ctx.report is not None:
                 err_state = ctx.state
-                node, _ = self._graph.add(make_point(), err_state, via)
+                node, _ = self._graph.add(point, err_state, via)
                 node.is_sink = True
                 ctx.report.error_node = node
                 ctx.report.graph = self._graph
@@ -561,15 +562,21 @@ class Engine:
             if ctx._pending is not None:
                 state = ctx._pending
         if make_node and state is not original and state != original:
-            node, _ = self._graph.add(make_point(), state, via)
+            node, _ = self._graph.add(point, state, via)
             via = node
         return state, via, False
 
     def dispatch_use(self, via, state, frame, node: Node, val: SVal, kind: str):
-        return self.dispatch(
-            "check_use", via, state,
-            lambda: _new(PreStmtPoint, (frame.id, node)),
-            node, val, kind, make_node=False)
+        return self.dispatch("check_use", via, state, _new(PreStmtPoint, (frame.id, node)),
+                             node, val, kind, make_node=False)
+
+    def post_call(self, via, state, frame, expr: Node, receiver: MemRegion | None,
+                  ret: SVal, args):
+        """The post-call dispatch of one evaluated call. Returns (state, via,
+        sank)."""
+        return self.dispatch("check_post_call", via, state,
+                             _new(PostStmtPoint, (-1, -1, frame.id, expr)),
+                             _new(CallInfo, (expr, receiver, ret, args)), make_node=True)
 
     def reap(self, state: ProgramState) -> ProgramState:
         if not state.dead_symbols():
@@ -675,35 +682,30 @@ class Engine:
                     out.append((UNKNOWN, st, v))
         return out
 
-    def check_deref(self, via, state, frame, expr: Node, pointer: SVal):
-        """What every access through a pointer checks, a read, a write or a
-        method call: the checkers' "deref" use, then a pointer known to be
-        null ends the path, and a path that goes on has a non-null pointer.
-        Returns (state, via), or None when the path sank."""
-        state, via, sank = self.dispatch_use(via, state, frame, expr, pointer, "deref")
-        if sank:
-            return None
-        if isinstance(pointer, NullLocVal) or self.known_null(state, pointer):
-            return self.null_deref_sink(via, state, frame, expr)
-        if isinstance(pointer, SymbolicVal):
-            refined = assume(state, pointer, True)
-            if refined is not None:
-                state = refined
-        return state, via
-
-    def null_deref_sink(self, via, state, frame, expr: Node) -> None:
-        """End the path at a dereference of null: a note and a sink node."""
-        self.note(f"{expr.range.begin}: note: null dereference, path terminated")
-        node, _ = self._graph.add(
-            _new(PreStmtPoint, (frame.id, expr)), state, via)
-        node.is_sink = True
-
-    @staticmethod
-    def known_null(state: ProgramState, val: SVal) -> bool:
-        sym = as_symbol(val)
-        if sym is None:
-            return val.__class__ is int and val == 0
-        return state.range_of(sym) == RangeSet.singleton(0)
+    def pointer_outcomes(self, via, state, frame, expr: Node, pointer_expr: Node,
+                         access: bool = True):
+        """Evaluate `pointer_expr`, the pointer of `*q`, `p->f` or `p->m()`
+        (`expr`): (pointer, state, via) outcomes. An access, a read, a write
+        or a method call, checks the pointer once: the checkers' "deref"
+        use, then a pointer known to be null ends the path in a note and a
+        sink, and a path that goes on has a non-null pointer."""
+        out = []
+        for pointer, st, v in self.eval(via, state, frame, pointer_expr):
+            if access:
+                st, v, sank = self.dispatch_use(v, st, frame, expr, pointer, "deref")
+                if sank:
+                    continue
+                if isinstance(pointer, NullLocVal) or _known_null(st, pointer):
+                    self.note(f"{expr.range.begin}: note: null dereference, path terminated")
+                    node, _ = self._graph.add(_new(PreStmtPoint, (frame.id, expr)), st, v)
+                    node.is_sink = True
+                    continue
+                if isinstance(pointer, SymbolicVal):
+                    refined = assume(st, pointer, True)
+                    if refined is not None:
+                        st = refined
+            out.append((pointer, st, v))
+        return out
 
     def eval_binary(self, via, state, frame, expr: BinaryOp):
         op = expr.op
@@ -719,8 +721,7 @@ class Engine:
             for rv, st2, v2 in self.eval(v1, st1, frame, expr.rhs):
                 if op == "/":
                     st2, v2, sank = self.dispatch(
-                        "check_div", v2, st2,
-                        lambda: _new(PreStmtPoint, (frame.id, expr)),
+                        "check_div", v2, st2, _new(PreStmtPoint, (frame.id, expr)),
                         expr, rv, make_node=False)
                     if sank:
                         continue
@@ -787,11 +788,7 @@ class Engine:
         if not expr.is_arrow:
             return self.read(via, state, frame, expr)
         out = []
-        for pointer, st, v in self.eval(via, state, frame, expr.base):
-            checked = self.check_deref(v, st, frame, expr, pointer)
-            if checked is None:
-                continue
-            st, v = checked
+        for pointer, st, v in self.pointer_outcomes(via, state, frame, expr, expr.base):
             if isinstance(pointer, LocVal):
                 out.append((*self.load(st, _field_region(pointer.region, expr), frame), v))
             else:  # a field behind a symbolic pointer gets a fresh symbol
@@ -811,8 +808,7 @@ class Engine:
         sym = as_symbol(val)
         state = state.constrain(sym, RangeSet.singleton(0).complement())
         state, via, sank = self.dispatch(
-            "check_post_new", via, state,
-            lambda: _new(PreStmtPoint, (frame.id, expr)),
+            "check_post_new", via, state, _new(PreStmtPoint, (frame.id, expr)),
             expr, sym, make_node=False)
         if sank:
             return []
@@ -841,12 +837,7 @@ class Engine:
                 st2 = st1.bind(region, result)
                 if lhs_type is not None and lhs_type.base == "string" \
                         and lhs_type.indirections == 0:
-                    info = CallInfo(expr, "operator" + expr.op, "assign",
-                                    region, result, [])
-                    st2, v1, sank = self.dispatch(
-                        "check_post_call", v1, st2,
-                        lambda: _new(PostStmtPoint, (-1, -1, frame.id, expr)),
-                        info, make_node=True)
+                    st2, v1, sank = self.post_call(v1, st2, frame, expr, region, result, [])
                     if sank:
                         continue
                 out.append((result, st2, v1))
@@ -873,12 +864,7 @@ class Engine:
             return [(temp, _bind_object(st, temp, val), v)
                     for val, st, v in self.eval(via, state, frame, expr)]
         out = []
-        for pointer, st, v in self.eval(via, state, frame, base):
-            if access:
-                checked = self.check_deref(v, st, frame, expr, pointer)
-                if checked is None:
-                    continue
-                st, v = checked
+        for pointer, st, v in self.pointer_outcomes(via, state, frame, expr, base, access):
             region = pointer.region if isinstance(pointer, LocVal) else None
             if region is not None and isinstance(expr, FieldAccess):
                 region = _field_region(region, expr)
@@ -890,46 +876,34 @@ class Engine:
     def eval_method_call(self, via, state, frame, expr: MethodCall):
         method = expr.method
         if expr.is_arrow:
-            receiver_outcomes = []
-            for pval, st, v in self.eval(via, state, frame, expr.receiver):
-                checked = self.check_deref(v, st, frame, expr, pval)
-                if checked is None:
-                    continue
-                st, v = checked
-                region = pval.region if isinstance(pval, LocVal) else None
-                receiver_outcomes.append((region, st, v))
+            receiver_outcomes = [
+                (pointer.region if isinstance(pointer, LocVal) else None, st, v)
+                for pointer, st, v in self.pointer_outcomes(
+                    via, state, frame, expr, expr.receiver)]
         else:
             receiver_outcomes = self.lvalue_outcomes(via, state, frame, expr.receiver)
         out = []
         for region, st, v in receiver_outcomes:
-            for args, st1, v1 in self.eval_args(v, st, frame, expr.args,
-                                                method.params if method else ()):
+            for args, st1, v1 in self.eval_args(v, st, frame, expr.args, method.params):
                 st1, v1, sank = self.pre_call_checks(v1, st1, frame, expr, args)
                 if sank:
                     continue
                 ret = UNKNOWN
-                if method is not None and method.returns.base != "void":
+                if method.returns.base != "void":
                     ret = self.conjure(f"{expr.method_name}{self._conjure_counter + 1}")
-                st2 = st1
-                if method is not None and method.invalidating and region is not None:
-                    st2 = st2.bind(region, self.conjure())
-                for ptype, _, lregion in args:
-                    if ptype is not None and ptype.is_reference \
-                            and not ptype.is_const and lregion is not None:
-                        st2 = st2.bind(lregion, self.conjure())
-                info = CallInfo(expr, expr.method_name, "method", region, ret, args)
-                st2, v2, sank = self.dispatch(
-                    "check_post_call", v1, st2,
-                    lambda: _new(PostStmtPoint, (-1, -1, frame.id, expr)),
-                    info, make_node=True)
+                if method.invalidating and region is not None:
+                    st1 = st1.bind(region, self.conjure())
+                st2, v2, sank = self.post_call(
+                    v1, self.invalidate_args(st1, args), frame, expr, region, ret, args)
                 if sank:
                     continue
                 out.append((ret, st2, v2))
         return out
 
     def eval_args(self, via, state, frame, arg_exprs, param_types):
-        """Evaluate call arguments left to right. Yields
-        (list[(param_type, value, lvalue_region)], state, via) outcomes."""
+        """Evaluate call arguments left to right: (list[(param_type, value,
+        region)], state, via) outcomes. A reference argument is resolved to
+        its region, not read."""
         outcomes = [([], state, via)]
         for i, arg in enumerate(arg_exprs):
             ptype = param_types[i] if i < len(param_types) else None
@@ -940,8 +914,7 @@ class Engine:
                 if ptype is not None and ptype.is_reference:
                     for region, st1, v1 in self.lvalue_outcomes(
                             v, st, frame, arg, access=False):
-                        val = st1.lookup(region) if region is not None else None
-                        next_outcomes.append((collected + [(ptype, val, region)], st1, v1))
+                        next_outcomes.append((collected + [(ptype, None, region)], st1, v1))
                 else:
                     for val, st1, v1 in self.eval(v, st, frame, arg):
                         next_outcomes.append((collected + [(ptype, val, None)], st1, v1))
@@ -949,12 +922,11 @@ class Engine:
         return outcomes
 
     def pre_call_checks(self, via, state, frame, call: Node, args):
-        for _, val, lregion in args:
-            if val is None or lregion is not None:
-                continue
-            state, via, sank = self.dispatch_use(via, state, frame, call, val, "arg")
-            if sank:
-                return state, via, True
+        for _, val, _ in args:
+            if val is not None:  # a value, not a reference
+                state, via, sank = self.dispatch_use(via, state, frame, call, val, "arg")
+                if sank:
+                    return state, via, True
         return state, via, False
 
     def eval_call(self, via, state, frame, expr: Call):
@@ -973,43 +945,39 @@ class Engine:
         return out
 
     def conservative_call(self, via, state, frame, expr: Call, decl, args):
-        """Unknown body: conjure the result, invalidate what the callee could
-        reach through non-const references and pointers."""
-        for ptype, val, lregion in args:
-            target = None
-            if ptype is not None and ptype.is_reference and not ptype.is_const:
-                target = lregion
-            elif ptype is not None and ptype.is_pointer and not ptype.is_const \
-                    and isinstance(val, LocVal):
-                target = val.region
-            if target is None:
-                continue
-            rebinds = {region: self.conjure() for region in state.store
-                       if region_within(region, target)}
-            if target not in rebinds:
-                rebinds[target] = self.conjure()
-            state = state.bind_many(rebinds)
+        """Unknown body: invalidate the arguments, conjure the result."""
+        state = self.invalidate_args(state, args)
         ret: SVal = UNKNOWN
         if decl.return_type.base != "void" or decl.return_type.indirections:
             ret = self.conjure(f"{decl.name}{self._conjure_counter + 1}")
             state = self._constrain_fresh(state, ret, decl.return_type)
-        info = CallInfo(expr, decl.name, "function", None, ret, args,
-                        is_extern=isinstance(decl, ExternDecl))
-        state, via, sank = self.dispatch(
-            "check_post_call", via, state,
-            lambda: _new(PostStmtPoint, (-1, -1, frame.id, expr)),
-            info, make_node=True)
+        state, via, sank = self.post_call(via, state, frame, expr, None, ret, args)
         if sank:
             return []
         return [(ret, state, via)]
+
+    def invalidate_args(self, state: ProgramState, args) -> ProgramState:
+        """Conjure new contents for all that a callee with an unknown body
+        could write through its non-const reference and pointer arguments."""
+        for ptype, val, region in args:
+            if ptype is None or ptype.is_const:
+                continue
+            target = val.region if isinstance(val, LocVal) else region
+            if target is None:
+                continue
+            rebinds = {r: self.conjure() for r in state.store if region_within(r, target)}
+            if target not in rebinds:
+                rebinds[target] = self.conjure()
+            state = state.bind_many(rebinds)
+        return state
 
     def inline_call(self, via, state, frame, expr: Call, callee: FunctionDecl, args):
         self._inlined.add(callee.node_id)
         new_frame = self.new_frame(callee, frame.depth + 1)
         enter_state = state
-        for (ptype, val, lregion), param in zip(args, callee.params):
-            if param.declared_type.is_reference and lregion is not None:
-                new_frame.aliases[param.node_id] = lregion
+        for (_, val, region), param in zip(args, callee.params):
+            if region is not None:  # a reference parameter aliases its argument
+                new_frame.aliases[param.node_id] = region
             else:
                 bound = val if val is not None else UNKNOWN
                 if isinstance(bound, UndefinedVal):
@@ -1045,15 +1013,18 @@ class Engine:
                      if edge[2] != new_frame.id}
             exit_point = _new(CallExitPoint, (expr.node_id, frame.id))
             exit_n, _ = self._graph.add(exit_point, st, exit_node, loops)
-            info = CallInfo(expr, callee.name, "function", None, ret, args)
-            st, v2, sank = self.dispatch(
-                "check_post_call", exit_n, st,
-                lambda: _new(PostStmtPoint, (-1, -1, frame.id, expr)),
-                info, make_node=True)
+            st, v2, sank = self.post_call(exit_n, st, frame, expr, None, ret, args)
             if sank:
                 continue
             out.append((ret, st, v2))
         return out
+
+
+def _known_null(state: ProgramState, val: SVal) -> bool:
+    sym = as_symbol(val)
+    if sym is None:
+        return val.__class__ is int and val == 0
+    return state.range_of(sym) == RangeSet.singleton(0)
 
 
 def _field_region(base: MemRegion, expr: FieldAccess) -> FieldRegion:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from minilang.cfg import Branch, Cfg
+from minilang.cfg import Branch, build_cfg, Cfg
+from minilang.frontend.astnodes import Paren, UnaryOp
 from minilang.symexec.engine import BlockEdgePoint, ExplodedNode
-from minilang.symexec.values import RangeSet
+from minilang.symexec.values import linear_form, RangeSet, RetRegion, SymbolicVal
 
+from interp_oracle import run_function
 from proggen import GRID
 
 
@@ -26,14 +28,20 @@ def error_sinks(result) -> list[ExplodedNode]:
 
 
 def leaf_decisions(leaf: ExplodedNode, cfg: Cfg) -> list[tuple[int, bool]]:
-    """The (condition node id, truth) sequence along the leaf's path."""
+    """The (condition node id, truth) sequence along the leaf's path, as the
+    oracle records it: for the condition as written, with the parentheses
+    and `!` that `cfg.lower_cond` took off put back."""
     decisions = []
     for node in pred_chain(leaf):
         point = node.point
         if isinstance(point, BlockEdgePoint) and point.src >= 0:
             term = cfg.block(point.src).terminator
             if isinstance(term, Branch):
-                decisions.append((term.cond.node_id, point.dst == term.true_target))
+                cond, truth = term.cond, point.dst == term.true_target
+                while isinstance(cond.parent, (Paren, UnaryOp)):
+                    truth ^= isinstance(cond.parent, UnaryOp)  # a `!`
+                    cond = cond.parent
+                decisions.append((cond.node_id, truth))
     return decisions
 
 
@@ -54,3 +62,38 @@ def leaf_witness(leaf: ExplodedNode, param_names: list[str]) -> dict[str, int]:
     for name in param_names:
         witness[name] = sample(by_name.get(name, RangeSet.full()), (-GRID, GRID))
     return witness
+
+
+def value_at(val, witness: dict[str, int]) -> int | None:
+    """`val` under `witness`: a concrete value, or one linear in a single
+    parameter; None for any other value."""
+    if val.__class__ is int:
+        return val
+    form = linear_form(val.expr) if isinstance(val, SymbolicVal) else None
+    if form is None or form[0].name not in witness:
+        return None
+    sym, a, b = form
+    return a * witness[sym.name] + b
+
+
+def replay_ends(result, fe, name: str = "f") -> None:
+    """Judge the graph of `name` in the oracle: a witness drawn from each
+    leaf and each error sink must take that path's branches. A leaf's run
+    must end normally and return the leaf's value wherever `value_at` knows
+    it; a sink's run must divide by zero."""
+    fn = fe.unit.functions[name]
+    params = [param.name for param in fn.params]
+    cfg = build_cfg(fn)
+    for end in result.graphs[name].nodes:
+        if end.succs:
+            continue
+        witness = leaf_witness(end, params)
+        run = run_function(fe.unit, name, tuple(witness[p] for p in params))
+        assert run.branch_trace == leaf_decisions(end, cfg), (end, witness)
+        if end.is_sink:
+            assert run.error == "division by zero", (end, witness)
+            continue
+        assert run.error is None, (end, witness)
+        expected = value_at(end.state.lookup(RetRegion(end.point.frame)), witness)
+        if expected is not None:
+            assert run.ret == expected, (end, witness)

@@ -3,14 +3,19 @@
 import pytest
 
 from minilang.checkers import (
-    AllocationFamily, get_container_obj_region, InnerPointer,
+    AllocationFamily, assemble_bug_path, get_container_obj_region, InnerPointer,
     is_invalidating_member_function, MALLOC_SLOT, RAWPTR_SLOT,
     RefStatus, registry_list, resolve_enabled, UnknownCheckerError,
 )
-from minilang.symexec import ProgramState, Symbol, VarRegion
+from minilang.frontend.astnodes import Assign, MethodCall
+from minilang.symexec import (
+    CallExitPoint, PostImplicitCallPoint, PreStmtPoint, ProgramState, RetRegion,
+    Symbol, VarRegion,
+)
 from minilang.symexec.engine import CallInfo
 
 from conftest import analyze, frontend, USE_AFTER_CLEAR, USE_AFTER_FREE
+from engine_paths import replay_ends
 
 
 def reports_of(source: str, checkers=None, std: int = 14):
@@ -192,10 +197,14 @@ def test_access_under_a_dot_through_a_known_null_pointer_ends_the_path(access, c
 
 
 def test_method_call_on_a_known_null_receiver_ends_the_path():
-    notes, sinks = null_sinks(
-        "int h(string* s) { if (s == 0) { return s->size(); } return 0; }")
+    source = "int h(string* s) { if (s == 0) { return s->size(); } return 1; }"
+    notes, sinks = null_sinks(source)
     assert notes == ["input.mc:1:41: note: null dereference, path terminated"]
-    assert len(sinks) == 1
+    (sink,) = sinks
+    assert sink.point.__class__ is PreStmtPoint
+    assert isinstance(sink.point.node, MethodCall) and sink.point.node.is_arrow
+    (leaf,) = analyze(source)[0].graphs["h"].leaves()  # only a non-null `s` returns
+    assert leaf.state.lookup(RetRegion(leaf.point.frame)) == 1
 
 
 @pytest.mark.parametrize("access", [
@@ -300,15 +309,15 @@ void f() {
 
 
 def test_invalidating_member_function_classification():
-    def info(name, kind="method", nargs=0):
-        return CallInfo(None, name, kind, None, None, [(None, None, None)] * nargs)
-
-    assert is_invalidating_member_function(info("clear"))
-    assert is_invalidating_member_function(info("operator+=", kind="assign"))
-    assert is_invalidating_member_function(info("operator=", kind="assign"))
-    assert not is_invalidating_member_function(info("at", nargs=1))
-    assert not is_invalidating_member_function(info("c_str"))
-    assert not is_invalidating_member_function(info("front"))
+    unit = frontend("""\
+void f(string s, string t) {
+  s.clear(); s += t; s = t; s.at(0); s.c_str(); s.front();
+}
+""").unit
+    calls = [node for node in unit.preorder if isinstance(node, (Assign, MethodCall))]
+    verdicts = [is_invalidating_member_function(CallInfo(node, None, None, []))
+                for node in calls]
+    assert verdicts == [True, True, True, False, False, False]
 
 
 def test_clear_releases_all_recorded_symbols_and_removes_entry():
@@ -425,6 +434,39 @@ void f() {
     assert reports == []
 
 
+def test_a_buffer_pointer_returned_past_its_strings_destructor_reports():
+    # `s` dies after the return statement has stashed the pointer: the
+    # post-destructor check reports at the implicit destructor
+    reports, _, _ = reports_of("char* f() { string s; return s.c_str(); }")
+    (report,) = reports
+    assert report.error_node.point.__class__ is PostImplicitCallPoint
+    diag = assemble_bug_path(report)
+    assert (diag.check_name, diag.message, diag.location.column) == (
+        "cplusplus.InnerPointer", "Inner pointer of container used after re/deallocation", 23)
+    assert [(n.location.column, n.message) for n in diag.attached_notes] == [
+        (30, "Pointer to inner buffer of 'string' obtained here"),
+        (23, "Inner buffer of 'string' deallocated by call to destructor")]
+
+
+def test_a_heap_symbol_that_nothing_holds_leaves_the_allocation_map():
+    result, _ = analyze(
+        "void f() { int* p = new int(); int* q = new int(); p = q; int y = 1; }")
+    (leaf,) = result.graphs["f"].leaves()
+    assert [sym.name for sym in leaf.state.slot(MALLOC_SLOT)] == ["new1_2"]
+
+
+def test_a_callee_strings_buffer_pointers_are_forgotten_at_call_exit():
+    result, _ = analyze("""\
+void g(string s) { char* c = s.c_str(); }
+void f() { string t; g(t); }
+""")
+    (exit_node,) = [n for n in result.graphs["f"].nodes
+                    if n.point.__class__ is CallExitPoint]
+    (region,) = exit_node.pred.state.slot(RAWPTR_SLOT)
+    assert region.decl.name == "s"  # the callee's parameter, which dies here
+    assert exit_node.state.slot(RAWPTR_SLOT) == {}
+
+
 # --- DivZero -----------------------------------------------------------------------------
 
 def test_divzero_on_inlined_zero_return():
@@ -463,6 +505,25 @@ void f() {
     leaf = result.graphs["f"].leaves()[0]
     sym = next(s for s in leaf.state.constraints if s.name.startswith("read"))
     assert not leaf.state.range_of(sym).contains(0)
+
+
+DIVISOR_KNOWN_ZERO = {
+    "a symbol": ("int f(int x) { if (x == 0) return 10 / x; return 0; }", 38),
+    "a symbol minus a constant": (
+        "int f(int x) { if (x == 1) return 10 / (x - 1); return 0; }", 38),
+    "a symbol plus a constant": (
+        "int f(int x) { int y = x + 2; if (x == -2) return 10 / y; return 0; }", 54),
+}
+
+
+@pytest.mark.parametrize("shape", DIVISOR_KNOWN_ZERO)
+def test_divzero_on_a_divisor_known_to_be_zero(shape):
+    # the divisor is zero when it cannot be non-zero on the path, whatever
+    # its form; a witness of the error node divides by zero in the oracle
+    source, column = DIVISOR_KNOWN_ZERO[shape]
+    reports, result, fe = reports_of(source)
+    assert [(r.message, r.location.column) for r in reports] == [("Division by zero", column)]
+    replay_ends(result, fe)
 
 
 # --- isolation ------------------------------------------------------------------------------

@@ -21,6 +21,9 @@ from conftest import (
 )
 
 
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "examples"
+
+
 def analyze_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     config = parse_analyze_args(argv)
@@ -420,6 +423,18 @@ def test_tidy_std17_guarded_rewrite_via_cli(mc):
     assert "if (Something* p = function_call_that_might_return_null(); (!p) ||" in fixed
     code, out, _ = tidy_cli([path, "--std=17"])
     assert code == 0  # fixed point: no findings on the rewritten file
+
+
+def test_analyze_std17_on_the_guarded_rewrite_of_the_null_check_example(tmp_path):
+    # the rewrite's `(!p) || ((value_to_print = p->value), false)` is the one
+    # comma condition the tool chain itself writes; reading `p->value` only
+    # where `p` is non-null, it has no defect
+    path = tmp_path / "null_check.mc"
+    path.write_text((EXAMPLES / "null_check.mc").read_text())
+    assert tidy_cli([str(path), "--std=17", "--fix"])[0] == 1
+    assert "((value_to_print = p->value), false)" in path.read_text()
+    code, out, err = analyze_cli([str(path), "--std=17"])
+    assert (code, out, err) == (0, f"Found 0 defect(s) in {path}\n", "")
 
 
 def test_tidy_without_fix_leaves_file_untouched(mc):

@@ -84,3 +84,33 @@ def test_bench_pairs_runs_each_side_without_cached_bytecode(tmp_path, monkeypatc
     assert env["PYTHONDONTWRITEBYTECODE"] == "1"
     assert env["PYTHONPYCACHEPREFIX"] == str(pycache)
     assert env["BENCH_PAIRS_PROBE"] == "kept"
+
+
+def test_bench_pairs_copies_the_checkout_as_it_is_on_disk(tmp_path):
+    # the change side runs from a copy of the tracked and untracked files,
+    # as edited and without the ignored ones and those deleted on disk
+    root, dest = tmp_path / "checkout", tmp_path / "copy"
+    root.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=root, check=True, capture_output=True)
+
+    git("init", "-q")
+    files = {".gitignore": "build/\n", "kept.py": "old\n", "sub/edited.py": "old\n",
+             "deleted.py": "x\n"}
+    for name, text in files.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_text(text)
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (root / "sub" / "edited.py").write_text("new\n")
+    (root / "deleted.py").unlink()
+    (root / "sub" / "untracked.py").write_text("u\n")
+    (root / "build").mkdir()
+    (root / "build" / "ignored.o").write_text("i\n")
+    _bench_pairs().copy_checkout(root, dest)
+    copied = {str(p.relative_to(dest)): p.read_text()
+              for p in dest.rglob("*") if p.is_file()}
+    assert copied == {".gitignore": "build/\n", "kept.py": "old\n",
+                      "sub/edited.py": "new\n", "sub/untracked.py": "u\n"}

@@ -11,12 +11,12 @@ from minilang.frontend.astnodes import TypeRef
 from minilang.source import InternalError
 from minilang.symexec import (
     AnalysisConfig, as_symbol, assume, assume_relation,
-    dump_dot, Engine, IMAX, IMIN, ProgramState, RangeSet, region_root,
+    dump_dot, Engine, IMAX, IMIN, LocVal, NULL_LOC, ProgramState, RangeSet, region_root,
     RetRegion, sym_val, Symbol, SymIntOp, TempRegion, VarRegion,
 )
 
 from conftest import analyze, EXPLODED_G, frontend, LOOP_THEN_DIVISION
-from engine_paths import error_sinks, leaf_decisions, leaf_witness
+from engine_paths import error_sinks, leaf_decisions, leaf_witness, replay_ends
 from interp_oracle import run_function
 
 
@@ -180,6 +180,121 @@ void probe(int a, int b) {
         replay = run_function(fe.unit, "probe", (witness["a"], witness["b"]))
         assert replay.error is None
         assert replay.branch_trace == leaf_decisions(leaf, cfg)
+
+
+# --- evaluator shapes, judged by the oracle -----------------------------------------------
+
+EVALUATOR_SHAPES = {
+    "&& and || with a known left side": """\
+int f(int a) {
+  int k = 1;
+  bool t = k == 1 && k + 1 == 2;
+  bool u = k == 0 && (k = 5) == 5;
+  bool v = k == 1 || (k = 6) == 6;
+  bool w = k == 0 || k == 1;
+  int r = 0;
+  if (t) r = r + 1;
+  if (u) r = r + 2;
+  if (v) r = r + 4;
+  if (w) r = r + 8;
+  return r * 10 + k + a * 0;
+}
+""",
+    "&& and || with an unknown left side": """\
+int f(int a) {
+  bool b = a > 0 && a < 5;
+  bool c = a < 0 || a == 3;
+  return a * 2 + 1;
+}
+""",
+    "! on a pointer and on a value": """\
+int f(int a) {
+  int x = a;
+  int* p = &x;
+  bool b = !p;
+  bool n = !(1 > 2);
+  if (b) return 1;
+  if (n) return *p + 1;
+  return 0;
+}
+""",
+    "the comma operator": """\
+int f(int a) {
+  int r = (a = a + 2, a * 3);
+  return r;
+}
+""",
+    "comparisons as values": """\
+int f(int a) {
+  bool lt = 2 < 3;
+  bool ge = a >= 0;
+  if (lt) return a - 7;
+  return 0;
+}
+""",
+    "int - sym and sym * k": """\
+int f(int a) {
+  int y = 10 - a;
+  int z = y * 3;
+  return 2 * z + a * 0;
+}
+""",
+    "pointers compared with null and with each other": """\
+int f(int a) {
+  int x = a;
+  int y = a;
+  if (&x == &y) return 1;
+  if (&x == 0) return 2;
+  if (0 != &y) return x - 3;
+  return 4;
+}
+""",
+    "a parenthesised condition": """\
+int f(int a) {
+  if ((a > 2)) return 1;
+  if (!((a < -2))) return 2;
+  return 3;
+}
+""",
+    "an unreachable block": """\
+int f(int a) {
+  if (a > 0) return 1; else return 2;
+  int y = 0;
+  return y;
+}
+""",
+}
+
+
+@pytest.mark.parametrize("shape", EVALUATOR_SHAPES)
+def test_evaluator_shapes_replay_in_the_oracle(shape):
+    result, fe = analyze(EVALUATOR_SHAPES[shape])
+    replay_ends(result, fe)
+    assert result.reports == []
+    dropped = ["f: note: unreachable block dropped"]
+    assert result.notes == (dropped if shape == "an unreachable block" else [])
+
+
+@pytest.mark.xfail(strict=True, reason="an unknown left side of && or || runs the "
+                   "right side's effects on every path")
+def test_an_unknown_left_side_of_and_skips_the_right_side_on_some_path():
+    result, fe = analyze("""\
+int f(int a) {
+  int k = 1;
+  bool u = a > 0 && (k = 5) == 5;
+  return k;
+}
+""")
+    replay_ends(result, fe)
+
+
+def test_assume_on_a_location_decides_its_truth():
+    state = ProgramState()
+    live = LocVal(VarRegion_stub())
+    assert assume(state, live, True) is state
+    assert assume(state, live, False) is None
+    assert assume(state, NULL_LOC, True) is None
+    assert assume(state, NULL_LOC, False) is state
 
 
 # --- calls -----------------------------------------------------------------------------
