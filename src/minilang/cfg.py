@@ -45,11 +45,10 @@ Terminator = Branch | Jump
 
 
 class BasicBlock:
-    def __init__(self, id: int, elements: list[CfgElement] | None = None,
-                 terminator: Terminator | None = None):
+    def __init__(self, id: int):
         self.id = id
-        self.elements = [] if elements is None else elements
-        self.terminator = terminator
+        self.elements: list[CfgElement] = []
+        self.terminator: Terminator | None = None
 
     def successors(self) -> list[int]:
         t = self.terminator

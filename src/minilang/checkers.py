@@ -18,7 +18,7 @@ from .source import InternalError, SourceLocation, SourceRange
 from .symexec.engine import CallInfo, CheckerContext, ExplodedNode, PostImplicitCallPoint
 from .symexec.state import assume, ProgramState
 from .symexec.values import (
-    as_symbol, LocVal, MemRegion, NullLocVal, region_type, SVal, Symbol,
+    as_symbol, LocVal, MemRegion, region_type, SVal, Symbol,
 )
 
 MALLOC_SLOT = "MallocLite.RegionState"
@@ -229,8 +229,6 @@ class MallocLite(Checker):
             MALLOC_SLOT, {sym: RefState.allocated(AllocationFamily.HEAP, expr)}))
 
     def check_pre_delete(self, ctx: CheckerContext, stmt: Node, val: SVal) -> None:
-        if isinstance(val, NullLocVal):
-            return  # deleting null is a no-op
         sym = as_symbol(val)
         if sym is None:
             if isinstance(val, LocVal):

@@ -89,11 +89,3 @@ class SourceRange(_RangeFields):
     @property
     def file(self) -> SourceFile:
         return self.begin.file
-
-
-def get_source_text(rng: SourceRange, file: SourceFile | None = None) -> str:
-    """Exact byte slice covered by `rng`, final token included."""
-    f = file if file is not None else rng.file
-    if rng.end.offset > len(f.text):
-        raise InternalError("range out of bounds")
-    return f.text[rng.begin.offset:rng.end.offset]

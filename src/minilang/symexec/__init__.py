@@ -7,8 +7,8 @@ from .engine import (  # noqa: F401
 )
 from .state import assume, assume_comparison, assume_relation, INFEASIBLE, ProgramState  # noqa: F401
 from .values import (  # noqa: F401
-    as_symbol, FieldRegion, IMAX, IMIN, LocVal, MemRegion, NULL_LOC,
-    NullLocVal, RangeSet, region_root, region_type, region_within, RetRegion,
-    SVal, sym_add, sym_mul, sym_val, Symbol, SymbolicVal, SymExpr, SymIntOp,
-    TempRegion, UNDEFINED, UndefinedVal, UNKNOWN, UnknownVal, val_symbols, VarRegion,
+    as_symbol, FieldRegion, IMAX, IMIN, LocVal, MemRegion, RangeSet,
+    region_root, region_type, region_within, RetRegion, SVal, sym_add,
+    sym_mul, sym_val, Symbol, SymbolicVal, SymExpr, SymIntOp, TempRegion,
+    UNDEFINED, UndefinedVal, UNKNOWN, UnknownVal, val_symbols, VarRegion,
 )

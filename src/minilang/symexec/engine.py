@@ -18,6 +18,11 @@ the pointer, in `Engine.pointer_outcomes`; `&` and binding a reference
 parameter do not. An rvalue under `.`, `&` or a reference parameter is
 evaluated into a `TempRegion` of its frame.
 
+Every truth question is one `assume`. Null is the `int` 0, and a null test
+is `assume(state, pointer, True)`, which fails where the pointer is known
+null. A branch condition and the left side of a value-context `&&`/`||`
+fork through `Engine.branch_split`, so each outcome is a path of its own.
+
 Every error path ends in a sink of its own, but reports are uniqued as
 Clang's BugReporter does: `Engine.report` keeps one per (check name,
 message, location), the one with the shortest path to its error node.
@@ -40,8 +45,8 @@ from ..frontend.astnodes import (
 from ..source import InternalError, SourceLocation
 from .state import assume, assume_comparison, COMPARISONS, ProgramState
 from .values import (
-    as_symbol, FieldRegion, LocVal, MemRegion, NullLocVal, RangeSet,
-    region_root, region_within, RetRegion, SVal, sym_add, sym_mul, sym_val,
+    as_symbol, FieldRegion, LocVal, MemRegion, RangeSet, region_root,
+    region_within, RetRegion, SVal, sym_add, sym_mul, sym_val,
     Symbol, SymbolicVal, TempRegion, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
 )
 
@@ -206,11 +211,10 @@ class CallInfo(NamedTuple):
 
 
 class AnalysisResult:
-    def __init__(self, graphs: dict[str, ExplodedGraph] | None = None,
-                 reports: list | None = None, notes: list[str] | None = None):
-        self.graphs = {} if graphs is None else graphs
-        self.reports = [] if reports is None else reports
-        self.notes = [] if notes is None else notes
+    def __init__(self):
+        self.graphs: dict[str, ExplodedGraph] = {}
+        self.reports: list = []
+        self.notes: list[str] = []
 
 
 class CheckerContext:
@@ -431,7 +435,9 @@ class Engine:
                      cond: Node) -> list[tuple[bool, ProgramState, ExplodedNode]]:
         """Evaluate a branch condition once; return the feasible refinements
         for both truth values. `cfg.lower_cond` has already taken parentheses
-        and `!` off the condition."""
+        and `!` off the condition. It also decides the left side of a
+        value-context `&&`/`||`, where `eval_short_circuit` has taken off the
+        parentheses but a `!` stays, to be evaluated."""
         out = []
         if isinstance(cond, BinaryOp) and cond.op in COMPARISONS:
             for lv, st1, v1 in self.eval(via, state, frame, cond.lhs):
@@ -674,8 +680,6 @@ class Engine:
             elif expr.op == "!":
                 if val.__class__ is int:
                     out.append((0 if val else 1, st, v))
-                elif isinstance(val, NullLocVal):
-                    out.append((1, st, v))
                 elif isinstance(val, LocVal):
                     out.append((0, st, v))
                 else:
@@ -687,23 +691,22 @@ class Engine:
         """Evaluate `pointer_expr`, the pointer of `*q`, `p->f` or `p->m()`
         (`expr`): (pointer, state, via) outcomes. An access, a read, a write
         or a method call, checks the pointer once: the checkers' "deref"
-        use, then a pointer known to be null ends the path in a note and a
-        sink, and a path that goes on has a non-null pointer."""
+        use, then `assume` that it is non-null, as Clang's DereferenceChecker
+        does. Where that is infeasible the path ends in a note and a sink;
+        a path that goes on has a non-null pointer."""
         out = []
         for pointer, st, v in self.eval(via, state, frame, pointer_expr):
             if access:
                 st, v, sank = self.dispatch_use(v, st, frame, expr, pointer, "deref")
                 if sank:
                     continue
-                if isinstance(pointer, NullLocVal) or _known_null(st, pointer):
+                nonnull = assume(st, pointer, True)
+                if nonnull is None:
                     self.note(f"{expr.range.begin}: note: null dereference, path terminated")
                     node, _ = self._graph.add(_new(PreStmtPoint, (frame.id, expr)), st, v)
                     node.is_sink = True
                     continue
-                if isinstance(pointer, SymbolicVal):
-                    refined = assume(st, pointer, True)
-                    if refined is not None:
-                        st = refined
+                st = nonnull
             out.append((pointer, st, v))
         return out
 
@@ -729,18 +732,17 @@ class Engine:
         return out
 
     def eval_short_circuit(self, via, state, frame, expr: BinaryOp):
-        stop = 0 if expr.op == "&&" else 1
+        """A value-context `&&`/`||` forks on its left side as a branch
+        condition does, as Clang lowers it into CFG branches: where the left
+        side decides, the value is 0 for `&&` and 1 for `||`; elsewhere it is
+        the right side's."""
+        goes_on = expr.op == "&&"  # the left truth that runs the right side
         out = []
-        for lv, st1, v1 in self.eval(via, state, frame, expr.lhs):
-            if lv.__class__ is int:
-                if (expr.op == "&&") == bool(lv):
-                    out.extend(self.eval(v1, st1, frame, expr.rhs))
-                else:
-                    out.append((stop, st1, v1))
+        for truth, st, v in self.branch_split(via, state, frame, strip_parens(expr.lhs)):
+            if truth == goes_on:
+                out.extend(self.eval(v, st, frame, expr.rhs))
             else:
-                # unknown left side: evaluate the right for effects, value unknown
-                for _, st2, v2 in self.eval(v1, st1, frame, expr.rhs):
-                    out.append((UNKNOWN, st2, v2))
+                out.append((0 if goes_on else 1, st, v))
         return out
 
     def fold_binary(self, op: str, lv: SVal, rv: SVal) -> SVal:
@@ -1018,13 +1020,6 @@ class Engine:
                 continue
             out.append((ret, st, v2))
         return out
-
-
-def _known_null(state: ProgramState, val: SVal) -> bool:
-    sym = as_symbol(val)
-    if sym is None:
-        return val.__class__ is int and val == 0
-    return state.range_of(sym) == RangeSet.singleton(0)
 
 
 def _field_region(base: MemRegion, expr: FieldAccess) -> FieldRegion:

@@ -7,7 +7,7 @@ from collections.abc import KeysView, Mapping
 
 from ..source import InternalError
 from .values import (
-    LocVal, MemRegion, NullLocVal, RangeSet, SVal, Symbol, SymbolicVal,
+    LocVal, MemRegion, RangeSet, SVal, Symbol, SymbolicVal,
     SymExpr, linear_form, UndefinedVal, UnknownVal, val_symbols,
 )
 
@@ -355,8 +355,6 @@ def assume(state: ProgramState, val: SVal, truth: bool) -> ProgramState | None:
         return assume_relation(state, val.expr, "!=", 0, truth)
     if isinstance(val, LocVal):
         return state if truth else INFEASIBLE  # a live region is never null
-    if isinstance(val, NullLocVal):
-        return INFEASIBLE if truth else state
     if isinstance(val, (UnknownVal, UndefinedVal)):
         return state
     raise InternalError(f"assume on {val!r}")
@@ -387,8 +385,9 @@ def assume_relation(state: ProgramState, expr: SymExpr, op: str, const: int,
 def assume_comparison(state: ProgramState, lhs: SVal, op: str, rhs: SVal,
                       truth: bool) -> ProgramState | None:
     """Refine by `lhs op rhs`, covering the value shapes the engine produces:
-    concrete/concrete decides, symbolic/concrete refines a range, location
-    null tests decide, everything else stays unconstrained."""
+    concrete/concrete decides, symbolic/concrete refines a range, a location
+    compared with null (the `int` 0) or with a location decides, everything
+    else stays unconstrained."""
     lhs_int = lhs.__class__ is int
     rhs_int = rhs.__class__ is int
     if lhs_int and rhs_int:
@@ -399,18 +398,10 @@ def assume_comparison(state: ProgramState, lhs: SVal, op: str, rhs: SVal,
         return assume_relation(state, rhs.expr, _MIRROR[op], lhs, truth)
     if op in ("==", "!="):
         unequal = (op == "!=") == truth  # the refinement demands lhs != rhs
-        lhs_null = isinstance(lhs, NullLocVal) or (lhs_int and lhs == 0)
-        rhs_null = isinstance(rhs, NullLocVal) or (rhs_int and rhs == 0)
-        if isinstance(lhs, LocVal) and rhs_null:
+        if (isinstance(lhs, LocVal) and rhs_int and rhs == 0
+                or isinstance(rhs, LocVal) and lhs_int and lhs == 0):
             return state if unequal else INFEASIBLE
-        if isinstance(rhs, LocVal) and lhs_null:
-            return state if unequal else INFEASIBLE
-        if isinstance(lhs, NullLocVal) and rhs_null:
-            return INFEASIBLE if unequal else state
-        if isinstance(rhs, NullLocVal) and lhs_null:
-            return INFEASIBLE if unequal else state
         if isinstance(lhs, LocVal) and isinstance(rhs, LocVal):
             same = lhs.region == rhs.region
             return INFEASIBLE if same == unequal else state
     return state
-

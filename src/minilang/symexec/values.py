@@ -102,7 +102,7 @@ def linear_form(expr: SymExpr) -> tuple[Symbol, int, int] | None:
 
 class _Singleton:
     """A field-less value. The module makes one object of each such class
-    (`UNDEFINED`, `UNKNOWN`, `NULL_LOC`), equal only to itself."""
+    (`UNDEFINED`, `UNKNOWN`), equal only to itself."""
 
     __slots__ = ()
     text = ""
@@ -126,11 +126,6 @@ class UnknownVal(_Singleton):
     text = "unknown"
 
 
-class NullLocVal(_Singleton):
-    __slots__ = ()
-    text = "null"
-
-
 class SymbolicVal(NamedTuple):
     expr: SymExpr
 
@@ -147,11 +142,10 @@ class LocVal(NamedTuple):
 
 UNDEFINED = UndefinedVal()
 UNKNOWN = UnknownVal()
-NULL_LOC = NullLocVal()
 
 # A concrete value is an `int`. A comparison yields 0 or 1, never a `bool`,
-# which would print as `True`.
-SVal = UndefinedVal | UnknownVal | int | SymbolicVal | LocVal | NullLocVal
+# which would print as `True`. Null is the `int` 0.
+SVal = UndefinedVal | UnknownVal | int | SymbolicVal | LocVal
 
 
 def sym_val(symbol: Symbol) -> SymbolicVal:
@@ -318,9 +312,6 @@ class RangeSet(NamedTuple):
                 if lo <= hi:
                     out.append((lo, hi))
         return RangeSet(_normalize(out))
-
-    def union(self, other: "RangeSet") -> "RangeSet":
-        return RangeSet(_normalize(self.intervals + other.intervals))
 
     def complement(self) -> "RangeSet":
         out = []

@@ -207,6 +207,23 @@ def test_method_call_on_a_known_null_receiver_ends_the_path():
     assert leaf.state.lookup(RetRegion(leaf.point.frame)) == 1
 
 
+def test_a_null_test_on_the_left_of_or_guards_the_access_on_its_right():
+    source = """\
+struct S { int v; };
+extern S* mk();
+int f() {
+  S* p = mk();
+  if (p == 0) { bool b = p == 0 || p->v > 0; if (b) return 1; }
+  return 0;
+}
+"""
+    notes, sinks = null_sinks(source)
+    assert notes == [] and sinks == []
+    leaves = analyze(source)[0].graphs["f"].leaves()
+    returns = [leaf.state.lookup(RetRegion(leaf.point.frame)) for leaf in leaves]
+    assert returns.count(1) == 1
+
+
 @pytest.mark.parametrize("access", [
     "int x = p->v;", "p->v = 1;", "*q = 1;", "int n = s->size();"])
 def test_a_path_that_survives_an_access_through_a_pointer_has_it_non_null(access):

@@ -13,9 +13,7 @@ from minilang.frontend.astnodes import (
 from minilang.cli import main
 from minilang.frontend.lexer import KEYWORDS, LexError, PUNCTUATORS, TokenKind
 from minilang.frontend.parser import parse
-from minilang.source import (
-    InternalError, SourceFile, SourceLocation, SourceRange, get_source_text,
-)
+from minilang.source import InternalError, SourceFile, SourceLocation, SourceRange
 
 from conftest import frontend, structure_signature
 from lexer_reference import reference_columns
@@ -369,25 +367,11 @@ def test_source_text_of_declaration_excludes_semicolon():
     assert node_text(decl) == expected == "int x = f()"
 
 
-def test_source_text_empty_range():
-    file = SourceFile("t.mc", "int x;")
-    loc = file.location(3)
-    assert get_source_text(SourceRange(loc, loc)) == ""
-
-
 def test_source_text_of_method_call_subtree():
     src = "void f() { string s; char* c = s.c_str(); }"
     fe = frontend(src)
     call = next(n for n in walk(fe.unit) if n.kind == "MethodCall")
     assert node_text(call) == "s.c_str()"
-
-
-def test_source_text_out_of_bounds_is_internal_error():
-    small = SourceFile("s.mc", "int x;")
-    big = SourceFile("b.mc", "int x = 123456;")
-    rng = SourceRange(big.location(0), big.location(len(big.text)))
-    with pytest.raises(InternalError):
-        get_source_text(rng, small)
 
 
 # --- invariants ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from minilang.reporting import VerifyDirective
 from minilang.source import InternalError, SourceFile, SourceLocation, SourceRange
 from minilang.symexec import (
     BlockEdgePoint, CallEnterPoint, CallExitPoint, ExplodedGraph, FieldRegion,
-    LocVal, NULL_LOC, PostImplicitCallPoint, PostStmtPoint, PreStmtPoint,
+    LocVal, PostImplicitCallPoint, PostStmtPoint, PreStmtPoint,
     ProgramState, RangeSet, region_type, RetRegion, Symbol, SymbolicVal,
     SymIntOp, TempRegion, UNDEFINED, UNKNOWN, VarRegion,
 )
@@ -120,13 +120,13 @@ def test_each_point_class_gets_its_own_graph_node():
 
 
 def test_field_less_values_are_distinct_singletons():
-    singles = [UNDEFINED, UNKNOWN, NULL_LOC]
+    singles = [UNDEFINED, UNKNOWN]
     for i, a in enumerate(singles):
         for j, b in enumerate(singles):
             assert (a == b) is (i == j)
         assert a != () and a
-    assert len(set(singles)) == 3
-    assert [str(v) for v in singles] == ["undef", "unknown", "null"]
+    assert len(set(singles)) == 2
+    assert [str(v) for v in singles] == ["undef", "unknown"]
 
 
 def test_symbols_compare_by_identity():
@@ -141,7 +141,7 @@ def test_values_of_different_kinds_never_compare_equal():
     sym = symbol()
     region = VarRegion(NODE, 1)
     values = [0, SymbolicVal(sym), SymbolicVal(SymIntOp(sym, "+", 1)), LocVal(region),
-              LocVal(FieldRegion(region, S_X)), UNDEFINED, UNKNOWN, NULL_LOC]
+              LocVal(FieldRegion(region, S_X)), UNDEFINED, UNKNOWN]
     for i, a in enumerate(values):
         for j, b in enumerate(values):
             assert (a == b) is (i == j), (a, b)
@@ -208,7 +208,7 @@ def frozen_records() -> list:
     region = VarRegion(NODE, 1)
     matcher = M.varDecl()
     return [
-        sym, SymIntOp(sym, "+", 1), UNDEFINED, UNKNOWN, NULL_LOC,
+        sym, SymIntOp(sym, "+", 1), UNDEFINED, UNKNOWN,
         SymbolicVal(sym), LocVal(region), region, FieldRegion(region, S_X),
         RangeSet.full(), *one_point_of_each_class(),
         StmtElement(NODE), ImplicitDtorElement(NODE, LOC), Branch(NODE, 1, 2),

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from minilang.frontend.astnodes import TypeRef
 from minilang.symexec import (
-    FieldRegion, IMAX, IMIN, NULL_LOC, ProgramState, RangeSet, RetRegion,
+    FieldRegion, IMAX, IMIN, ProgramState, RangeSet, RetRegion,
     sym_add, sym_val, Symbol, SymbolicVal, UNKNOWN, val_symbols, VarRegion,
 )
 from minilang.symexec.state import COMPARISONS
@@ -21,7 +21,7 @@ _A, _B = VarRegion(_decl("a"), 1), VarRegion(_decl("b"), 2)
 # Two frames' return slots, so the ops write and drop pending return values.
 REGIONS = [_A, _B, FieldRegion(_A, _decl("f")), VarRegion(_decl("c"), 1),
            RetRegion(1), RetRegion(2)]
-VALUES = ([0, 7, UNKNOWN, NULL_LOC]
+VALUES = ([0, 7, UNKNOWN]
           + [sym_val(s) for s in SYMBOLS]
           + [SymbolicVal(sym_add(s, 3)) for s in SYMBOLS])
 RANGES = [RangeSet.singleton(0), RangeSet.of((1, 9)), RangeSet.full(),
