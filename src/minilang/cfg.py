@@ -45,6 +45,8 @@ Terminator = Branch | Jump
 
 
 class BasicBlock:
+    __slots__ = ("id", "elements", "terminator")
+
     def __init__(self, id: int):
         self.id = id
         self.elements: list[CfgElement] = []
@@ -111,9 +113,11 @@ class _Builder:
         """Destructor elements for every string in scopes deeper than `down_to`,
         innermost scope first, reverse declaration order within a scope, each
         located at `offset`, where the scope is left."""
-        loc = _new(SourceLocation, (self.fn.file, offset))
+        loc = None
         for scope in reversed(self.scopes[down_to:]):
             for var in reversed(scope.strings):
+                if loc is None:
+                    loc = _new(SourceLocation, (self.fn.file, offset))
                 self.emit(_new(ImplicitDtorElement, (var, loc)))
 
     # --- statements ---

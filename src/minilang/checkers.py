@@ -21,6 +21,8 @@ from .symexec.values import (
     as_symbol, LocVal, MemRegion, region_type, SVal, Symbol,
 )
 
+_new = tuple.__new__  # a RefState per allocation and release skips the generated `__new__`
+
 MALLOC_SLOT = "MallocLite.RegionState"
 RAWPTR_SLOT = "InnerPointer.RawPtrMap"
 
@@ -56,11 +58,11 @@ class RefState(NamedTuple):
 
     @staticmethod
     def allocated(family: AllocationFamily, origin: Node | None) -> "RefState":
-        return RefState(RefStatus.ALLOCATED, family, origin)
+        return _new(RefState, (RefStatus.ALLOCATED, family, origin))
 
     @staticmethod
     def released(family: AllocationFamily, origin: Node | None) -> "RefState":
-        return RefState(RefStatus.RELEASED, family, origin)
+        return _new(RefState, (RefStatus.RELEASED, family, origin))
 
 
 # The state of an inner buffer released by a destructor, which has no

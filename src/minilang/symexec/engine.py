@@ -40,7 +40,7 @@ from ..frontend.astnodes import (
     AddressOf, Assign, BinaryOp, BOOL, BoolLit, BreakStmt, BUILTIN_BASES, Call,
     ContinueStmt, DeclRef, DeleteStmt, ExprStmt, FieldAccess,
     FunctionDecl, IntLit, MethodCall, NewExpr, Node, Paren, ParamDecl, ReturnStmt,
-    StringLit, TranslationUnit, TypeRef, UnaryOp, VarDecl, strip_parens,
+    StringLit, TranslationUnit, TypeRef, UnaryOp, VarDecl, VOID, strip_parens,
 )
 from ..source import InternalError, SourceLocation
 from .state import assume, assume_comparison, COMPARISONS, ProgramState
@@ -166,21 +166,27 @@ class ExplodedGraph:
     def add(self, point, state: ProgramState, pred: ExplodedNode | None,
             loops: dict | None = None) -> tuple[ExplodedNode, bool]:
         """A new node takes `loops`, by default its predecessor's. They stay out
-        of the state, as Clang's BlockCounter, so equal states still merge."""
+        of the state, as Clang's BlockCounter, so equal states still merge.
+        The node is made before the index is probed, so that a new node costs
+        one probe; a node past the budget leaves the index as it was."""
+        nodes = self.nodes
+        seq = len(nodes)
+        if loops is None:
+            loops = pred.loops if pred is not None else {}
+        node = ExplodedNode(point, state, loops, pred, seq)
         key = (point, state)
-        node = self._index.get(key)
-        is_new = node is None
-        if is_new:
-            if self.budget is not None and len(self.nodes) >= self.budget:
-                raise BudgetExhausted()
-            if loops is None:
-                loops = pred.loops if pred is not None else {}
-            node = ExplodedNode(point, state, loops, pred, len(self.nodes))
-            self.nodes.append(node)
-            self._index[key] = node
-        if pred is not None and node not in pred.succs:
-            pred.succs.append(node)
-        return node, is_new
+        found = self._index.setdefault(key, node)
+        if found is not node:
+            if pred is not None and found not in pred.succs:
+                pred.succs.append(found)
+            return found, False
+        if self.budget is not None and seq >= self.budget:
+            del self._index[key]
+            raise BudgetExhausted()
+        nodes.append(node)
+        if pred is not None:
+            pred.succs.append(node)  # a node just made is no successor yet
+        return node, True
 
     def leaves(self) -> list[ExplodedNode]:
         return [n for n in self.nodes if not n.succs and not n.is_sink]
@@ -218,21 +224,21 @@ class AnalysisResult:
 
 
 class CheckerContext:
-    """Handed to each checker callback; holds the pending state transition."""
+    """Handed to each checker callback: `state` is the state the callback
+    sees and, after `add_transition`, the one it moves to."""
+
+    __slots__ = ("state", "_moved", "report")
 
     def __init__(self, state: ProgramState):
-        self._state = state
-        self._pending: ProgramState | None = None
+        self.state = state
+        self._moved = False
         self.report = None
 
-    @property
-    def state(self) -> ProgramState:
-        return self._pending if self._pending is not None else self._state
-
     def add_transition(self, new_state: ProgramState) -> None:
-        if self._pending is not None:
+        if self._moved:
             raise InternalError("addTransition called twice in one callback")
-        self._pending = new_state
+        self._moved = True
+        self.state = new_state
 
     def emit_report(self, report) -> None:
         self.report = report
@@ -245,6 +251,8 @@ class _Frame:
         self.depth = depth
         self.aliases: dict[int, MemRegion] = {}  # param id -> region
         self.cfg: Cfg | None = None  # fn's CFG, set when the frame is entered
+        # only a function that returns a value binds the frame's `RetRegion`
+        self.returns_value = fn.return_type != VOID
 
 
 class Engine:
@@ -435,9 +443,8 @@ class Engine:
                      cond: Node) -> list[tuple[bool, ProgramState, ExplodedNode]]:
         """Evaluate a branch condition once; return the feasible refinements
         for both truth values. `cfg.lower_cond` has already taken parentheses
-        and `!` off the condition. It also decides the left side of a
-        value-context `&&`/`||`, where `eval_short_circuit` has taken off the
-        parentheses but a `!` stays, to be evaluated."""
+        and `!` off the condition, and `eval_short_circuit` off the left side
+        of a value-context `&&`/`||`, which this also decides."""
         out = []
         if isinstance(cond, BinaryOp) and cond.op in COMPARISONS:
             for lv, st1, v1 in self.eval(via, state, frame, cond.lhs):
@@ -536,7 +543,8 @@ class Engine:
         if sank:
             return None
         # a released return value "manifests" here, once the dtor has run
-        pending = new_state.lookup(_new(RetRegion, (frame.id,)))
+        pending = (new_state.lookup(_new(RetRegion, (frame.id,)))
+                   if frame.returns_value else None)
         if pending is not None:
             st3, via3, sank = self.dispatch(
                 "check_post_dtor", via2, new_state, point, element, pending,
@@ -558,15 +566,13 @@ class Engine:
             ctx = CheckerContext(state)
             fn(ctx, *args)
             if ctx.report is not None:
-                err_state = ctx.state
-                node, _ = self._graph.add(point, err_state, via)
+                node, _ = self._graph.add(point, ctx.state, via)
                 node.is_sink = True
                 ctx.report.error_node = node
                 ctx.report.graph = self._graph
                 self.report(ctx.report)
                 return state, via, True
-            if ctx._pending is not None:
-                state = ctx._pending
+            state = ctx.state
         if make_node and state is not original and state != original:
             node, _ = self._graph.add(point, state, via)
             via = node
@@ -585,7 +591,7 @@ class Engine:
                              _new(CallInfo, (expr, receiver, ret, args)), make_node=True)
 
     def reap(self, state: ProgramState) -> ProgramState:
-        if not state.dead_symbols():
+        if not state._dead:  # `dead_symbols()`, read without two calls
             return state
         return self._reap_with(state, dead_regions=frozenset())
 
@@ -597,8 +603,7 @@ class Engine:
         for fn in self._hooks["check_dead_symbols"]:
             ctx = CheckerContext(state)
             fn(ctx, dead, dead_regions)
-            if ctx._pending is not None:
-                state = ctx._pending
+            state = ctx.state
         # constraints on symbols that neither the store nor a slot still holds
         slot_refs = state.gdm_symbols()
         stale = [s for s in state.dead_symbols()
@@ -735,14 +740,20 @@ class Engine:
         """A value-context `&&`/`||` forks on its left side as a branch
         condition does, as Clang lowers it into CFG branches: where the left
         side decides, the value is 0 for `&&` and 1 for `||`; elsewhere it is
-        the right side's."""
-        goes_on = expr.op == "&&"  # the left truth that runs the right side
+        the right side's. As `cfg.lower_cond` does, parentheses and `!`s come
+        off the left side, and each `!` flips which truth runs the right."""
+        decided = 0 if expr.op == "&&" else 1  # the value where the left decides
+        goes_on = not decided  # the left truth that runs the right side
+        cond = strip_parens(expr.lhs)
+        while cond.__class__ is UnaryOp and cond.op == "!":
+            cond = strip_parens(cond.operand)
+            goes_on = not goes_on
         out = []
-        for truth, st, v in self.branch_split(via, state, frame, strip_parens(expr.lhs)):
+        for truth, st, v in self.branch_split(via, state, frame, cond):
             if truth == goes_on:
                 out.extend(self.eval(v, st, frame, expr.rhs))
             else:
-                out.append((0 if goes_on else 1, st, v))
+                out.append((decided, st, v))
         return out
 
     def fold_binary(self, op: str, lv: SVal, rv: SVal) -> SVal:

@@ -57,29 +57,27 @@ class ProgramState:
              for s in _item_symbols(k, v)], ())
         self._note_dead(list(self.constraints), ())
 
-    def _derive(self) -> "ProgramState":
-        """A copy sharing every dict; the caller swaps in the ones it changes."""
+    def _derive(self, component: int, mapping: dict, digest: int) -> "ProgramState":
+        """A copy sharing every dict but `mapping`, the new contents of one
+        component (`_STORE`, `_CONSTRAINTS` or `_GDM`), whose digest is now
+        `digest`. The copy shares this state's reference counts; a caller
+        that changes them swaps in new ones."""
         new = _new_state(ProgramState)
-        new.store = self.store
-        new.constraints = self.constraints
-        new.gdm = self.gdm
-        new._digests = self._digests
+        store, constraints, gdm = self._digests
+        if component == _STORE:
+            new.store, new.constraints, new.gdm = mapping, self.constraints, self.gdm
+            new._digests = (digest, constraints, gdm)
+        elif component == _CONSTRAINTS:
+            new.store, new.constraints, new.gdm = self.store, mapping, self.gdm
+            new._digests = (store, digest, gdm)
+        else:
+            new.store, new.constraints, new.gdm = self.store, self.constraints, mapping
+            new._digests = (store, constraints, digest)
         new._live = self._live
         new._slot_refs = self._slot_refs
         new._dead = self._dead
         new._hash = None
         return new
-
-    def _mix(self, component: int, delta: int) -> None:
-        """XOR `delta` into one component's digest."""
-        store, constraints, gdm = self._digests
-        if component == _STORE:
-            store ^= delta
-        elif component == _CONSTRAINTS:
-            constraints ^= delta
-        else:
-            gdm ^= delta
-        self._digests = (store, constraints, gdm)
 
     # --- reference counts (only on a state fresh from `_derive`) ---
 
@@ -145,7 +143,6 @@ class ProgramState:
         return self.bind_many(((region, val),))
 
     def bind_many(self, pairs) -> "ProgramState":
-        new = self._derive()
         store = dict(self.store)
         delta = 0
         came: list[Symbol] = []
@@ -154,12 +151,13 @@ class ProgramState:
             old = store.get(region, _ABSENT)
             if old is not _ABSENT:
                 delta ^= hash((region, old))
-                gone.extend(val_symbols(old))
+                if old.__class__ is SymbolicVal:
+                    gone += val_symbols(old)
             store[region] = val
             delta ^= hash((region, val))
-            came.extend(val_symbols(val))
-        new.store = store
-        new._mix(_STORE, delta)
+            if val.__class__ is SymbolicVal:
+                came += val_symbols(val)
+        new = self._derive(_STORE, store, self._digests[_STORE] ^ delta)
         if came != gone:
             new._recount_live(came, gone)
         return new
@@ -168,7 +166,6 @@ class ProgramState:
         doomed = [(r, v) for r, v in self.store.items() if predicate(r)]
         if not doomed:
             return self
-        new = self._derive()
         store = dict(self.store)
         delta = 0
         gone: list[Symbol] = []
@@ -176,8 +173,7 @@ class ProgramState:
             del store[region]
             delta ^= hash((region, val))
             gone.extend(val_symbols(val))
-        new.store = store
-        new._mix(_STORE, delta)
+        new = self._derive(_STORE, store, self._digests[_STORE] ^ delta)
         new._recount_live((), gone)
         return new
 
@@ -195,7 +191,6 @@ class ProgramState:
         old = self.constraints.get(symbol)
         if rng.is_full and old is None:
             return self
-        new = self._derive()
         constraints = dict(self.constraints)
         delta = 0
         if old is not None:
@@ -205,8 +200,8 @@ class ProgramState:
         else:
             constraints[symbol] = rng
             delta ^= hash((symbol, rng))
-        new.constraints = constraints
-        new._mix(_CONSTRAINTS, delta)
+        new = self._derive(_CONSTRAINTS, constraints,
+                           self._digests[_CONSTRAINTS] ^ delta)
         if old is None:
             new._note_dead((symbol,), ())
         elif rng.is_full:
@@ -217,14 +212,13 @@ class ProgramState:
         doomed = [s for s in symbols if s in self.constraints]
         if not doomed:
             return self
-        new = self._derive()
         constraints = dict(self.constraints)
         delta = 0
         for sym in doomed:
             if sym in constraints:
                 delta ^= hash((sym, constraints.pop(sym)))
-        new.constraints = constraints
-        new._mix(_CONSTRAINTS, delta)
+        new = self._derive(_CONSTRAINTS, constraints,
+                           self._digests[_CONSTRAINTS] ^ delta)
         new._note_dead((), doomed)
         return new
 
@@ -251,7 +245,7 @@ class ProgramState:
         came: list[Symbol] = []
         gone: list[Symbol] = []
         for key, changes in writes.items():
-            old = self.gdm.get(key, {})
+            old = self.gdm.get(key, _NO_ENTRIES)
             mapping = None
             for k, v in changes.items():
                 was = old.get(k)
@@ -259,15 +253,27 @@ class ProgramState:
                     continue  # the very object stored, or removing an absent key
                 if mapping is None:
                     mapping = dict(old)
+                # the symbols of an entry: its key, and the members of a set value
+                key_is_symbol = k.__class__ is Symbol
                 if was is not None:
                     delta ^= hash((key, k, was))
-                    gone += _item_symbols(k, was)
+                    if key_is_symbol:
+                        gone.append(k)
+                    if was.__class__ is frozenset:
+                        for sym in was:
+                            if sym.__class__ is Symbol:
+                                gone.append(sym)
                 if v is None:
                     del mapping[k]
                 else:
                     mapping[k] = v
                     delta ^= hash((key, k, v))
-                    came += _item_symbols(k, v)
+                    if key_is_symbol:
+                        came.append(k)
+                    if v.__class__ is frozenset:
+                        for sym in v:
+                            if sym.__class__ is Symbol:
+                                came.append(sym)
             if mapping is None:
                 continue
             if gdm is None:
@@ -278,9 +284,7 @@ class ProgramState:
                 del gdm[key]
         if gdm is None:
             return self
-        new = self._derive()
-        new.gdm = gdm
-        new._mix(_GDM, delta)
+        new = self._derive(_GDM, gdm, self._digests[_GDM] ^ delta)
         if came != gone:
             new._recount_slots(came, gone)
         return new
@@ -321,6 +325,7 @@ class ProgramState:
 
 _STORE, _CONSTRAINTS, _GDM = range(3)
 _ABSENT = object()
+_NO_ENTRIES: Mapping = {}  # a missing slot, read and never written
 _new_state = object.__new__
 
 

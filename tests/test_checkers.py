@@ -465,6 +465,26 @@ def test_a_buffer_pointer_returned_past_its_strings_destructor_reports():
         (23, "Inner buffer of 'string' deallocated by call to destructor")]
 
 
+def test_a_buffer_pointer_returned_past_an_inlined_callees_destructor_reports():
+    # the pending return value is looked up in the inlined frame of `g`,
+    # which returns a value, and not in `f`'s, which does not
+    reports, _, _ = reports_of("""\
+extern void consume(char* c);
+void f() { consume(g()); }
+char* g() { string s; return s.c_str(); }
+""")
+    (report,) = reports
+    assert report.error_node.point.__class__ is PostImplicitCallPoint
+    diag = assemble_bug_path(report)
+    assert (diag.check_name, diag.message, diag.location.line, diag.location.column) == (
+        "cplusplus.InnerPointer", "Inner pointer of container used after re/deallocation",
+        3, 23)
+    assert [(n.location.line, n.location.column, n.message)
+            for n in diag.attached_notes] == [
+        (3, 30, "Pointer to inner buffer of 'string' obtained here"),
+        (3, 23, "Inner buffer of 'string' deallocated by call to destructor")]
+
+
 def test_a_heap_symbol_that_nothing_holds_leaves_the_allocation_map():
     result, _ = analyze(
         "void f() { int* p = new int(); int* q = new int(); p = q; int y = 1; }")

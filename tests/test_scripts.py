@@ -30,6 +30,17 @@ def test_lexer_ratio_prints_one_ratio_per_workload(tmp_path):
     assert all(float(line.rsplit("ratio ", 1)[1]) > 0 for line in lines)
 
 
+def test_engine_cost_prints_one_line_per_analyze_workload(tmp_path):
+    # a smoke run of one round: the times are not checked, the counts are
+    child = subprocess.run([sys.executable, str(SCRIPTS / "engine_cost.py"), "--rounds", "1"],
+                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stdout + child.stderr
+    lines = child.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["analyze-deep", "analyze-wide"]
+    assert lines[0].endswith(", 13475 nodes, 5477 destructor nodes")
+    assert all(float(line.split(", ")[1].split()[0]) > 0 for line in lines)
+
+
 def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)

@@ -10,10 +10,11 @@ from minilang.checkers import make_checkers
 from minilang.frontend.astnodes import TypeRef
 from minilang.source import InternalError
 from minilang.symexec import (
-    AnalysisConfig, as_symbol, assume, assume_relation,
-    dump_dot, Engine, IMAX, IMIN, LocVal, ProgramState, RangeSet, region_root,
-    RetRegion, sym_val, Symbol, SymIntOp, TempRegion, VarRegion,
+    AnalysisConfig, as_symbol, assume, assume_relation, BlockEdgePoint,
+    dump_dot, Engine, ExplodedGraph, IMAX, IMIN, LocVal, ProgramState, RangeSet,
+    region_root, RetRegion, sym_val, Symbol, SymIntOp, TempRegion, VarRegion,
 )
+from minilang.symexec.engine import BudgetExhausted
 
 from conftest import analyze, EXPLODED_G, frontend, LOOP_THEN_DIVISION
 from engine_paths import error_sinks, leaf_decisions, leaf_witness, replay_ends
@@ -278,6 +279,8 @@ def test_evaluator_shapes_replay_in_the_oracle(shape):
     "a > 0 && (k = 5) == 5",
     "a <= 0 || (k = 5) == 5",
     "(a > 0) && (k = 5) == 5",
+    "!(a > 0) && (k = 5) == 5",
+    "!(a <= 0) || (k = 5) == 5",
 ])
 def test_an_unknown_left_side_of_and_skips_the_right_side_on_some_path(init):
     result, fe = analyze(f"""\
@@ -711,6 +714,20 @@ void f(int a, int b, int c, int d) {
 """, config=AnalysisConfig(node_budget=20))
     assert len(result.graphs["f"]) <= 20
     assert any("node budget" in note for note in result.notes)
+
+
+def test_a_node_past_the_budget_leaves_the_graph_as_it_was():
+    graph = ExplodedGraph(budget=2)
+    root, _ = graph.add(BlockEdgePoint(-1, 0, 1), ProgramState(), None)
+    second, _ = graph.add(BlockEdgePoint(0, 1, 1), ProgramState(), root)
+    for _ in range(2):  # the same point and state again: still past the budget
+        with pytest.raises(BudgetExhausted):
+            graph.add(BlockEdgePoint(1, 2, 1), ProgramState(), second)
+        assert list(graph._index.values()) == graph.nodes == [root, second]
+        assert second.succs == []
+    # a node already in the graph is found at the budget, and not linked twice
+    assert graph.add(BlockEdgePoint(0, 1, 1), ProgramState(), root) == (second, False)
+    assert root.succs == [second]
 
 
 # --- state plumbing ---------------------------------------------------------------------
