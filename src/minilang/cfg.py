@@ -1,9 +1,14 @@
 """Per-function control flow graphs.
 
-Blocks hold statement elements plus implicit string-destructor elements on
-every edge that leaves the variable's scope. `&&`/`||`/`!` in branch
-conditions are lowered into the branch structure, so condition leaves are
-simple expressions. Blocks are numbered in reverse post-order from entry.
+A block's elements are its statement nodes, plus an implicit
+string-destructor element on every edge that leaves the variable's scope.
+As Clang's `CFGBlock`, a block keeps its successor ids and its branch
+condition: the exit has no successor, a jump one (to the exit for a
+return), and a branch two, true then false, with `cond` its condition.
+`&&`/`||`/`!` in branch conditions are lowered into the branch structure,
+so condition leaves are simple expressions. The body of each `if` branch
+and each loop is a scope of its own, braced or not. Blocks are numbered in
+reverse post-order from entry.
 """
 
 from __future__ import annotations
@@ -16,11 +21,7 @@ from .frontend.astnodes import (
 )
 from .source import InternalError, SourceLocation
 
-_new = tuple.__new__  # elements and terminators skip the generated `__new__`
-
-
-class StmtElement(NamedTuple):
-    stmt: Node
+_new = tuple.__new__  # destructor elements skip the generated `__new__`
 
 
 class ImplicitDtorElement(NamedTuple):
@@ -28,37 +29,17 @@ class ImplicitDtorElement(NamedTuple):
     loc: SourceLocation  # where the scope is left
 
 
-CfgElement = StmtElement | ImplicitDtorElement
-
-
-class Branch(NamedTuple):
-    cond: Node
-    true_target: int
-    false_target: int
-
-
-class Jump(NamedTuple):
-    target: int  # the exit block for a return, as in Clang's CFG
-
-
-Terminator = Branch | Jump
+CfgElement = Node | ImplicitDtorElement  # a statement node or a destructor
 
 
 class BasicBlock:
-    __slots__ = ("id", "elements", "terminator")
+    __slots__ = ("id", "elements", "succs", "cond")
 
     def __init__(self, id: int):
         self.id = id
         self.elements: list[CfgElement] = []
-        self.terminator: Terminator | None = None
-
-    def successors(self) -> list[int]:
-        t = self.terminator
-        if isinstance(t, Branch):
-            return [t.true_target, t.false_target]
-        if isinstance(t, Jump):
-            return [t.target]
-        return []
+        self.succs: list[int] = []  # none, one (jump) or two (branch: true, false)
+        self.cond: Node | None = None  # the branch condition
 
 
 class Cfg:
@@ -98,9 +79,11 @@ class _Builder:
         assert self.current is not None
         self.current.elements.append(element)
 
-    def terminate(self, term: Terminator):
-        assert self.current is not None and self.current.terminator is None
-        self.current.terminator = term
+    def terminate(self, *succs: int, cond: Node | None = None):
+        block = self.current
+        assert block is not None and not block.succs
+        block.succs = [*succs]
+        block.cond = cond
         self.current = None
 
     # --- scopes and destructors ---
@@ -129,7 +112,7 @@ class _Builder:
         self.lower_stmts(self.fn.body.stmts)
         if self.current is not None:
             self.emit_dtors(0, self.fn.body.end)
-            self.terminate(_new(Jump, (self.exit,)))
+            self.terminate(self.exit)
         self.scopes.pop()
         return self._finish(first.id)
 
@@ -143,35 +126,30 @@ class _Builder:
 
     def lower_stmt(self, stmt: Node):
         if isinstance(stmt, VarDecl):
-            self.emit(_new(StmtElement, (stmt,)))
+            self.emit(stmt)
             self.declare(stmt)
         elif isinstance(stmt, (ExprStmt, DeleteStmt)):
-            self.emit(_new(StmtElement, (stmt,)))
+            self.emit(stmt)
         elif isinstance(stmt, ReturnStmt):
-            self.emit(_new(StmtElement, (stmt,)))
+            self.emit(stmt)
             self.emit_dtors(0, stmt.begin)
-            self.terminate(_new(Jump, (self.exit,)))
+            self.terminate(self.exit)
         elif isinstance(stmt, BreakStmt):
             if not self.loops:
                 raise InternalError("'break' outside of a loop reached the CFG")
-            self.emit(_new(StmtElement, (stmt,)))
+            self.emit(stmt)
             _, break_target, depth = self.loops[-1]
             self.emit_dtors(depth, stmt.begin)
-            self.terminate(_new(Jump, (break_target,)))
+            self.terminate(break_target)
         elif isinstance(stmt, ContinueStmt):
             if not self.loops:
                 raise InternalError("'continue' outside of a loop reached the CFG")
-            self.emit(_new(StmtElement, (stmt,)))
+            self.emit(stmt)
             continue_target, _, depth = self.loops[-1]
             self.emit_dtors(depth, stmt.begin)
-            self.terminate(_new(Jump, (continue_target,)))
+            self.terminate(continue_target)
         elif isinstance(stmt, Block):
-            self.scopes.append(_Scope())
-            self.lower_stmts(stmt.stmts)
-            if self.current is not None:
-                # at the closing brace
-                self.emit_dtors(len(self.scopes) - 1, max(stmt.begin, stmt.end - 1))
-            self.scopes.pop()
+            self.lower_scope(stmt)
         elif isinstance(stmt, IfStmt):
             self.lower_if(stmt)
         elif isinstance(stmt, WhileStmt):
@@ -179,10 +157,20 @@ class _Builder:
         else:
             raise InternalError(f"statement kind {stmt.kind} in CFG lowering")
 
+    def lower_scope(self, stmt: Node):
+        """A block, an `if` branch or a loop body, in a scope of its own,
+        braced or not, as C++ gives one to each such substatement; its
+        strings die at its last character, a block's closing brace."""
+        self.scopes.append(_Scope())
+        self.lower_stmts(stmt.stmts if isinstance(stmt, Block) else [stmt])
+        if self.current is not None:
+            self.emit_dtors(len(self.scopes) - 1, max(stmt.begin, stmt.end - 1))
+        self.scopes.pop()
+
     def lower_if(self, stmt: IfStmt):
         self.scopes.append(_Scope())
         if stmt.init is not None:
-            self.emit(_new(StmtElement, (stmt.init,)))
+            self.emit(stmt.init)
             self.declare(stmt.init)
         then_block = self.new_block()
         else_block = self.new_block() if stmt.else_branch is not None else None
@@ -190,30 +178,30 @@ class _Builder:
         self.lower_cond(stmt.cond, then_block.id,
                         else_block.id if else_block else join.id)
         self.current = then_block
-        self.lower_stmt(stmt.then_branch)
+        self.lower_scope(stmt.then_branch)
         if self.current is not None:
-            self.terminate(_new(Jump, (join.id,)))
+            self.terminate(join.id)
         if else_block is not None:
             self.current = else_block
-            self.lower_stmt(stmt.else_branch)
+            self.lower_scope(stmt.else_branch)
             if self.current is not None:
-                self.terminate(_new(Jump, (join.id,)))
+                self.terminate(join.id)
         self.current = join
         self.emit_dtors(len(self.scopes) - 1, stmt.end)
         self.scopes.pop()
 
     def lower_while(self, stmt: WhileStmt):
         head = self.new_block()
-        self.terminate(_new(Jump, (head.id,)))
+        self.terminate(head.id)
         body = self.new_block()
         after = self.new_block()
         self.current = head
         self.lower_cond(stmt.cond, body.id, after.id)
         self.loops.append((head.id, after.id, len(self.scopes)))
         self.current = body
-        self.lower_stmt(stmt.body)
+        self.lower_scope(stmt.body)
         if self.current is not None:
-            self.terminate(_new(Jump, (head.id,)))  # back edge
+            self.terminate(head.id)  # back edge
         self.loops.pop()
         self.current = after
 
@@ -232,23 +220,23 @@ class _Builder:
             self.lower_cond(cond.lhs, true_target, mid.id)
             self.current = mid
             return self.lower_cond(cond.rhs, true_target, false_target)
-        self.terminate(_new(Branch, (cond, true_target, false_target)))
+        self.terminate(true_target, false_target, cond=cond)
 
     # --- numbering and cleanup ---
 
     def _finish(self, first: int) -> Cfg:
         """Number the reachable blocks in reverse post-order, the exit last,
-        in place: each kept block takes its new id and retargets its
-        terminator."""
+        in place: each kept block takes its new id and renumbers its
+        successors."""
         blocks = self.blocks
         order: list[int] = []  # depth-first post-order, on an explicit stack
         seen = {first}
-        stack = [(first, iter(blocks[first].successors()))]
+        stack = [(first, iter(blocks[first].succs))]
         while stack:
             for succ in stack[-1][1]:  # resumes where this block's last visit left
                 if succ not in seen:
                     seen.add(succ)
-                    stack.append((succ, iter(blocks[succ].successors())))
+                    stack.append((succ, iter(blocks[succ].succs)))
                     break
             else:
                 order.append(stack.pop()[0])
@@ -266,12 +254,7 @@ class _Builder:
         kept = [blocks[old] for old in order]
         for new, b in enumerate(kept):
             b.id = new
-            term = b.terminator
-            if isinstance(term, Branch):
-                b.terminator = _new(Branch, (term.cond, renumber[term.true_target],
-                                             renumber[term.false_target]))
-            elif isinstance(term, Jump):
-                b.terminator = _new(Jump, (renumber[term.target],))
+            b.succs = [renumber[succ] for succ in b.succs]
         return Cfg(self.fn, kept, renumber[first], renumber[self.exit], self.notes)
 
 
@@ -289,20 +272,19 @@ def dump_cfg(cfg: Cfg) -> str:
             " (exit)" if block.id == cfg.exit else "")
         lines.append(f"  B{block.id}{tag}:")
         for element in block.elements:
-            if isinstance(element, StmtElement):
-                stmt = element.stmt
-                line, column = stmt.file.line_column(stmt.begin)
-                text = " ".join(node_text(stmt).split())
-                lines.append(f"    <{line}:{column}> {text}")
-            else:
+            if element.__class__ is ImplicitDtorElement:
                 lines.append(f"    ~{element.var.name}() [string dtor]")
-        t = block.terminator
-        if isinstance(t, Branch):
-            cond = " ".join(node_text(t.cond).split())
-            lines.append(f"    T: branch ({cond}) -> B{t.true_target}, B{t.false_target}")
-        elif isinstance(t, Jump):
-            kind = "return" if t.target == cfg.exit else "jump"
-            lines.append(f"    T: {kind} -> B{t.target}")
+            else:
+                line, column = element.file.line_column(element.begin)
+                text = " ".join(node_text(element).split())
+                lines.append(f"    <{line}:{column}> {text}")
+        succs = block.succs
+        if block.cond is not None:
+            cond = " ".join(node_text(block.cond).split())
+            lines.append(f"    T: branch ({cond}) -> B{succs[0]}, B{succs[1]}")
+        elif succs:
+            kind = "return" if succs[0] == cfg.exit else "jump"
+            lines.append(f"    T: {kind} -> B{succs[0]}")
     for note in cfg.notes:
         lines.append(f"  ! {note}")
     return "\n".join(lines)

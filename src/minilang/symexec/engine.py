@@ -33,9 +33,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from ..cfg import (
-    Branch, build_cfg, Cfg, ImplicitDtorElement, Jump, StmtElement,
-)
+from ..cfg import build_cfg, Cfg, ImplicitDtorElement
 from ..frontend.astnodes import (
     AddressOf, Assign, BinaryOp, BOOL, BoolLit, BreakStmt, BUILTIN_BASES, Call,
     ContinueStmt, DeclRef, DeleteStmt, ExprStmt, FieldAccess,
@@ -46,8 +44,8 @@ from ..source import InternalError, SourceLocation
 from .state import assume, assume_comparison, COMPARISONS, ProgramState
 from .values import (
     as_symbol, FieldRegion, LocVal, MemRegion, RangeSet, region_root,
-    region_within, RetRegion, SVal, sym_add, sym_mul, sym_val,
-    Symbol, SymbolicVal, TempRegion, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
+    region_within, RetRegion, SVal, sym_add, sym_mul, Symbol, SymExpr,
+    TempRegion, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
 )
 
 # The checker callbacks the engine dispatches; a checker implements any subset.
@@ -294,10 +292,10 @@ class Engine:
             self._noted.update(cfg.notes)
         return cfg
 
-    def conjure(self, hint: str = "") -> SVal:
+    def conjure(self, hint: str = "") -> Symbol:
         self._conjure_counter += 1
         name = hint or f"c{self._conjure_counter}"
-        return sym_val(_new(Symbol, (self._conjure_counter, name)))
+        return _new(Symbol, (self._conjure_counter, name))
 
     def new_frame(self, fn: FunctionDecl, depth: int) -> _Frame:
         self._frame_counter += 1
@@ -371,14 +369,10 @@ class Engine:
 
     def step(self, node: ExplodedNode) -> list[ExplodedNode]:
         point = node.point
-        kind = point.__class__  # no point class has subclasses
-        if kind is BlockEdgePoint:
+        if point.__class__ is BlockEdgePoint:
             return self.exec_block_from(node, point.frame, point.dst, 0)
-        if kind is PostStmtPoint or kind is PostImplicitCallPoint:
-            if point.block < 0:
-                return []
-            return self.exec_block_from(node, point.frame, point.block, point.index + 1)
-        return []
+        # a PostStmtPoint of a block element or a PostImplicitCallPoint
+        return self.exec_block_from(node, point.frame, point.block, point.index + 1)
 
     def exec_block_from(self, via: ExplodedNode, fid: int, block_id: int,
                         index: int) -> list[ExplodedNode]:
@@ -389,11 +383,11 @@ class Engine:
             if index == len(block.elements):
                 return self.exec_terminator(via, state, frame, block)
             element = block.elements[index]
-            if isinstance(element, StmtElement):
+            if element.__class__ is not ImplicitDtorElement:  # a statement node
                 out: list[ExplodedNode] = []
-                for st, v in self.exec_stmt(via, state, frame, element.stmt):
+                for st, v in self.exec_stmt(via, state, frame, element):
                     st = self.reap(st)
-                    point = _new(PostStmtPoint, (block_id, index, fid, element.stmt))
+                    point = _new(PostStmtPoint, (block_id, index, fid, element))
                     node, is_new = self._graph.add(point, st, v)
                     if is_new:
                         out.append(node)
@@ -408,17 +402,16 @@ class Engine:
 
     def exec_terminator(self, via: ExplodedNode, state: ProgramState,
                         frame: _Frame, block) -> list[ExplodedNode]:
-        term = block.terminator
-        if term is None:
+        succs = block.succs
+        if not succs:
             return []  # function exit: a leaf of this frame's exploration
-        if isinstance(term, Jump):
-            node = self.make_block_edge(via, state, frame, block.id, term.target)
+        if block.cond is None:
+            node = self.make_block_edge(via, state, frame, block.id, succs[0])
             return [node] if node is not None else []
-        assert isinstance(term, Branch)
         out = []
-        for truth, st, v in self.branch_split(via, state, frame, term.cond):
-            target = term.true_target if truth else term.false_target
-            node = self.make_block_edge(v, st, frame, block.id, target)
+        for truth, st, v in self.branch_split(via, state, frame, block.cond):
+            node = self.make_block_edge(v, st, frame, block.id,
+                                        succs[0] if truth else succs[1])
             if node is not None:
                 out.append(node)
         return out
@@ -663,7 +656,7 @@ class Engine:
             return val, state
         if isinstance(region, FieldRegion):
             parent_val = state.lookup(region.parent)
-            if isinstance(parent_val, SymbolicVal):
+            if isinstance(parent_val, SymExpr):
                 # unknown struct contents: conjure once and remember
                 fresh = self.conjure()
                 return fresh, state.bind(region, fresh)
@@ -677,9 +670,8 @@ class Engine:
             if expr.op == "-":
                 if val.__class__ is int:
                     out.append((-val, st, v))
-                elif isinstance(val, SymbolicVal):
-                    negated = sym_mul(val.expr, -1)
-                    out.append((_new(SymbolicVal, (negated,)), st, v))
+                elif isinstance(val, SymExpr):
+                    out.append((sym_mul(val, -1), st, v))
                 else:
                     out.append((UNKNOWN, st, v))
             elif expr.op == "!":
@@ -776,25 +768,24 @@ class Engine:
                     return UNKNOWN  # a sink already fired when DivZero is on
                 return _c_div(lv, rv)
         if op == "+":
-            if isinstance(lv, SymbolicVal) and rv_int:
-                return _new(SymbolicVal, (sym_add(lv.expr, rv),))
-            if lv_int and isinstance(rv, SymbolicVal):
-                return _new(SymbolicVal, (sym_add(rv.expr, lv),))
+            if isinstance(lv, SymExpr) and rv_int:
+                return sym_add(lv, rv)
+            if lv_int and isinstance(rv, SymExpr):
+                return sym_add(rv, lv)
         if op == "-":
-            if isinstance(lv, SymbolicVal) and rv_int:
-                return _new(SymbolicVal, (sym_add(lv.expr, -rv),))
-            if lv_int and isinstance(rv, SymbolicVal):
-                negated = sym_mul(rv.expr, -1)
-                return _new(SymbolicVal, (sym_add(negated, lv),))
+            if isinstance(lv, SymExpr) and rv_int:
+                return sym_add(lv, -rv)
+            if lv_int and isinstance(rv, SymExpr):
+                return sym_add(sym_mul(rv, -1), lv)
         if op == "*":
             sym, const = None, None
-            if isinstance(lv, SymbolicVal) and rv_int:
+            if isinstance(lv, SymExpr) and rv_int:
                 sym, const = lv, rv
-            elif lv_int and isinstance(rv, SymbolicVal):
+            elif lv_int and isinstance(rv, SymExpr):
                 sym, const = rv, lv
             if sym is not None:
-                product = sym_mul(sym.expr, const)
-                return 0 if product is None else _new(SymbolicVal, (product,))
+                product = sym_mul(sym, const)
+                return 0 if product is None else product
         return UNKNOWN  # symbol-vs-symbol arithmetic is not modeled
 
     def eval_field(self, via, state, frame, expr: FieldAccess):
@@ -805,7 +796,7 @@ class Engine:
             if isinstance(pointer, LocVal):
                 out.append((*self.load(st, _field_region(pointer.region, expr), frame), v))
             else:  # a field behind a symbolic pointer gets a fresh symbol
-                out.append((self.conjure() if isinstance(pointer, SymbolicVal) else UNKNOWN,
+                out.append((self.conjure() if isinstance(pointer, SymExpr) else UNKNOWN,
                             st, v))
         return out
 
@@ -817,15 +808,14 @@ class Engine:
 
     def eval_new(self, via, state, frame, expr: NewExpr):
         line, _ = expr.file.line_column(expr.begin)
-        val = self.conjure(f"new{line}_{self._conjure_counter + 1}")
-        sym = as_symbol(val)
+        sym = self.conjure(f"new{line}_{self._conjure_counter + 1}")
         state = state.constrain(sym, RangeSet.singleton(0).complement())
         state, via, sank = self.dispatch(
             "check_post_new", via, state, _new(PreStmtPoint, (frame.id, expr)),
             expr, sym, make_node=False)
         if sank:
             return []
-        return [(val, state, via)]
+        return [(sym, state, via)]
 
     def eval_assign(self, via, state, frame, expr: Assign):
         lhs_type = expr.lhs.type

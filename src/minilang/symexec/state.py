@@ -7,8 +7,8 @@ from collections.abc import KeysView, Mapping
 
 from ..source import InternalError
 from .values import (
-    LocVal, MemRegion, RangeSet, SVal, Symbol, SymbolicVal,
-    SymExpr, linear_form, UndefinedVal, UnknownVal, val_symbols,
+    LocVal, MemRegion, RangeSet, SVal, Symbol, SymExpr, SymIntOp,
+    linear_form, UndefinedVal, UnknownVal, val_symbols,
 )
 
 # The six comparison operators, each with its meaning on two ints.
@@ -151,11 +151,15 @@ class ProgramState:
             old = store.get(region, _ABSENT)
             if old is not _ABSENT:
                 delta ^= hash((region, old))
-                if old.__class__ is SymbolicVal:
+                if old.__class__ is Symbol:
+                    gone.append(old)
+                elif old.__class__ is SymIntOp:
                     gone += val_symbols(old)
             store[region] = val
             delta ^= hash((region, val))
-            if val.__class__ is SymbolicVal:
+            if val.__class__ is Symbol:
+                came.append(val)
+            elif val.__class__ is SymIntOp:
                 came += val_symbols(val)
         new = self._derive(_STORE, store, self._digests[_STORE] ^ delta)
         if came != gone:
@@ -356,8 +360,8 @@ def assume(state: ProgramState, val: SVal, truth: bool) -> ProgramState | None:
     """Refine `state` by `val` being true/false; None when infeasible."""
     if val.__class__ is int:
         return state if bool(val) == truth else INFEASIBLE
-    if isinstance(val, SymbolicVal):
-        return assume_relation(state, val.expr, "!=", 0, truth)
+    if isinstance(val, SymExpr):
+        return assume_relation(state, val, "!=", 0, truth)
     if isinstance(val, LocVal):
         return state if truth else INFEASIBLE  # a live region is never null
     if isinstance(val, (UnknownVal, UndefinedVal)):
@@ -397,10 +401,10 @@ def assume_comparison(state: ProgramState, lhs: SVal, op: str, rhs: SVal,
     rhs_int = rhs.__class__ is int
     if lhs_int and rhs_int:
         return state if COMPARISONS[op](lhs, rhs) == truth else INFEASIBLE
-    if isinstance(lhs, SymbolicVal) and rhs_int:
-        return assume_relation(state, lhs.expr, op, rhs, truth)
-    if lhs_int and isinstance(rhs, SymbolicVal):
-        return assume_relation(state, rhs.expr, _MIRROR[op], lhs, truth)
+    if isinstance(lhs, SymExpr) and rhs_int:
+        return assume_relation(state, lhs, op, rhs, truth)
+    if lhs_int and isinstance(rhs, SymExpr):
+        return assume_relation(state, rhs, _MIRROR[op], lhs, truth)
     if op in ("==", "!="):
         unequal = (op == "!=") == truth  # the refinement demands lhs != rhs
         if (isinstance(lhs, LocVal) and rhs_int and rhs == 0

@@ -1,14 +1,17 @@
 """Symbolic values, memory regions and integer range sets.
 
 Values, expressions and regions are plain Python values, as in Clang's
-static analyzer: a concrete value is an `int`, a symbol is itself a
-symbolic expression, and the rest are named tuples, built, compared and
-hashed by the interpreter's tuple code, with no generated methods. Tuple
-equality ignores the class, so each kind differs from every other kind it
-is compared with in arity or field types. Only two kinds say what they
-equal: a symbol equals only itself, and each field-less value is a
-singleton object. Regions are compared only with regions and values only with
-values (as store keys and store values).
+static analyzer, and a value's class is the tag that Clang's SVal stores
+by hand: a concrete value is an `int`, a symbolic value is its expression
+(a `Symbol` or a `SymIntOp`), a pointer is a `LocVal`, and the rest are
+the singletons `UNDEFINED` and `UNKNOWN`. Expressions, `LocVal` and
+regions are named tuples, built, compared and hashed by the interpreter's
+tuple code, with no generated methods. Tuple equality ignores the class,
+so no two value kinds may be equal as tuples: an `int` equals no tuple,
+each singleton and each `Symbol` equals only itself, and the other tuple
+kinds differ in arity, a `LocVal` having one field and a `SymIntOp` three.
+Regions are compared only with regions and values only with values (as
+store keys and store values).
 """
 
 from __future__ import annotations
@@ -126,13 +129,6 @@ class UnknownVal(_Singleton):
     text = "unknown"
 
 
-class SymbolicVal(NamedTuple):
-    expr: SymExpr
-
-    def __str__(self):
-        return str(self.expr)
-
-
 class LocVal(NamedTuple):
     region: MemRegion
 
@@ -145,30 +141,21 @@ UNKNOWN = UnknownVal()
 
 # A concrete value is an `int`. A comparison yields 0 or 1, never a `bool`,
 # which would print as `True`. Null is the `int` 0.
-SVal = UndefinedVal | UnknownVal | int | SymbolicVal | LocVal
-
-
-def sym_val(symbol: Symbol) -> SymbolicVal:
-    return _new(SymbolicVal, (symbol,))
+SVal = UndefinedVal | UnknownVal | int | SymExpr | LocVal
 
 
 def as_symbol(val: SVal) -> Symbol | None:
-    """The plain tracked symbol a value carries, if any."""
-    if val.__class__ is SymbolicVal and val.expr.__class__ is Symbol:
-        return val.expr
-    return None
+    """The value if it is a plain tracked symbol."""
+    return val if val.__class__ is Symbol else None
 
 
 def val_symbols(val: SVal) -> tuple[Symbol, ...]:
     """The symbols a value mentions: none, or the one symbol at the root of
     its expression, as every expression is linear in one symbol. Values
     without a symbol share one empty tuple."""
-    if val.__class__ is not SymbolicVal:
-        return _NO_SYMBOLS
-    expr = val.expr
-    while expr.__class__ is SymIntOp:
-        expr = expr.lhs
-    return (expr,)
+    while val.__class__ is SymIntOp:
+        val = val.lhs
+    return (val,) if val.__class__ is Symbol else _NO_SYMBOLS
 
 
 _NO_SYMBOLS: tuple[Symbol, ...] = ()

@@ -10,6 +10,7 @@ guard + initializing-dereference pair into an if-scoped pointer.
 from __future__ import annotations
 
 import enum
+import re
 from collections.abc import Sequence
 
 from . import matchers as M
@@ -284,6 +285,10 @@ class RedundantPointerCheck(TidyCheck):
         return [d1, d3]
 
 
+# whitespace and `//` comments up to a declaration's ';'
+_TO_SEMICOLON = re.compile(r"(?:\s|//[^\n]*)*;")
+
+
 def statement_range(decl: VarDecl, file: SourceFile, widen: bool = True) -> SourceRange:
     """The declaration statement's extent: declaration plus its trailing ';'.
 
@@ -291,12 +296,10 @@ def statement_range(decl: VarDecl, file: SourceFile, widen: bool = True) -> Sour
     removal does not leave a blank line behind.
     """
     text = file.text
-    end = decl.end
-    while end < len(text) and text[end] in " \t":
-        end += 1
-    if end >= len(text) or text[end] != ";":
+    semicolon = _TO_SEMICOLON.match(text, decl.end)
+    if semicolon is None:
         raise InternalError("declaration statement without trailing ';'")
-    end += 1
+    end = semicolon.end()
     begin = decl.begin
     if widen:
         line_start = text.rfind("\n", 0, begin) + 1

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from minilang.cfg import Branch, build_cfg, Cfg
+from minilang.cfg import build_cfg, Cfg
 from minilang.frontend.astnodes import Paren, UnaryOp
 from minilang.symexec.engine import BlockEdgePoint, ExplodedNode
-from minilang.symexec.values import linear_form, RangeSet, RetRegion, SymbolicVal
+from minilang.symexec.values import linear_form, RangeSet, RetRegion
 
 from interp_oracle import run_function
 from proggen import GRID
@@ -35,9 +35,9 @@ def leaf_decisions(leaf: ExplodedNode, cfg: Cfg) -> list[tuple[int, bool]]:
     for node in pred_chain(leaf):
         point = node.point
         if isinstance(point, BlockEdgePoint) and point.src >= 0:
-            term = cfg.block(point.src).terminator
-            if isinstance(term, Branch):
-                cond, truth = term.cond, point.dst == term.true_target
+            block = cfg.block(point.src)
+            if block.cond is not None:
+                cond, truth = block.cond, point.dst == block.succs[0]
                 while isinstance(cond.parent, (Paren, UnaryOp)):
                     truth ^= isinstance(cond.parent, UnaryOp)  # a `!`
                     cond = cond.parent
@@ -69,7 +69,7 @@ def value_at(val, witness: dict[str, int]) -> int | None:
     parameter; None for any other value."""
     if val.__class__ is int:
         return val
-    form = linear_form(val.expr) if isinstance(val, SymbolicVal) else None
+    form = linear_form(val)  # None for a value that is no symbolic expression
     if form is None or form[0].name not in witness:
         return None
     sym, a, b = form

@@ -1,8 +1,6 @@
 """CFG construction: shapes, destructor elements, numbering, dead code."""
 
-from minilang.cfg import (
-    Branch, build_cfg, dump_cfg, ImplicitDtorElement, Jump, StmtElement,
-)
+from minilang.cfg import build_cfg, dump_cfg, ImplicitDtorElement
 from minilang.frontend.astnodes import (
     DeleteStmt, ExprStmt, FunctionDecl, ReturnStmt, VarDecl, walk,
 )
@@ -26,7 +24,7 @@ def all_paths(cfg, limit: int = 200):
         if block_id == cfg.exit:
             paths.append(path)
             return
-        for succ in cfg.block(block_id).successors():
+        for succ in cfg.block(block_id).succs:
             edge = (block_id, succ)
             if seen_edges.count(edge) >= 2 or len(paths) >= limit:
                 continue
@@ -41,21 +39,21 @@ def test_straight_line_body_is_one_block():
     body_blocks = [b for b in cfg.blocks
                    if b.id not in (cfg.exit,) and b.elements]
     assert len(body_blocks) == 1
-    term = body_blocks[0].terminator
-    assert isinstance(term, Jump) and term.target == cfg.exit
+    block = body_blocks[0]
+    assert block.cond is None and block.succs == [cfg.exit]
 
 
 def test_diamond_for_if_else():
     cfg = cfg_of(EXPLODED_G)
-    branches = [b for b in cfg.blocks if isinstance(b.terminator, Branch)]
+    branches = [b for b in cfg.blocks if b.cond is not None]
     assert len(branches) == 1
-    t = branches[0].terminator
-    assert t.true_target != t.false_target
-    true_elems = cfg.block(t.true_target).elements
-    false_elems = cfg.block(t.false_target).elements
+    true_target, false_target = branches[0].succs
+    assert true_target != false_target
+    true_elems = cfg.block(true_target).elements
+    false_elems = cfg.block(false_target).elements
     assert len(true_elems) == 1 and len(false_elems) == 1
     # both assignment arms join before the exit
-    assert cfg.block(t.true_target).successors() == cfg.block(t.false_target).successors()
+    assert cfg.block(true_target).succs == cfg.block(false_target).succs
 
 
 def test_dtor_element_on_return_edge():
@@ -68,24 +66,19 @@ char* hard(bool cond) {
 """)
     return_blocks = [
         b for b in cfg.blocks
-        if any(isinstance(e, StmtElement) and isinstance(e.stmt, ReturnStmt)
-               for e in b.elements)
+        if any(isinstance(e, ReturnStmt) for e in b.elements)
     ]
     assert len(return_blocks) == 1
     elements = return_blocks[0].elements
-    kinds = [type(e).__name__ for e in elements]
-    ret_at = kinds.index("StmtElement") if not isinstance(
-        elements[0], StmtElement) else max(
-        i for i, e in enumerate(elements)
-        if isinstance(e, StmtElement) and isinstance(e.stmt, ReturnStmt))
+    ret_at = max(i for i, e in enumerate(elements) if isinstance(e, ReturnStmt))
     assert isinstance(elements[ret_at + 1], ImplicitDtorElement)
     assert elements[ret_at + 1].var.name == "s"
     # the destructor is attributed to the return statement's line
-    assert elements[ret_at + 1].loc.line == elements[ret_at].stmt.range.begin.line
+    assert elements[ret_at + 1].loc.line == elements[ret_at].range.begin.line
 
 
-def test_every_path_runs_each_dtor_exactly_once():
-    cfg = cfg_of("""\
+DTOR_SHAPES = [
+    """\
 void f(bool c) {
   string outer;
   if (c) {
@@ -95,17 +88,37 @@ void f(bool c) {
   }
   outer.c_str();
 }
-""")
-    for path in all_paths(cfg):
-        dtors = [e.var.name for bid in path
-                 for e in cfg.block(bid).elements
-                 if isinstance(e, ImplicitDtorElement)]
-        assert dtors.count("outer") == 1
-        inner_expected = 1 if any(
-            isinstance(e, StmtElement) and isinstance(e.stmt, VarDecl)
-            and e.stmt.name == "inner"
-            for bid in path for e in cfg.block(bid).elements) else 0
-        assert dtors.count("inner") == inner_expected
+""",
+    # an unbraced branch or loop body is a scope of its own
+    """\
+extern bool g();
+void f(bool c) { if (c) string s = "a"; while (g()) string t = "b"; int k = 1; }
+""",
+    """\
+extern bool g();
+void f(bool c) {
+  string outer;
+  if (c) string s = "a"; else string e = "b";
+  while (g())
+    if (c) string t = "c";
+  while (g()) { string u; if (c) break; string v; }
+}
+""",
+]
+
+
+def test_every_path_runs_each_dtor_exactly_once():
+    # on every path, each string's destructor runs as often as its declaration
+    for source in DTOR_SHAPES:
+        cfg = cfg_of(source)
+        paths = all_paths(cfg)
+        assert paths
+        for path in paths:
+            elements = [e for bid in path for e in cfg.block(bid).elements]
+            dtors = [e.var.name for e in elements if isinstance(e, ImplicitDtorElement)]
+            decls = [e.name for e in elements
+                     if isinstance(e, VarDecl) and e.declared_type.base == "string"]
+            assert sorted(dtors) == sorted(decls), (source, path)
 
 
 def test_dtors_in_reverse_declaration_order():
@@ -130,10 +143,10 @@ int f(int n) {
 }
 """)
     # the loop head is a branch; continue jumps back to it, break past it
-    heads = [b.id for b in cfg.blocks if isinstance(b.terminator, Branch)
-             and b.terminator.cond.parent.kind == "WhileStmt"]
+    heads = [b.id for b in cfg.blocks if b.cond is not None
+             and b.cond.parent.kind == "WhileStmt"]
     assert len(heads) == 1
-    jumps = [b.terminator.target for b in cfg.blocks if isinstance(b.terminator, Jump)]
+    jumps = [b.succs[0] for b in cfg.blocks if b.cond is None and b.succs]
     assert heads[0] in jumps
 
 
@@ -152,8 +165,8 @@ void f(bool c) {
     cfg = build_cfg(fn)
     simple = [n for n in walk(fn.body)
               if isinstance(n, (VarDecl, ExprStmt, ReturnStmt, DeleteStmt))]
-    placed = [e.stmt for b in cfg.blocks for e in b.elements
-              if isinstance(e, StmtElement)]
+    placed = [e for b in cfg.blocks for e in b.elements
+              if not isinstance(e, ImplicitDtorElement)]
     assert sorted(id(s) for s in simple) == sorted(id(s) for s in placed)
 
 
@@ -165,8 +178,8 @@ int f() {
 }
 """)
     assert any("unreachable" in note for note in cfg.notes)
-    placed = [e.stmt.kind for b in cfg.blocks for e in b.elements
-              if isinstance(e, StmtElement)]
+    placed = [e.kind for b in cfg.blocks for e in b.elements
+              if not isinstance(e, ImplicitDtorElement)]
     assert "VarDecl" not in placed
 
 
@@ -187,17 +200,17 @@ void f(int a) {
         if bid in reachable:
             continue
         reachable.add(bid)
-        stack.extend(first.block(bid).successors())
+        stack.extend(first.block(bid).succs)
     assert reachable == {b.id for b in first.blocks}
-    assert first.block(first.exit).successors() == []
+    assert first.block(first.exit).succs == []
 
 
 def test_short_circuit_conditions_lower_to_branch_tree():
     cfg = cfg_of("void f(bool a, bool b) { if (a && b) { } }")
-    branches = [b for b in cfg.blocks if isinstance(b.terminator, Branch)]
+    branches = [b for b in cfg.blocks if b.cond is not None]
     assert len(branches) == 2  # one per operand
     for b in branches:
-        assert b.terminator.cond.kind == "DeclRef"
+        assert b.cond.kind == "DeclRef"
 
 
 def test_if_with_initializer_element_precedes_branch(tmp_path):
@@ -210,6 +223,5 @@ void f() {
 }
 """, std=17)
     entry_elems = cfg.block(cfg.entry).elements
-    assert any(isinstance(e, StmtElement) and isinstance(e.stmt, VarDecl)
-               for e in entry_elems)
-    assert isinstance(cfg.block(cfg.entry).terminator, Branch)
+    assert any(isinstance(e, VarDecl) for e in entry_elems)
+    assert cfg.block(cfg.entry).cond is not None

@@ -11,7 +11,7 @@ import pathlib
 import pytest
 
 from minilang import matchers as M
-from minilang.cfg import Branch, build_cfg, ImplicitDtorElement, Jump, StmtElement
+from minilang.cfg import build_cfg, ImplicitDtorElement
 from minilang.checkers import (
     AllocationFamily, CHECKERS, CheckerDescriptor, MALLOC_SLOT, RefState, RefStatus,
 )
@@ -24,7 +24,7 @@ from minilang.source import InternalError, SourceFile, SourceLocation, SourceRan
 from minilang.symexec import (
     BlockEdgePoint, CallEnterPoint, CallExitPoint, ExplodedGraph, FieldRegion,
     LocVal, PostImplicitCallPoint, PostStmtPoint, PreStmtPoint,
-    ProgramState, RangeSet, region_type, RetRegion, Symbol, SymbolicVal,
+    ProgramState, RangeSet, region_type, RetRegion, Symbol,
     SymIntOp, TempRegion, UNDEFINED, UNKNOWN, VarRegion,
 )
 from minilang.tidy import UsageKind, VarUsage
@@ -134,17 +134,22 @@ def test_symbols_compare_by_identity():
     assert a == a and not a != a
     assert a != b and not a == b
     assert len({a, b}) == 2
-    assert SymbolicVal(a) != SymbolicVal(b)
 
 
 def test_values_of_different_kinds_never_compare_equal():
+    # every value kind in its plain shape: a symbolic value is its
+    # expression, so only arity keeps the tuple kinds apart
     sym = symbol()
     region = VarRegion(NODE, 1)
-    values = [0, SymbolicVal(sym), SymbolicVal(SymIntOp(sym, "+", 1)), LocVal(region),
-              LocVal(FieldRegion(region, S_X)), UNDEFINED, UNKNOWN]
+    expr = next(n for n in UNIT.preorder if n.kind == "DeclRef")
+    values = [0, 1, sym, SymIntOp(sym, "+", 1), SymIntOp(sym, "*", 1), LocVal(region),
+              LocVal(FieldRegion(region, S_X)), LocVal(TempRegion(expr, 1)),
+              UNDEFINED, UNKNOWN]
     for i, a in enumerate(values):
         for j, b in enumerate(values):
             assert (a == b) is (i == j), (a, b)
+            assert (a != b) is (i != j), (a, b)
+    assert len(set(values)) == len(values)
 
 
 def test_regions_of_different_kinds_never_compare_equal():
@@ -209,10 +214,8 @@ def frozen_records() -> list:
     matcher = M.varDecl()
     return [
         sym, SymIntOp(sym, "+", 1), UNDEFINED, UNKNOWN,
-        SymbolicVal(sym), LocVal(region), region, FieldRegion(region, S_X),
-        RangeSet.full(), *one_point_of_each_class(),
-        StmtElement(NODE), ImplicitDtorElement(NODE, LOC), Branch(NODE, 1, 2),
-        Jump(1),
+        LocVal(region), region, FieldRegion(region, S_X),
+        RangeSet.full(), *one_point_of_each_class(), ImplicitDtorElement(NODE, LOC),
         FixIt.insertion(LOC, "x"),
         RefState.allocated(AllocationFamily.HEAP, None),
         next(iter(CHECKERS.values())),
@@ -263,8 +266,8 @@ def test_record_constructors_keep_their_keywords_and_defaults():
 
 
 # One program that reaches every hot site building a record with
-# `tuple.__new__`: tokens, types, locations, matches, the CFG's elements and
-# terminators, and the engine's points, regions, symbols and values.
+# `tuple.__new__`: tokens, types, locations, matches, the CFG's destructor
+# elements, and the engine's points, regions and symbols.
 EVERY_RECORD = """\
 extern void consume(char* c);
 struct S { int v; };
@@ -296,10 +299,10 @@ void g(int a) {
 }
 """
 HOT_RECORDS = {
-    TypeRef, SourceLocation, M.MatchResult, StmtElement, ImplicitDtorElement,
-    Jump, Branch, BlockEdgePoint, PreStmtPoint, PostStmtPoint, CallEnterPoint,
+    TypeRef, SourceLocation, M.MatchResult, ImplicitDtorElement,
+    BlockEdgePoint, PreStmtPoint, PostStmtPoint, CallEnterPoint,
     CallExitPoint, PostImplicitCallPoint, VarRegion, FieldRegion, RetRegion,
-    TempRegion, SymbolicVal, Symbol,
+    TempRegion, Symbol,
 }
 
 

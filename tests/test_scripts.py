@@ -41,11 +41,15 @@ def test_engine_cost_prints_one_line_per_analyze_workload(tmp_path):
     assert all(float(line.split(", ")[1].split()[0]) > 0 for line in lines)
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+def _script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _script("bench_pairs")
 
 
 @pytest.mark.parametrize("parent, change, better, wins, holds", [
@@ -125,3 +129,39 @@ def test_bench_pairs_copies_the_checkout_as_it_is_on_disk(tmp_path):
               for p in dest.rglob("*") if p.is_file()}
     assert copied == {".gitignore": "build/\n", "kept.py": "old\n",
                       "sub/edited.py": "new\n", "sub/untracked.py": "u\n"}
+
+
+def test_diff_outputs_finds_no_change_between_a_tree_and_itself(tmp_path, capsys):
+    # both sides are this working tree, so every output must hash the same
+    module = _script("diff_outputs")
+    labels = ["examples/div_zero.mc", "examples/redundant_ptr.mc"]
+    for label in labels:
+        (tmp_path / module.INPUTS / label).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / module.INPUTS / label).write_bytes((SCRIPTS / label).read_bytes())
+    src = SCRIPTS.parent / "src"
+    sides = [module.hash_tree(src, labels, tmp_path) for _ in range(2)]
+    assert list(sides[0]) == labels
+    assert all(list(modes) == list(module.MODES) for modes in sides[0].values())
+    # a tool run differs from its dump and fix runs
+    assert len(set(sides[0][labels[0]].values())) == len(module.MODES)
+    changed = module.compare(*sides)
+    assert changed == {mode: [] for mode in module.MODES}
+    assert module.report(labels, changed) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "7 modes x 2 inputs: 14 identical, 0 changed"
+
+
+def test_diff_outputs_counts_changed_and_missing_hashes(capsys):
+    module = _script("diff_outputs")
+    same = {mode: mode for mode in module.MODES}
+    parent = {"a.mc": same, "b.mc": same, "c.mc": same}
+    change = {"a.mc": {**same, "cfg": "other"}, "b.mc": same,
+              "c.mc": {mode: h for mode, h in same.items() if mode != "fix"},
+              "d.mc": same}  # an input the parent side never hashed
+    changed = module.compare(parent, change)
+    assert changed == {mode: {"cfg": ["a.mc", "d.mc"], "fix": ["c.mc", "d.mc"]}.get(
+        mode, ["d.mc"]) for mode in module.MODES}
+    assert module.report(["a.mc", "b.mc", "c.mc", "d.mc"], changed) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[module.MODES.index("cfg")] == (
+        "  cfg          2 identical     2 changed: a.mc, d.mc")
+    assert lines[-1] == "7 modes x 4 inputs: 19 identical, 9 changed"

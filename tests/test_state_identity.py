@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from minilang.frontend.astnodes import TypeRef
 from minilang.symexec import (
     FieldRegion, IMAX, IMIN, ProgramState, RangeSet, RetRegion,
-    sym_add, sym_val, Symbol, SymbolicVal, UNKNOWN, val_symbols, VarRegion,
+    sym_add, Symbol, UNKNOWN, val_symbols, VarRegion,
 )
 from minilang.symexec.state import COMPARISONS
 
@@ -22,8 +22,8 @@ _A, _B = VarRegion(_decl("a"), 1), VarRegion(_decl("b"), 2)
 REGIONS = [_A, _B, FieldRegion(_A, _decl("f")), VarRegion(_decl("c"), 1),
            RetRegion(1), RetRegion(2)]
 VALUES = ([0, 7, UNKNOWN]
-          + [sym_val(s) for s in SYMBOLS]
-          + [SymbolicVal(sym_add(s, 3)) for s in SYMBOLS])
+          + SYMBOLS
+          + [sym_add(s, 3) for s in SYMBOLS])
 RANGES = [RangeSet.singleton(0), RangeSet.of((1, 9)), RangeSet.full(),
           RangeSet.singleton(0).complement()]
 SLOTS = ("Checker.SymbolMap", "Checker.RegionSets", "Checker.EdgeCounts")
@@ -182,7 +182,7 @@ def test_equality_is_equality_of_contents(ops_a, ops_b):
 
 
 def test_mutators_leave_unchanged_components_shared():
-    state = ProgramState().bind(_A, sym_val(SYMBOLS[0]))
+    state = ProgramState().bind(_A, SYMBOLS[0])
     state = state.update_slot(SLOTS[0], {SYMBOLS[0]: 1})
     bound = state.bind(_B, 1)
     assert bound.gdm is state.gdm and bound.constraints is state.constraints
@@ -193,7 +193,7 @@ def test_mutators_leave_unchanged_components_shared():
 @settings(max_examples=200, deadline=None)
 def test_update_slot_is_a_dict_edit_of_the_named_entries(writes):
     # one live symbol, so that slot writes make symbols both dead and not
-    state = ProgramState().bind(_A, sym_val(SYMBOLS[0]))
+    state = ProgramState().bind(_A, SYMBOLS[0])
     for key, changes in writes:
         changes = resolve(key, state.slot(key), changes)
         expected = dict(state.slot(key))
@@ -223,7 +223,7 @@ def test_update_slot_is_a_dict_edit_of_the_named_entries(writes):
 @given(st.lists(SLOT_CHANGES, max_size=6), SLOT_CHANGES, SLOT_CHANGES, symbols)
 @settings(max_examples=200, deadline=None)
 def test_update_slots_equals_the_one_slot_writes_in_turn(history, first, second, moved):
-    state = ProgramState().bind(_A, sym_val(SYMBOLS[0]))
+    state = ProgramState().bind(_A, SYMBOLS[0])
     for key, changes in history:
         state = state.update_slot(key, resolve(key, state.slot(key), changes))
     # besides the drawn changes, `moved` leaves a region set for a symbol

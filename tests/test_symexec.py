@@ -12,7 +12,7 @@ from minilang.source import InternalError
 from minilang.symexec import (
     AnalysisConfig, as_symbol, assume, assume_relation, BlockEdgePoint,
     dump_dot, Engine, ExplodedGraph, IMAX, IMIN, LocVal, ProgramState, RangeSet,
-    region_root, RetRegion, sym_val, Symbol, SymIntOp, TempRegion, VarRegion,
+    region_root, RetRegion, Symbol, SymIntOp, TempRegion, VarRegion,
 )
 from minilang.symexec.engine import BudgetExhausted
 
@@ -70,7 +70,7 @@ def test_range_set_algebra_against_membership(a_iv, b_iv):
 
 def test_assume_splits_full_range_like_the_figure():
     sym = fresh_sym("b")
-    state = ProgramState().bind(VarRegion_stub(), sym_val(sym))
+    state = ProgramState().bind(VarRegion_stub(), sym)
     eq = assume_relation(state, sym, "==", 0, True)
     assert eq.range_of(sym) == RangeSet.singleton(0)
     ne = assume_relation(state, sym, "==", 0, False)
@@ -85,14 +85,14 @@ def VarRegion_stub():
 
 def test_assume_empty_intersection_is_infeasible():
     sym = fresh_sym("x")
-    state = ProgramState().bind(VarRegion_stub(), sym_val(sym))
+    state = ProgramState().bind(VarRegion_stub(), sym)
     state = state.constrain(sym, RangeSet.of((1, 10)))
     assert assume_relation(state, sym, ">", 10, True) is None
 
 
 def test_assume_supports_symbol_plus_constant():
     sym = fresh_sym("n")
-    state = ProgramState().bind(VarRegion_stub(), sym_val(sym))
+    state = ProgramState().bind(VarRegion_stub(), sym)
     refined = assume_relation(state, SymIntOp(sym, "+", 3), "<", 0, True)
     assert refined.range_of(sym).intervals == ((IMIN, -4),)
 
@@ -101,7 +101,7 @@ def test_chained_assumes_commute():
     relations = [("<", 10), (">", -10), ("!=", 0), ("<=", 5), (">=", -5)]
     for first, second in itertools.permutations(relations, 2):
         sym = fresh_sym("c")
-        state = ProgramState().bind(VarRegion_stub(), sym_val(sym))
+        state = ProgramState().bind(VarRegion_stub(), sym)
         one = assume_relation(state, sym, first[0], first[1], True)
         one = assume_relation(one, sym, second[0], second[1], True)
         other = assume_relation(state, sym, second[0], second[1], True)
@@ -111,9 +111,9 @@ def test_chained_assumes_commute():
 
 def test_assume_true_false_partition_disjoint():
     sym = fresh_sym("p")
-    state = ProgramState().bind(VarRegion_stub(), sym_val(sym))
-    yes = assume(state, sym_val(sym), True)
-    no = assume(state, sym_val(sym), False)
+    state = ProgramState().bind(VarRegion_stub(), sym)
+    yes = assume(state, sym, True)
+    no = assume(state, sym, False)
     assert yes.range_of(sym).intersect(no.range_of(sym)).is_empty
 
 
@@ -735,9 +735,9 @@ def test_a_node_past_the_budget_leaves_the_graph_as_it_was():
 def test_state_immutability_under_every_operation():
     sym = fresh_sym("s")
     region = VarRegion_stub()
-    state = (ProgramState().bind(region, sym_val(sym))
+    state = (ProgramState().bind(region, sym)
              .constrain(sym, RangeSet.of((1, 9))).update_slot("k", {sym: 1})
-             .bind(RetRegion(0), sym_val(sym)).update_slot("edges", {(2, 1, 0): 1}))
+             .bind(RetRegion(0), sym).update_slot("edges", {(2, 1, 0): 1}))
 
     def snapshot():
         return (dict(state.store), dict(state.constraints), dict(state.gdm),

@@ -221,6 +221,45 @@ void guarded() {
     assert rediags == []
 
 
+def test_declaration_whose_semicolon_is_on_a_later_line_is_fixed():
+    # whitespace and `//` comments may stand between a declaration and its ';'
+    single = """\
+struct S { int v; };
+extern S* mk();
+extern void use(int v);
+void f() {
+  S* p = mk() // c
+  ;
+  use(p->v);
+}
+"""
+    fixed, diags = fix(single)
+    assert [d.message for d in diags] == ["redundant pointer variable with only one usage"]
+    assert fixed.endswith("void f() {\n  use((mk())->v);\n}\n")
+    guarded = """\
+struct S { int v; };
+extern S* mk();
+extern void use(int v);
+void f() {
+  S* p = mk()
+  ;
+  if (!p)
+    return;
+  int v = p->v
+  ;
+  use(v);
+}
+"""
+    fixed, diags = fix(guarded, std=17)
+    assert [d.message for d in diags] == [
+        "redundant pointer variable declared",
+        "rewrite the conditional to C++17 initialise the pointer"]
+    assert norm_tokens(fixed) == norm_tokens(
+        guarded.split("void f")[0] + "void f() { int v; "
+        "if (S* p = mk(); (!p) || ((v = p->v), false)) return; use(v); }")
+    assert tidy_diags(fixed, std=17)[0] == []
+
+
 def test_guard_must_precede_deref_init():
     source = """\
 struct T { int v; };
