@@ -19,7 +19,7 @@ from .frontend.astnodes import (
     Block, BreakStmt, ContinueStmt, DeleteStmt, ExprStmt, FunctionDecl, IfStmt,
     Node, Paren, ReturnStmt, UnaryOp, BinaryOp, VarDecl, WhileStmt,
 )
-from .source import InternalError, SourceLocation
+from .source import InternalError, SourceLocation, SourceRange
 
 _new = tuple.__new__  # destructor elements skip the generated `__new__`
 
@@ -27,6 +27,11 @@ _new = tuple.__new__  # destructor elements skip the generated `__new__`
 class ImplicitDtorElement(NamedTuple):
     var: VarDecl  # a local of string type
     loc: SourceLocation  # where the scope is left
+
+    @property
+    def range(self) -> SourceRange:
+        """The empty range at `loc`, as a statement element has its range."""
+        return SourceRange(self.loc, self.loc)
 
 
 CfgElement = Node | ImplicitDtorElement  # a statement node or a destructor
@@ -244,10 +249,11 @@ class _Builder:
         if self.exit in seen:
             order.remove(self.exit)
         order.append(self.exit)  # exit numbered last, keeps dumps stable
-        for bid in range(len(blocks)):
-            if bid not in seen and bid != self.exit and blocks[bid].elements:
-                self.notes.append(
-                    f"{self.fn.name}: note: unreachable block dropped")
+        for block in blocks:  # a dropped block of destructors only drops no code
+            stmts = [] if block.id in seen else [
+                e for e in block.elements if e.__class__ is not ImplicitDtorElement]
+            if stmts:
+                self.notes.append(f"{stmts[0].range.begin}: note: unreachable code dropped")
         renumber = [-1] * len(blocks)  # old id -> new id; -1 for a dropped block
         for new, old in enumerate(order):
             renumber[old] = new

@@ -259,17 +259,6 @@ class MallocLite(Checker):
         if ref is not None and ref.status is RefStatus.RELEASED:
             self.handle_use_after_free(ctx, node.range, sym, ref)
 
-    def check_post_dtor(self, ctx: CheckerContext, element, pending_ret: SVal) -> None:
-        # A pointer already stashed for return dangles if a destructor that
-        # ran after the return statement released its target.
-        sym = as_symbol(pending_ret)
-        if sym is None:
-            return
-        ref = ctx.state.slot(MALLOC_SLOT).get(sym)
-        if ref is not None and ref.status is RefStatus.RELEASED:
-            rng = SourceRange(element.loc, element.loc)
-            self.handle_use_after_free(ctx, rng, sym, ref)
-
     def handle_use_after_free(self, ctx: CheckerContext, rng: SourceRange,
                               sym: Symbol, ref: RefState) -> None:
         inner = ref.family is AllocationFamily.INNER_BUFFER
@@ -310,7 +299,7 @@ class InnerPointer(Checker):
                 return
             if is_invalidating_member_function(call):
                 state = self.mark_ptr_symbols_released(state, region, node)
-        state = self.check_function_arguments(state, call)
+        state = self.release_reference_arguments(state, call)
         if state is not ctx.state:
             ctx.add_transition(state)
 
@@ -329,8 +318,9 @@ class InnerPointer(Checker):
         return state.update_slots({MALLOC_SLOT: dict.fromkeys(ptr_set, released),
                                    RAWPTR_SLOT: {region: None}})
 
-    def check_function_arguments(self, state: ProgramState,
-                                 call: CallInfo) -> ProgramState:
+    def release_reference_arguments(self, state: ProgramState,
+                                    call: CallInfo) -> ProgramState:
+        # Clang's checkFunctionArguments; `check_*` names are hooks only.
         # Unknown-body library calls only: externs, plus the builtin string
         # methods (swap takes string&). Inlined user functions are simulated.
         node = call.node

@@ -1,16 +1,18 @@
 """The path-sensitive symbolic execution engine.
 
-Exploration is worklist-driven (FIFO) over per-function CFGs. Exploded-graph
-nodes are created at block edges, after each statement element, after calls
-that change checker state, around inlined calls, and after implicit
-destructor elements; exact (point, state) duplicates are merged. Loop back
-edges are taken at most `unroll` times per path and each top-level function
-gets `node_budget` nodes before its remaining paths are abandoned.
+`Engine.explore` steps one frame, a top-level function or an inlined call,
+through its CFG from a FIFO worklist. Exploded-graph nodes are created at
+block edges, after each statement element, after calls that change checker
+state, around inlined calls, and after implicit destructor elements; exact
+(point, state) duplicates are merged. Loop back edges are taken at most
+`unroll` times per path and each top-level function gets `node_budget`
+nodes before its remaining paths are abandoned.
 
 A call to a defined function is inlined into a new frame while
 `inline_depth` allows. Its return statement binds the value to
 the frame's `RetRegion`, and CallExit reads it there, then drops every
-binding rooted in the callee frame and the frame's back-edge counts.
+binding rooted in the callee frame and the frame's back-edge counts. Each
+destructor run after the return statement uses the bound value again.
 
 One evaluator, `Engine.lvalue_outcomes`, says where an expression points.
 A read, a write or a method call through `*p`, `p->f` or `p->m()` checks
@@ -33,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
-from ..cfg import build_cfg, Cfg, ImplicitDtorElement
+from ..cfg import BasicBlock, build_cfg, Cfg, ImplicitDtorElement
 from ..frontend.astnodes import (
     AddressOf, Assign, BinaryOp, BOOL, BoolLit, BreakStmt, BUILTIN_BASES, Call,
     ContinueStmt, DeclRef, DeleteStmt, ExprStmt, FieldAccess,
@@ -50,7 +52,7 @@ from .values import (
 
 # The checker callbacks the engine dispatches; a checker implements any subset.
 CHECKER_HOOKS = (
-    "check_pre_delete", "check_implicit_dtor", "check_post_dtor", "check_use",
+    "check_pre_delete", "check_implicit_dtor", "check_use",
     "check_dead_symbols", "check_div", "check_post_new", "check_post_call",
 )
 
@@ -266,7 +268,6 @@ class Engine:
         self._classes: dict[tuple, int] = {}
         self._cfgs: dict[int, Cfg] = {}
         self._inlined: set[int] = set()
-        self._frames: dict[int, _Frame] = {}
         self._frame_counter = 0
         self._conjure_counter = 0
         self._graph: ExplodedGraph | None = None
@@ -299,9 +300,7 @@ class Engine:
 
     def new_frame(self, fn: FunctionDecl, depth: int) -> _Frame:
         self._frame_counter += 1
-        frame = _Frame(self._frame_counter, fn, depth)
-        self._frames[frame.id] = frame
-        return frame
+        return _Frame(self._frame_counter, fn, depth)
 
     def note(self, text: str):
         if text not in self._noted:
@@ -343,18 +342,11 @@ class Engine:
             state = state.bind(_new(VarRegion, (param, frame.id)), sym)
             state = self._constrain_fresh(state, sym, param.declared_type)
         cfg = frame.cfg = self.cfg_of(fn)
-        exhausted = f"{fn.name}: note: node budget exhausted, paths abandoned"
-        work: deque[ExplodedNode] = deque()
-        try:  # even the root counts against the budget
+        try:  # even the root counts against the budget; `explore` notes the rest
             root, _ = graph.add(_new(BlockEdgePoint, (-1, cfg.entry, frame.id)), state, None)
-            work.append(root)
+            self.explore(frame, root)
         except BudgetExhausted:
-            self.note(exhausted)
-        while work:
-            try:
-                work.extend(self.step(work.popleft()))
-            except BudgetExhausted:
-                self.note(exhausted)
+            self.note(f"{fn.name}: note: node budget exhausted, paths abandoned")
         self.result.graphs[fn.name] = graph
         return graph
 
@@ -367,37 +359,67 @@ class Engine:
 
     # --- stepping ---
 
-    def step(self, node: ExplodedNode) -> list[ExplodedNode]:
-        point = node.point
-        if point.__class__ is BlockEdgePoint:
-            return self.exec_block_from(node, point.frame, point.dst, 0)
-        # a PostStmtPoint of a block element or a PostImplicitCallPoint
-        return self.exec_block_from(node, point.frame, point.block, point.index + 1)
+    def explore(self, frame: _Frame, root: ExplodedNode) -> list[ExplodedNode]:
+        """Step `frame` from `root` in FIFO order; return its edges into the
+        exit. An inlined call runs to its end within its caller's step, so
+        only a top-level frame notes a spent node budget and goes on."""
+        blocks, exit_id = frame.cfg.blocks, frame.cfg.exit
+        exits = []
+        work = deque([root])
+        while work:
+            node = work.popleft()
+            point = node.point
+            try:
+                if point.__class__ is BlockEdgePoint:
+                    if point.dst == exit_id:
+                        exits.append(node)
+                        continue
+                    work.extend(self.exec_block_from(node, frame, blocks[point.dst], 0))
+                else:  # a PostStmtPoint of a block element or a PostImplicitCallPoint
+                    work.extend(self.exec_block_from(
+                        node, frame, blocks[point.block], point.index + 1))
+            except BudgetExhausted:
+                if frame.depth:
+                    raise
+                self.note(f"{frame.fn.name}: note: node budget exhausted, paths abandoned")
+        return exits
 
-    def exec_block_from(self, via: ExplodedNode, fid: int, block_id: int,
+    def exec_block_from(self, via: ExplodedNode, frame: _Frame, block: BasicBlock,
                         index: int) -> list[ExplodedNode]:
-        frame = self._frames[fid]
+        fid = frame.id
         state = via.state
-        block = frame.cfg.blocks[block_id]
+        elements = block.elements
         while True:
-            if index == len(block.elements):
+            if index == len(elements):
                 return self.exec_terminator(via, state, frame, block)
-            element = block.elements[index]
+            element = elements[index]
             if element.__class__ is not ImplicitDtorElement:  # a statement node
                 out: list[ExplodedNode] = []
                 for st, v in self.exec_stmt(via, state, frame, element):
                     st = self.reap(st)
-                    point = _new(PostStmtPoint, (block_id, index, fid, element))
+                    point = _new(PostStmtPoint, (block.id, index, fid, element))
                     node, is_new = self._graph.add(point, st, v)
                     if is_new:
                         out.append(node)
                 return out
-            advanced = self.exec_dtor(via, state, frame, element, block_id, index)
-            if advanced is None:
-                return []  # the path sank at this destructor
-            state, via, made_node = advanced
-            if made_node is not None:
-                return [made_node]
+            # an implicit string destructor
+            point = _new(PostImplicitCallPoint,
+                         (block.id, index, fid, element.var, element.loc))
+            state, node, sank = self.dispatch(
+                "check_implicit_dtor", via, state, point, element,
+                _new(VarRegion, (element.var, fid)), make_node=True)
+            if sank:
+                return []
+            # the value bound for return is used again after the destructor
+            pending = state.lookup(_new(RetRegion, (fid,))) if frame.returns_value else None
+            if pending is not None:
+                state, node, sank = self.dispatch(
+                    "check_use", node, state, point, element, pending, "return",
+                    make_node=False)
+                if sank:
+                    return []
+            if node is not via:
+                return [node]
             index += 1
 
     def exec_terminator(self, via: ExplodedNode, state: ProgramState,
@@ -523,29 +545,6 @@ class Engine:
                 continue
             out.append((st, v))
         return out
-
-    def exec_dtor(self, via: ExplodedNode, state: ProgramState, frame: _Frame,
-                  element: ImplicitDtorElement, block_id: int, index: int):
-        """Run one implicit string destructor. Returns (state, via, node|None),
-        or None when the path sank."""
-        region = _new(VarRegion, (element.var, frame.id))
-        point = _new(PostImplicitCallPoint,
-                     (block_id, index, frame.id, element.var, element.loc))
-        new_state, via2, sank = self.dispatch(
-            "check_implicit_dtor", via, state, point, element, region, make_node=True)
-        if sank:
-            return None
-        # a released return value "manifests" here, once the dtor has run
-        pending = (new_state.lookup(_new(RetRegion, (frame.id,)))
-                   if frame.returns_value else None)
-        if pending is not None:
-            st3, via3, sank = self.dispatch(
-                "check_post_dtor", via2, new_state, point, element, pending,
-                make_node=False)
-            if sank:
-                return None
-            new_state = st3
-        return new_state, via2, via2 if via2 is not via else None
 
     # --- checker dispatch ---
 
@@ -991,18 +990,8 @@ class Engine:
         cfg = new_frame.cfg = self.cfg_of(callee)
         root, _ = self._graph.add(
             _new(BlockEdgePoint, (-1, cfg.entry, new_frame.id)), enter_state, enter_node)
-        work = deque([root])
-        exits = []
-        while work:
-            node = work.popleft()
-            point = node.point
-            if isinstance(point, BlockEdgePoint) and point.frame == new_frame.id \
-                    and point.dst == cfg.exit:
-                exits.append(node)
-                continue
-            work.extend(self.step(node))
         out = []
-        for exit_node in exits:
+        for exit_node in self.explore(new_frame, root):
             st = exit_node.state
             ret = st.lookup(_new(RetRegion, (new_frame.id,)))
             if ret is None:

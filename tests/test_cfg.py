@@ -183,6 +183,25 @@ int f() {
     assert "VarDecl" not in placed
 
 
+def test_a_dropped_block_of_destructors_only_drops_no_code():
+    cfg = cfg_of("""\
+void g(bool c) { string t = "b"; if (c) { return; } else { return; } }
+""")
+    assert cfg.notes == []
+
+
+def test_each_dropped_block_is_noted_at_its_statement():
+    cfg = cfg_of("""\
+void g(bool c, int x) {
+  if (c) { return; } else { return; }
+  x = 1;
+  if (c) { x = 2; }
+}
+""")
+    assert cfg.notes == ["input.mc:3:3: note: unreachable code dropped",
+                         "input.mc:4:12: note: unreachable code dropped"]
+
+
 def test_block_numbering_deterministic_and_entry_reaches_all():
     src = """\
 void f(int a) {

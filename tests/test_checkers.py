@@ -3,8 +3,8 @@
 import pytest
 
 from minilang.checkers import (
-    AllocationFamily, assemble_bug_path, get_container_obj_region, InnerPointer,
-    is_invalidating_member_function, MALLOC_SLOT, RAWPTR_SLOT,
+    AllocationFamily, assemble_bug_path, DivZero, get_container_obj_region, InnerPointer,
+    is_invalidating_member_function, MALLOC_SLOT, MallocLite, RAWPTR_SLOT,
     RefStatus, registry_list, resolve_enabled, UnknownCheckerError,
 )
 from minilang.frontend.astnodes import Assign, MethodCall
@@ -12,7 +12,7 @@ from minilang.symexec import (
     CallExitPoint, PostImplicitCallPoint, PreStmtPoint, ProgramState, RetRegion,
     Symbol, VarRegion,
 )
-from minilang.symexec.engine import CallInfo
+from minilang.symexec.engine import CallInfo, CHECKER_HOOKS
 
 from conftest import analyze, frontend, USE_AFTER_CLEAR, USE_AFTER_FREE
 from engine_paths import replay_ends
@@ -41,6 +41,12 @@ def test_registry_listing_alphabetical():
              if l.startswith("  ")]
     names = [l.split()[0] for l in lines]
     assert names == sorted(names)
+
+
+def test_the_checkers_implement_exactly_the_dispatched_hooks():
+    implemented = {name for cls in (MallocLite, InnerPointer, DivZero)
+                   for name in vars(cls) if name.startswith("check_")}
+    assert implemented == set(CHECKER_HOOKS)
 
 
 def test_inner_pointer_pulls_in_its_dependency():

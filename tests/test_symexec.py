@@ -271,7 +271,7 @@ def test_evaluator_shapes_replay_in_the_oracle(shape):
     result, fe = analyze(EVALUATOR_SHAPES[shape])
     replay_ends(result, fe)
     assert result.reports == []
-    dropped = ["f: note: unreachable block dropped"]
+    dropped = ["input.mc:3:3: note: unreachable code dropped"]
     assert result.notes == (dropped if shape == "an unreachable block" else [])
 
 
@@ -714,6 +714,25 @@ void f(int a, int b, int c, int d) {
 """, config=AnalysisConfig(node_budget=20))
     assert len(result.graphs["f"]) <= 20
     assert any("node budget" in note for note in result.notes)
+
+
+def test_a_budget_spent_in_an_inlined_callee_is_noted_for_the_top_level_function():
+    result, _ = analyze("""\
+int f(int a, int b, int c, int d) { return g(a, b, c, d); }
+int g(int a, int b, int c, int d) {
+  int x = 0;
+  if (a > 0) { x = 1; } else { x = 2; }
+  if (b > 0) { x = 3; } else { x = 4; }
+  if (c > 0) { x = 5; } else { x = 6; }
+  if (d > 0) { x = 7; } else { x = 8; }
+  return x;
+}
+void h(int a) { if (a > 0) { a = 1; } }
+""", config=AnalysisConfig(node_budget=20))
+    assert result.notes == ["f: note: node budget exhausted, paths abandoned"]
+    assert list(result.graphs) == ["f", "h"]
+    assert len(result.graphs["f"]) == 20
+    assert len(result.graphs["h"].leaves()) == 2
 
 
 def test_a_node_past_the_budget_leaves_the_graph_as_it_was():
