@@ -60,18 +60,13 @@ class Cfg:
         return self.blocks[bid]
 
 
-class _Scope:
-    def __init__(self):
-        self.strings: list[VarDecl] = []
-
-
 class _Builder:
     def __init__(self, fn: FunctionDecl):
         self.fn = fn
         self.blocks: list[BasicBlock] = []
         self.exit = self.new_block().id
         self.current: BasicBlock | None = None
-        self.scopes: list[_Scope] = []
+        self.scopes: list[list[VarDecl]] = []  # the string locals of each open scope
         self.loops: list[tuple[int, int, int]] = []  # (continue, break, scope depth)
         self.notes: list[str] = []
 
@@ -95,7 +90,7 @@ class _Builder:
 
     def declare(self, decl: VarDecl):
         if decl.declared_type.base == "string" and decl.declared_type.indirections == 0:
-            self.scopes[-1].strings.append(decl)
+            self.scopes[-1].append(decl)
 
     def emit_dtors(self, down_to: int, offset: int):
         """Destructor elements for every string in scopes deeper than `down_to`,
@@ -103,7 +98,7 @@ class _Builder:
         located at `offset`, where the scope is left."""
         loc = None
         for scope in reversed(self.scopes[down_to:]):
-            for var in reversed(scope.strings):
+            for var in reversed(scope):
                 if loc is None:
                     loc = _new(SourceLocation, (self.fn.file, offset))
                 self.emit(_new(ImplicitDtorElement, (var, loc)))
@@ -113,7 +108,7 @@ class _Builder:
     def build(self) -> Cfg:
         first = self.new_block()
         self.current = first
-        self.scopes.append(_Scope())
+        self.scopes.append([])
         self.lower_stmts(self.fn.body.stmts)
         if self.current is not None:
             self.emit_dtors(0, self.fn.body.end)
@@ -166,14 +161,14 @@ class _Builder:
         """A block, an `if` branch or a loop body, in a scope of its own,
         braced or not, as C++ gives one to each such substatement; its
         strings die at its last character, a block's closing brace."""
-        self.scopes.append(_Scope())
+        self.scopes.append([])
         self.lower_stmts(stmt.stmts if isinstance(stmt, Block) else [stmt])
         if self.current is not None:
             self.emit_dtors(len(self.scopes) - 1, max(stmt.begin, stmt.end - 1))
         self.scopes.pop()
 
     def lower_if(self, stmt: IfStmt):
-        self.scopes.append(_Scope())
+        self.scopes.append([])
         if stmt.init is not None:
             self.emit(stmt.init)
             self.declare(stmt.init)
@@ -249,11 +244,7 @@ class _Builder:
         if self.exit in seen:
             order.remove(self.exit)
         order.append(self.exit)  # exit numbered last, keeps dumps stable
-        for block in blocks:  # a dropped block of destructors only drops no code
-            stmts = [] if block.id in seen else [
-                e for e in block.elements if e.__class__ is not ImplicitDtorElement]
-            if stmts:
-                self.notes.append(f"{stmts[0].range.begin}: note: unreachable code dropped")
+        self.note_dropped_code(seen)
         renumber = [-1] * len(blocks)  # old id -> new id; -1 for a dropped block
         for new, old in enumerate(order):
             renumber[old] = new
@@ -262,6 +253,30 @@ class _Builder:
             b.id = new
             b.succs = [renumber[succ] for succ in b.succs]
         return Cfg(self.fn, kept, renumber[first], renumber[self.exit], self.notes)
+
+    def note_dropped_code(self, seen: set[int]) -> None:
+        """One note per stretch of dropped code, at its first statement, as
+        Clang's -Wunreachable-code warns once per unreachable region: in
+        source order, a dropped block of code that no noted block reaches
+        is noted. A dropped block of destructors only drops no code."""
+        firsts = {}  # dropped block id -> its first statement
+        for block in self.blocks:
+            if block.id not in seen:
+                for element in block.elements:
+                    if element.__class__ is not ImplicitDtorElement:
+                        firsts[block.id] = element
+                        break
+        covered = set(seen)
+        for bid in sorted(firsts, key=lambda b: firsts[b].begin):
+            if bid in covered:
+                continue
+            self.notes.append(f"{firsts[bid].range.begin}: note: unreachable code dropped")
+            reached = [bid]
+            while reached:
+                b = reached.pop()
+                if b not in covered:
+                    covered.add(b)
+                    reached.extend(self.blocks[b].succs)
 
 
 def build_cfg(fn: FunctionDecl) -> Cfg:

@@ -54,9 +54,10 @@ class Node:
     `file` the buffer they index. `range` and the `*_loc` properties build
     locations from them only when something reads them. Every class is
     slotted (no instance dict) and sets its own fields, with no `super()`
-    chain. The parser links each child to its `parent` when it builds the
-    parent; `number_tree` assigns `node_id` and `last_id` once the unit is
-    complete.
+    chain. `push_children` is the one place that names a node's children:
+    once the unit is complete, `number_tree` walks it in one pass and gives
+    each node kept in the unit its `node_id`, `last_id` and `parent`. A node
+    dropped by error recovery gets none of them.
     """
 
     __slots__ = ("file", "begin", "end", "parent", "node_id", "last_id")
@@ -110,13 +111,10 @@ class TranslationUnit(Node):
         self.file = file
         self.begin = begin
         self.end = end
-        self.parent = None
         self.decls = decls
         self.preorder: list[Node] = []  # every node, indexed by node_id
         self.structs: dict[str, StructDecl] = {}  # filled by the typechecker
         self.functions: dict[str, FunctionDecl | ExternDecl] = {}  # likewise
-        for decl in decls:
-            decl.parent = self
 
     def push_children(self, stack):
         stack.extend(reversed(self.decls))
@@ -150,8 +148,6 @@ class StructDecl(Node):
         self.name = name
         self.fields = fields
         self.name_offset = name_offset
-        for field in fields:
-            field.parent = self
 
     def push_children(self, stack):
         stack.extend(reversed(self.fields))
@@ -167,15 +163,7 @@ class StructDecl(Node):
 class ParamDecl(Node):
     __slots__ = ("name", "declared_type", "name_offset")
     name_loc = _name_loc
-
-    def __init__(self, file: SourceFile, begin: int, end: int, name: str,
-                 declared_type: TypeRef, name_offset: int):
-        self.file = file
-        self.begin = begin
-        self.end = end
-        self.name = name
-        self.declared_type = declared_type
-        self.name_offset = name_offset
+    __init__ = FieldDecl.__init__
 
 
 @_n
@@ -195,9 +183,6 @@ class FunctionDecl(Node):
         self.body = body
         self.name_offset = name_offset
         self.noreturn = False
-        for param in params:
-            param.parent = self
-        body.parent = self
 
     def push_children(self, stack):
         stack.append(self.body)
@@ -221,8 +206,6 @@ class ExternDecl(Node):
         self.noreturn = noreturn
         self.name_offset = name_offset
         self.body = None
-        for param in params:
-            param.parent = self
 
     def push_children(self, stack):
         stack.extend(reversed(self.params))
@@ -244,8 +227,6 @@ class VarDecl(Node):
         self.declared_type = declared_type
         self.init = init
         self.name_offset = name_offset
-        if init is not None:
-            init.parent = self
 
     def push_children(self, stack):
         if self.init is not None:
@@ -263,8 +244,6 @@ class Block(Node):
         self.begin = begin
         self.end = end
         self.stmts = stmts
-        for stmt in stmts:
-            stmt.parent = self
 
     def push_children(self, stack):
         stack.extend(reversed(self.stmts))
@@ -283,11 +262,6 @@ class IfStmt(Node):
         self.cond = cond
         self.then_branch = then_branch
         self.else_branch = else_branch
-        if init is not None:
-            init.parent = self
-        cond.parent = then_branch.parent = self
-        if else_branch is not None:
-            else_branch.parent = self
 
     def push_children(self, stack):
         if self.else_branch is not None:
@@ -308,7 +282,6 @@ class WhileStmt(Node):
         self.end = end
         self.cond = cond
         self.body = body
-        cond.parent = body.parent = self
 
     def push_children(self, stack):
         stack.append(self.body)
@@ -324,8 +297,6 @@ class ReturnStmt(Node):
         self.begin = begin
         self.end = end
         self.value = value
-        if value is not None:
-            value.parent = self
 
     def push_children(self, stack):
         if self.value is not None:
@@ -345,11 +316,7 @@ class BreakStmt(Node):
 @_n
 class ContinueStmt(Node):
     __slots__ = ()
-
-    def __init__(self, file: SourceFile, begin: int, end: int):
-        self.file = file
-        self.begin = begin
-        self.end = end
+    __init__ = BreakStmt.__init__
 
 
 @_n
@@ -361,7 +328,6 @@ class DeleteStmt(Node):
         self.begin = begin
         self.end = end
         self.operand = operand
-        operand.parent = self
 
     def push_children(self, stack):
         stack.append(self.operand)
@@ -376,7 +342,6 @@ class ExprStmt(Node):
         self.begin = begin
         self.end = end
         self.expr = expr
-        expr.parent = self
 
     def push_children(self, stack):
         stack.append(self.expr)
@@ -450,7 +415,6 @@ class UnaryOp(Expr):
         self.type = None
         self.op = op
         self.operand = operand
-        operand.parent = self
 
     @property
     def op_loc(self) -> SourceLocation:
@@ -472,7 +436,6 @@ class AddressOf(Expr):
         self.end = end
         self.type = None
         self.operand = operand
-        operand.parent = self
 
     def push_children(self, stack):
         stack.append(self.operand)
@@ -494,7 +457,6 @@ class BinaryOp(Expr):
         self.lhs = lhs
         self.rhs = rhs
         self.op_offset = op_offset
-        lhs.parent = rhs.parent = self
 
     def push_children(self, stack):
         stack.append(self.rhs)
@@ -507,18 +469,7 @@ class Assign(Expr):
 
     __slots__ = ("op", "lhs", "rhs", "op_offset")
     op_loc = BinaryOp.op_loc
-
-    def __init__(self, file: SourceFile, op: str, lhs: Node, rhs: Node, op_offset: int):
-        self.file = file
-        self.begin = lhs.begin
-        self.end = rhs.end
-        self.type = None
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-        self.op_offset = op_offset
-        lhs.parent = rhs.parent = self
-
+    __init__ = BinaryOp.__init__
     push_children = BinaryOp.push_children
 
 
@@ -538,7 +489,6 @@ class FieldAccess(Expr):
         self.is_arrow = is_arrow
         self.member_offset = member_offset
         self.field_decl: FieldDecl | None = None  # resolved by typecheck
-        base.parent = self
 
     def push_children(self, stack):
         stack.append(self.base)
@@ -561,9 +511,6 @@ class MethodCall(Expr):
         self.is_arrow = is_arrow
         self.member_offset = member_offset
         self.method = None  # the builtin StringMethod, resolved by typecheck
-        receiver.parent = self
-        for arg in args:
-            arg.parent = self
 
     def push_children(self, stack):
         stack.extend(reversed(self.args))
@@ -582,9 +529,6 @@ class Call(Expr):
         self.type = None
         self.callee = callee
         self.args = args
-        callee.parent = self
-        for arg in args:
-            arg.parent = self
 
     def push_children(self, stack):
         stack.extend(reversed(self.args))
@@ -613,7 +557,6 @@ class Paren(Expr):
         self.end = end
         self.type = None
         self.inner = inner
-        inner.parent = self
 
     def push_children(self, stack):
         stack.append(self.inner)
@@ -637,24 +580,37 @@ def strip_parens(node: Node) -> Node:
 
 
 def number_tree(unit: TranslationUnit) -> None:
-    """Assign pre-order node ids and subtree ends, and keep the pre-order
-    list as `unit.preorder`. The descendants of a node `n` are then the
-    slice `unit.preorder[n.node_id + 1 : n.last_id + 1]`. Parent links are
-    already set: each node's constructor sets those of its children."""
+    """Assign pre-order node ids, subtree ends and parents in one pass, and
+    keep the pre-order list as `unit.preorder`. The descendants of a node
+    `n` are then the slice `unit.preorder[n.node_id + 1 : n.last_id + 1]`.
+
+    A node's subtree ends when the stack falls below the height it was
+    popped at, and the innermost node still open is the parent of the next
+    node popped."""
     order: list[Node] = []
     add = order.append
     stack: list[Node] = [unit]
     pop = stack.pop
+    # The innermost open node and the height it was popped at, and below
+    # it the nodes open around it; a leaf's subtree ends where it begins.
+    parent, parent_height = None, -1
+    outer: list[tuple[Node | None, int]] = []
     while stack:
         node = pop()
+        height = len(stack)
+        while parent_height > height:
+            parent.last_id = len(order) - 1
+            parent, parent_height = outer.pop()
+        node.parent = parent
         node.node_id = node.last_id = len(order)
         add(node)
         node.push_children(stack)
-    # In reverse pre-order a subtree is finished before its root is reached.
-    for node in reversed(order):
-        parent = node.parent
-        if parent is not None and parent.last_id < node.last_id:
-            parent.last_id = node.last_id
+        if len(stack) > height:
+            outer.append((parent, parent_height))
+            parent, parent_height = node, height
+    while parent is not None:
+        parent.last_id = len(order) - 1
+        parent, parent_height = outer.pop()
     unit.preorder = order
 
 

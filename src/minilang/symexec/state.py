@@ -36,26 +36,16 @@ class ProgramState:
     __slots__ = ("store", "constraints", "gdm",
                  "_digests", "_live", "_slot_refs", "_dead", "_hash")
 
-    def __init__(self, store=None, constraints=None, gdm=None):
-        self.store: dict[MemRegion, SVal] = dict(store or {})
-        self.constraints: dict[Symbol, RangeSet] = dict(constraints or {})
-        self.gdm: dict[str, Mapping] = {k: dict(v) for k, v in (gdm or {}).items()}
-        self._digests = (
-            _digest(self.store.items()),
-            _digest(self.constraints.items()),
-            _digest((key, k, v) for key, mapping in self.gdm.items()
-                    for k, v in mapping.items()),
-        )
+    def __init__(self):
+        """The empty state; every other state comes from a mutator."""
+        self.store: dict[MemRegion, SVal] = {}
+        self.constraints: dict[Symbol, RangeSet] = {}
+        self.gdm: dict[str, Mapping] = {}
+        self._digests = (0, 0, 0)
         self._live: dict[Symbol, int] = {}
         self._slot_refs: dict[Symbol, int] = {}
         self._dead: dict[Symbol, None] = {}
         self._hash = None
-        self._recount_live(
-            [s for v in self.store.values() for s in val_symbols(v)], ())
-        self._recount_slots(
-            [s for mapping in self.gdm.values() for k, v in mapping.items()
-             for s in _item_symbols(k, v)], ())
-        self._note_dead(list(self.constraints), ())
 
     def _derive(self, component: int, mapping: dict, digest: int) -> "ProgramState":
         """A copy sharing every dict but `mapping`, the new contents of one
@@ -333,24 +323,8 @@ _NO_ENTRIES: Mapping = {}  # a missing slot, read and never written
 _new_state = object.__new__
 
 
-def _digest(items) -> int:
-    out = 0
-    for item in items:
-        out ^= hash(item)
-    return out
-
-
 def _same(a: dict, b: dict) -> bool:
     return a is b or a == b
-
-
-def _item_symbols(k, v) -> list[Symbol]:
-    """The symbols one slot entry mentions: its key, and the members of a
-    set value."""
-    out = [k] if k.__class__ is Symbol else []
-    if v.__class__ is frozenset:
-        out += [s for s in v if s.__class__ is Symbol]
-    return out
 
 
 INFEASIBLE = None  # assume() returns None for an infeasible refinement

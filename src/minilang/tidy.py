@@ -52,37 +52,6 @@ def _specializes(new: UsageKind, old: UsageKind) -> bool:
     return old is UsageKind.DEREFERENCE and new is UsageKind.DEREF_INIT
 
 
-class TrackedPointer:
-    def __init__(self, decl: VarDecl, usages: dict[int, VarUsage] | None = None):
-        self.decl = decl
-        self.usages = {} if usages is None else usages  # decl_ref id -> usage
-
-    def ordered_usages(self) -> list[VarUsage]:
-        return sorted(self.usages.values(), key=lambda u: u.decl_ref.begin)
-
-
-class UsageLedger:
-    """Per-unit map from tracked pointer declaration to its usages."""
-
-    def __init__(self):
-        self.pointers: dict[int, TrackedPointer] = {}  # VarDecl node_id
-
-    def track(self, decl: VarDecl) -> TrackedPointer:
-        entry = self.pointers.get(decl.node_id)
-        if entry is None:
-            entry = TrackedPointer(decl)
-            self.pointers[decl.node_id] = entry
-        return entry
-
-    def add_usage(self, decl_ref: DeclRef, usage: VarUsage) -> None:
-        decl = decl_ref.decl
-        assert isinstance(decl, VarDecl), "usage of an untracked declaration"
-        entry = self.track(decl)
-        old = entry.usages.get(decl_ref.node_id)
-        if old is None or _specializes(usage.usage_kind, old.usage_kind):
-            entry.usages[decl_ref.node_id] = usage
-
-
 # --- check framework --------------------------------------------------------
 
 class TidyCheck:
@@ -171,10 +140,21 @@ class RedundantPointerCheck(TidyCheck):
         self.file = file
         self.std = std
         self.structs = structs or {}
-        self.ledger = UsageLedger()
+        # each pointer's usages, one per reference of it
+        self.usages: dict[VarDecl, dict[DeclRef, VarUsage]] = {}
 
     def register_matchers(self) -> Sequence[M.Matcher]:
         return _MATCHERS
+
+    def add_usage(self, usage: VarUsage) -> None:
+        """Record `usage`, unless its reference already has a usage at least
+        as specialized."""
+        ref = usage.decl_ref
+        assert isinstance(ref.decl, VarDecl), "usage of an untracked declaration"
+        refs = self.usages.setdefault(ref.decl, {})
+        old = refs.get(ref)
+        if old is None or _specializes(usage.usage_kind, old.usage_kind):
+            refs[ref] = usage
 
     # most specialized result first, each branch returns after handling
     def check(self, result: M.MatchResult) -> None:
@@ -184,7 +164,7 @@ class RedundantPointerCheck(TidyCheck):
             ref = M.getBound(result, "UsedVar", DeclRef)
             if flow is None or ref is None:
                 raise InternalError("guard match without its bindings")
-            self.ledger.add_usage(ref, VarUsage(UsageKind.GUARD, ref, guard_if=guard))
+            self.add_usage(VarUsage(UsageKind.GUARD, ref, guard_if=guard))
             return
         inited = M.getBound(result, "InitedVar", VarDecl)
         if inited is not None:
@@ -192,34 +172,31 @@ class RedundantPointerCheck(TidyCheck):
             ref = M.getBound(result, "DerefdVar", DeclRef)
             if deref is None or ref is None:
                 raise InternalError("init match without its bindings")
-            self.ledger.add_usage(ref, VarUsage(UsageKind.DEREF_INIT, ref,
-                                                deref_expr=deref, inited_var=inited))
+            self.add_usage(VarUsage(UsageKind.DEREF_INIT, ref,
+                                    deref_expr=deref, inited_var=inited))
             return
         deref = M.getBound(result, "DerefUsage", Node)
         if deref is not None:
             ref = M.getBound(result, "DerefdVar", DeclRef)
             if ref is None:
                 raise InternalError("dereference match without its bindings")
-            self.ledger.add_usage(ref, VarUsage(UsageKind.DEREFERENCE, ref,
-                                                deref_expr=deref))
+            self.add_usage(VarUsage(UsageKind.DEREFERENCE, ref, deref_expr=deref))
             return
         ref = M.getBound(result, "PlainUsage", DeclRef)
         if ref is not None:
-            self.ledger.add_usage(ref, VarUsage(UsageKind.NORMAL, ref))
+            self.add_usage(VarUsage(UsageKind.NORMAL, ref))
             return
 
     # --- end-of-unit decisions ---
 
     def on_end_of_translation_unit(self) -> list[Diagnostic]:
         diags: list[Diagnostic] = []
-        entries = sorted(self.ledger.pointers.values(),
-                         key=lambda e: e.decl.begin)
-        for entry in entries:
-            usages = entry.ordered_usages()
-            if len(usages) == 0 or len(usages) >= 3:
+        for decl in sorted(self.usages, key=lambda d: d.begin):
+            usages = sorted(self.usages[decl].values(), key=lambda u: u.decl_ref.begin)
+            if len(usages) >= 3:
                 continue
             if len(usages) == 1:
-                diags.append(self._inline_single_use(entry, usages[0]))
+                diags.append(self._inline_single_use(decl, usages[0]))
                 continue
             guards = [u for u in usages if u.usage_kind is UsageKind.GUARD]
             inits = [u for u in usages if u.usage_kind is UsageKind.DEREF_INIT]
@@ -227,7 +204,7 @@ class RedundantPointerCheck(TidyCheck):
                     and self._rewritable_var(inits[0].inited_var)
                     and guards[0].decl_ref.begin < inits[0].decl_ref.begin):
                 try:
-                    diags.extend(self.build_guard_rewrite(entry, guards[0], inits[0]))
+                    diags.extend(self.build_guard_rewrite(decl, guards[0], inits[0]))
                 except InternalError:
                     pass  # a source range was unobtainable: emit nothing for p
         return diags
@@ -239,8 +216,7 @@ class RedundantPointerCheck(TidyCheck):
             return False
         return t.base in _DEFAULT_CONSTRUCTIBLE_BASES or t.base in self.structs
 
-    def _inline_single_use(self, entry: TrackedPointer, usage: VarUsage) -> Diagnostic:
-        decl = entry.decl
+    def _inline_single_use(self, decl: VarDecl, usage: VarUsage) -> Diagnostic:
         warning = emit_diag(
             decl.name_loc, "redundant pointer variable with only one usage",
             (), Severity.WARNING, CHECK_NAME,
@@ -255,9 +231,8 @@ class RedundantPointerCheck(TidyCheck):
         warning.attached_notes.append(note)
         return warning
 
-    def build_guard_rewrite(self, entry: TrackedPointer, guard: VarUsage,
+    def build_guard_rewrite(self, decl: VarDecl, guard: VarUsage,
                             init: VarUsage) -> list[Diagnostic]:
-        decl = entry.decl
         var = init.inited_var
         cond = guard.guard_if.cond
         hoisted = f"{var.declared_type} {var.name};"

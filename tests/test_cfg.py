@@ -190,7 +190,8 @@ void g(bool c) { string t = "b"; if (c) { return; } else { return; } }
     assert cfg.notes == []
 
 
-def test_each_dropped_block_is_noted_at_its_statement():
+def test_a_dropped_region_is_noted_once_at_its_first_statement():
+    # The `x = 2` block is reached from the dropped `x = 1` join: one region.
     cfg = cfg_of("""\
 void g(bool c, int x) {
   if (c) { return; } else { return; }
@@ -198,8 +199,33 @@ void g(bool c, int x) {
   if (c) { x = 2; }
 }
 """)
-    assert cfg.notes == ["input.mc:3:3: note: unreachable code dropped",
-                         "input.mc:4:12: note: unreachable code dropped"]
+    assert cfg.notes == ["input.mc:3:3: note: unreachable code dropped"]
+    # A dropped loop after a join that holds no code: the region is noted
+    # at the loop's first statement, through the empty join and the head.
+    cfg = cfg_of("""\
+void h(bool c, int x) {
+  if (c) { return; } else { return; }
+  while (c) { x = 1; if (c) { x = 2; } }
+}
+""")
+    assert cfg.notes == ["input.mc:3:15: note: unreachable code dropped"]
+
+
+def test_two_dropped_regions_print_two_notes():
+    # The first region, in the loop, spans two blocks; nothing links it to
+    # the second, after the loop.
+    cfg = cfg_of("""\
+void k(bool c, int x) {
+  while (c) {
+    if (c) { break; } else { continue; }
+    x = 1; if (c) { x = 3; }
+  }
+  if (c) { return; } else { return; }
+  x = 2;
+}
+""")
+    assert cfg.notes == ["input.mc:4:5: note: unreachable code dropped",
+                         "input.mc:7:3: note: unreachable code dropped"]
 
 
 def test_block_numbering_deterministic_and_entry_reaches_all():

@@ -1,5 +1,6 @@
 """Lexer, parser, typechecker and source-extraction behavior."""
 
+import ast
 import pathlib
 import sys
 
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from minilang.frontend import load_unit, node_text, tokenize, walk
 from minilang.frontend.astnodes import (
-    Assign, BinaryOp, Call, DeclRef, IntLit, VarDecl,
+    Assign, BinaryOp, BreakStmt, Call, ContinueStmt, DeclRef, FieldDecl, IntLit,
+    ParamDecl, VarDecl,
 )
 from minilang.cli import main
 from minilang.frontend.lexer import KEYWORDS, LexError, PUNCTUATORS, TokenKind
@@ -298,6 +300,28 @@ def test_a_long_assignment_chain_parses_right_nested():
         assert expr.lhs.parent is expr.rhs.parent is expr
         expr = expr.rhs
     assert type(expr) is DeclRef and expr.begin == operand_begins[-1]
+
+
+def test_only_number_tree_sets_parents_ids_and_subtree_ends():
+    """`push_children` alone names a node's children: no constructor in
+    `astnodes.py` links a child to its parent, and `number_tree` is the one
+    function that assigns `parent`, `node_id` or `last_id`."""
+    path = ROOT / "src" / "minilang" / "frontend" / "astnodes.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    writers = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                           else [])
+                if any(isinstance(t, ast.Attribute)
+                       and t.attr in ("parent", "node_id", "last_id") for t in targets):
+                    writers.add(fn.name)
+    assert writers == {"number_tree"}
+    assert ParamDecl.__init__ is FieldDecl.__init__
+    assert ContinueStmt.__init__ is BreakStmt.__init__
+    assert Assign.__init__ is BinaryOp.__init__
 
 
 # --- typecheck ----------------------------------------------------------------

@@ -1,6 +1,8 @@
 """State identity: the incremental digests and symbol counts of ProgramState
 against from-scratch references, under random sequences of every mutator."""
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from minilang.frontend.astnodes import TypeRef
@@ -109,24 +111,54 @@ def run(ops) -> ProgramState:
 
 # --- references, computed by scanning the whole state ------------------------------
 
-def live_reference(state):
-    return {s for v in state.store.values() for s in val_symbols(v)}
-
-
-def slot_symbols_reference(state):
-    out = set()
-    for mapping in state.gdm.values():
-        for k, v in mapping.items():
-            if isinstance(k, Symbol):
-                out.add(k)
-            if isinstance(v, frozenset):
-                out |= v
+def _xor_of_hashes(items):
+    out = 0
+    for item in items:
+        out ^= hash(item)
     return out
 
 
+def digests_reference(state):
+    return (_xor_of_hashes(state.store.items()),
+            _xor_of_hashes(state.constraints.items()),
+            _xor_of_hashes((key, k, v) for key, mapping in state.gdm.items()
+                           for k, v in mapping.items()))
+
+
+def live_counts_reference(state):
+    return dict(Counter(s for v in state.store.values() for s in val_symbols(v)))
+
+
+def slot_counts_reference(state):
+    counts = Counter()
+    for mapping in state.gdm.values():
+        for k, v in mapping.items():
+            if isinstance(k, Symbol):
+                counts[k] += 1
+            if isinstance(v, frozenset):
+                counts.update(v)
+    return dict(counts)
+
+
+def live_reference(state):
+    return set(live_counts_reference(state))
+
+
+def slot_symbols_reference(state):
+    return set(slot_counts_reference(state))
+
+
+def dead_reference(state):
+    return (set(state.constraints) | slot_symbols_reference(state)) - live_reference(state)
+
+
 def rebuilt(state):
-    return ProgramState(store=state.store, constraints=state.constraints,
-                        gdm=state.gdm)
+    """The same contents, put together from the empty state: the store in
+    one write, then each constraint, then every slot in one write."""
+    out = ProgramState().bind_many(state.store)
+    for sym, rng in state.constraints.items():
+        out = out.constrain(sym, rng)
+    return out.update_slots(state.gdm)
 
 
 def reordered(state):
@@ -152,14 +184,12 @@ def test_incremental_bookkeeping_matches_a_rebuild(ops):
     for op in ops:
         state = apply(state, op)
         fresh = rebuilt(state)
-        assert state._digests == fresh._digests
-        assert state._live == fresh._live
-        assert state._slot_refs == fresh._slot_refs
+        assert state._digests == digests_reference(state) == fresh._digests
+        assert state._live == live_counts_reference(state) == fresh._live
+        assert state._slot_refs == slot_counts_reference(state) == fresh._slot_refs
         assert set(state.live_symbols()) == live_reference(state)
         assert set(state.gdm_symbols()) == slot_symbols_reference(state)
-        assert set(state.dead_symbols()) == (
-            (set(state.constraints) | slot_symbols_reference(state))
-            - live_reference(state))
+        assert set(state.dead_symbols()) == dead_reference(state)
         assert state == fresh and hash(state) == hash(fresh)
 
 
@@ -211,9 +241,9 @@ def test_update_slot_is_a_dict_edit_of_the_named_entries(writes):
         if all(state.slot(key).get(k) is v for k, v in changes.items()):
             assert updated is state  # nothing to write
         fresh = rebuilt(updated)
-        assert updated._digests == fresh._digests
-        assert updated._slot_refs == fresh._slot_refs
-        assert set(updated.dead_symbols()) == set(fresh.dead_symbols())
+        assert updated._digests == digests_reference(updated) == fresh._digests
+        assert updated._slot_refs == slot_counts_reference(updated) == fresh._slot_refs
+        assert set(updated.dead_symbols()) == dead_reference(updated)
         assert updated == fresh and hash(updated) == hash(fresh)
         state = updated
 
@@ -245,9 +275,8 @@ def test_update_slots_equals_the_one_slot_writes_in_turn(history, first, second,
     assert together._digests == in_turn._digests
     assert set(together.gdm_symbols()) == set(in_turn.gdm_symbols())
     assert set(together.dead_symbols()) == set(in_turn.dead_symbols())
-    fresh = rebuilt(together)
-    assert together._slot_refs == fresh._slot_refs
-    assert set(together.dead_symbols()) == set(fresh.dead_symbols())
+    assert together._slot_refs == slot_counts_reference(together)
+    assert set(together.dead_symbols()) == dead_reference(together)
 
 
 def test_a_symbol_moved_between_slots_keeps_its_count():

@@ -14,7 +14,7 @@ from minilang.source import InternalError, SourceFile, SourceRange
 from minilang import tidy
 from minilang.tidy import (
     apply_fixes, emit_diag, FixIt, make_checks, RedundantPointerCheck,
-    run_checks, UsageKind, UsageLedger, VarUsage,
+    run_checks, UsageKind, VarUsage,
 )
 
 from conftest import frontend, NULL_CHECK, REDUNDANT_PTR
@@ -38,32 +38,35 @@ def norm_tokens(source: str):
     return tokenize(SourceFile("n.mc", source)).spellings
 
 
-# --- the usage ledger ---------------------------------------------------------
+# --- the usage map ------------------------------------------------------------
 
 def refs_of(unit, var_name):
     return [n for n in walk(unit) if isinstance(n, DeclRef) and n.name == var_name]
 
 
+def usage_kinds(check, ref):
+    """The kinds of the usages recorded for the pointer that `ref` names."""
+    return [u.usage_kind for u in check.usages[ref.decl].values()]
+
+
 def test_add_usage_upgrades_normal_to_dereference():
     fe = frontend(REDUNDANT_PTR)
-    ledger = UsageLedger()
+    check = RedundantPointerCheck(fe.file)
     ref = refs_of(fe.unit, "p")[0]
-    ledger.add_usage(ref, VarUsage(UsageKind.NORMAL, ref))
+    check.add_usage(VarUsage(UsageKind.NORMAL, ref))
     deref = ref.parent
-    ledger.add_usage(ref, VarUsage(UsageKind.DEREFERENCE, ref, deref_expr=deref))
-    entry = next(iter(ledger.pointers.values()))
-    assert [u.usage_kind for u in entry.ordered_usages()] == [UsageKind.DEREFERENCE]
+    check.add_usage(VarUsage(UsageKind.DEREFERENCE, ref, deref_expr=deref))
+    assert usage_kinds(check, ref) == [UsageKind.DEREFERENCE]
 
 
 def test_add_usage_never_downgrades():
     fe = frontend(REDUNDANT_PTR)
-    ledger = UsageLedger()
+    check = RedundantPointerCheck(fe.file)
     ref = refs_of(fe.unit, "p")[0]
     deref = ref.parent
-    ledger.add_usage(ref, VarUsage(UsageKind.DEREFERENCE, ref, deref_expr=deref))
-    ledger.add_usage(ref, VarUsage(UsageKind.NORMAL, ref))
-    entry = next(iter(ledger.pointers.values()))
-    assert [u.usage_kind for u in entry.ordered_usages()] == [UsageKind.DEREFERENCE]
+    check.add_usage(VarUsage(UsageKind.DEREFERENCE, ref, deref_expr=deref))
+    check.add_usage(VarUsage(UsageKind.NORMAL, ref))
+    assert usage_kinds(check, ref) == [UsageKind.DEREFERENCE]
 
 
 def test_two_distinct_refs_make_two_entries():
@@ -78,11 +81,11 @@ void f() {
 }
 """
     fe = frontend(source.replace("return;", "int v = p->x;"))
-    ledger = UsageLedger()
-    for ref in refs_of(fe.unit, "p"):
-        ledger.add_usage(ref, VarUsage(UsageKind.NORMAL, ref))
-    entry = next(iter(ledger.pointers.values()))
-    assert len(entry.ordered_usages()) == 2
+    check = RedundantPointerCheck(fe.file)
+    refs = refs_of(fe.unit, "p")
+    for ref in refs:
+        check.add_usage(VarUsage(UsageKind.NORMAL, ref))
+    assert usage_kinds(check, refs[0]) == [UsageKind.NORMAL, UsageKind.NORMAL]
 
 
 def test_multiple_usages_example_dispatch_counts():
@@ -103,8 +106,8 @@ int f() {
     check.check = lambda result: (calls.append(result), original(result))[1]
     run_checks(fe.unit, fe.file, [check])
     assert len(calls) == 3
-    entry = next(iter(check.ledger.pointers.values()))
-    kinds = sorted(u.usage_kind for u in entry.ordered_usages())
+    (usages,) = check.usages.values()
+    kinds = sorted(u.usage_kind for u in usages.values())
     assert kinds == [UsageKind.NORMAL, UsageKind.DEREFERENCE]
 
 
@@ -112,7 +115,7 @@ def test_empty_file_leaves_ledger_unchanged():
     fe = frontend("")
     check = RedundantPointerCheck(fe.file, 14, {})
     run_checks(fe.unit, fe.file, [check])
-    assert check.ledger.pointers == {}
+    assert check.usages == {}
 
 
 # --- decision points ----------------------------------------------------------
