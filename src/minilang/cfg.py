@@ -69,6 +69,7 @@ class _Builder:
         self.scopes: list[list[VarDecl]] = []  # the string locals of each open scope
         self.loops: list[tuple[int, int, int]] = []  # (continue, break, scope depth)
         self.notes: list[str] = []
+        self.jumped_over: dict[int, Node] = {}  # block id -> the statement after a jump
 
     def new_block(self) -> BasicBlock:
         block = BasicBlock(len(self.blocks))
@@ -117,11 +118,10 @@ class _Builder:
         return self._finish(first.id)
 
     def lower_stmts(self, stmts: list[Node]):
-        for i, stmt in enumerate(stmts):
-            if self.current is None:
-                loc = SourceLocation(stmt.file, stmt.begin)
-                self.notes.append(f"{loc}: note: unreachable code dropped")
-                return
+        for stmt in stmts:
+            if self.current is None:  # after a jump: a dropped region starts here
+                self.current = self.new_block()
+                self.jumped_over[self.current.id] = stmt
             self.lower_stmt(stmt)
 
     def lower_stmt(self, stmt: Node):
@@ -258,10 +258,11 @@ class _Builder:
         """One note per stretch of dropped code, at its first statement, as
         Clang's -Wunreachable-code warns once per unreachable region: in
         source order, a dropped block of code that no noted block reaches
-        is noted. A dropped block of destructors only drops no code."""
-        firsts = {}  # dropped block id -> its first statement
+        is noted. A block opened after a jump starts at the statement that
+        follows it; a dropped block of destructors only drops no code."""
+        firsts = self.jumped_over  # dropped block id -> its first statement
         for block in self.blocks:
-            if block.id not in seen:
+            if block.id not in seen and block.id not in firsts:
                 for element in block.elements:
                     if element.__class__ is not ImplicitDtorElement:
                         firsts[block.id] = element

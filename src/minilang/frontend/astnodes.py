@@ -370,25 +370,13 @@ class IntLit(Expr):
 @_n
 class BoolLit(Expr):
     __slots__ = ("value",)
-
-    def __init__(self, file: SourceFile, begin: int, end: int, value: bool):
-        self.file = file
-        self.begin = begin
-        self.end = end
-        self.type = None
-        self.value = value
+    __init__ = IntLit.__init__
 
 
 @_n
 class StringLit(Expr):
     __slots__ = ("value",)
-
-    def __init__(self, file: SourceFile, begin: int, end: int, value: str):
-        self.file = file
-        self.begin = begin
-        self.end = end
-        self.type = None
-        self.value = value
+    __init__ = IntLit.__init__
 
 
 @_n
@@ -437,8 +425,7 @@ class AddressOf(Expr):
         self.type = None
         self.operand = operand
 
-    def push_children(self, stack):
-        stack.append(self.operand)
+    push_children = UnaryOp.push_children
 
 
 @_n

@@ -157,6 +157,9 @@ class BudgetExhausted(Exception):
     """Raised when a new node would push the graph past the node budget."""
 
 
+_BUDGET_NOTE = "{}: note: node budget exhausted, paths abandoned"  # .format(function name)
+
+
 class ExplodedGraph:
     def __init__(self, budget: int | None = None):
         self.nodes: list[ExplodedNode] = []
@@ -346,7 +349,7 @@ class Engine:
             root, _ = graph.add(_new(BlockEdgePoint, (-1, cfg.entry, frame.id)), state, None)
             self.explore(frame, root)
         except BudgetExhausted:
-            self.note(f"{fn.name}: note: node budget exhausted, paths abandoned")
+            self.note(_BUDGET_NOTE.format(fn.name))
         self.result.graphs[fn.name] = graph
         return graph
 
@@ -381,7 +384,7 @@ class Engine:
             except BudgetExhausted:
                 if frame.depth:
                     raise
-                self.note(f"{frame.fn.name}: note: node budget exhausted, paths abandoned")
+                self.note(_BUDGET_NOTE.format(frame.fn.name))
         return exits
 
     def exec_block_from(self, via: ExplodedNode, frame: _Frame, block: BasicBlock,
@@ -501,7 +504,7 @@ class Engine:
                 state = state.bind(region, self.conjure(f"{decl.name}_str"))
             return [(state, via)]
         if self._is_struct_value(declared):
-            return [(self._copy_struct(st, frame, region, src)[1], v)
+            return [(self._copy_struct(st, region, src)[1], v)
                     for src, st, v in self.lvalue_outcomes(via, state, frame, decl.init)]
         return [(st.bind(region, UNKNOWN if isinstance(val, UndefinedVal) else val), v)
                 for val, st, v in self.eval(via, state, frame, decl.init)]
@@ -510,12 +513,12 @@ class Engine:
         return (t is not None and t.indirections == 0
                 and t.base not in BUILTIN_BASES)
 
-    def _copy_struct(self, state: ProgramState, frame: _Frame,
-                     dst: MemRegion | None, src: MemRegion | None):
+    def _copy_struct(self, state: ProgramState, dst: MemRegion | None,
+                     src: MemRegion | None):
         """Value copy of a struct from `src` to `dst`, either None when not
         known: the struct's value and every known field binding. Returns
         (value, state)."""
-        val, state = self.load(state, src, frame) if src is not None else (UNKNOWN, state)
+        val, state = self.load(state, src) if src is not None else (UNKNOWN, state)
         val = UNKNOWN if isinstance(val, UndefinedVal) else val
         if dst is not None:  # no region is within a None `src`
             state = _bind_object(state, dst, val, [
@@ -596,10 +599,9 @@ class Engine:
             ctx = CheckerContext(state)
             fn(ctx, dead, dead_regions)
             state = ctx.state
-        # constraints on symbols that neither the store nor a slot still holds
+        # by the liveness rule, a dead symbol that no slot mentions is constrained
         slot_refs = state.gdm_symbols()
-        stale = [s for s in state.dead_symbols()
-                 if s not in slot_refs and s in state.constraints]
+        stale = [s for s in state.dead_symbols() if s not in slot_refs]
         if stale:
             state = state.drop_constraints(stale)
         return state
@@ -618,7 +620,7 @@ class Engine:
             return self.eval(via, state, frame, expr.inner)
         if isinstance(expr, DeclRef):
             region = self.decl_region(expr, frame)
-            val, state = self.load(state, region, frame)
+            val, state = self.load(state, region)
             return [(val, state, via)]
         if isinstance(expr, UnaryOp):
             return self.eval_unary(via, state, frame, expr)
@@ -648,8 +650,7 @@ class Engine:
                 return alias
         return _new(VarRegion, (decl, frame.id))
 
-    def load(self, state: ProgramState, region: MemRegion,
-             frame: _Frame) -> tuple[SVal, ProgramState]:
+    def load(self, state: ProgramState, region: MemRegion) -> tuple[SVal, ProgramState]:
         val = state.lookup(region)
         if val is not None:
             return val, state
@@ -793,7 +794,7 @@ class Engine:
         out = []
         for pointer, st, v in self.pointer_outcomes(via, state, frame, expr, expr.base):
             if isinstance(pointer, LocVal):
-                out.append((*self.load(st, _field_region(pointer.region, expr), frame), v))
+                out.append((*self.load(st, _field_region(pointer.region, expr)), v))
             else:  # a field behind a symbolic pointer gets a fresh symbol
                 out.append((self.conjure() if isinstance(pointer, SymExpr) else UNKNOWN,
                             st, v))
@@ -801,7 +802,7 @@ class Engine:
 
     def read(self, via, state, frame, expr: Node):
         """Load what `e.f` or `*p` holds; unknown where it points nowhere known."""
-        return [(*self.load(st, region, frame), v) if region is not None
+        return [(*self.load(st, region), v) if region is not None
                 else (UNKNOWN, st, v)
                 for region, st, v in self.lvalue_outcomes(via, state, frame, expr)]
 
@@ -819,7 +820,7 @@ class Engine:
     def eval_assign(self, via, state, frame, expr: Assign):
         lhs_type = expr.lhs.type
         if expr.op == "=" and self._is_struct_value(lhs_type):
-            return [(*self._copy_struct(st1, frame, dst, src), v1)
+            return [(*self._copy_struct(st1, dst, src), v1)
                     for src, st0, v0 in self.lvalue_outcomes(via, state, frame, expr.rhs)
                     for dst, st1, v1 in self.lvalue_outcomes(v0, st0, frame, expr.lhs)]
         out = []
@@ -832,7 +833,7 @@ class Engine:
                     if lhs_type is not None and lhs_type.base == "string":
                         result = self.conjure()
                     else:
-                        current, st1 = self.load(st1, region, frame)
+                        current, st1 = self.load(st1, region)
                         result = self.fold_binary("+", current, rv)
                 else:
                     result = UNKNOWN if isinstance(rv, UndefinedVal) else rv

@@ -28,8 +28,10 @@ class ProgramState:
     mutators update with the items they add and remove (Zobrist hashing).
     `==` compares digests first and the full contents only when they match.
     Symbols are reference-counted as the mutators go: from the store (live)
-    and from checker slots. `dead_symbols()` holds the
-    symbols that constraints or slots mention but nothing live does. States
+    and from checker slots. One liveness rule decides `dead_symbols()`: a
+    symbol is dead when no store value holds it but a constraint or a
+    checker slot mentions it. Each mutator applies it to a symbol whose
+    count crosses zero or whose constraint comes or goes. States
     share every dict they do not change, so a dict is never mutated after
     the state that owns it has been returned."""
 
@@ -69,63 +71,40 @@ class ProgramState:
         new._hash = None
         return new
 
-    # --- reference counts (only on a state fresh from `_derive`) ---
+    # --- liveness (only on a state fresh from `_derive`) ---
 
-    def _recount_live(self, came, gone) -> None:
-        if not came and not gone:
-            return
-        live = dict(self._live)
+    def _recount(self, came, gone, slots=False) -> None:
+        """Count the symbols in `came` up and those in `gone` down, as held
+        by the store or, with `slots`, by the checker slots; settle each one
+        whose count crosses zero."""
+        counts = dict(self._slot_refs if slots else self._live)
+        if slots:
+            self._slot_refs = counts
+        else:
+            self._live = counts
         for sym in came:
-            count = live.get(sym, 0)
-            live[sym] = count + 1
-            if not count and sym in self._dead:
-                self._undead(sym)
+            count = counts.get(sym, 0)
+            counts[sym] = count + 1
+            if not count:
+                self._settle(sym)
         for sym in gone:
-            count = live[sym] - 1
+            count = counts[sym] - 1
             if count:
-                live[sym] = count
-                continue
-            del live[sym]
-            if sym in self.constraints or sym in self._slot_refs:
-                self._mark_dead(sym)
-        self._live = live
+                counts[sym] = count
+            else:
+                del counts[sym]
+                self._settle(sym)
 
-    def _recount_slots(self, came, gone) -> None:
-        if not came and not gone:
-            return
-        refs = dict(self._slot_refs)
-        for sym in came:
-            count = refs.get(sym, 0)
-            refs[sym] = count + 1
-            if not count and sym not in self._live:
-                self._mark_dead(sym)
-        for sym in gone:
-            count = refs[sym] - 1
-            if count:
-                refs[sym] = count
-                continue
-            del refs[sym]
-            if sym in self._dead and sym not in self.constraints:
-                self._undead(sym)
-        self._slot_refs = refs
-
-    def _note_dead(self, constrained, unconstrained) -> None:
-        """Track symbols that gained or lost a constraint."""
-        for sym in constrained:
-            if sym not in self._live:
-                self._mark_dead(sym)
-        for sym in unconstrained:
-            if sym in self._dead and sym not in self._slot_refs:
-                self._undead(sym)
-
-    def _mark_dead(self, sym: Symbol) -> None:
-        if sym not in self._dead:
+    def _settle(self, sym: Symbol) -> None:
+        """Apply the liveness rule to `sym` (see the class docstring)."""
+        dead = sym not in self._live and (sym in self.constraints
+                                          or sym in self._slot_refs)
+        if dead is not (sym in self._dead):
             self._dead = dict(self._dead)
-            self._dead[sym] = None
-
-    def _undead(self, sym: Symbol) -> None:
-        self._dead = dict(self._dead)
-        del self._dead[sym]
+            if dead:
+                self._dead[sym] = None
+            else:
+                del self._dead[sym]
 
     # --- store ---
 
@@ -153,7 +132,7 @@ class ProgramState:
                 came += val_symbols(val)
         new = self._derive(_STORE, store, self._digests[_STORE] ^ delta)
         if came != gone:
-            new._recount_live(came, gone)
+            new._recount(came, gone)
         return new
 
     def unbind_where(self, predicate) -> "ProgramState":
@@ -168,7 +147,8 @@ class ProgramState:
             delta ^= hash((region, val))
             gone.extend(val_symbols(val))
         new = self._derive(_STORE, store, self._digests[_STORE] ^ delta)
-        new._recount_live((), gone)
+        if gone:
+            new._recount((), gone)
         return new
 
     def lookup(self, region: MemRegion) -> SVal | None:
@@ -196,10 +176,8 @@ class ProgramState:
             delta ^= hash((symbol, rng))
         new = self._derive(_CONSTRAINTS, constraints,
                            self._digests[_CONSTRAINTS] ^ delta)
-        if old is None:
-            new._note_dead((symbol,), ())
-        elif rng.is_full:
-            new._note_dead((), (symbol,))
+        if old is None or rng.is_full:  # the symbol gains or loses its constraint
+            new._settle(symbol)
         return new
 
     def drop_constraints(self, symbols) -> "ProgramState":
@@ -213,7 +191,8 @@ class ProgramState:
                 delta ^= hash((sym, constraints.pop(sym)))
         new = self._derive(_CONSTRAINTS, constraints,
                            self._digests[_CONSTRAINTS] ^ delta)
-        new._note_dead((), doomed)
+        for sym in doomed:
+            new._settle(sym)
         return new
 
     # --- checker slots (generic data map) ---
@@ -280,7 +259,7 @@ class ProgramState:
             return self
         new = self._derive(_GDM, gdm, self._digests[_GDM] ^ delta)
         if came != gone:
-            new._recount_slots(came, gone)
+            new._recount(came, gone, slots=True)
         return new
 
     # --- identity ---
@@ -312,8 +291,7 @@ class ProgramState:
         return self._slot_refs.keys()
 
     def dead_symbols(self) -> KeysView[Symbol]:
-        """Symbols that constraints or checker slots mention but that are
-        not live."""
+        """The symbols that are dead by the class docstring's rule."""
         return self._dead.keys()
 
 

@@ -81,8 +81,7 @@ def run_checks(unit, file: SourceFile, checks: list[TidyCheck]) -> list[Diagnost
     diags: list[Diagnostic] = []
     for check in checks:
         diags.extend(check.on_end_of_translation_unit())
-    order = {id(d): i for i, d in enumerate(diags)}
-    diags.sort(key=lambda d: (d.location.offset, order[id(d)]))
+    diags.sort(key=lambda d: d.location.offset)  # stable: emission order breaks ties
     return diags
 
 

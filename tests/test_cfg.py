@@ -1,5 +1,7 @@
 """CFG construction: shapes, destructor elements, numbering, dead code."""
 
+import pytest
+
 from minilang.cfg import build_cfg, dump_cfg, ImplicitDtorElement
 from minilang.frontend.astnodes import (
     DeleteStmt, ExprStmt, FunctionDecl, ReturnStmt, VarDecl, walk,
@@ -226,6 +228,37 @@ void k(bool c, int x) {
 """)
     assert cfg.notes == ["input.mc:4:5: note: unreachable code dropped",
                          "input.mc:7:3: note: unreachable code dropped"]
+
+
+def test_dropped_regions_are_noted_in_source_order():
+    # The region after the join holds a jump; the code after that jump is
+    # a second region, noted after the first.
+    cfg = cfg_of("""\
+void g(bool c, int x) {
+  if (c) { return; } else { return; } x = 1; return; x = 2;
+}
+""")
+    assert cfg.notes == ["input.mc:2:39: note: unreachable code dropped",
+                         "input.mc:2:54: note: unreachable code dropped"]
+
+
+@pytest.mark.parametrize("body, column", [
+    ("{ return; string s; } int y = 1;", 13),
+    # the dropped `x` falls through into the join, which no kept block reaches
+    ("if (c) { return; int x = 1; } else { return; } int y = 2;", 20),
+], ids=["scope", "branch"])
+def test_code_after_a_jump_and_after_its_scope_is_one_region(body, column):
+    cfg = cfg_of(f"void g(bool c) {{\n  {body}\n}}\n")
+    assert cfg.notes == [f"input.mc:2:{column}: note: unreachable code dropped"]
+
+
+@pytest.mark.parametrize("body", ["return; while (c) { }", "return; if (c) { x = 1; }",
+                                  "return; { }"])
+def test_a_statement_after_a_jump_is_noted_even_with_no_element(body):
+    # The loop, the `if` and the block put no element in the block opened
+    # after the jump; the note is still at the statement.
+    cfg = cfg_of(f"void g(bool c, int x) {{\n  {body}\n}}\n")
+    assert cfg.notes == ["input.mc:2:11: note: unreachable code dropped"]
 
 
 def test_block_numbering_deterministic_and_entry_reaches_all():

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from minilang.frontend import load_unit, node_text, tokenize, walk
 from minilang.frontend.astnodes import (
-    Assign, BinaryOp, BreakStmt, Call, ContinueStmt, DeclRef, FieldDecl, IntLit,
-    ParamDecl, VarDecl,
+    AddressOf, Assign, BinaryOp, BoolLit, BreakStmt, Call, ContinueStmt, DeclRef,
+    FieldDecl, IntLit, ParamDecl, StringLit, UnaryOp, VarDecl,
 )
 from minilang.cli import main
 from minilang.frontend.lexer import KEYWORDS, LexError, PUNCTUATORS, TokenKind
@@ -322,6 +322,9 @@ def test_only_number_tree_sets_parents_ids_and_subtree_ends():
     assert ParamDecl.__init__ is FieldDecl.__init__
     assert ContinueStmt.__init__ is BreakStmt.__init__
     assert Assign.__init__ is BinaryOp.__init__
+    assert BoolLit.__init__ is IntLit.__init__
+    assert StringLit.__init__ is IntLit.__init__
+    assert AddressOf.push_children is UnaryOp.push_children
 
 
 # --- typecheck ----------------------------------------------------------------

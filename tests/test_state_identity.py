@@ -288,6 +288,39 @@ def test_a_symbol_moved_between_slots_keeps_its_count():
     assert state.update_slots({SLOTS[0]: {}, SLOTS[1]: {_A: None}}) is state
 
 
+def test_each_transition_of_the_liveness_rule():
+    """A symbol is dead when no store value holds it but a constraint or a
+    slot mentions it; each step moves one symbol across that rule."""
+    a, b, c = SYMBOLS[:3]
+    rng = RangeSet.of((1, 9))
+
+    def step(state, dead):
+        assert set(state.dead_symbols()) == dead_reference(state) == dead
+        return state
+
+    # 6, bound: constraining a bound symbol leaves it live
+    state = step(ProgramState().bind(_A, a).constrain(a, rng), set())
+    # 1: a constrained symbol that loses its last binding is dead, by a write
+    # over it or by an unbinding
+    state = step(state.bind(_A, 0), {a})
+    step(state.bind(_A, a).unbind_where(lambda r: r == _A), {a})
+    # 2: bound again, it is live
+    state = step(state.bind(_B, a), set())
+    # 3: a symbol that only a slot mentions is dead
+    state = step(state.update_slot(SLOTS[0], {b: ("v", 1)}), {b})
+    # 4: the entry goes, and with no constraint left the symbol is live;
+    # a constraint that remains keeps it dead
+    step(state.constrain(b, rng).update_slot(SLOTS[0], {b: None}), {b})
+    state = step(state.update_slot(SLOTS[0], {b: None}), set())
+    # 6, unbound: constraining an unbound symbol makes it dead
+    state = step(state.constrain(c, rng), {c})
+    # 5: dropping its only constraint, or widening it to the full range,
+    # brings it back; a slot that mentions it keeps it dead
+    step(state.drop_constraints([c]), set())
+    step(state.constrain(c, RangeSet.full()), set())
+    step(state.update_slot(SLOTS[0], {c: ("v", 1)}).drop_constraints([c]), {c})
+
+
 # --- one-pass range restriction ------------------------------------------------------
 
 EDGE_POINTS = [IMIN, IMIN + 1, -2, -1, 0, 1, 2, IMAX - 1, IMAX]
