@@ -11,8 +11,10 @@ that a machine that changes speed between rounds slows both alike. The script
 prints the engine's best time over N rounds (10 by default); the best of the
 rounds' engine times in reference-loop units (each divided by the fastest
 `reference()` around it) per 1,000 exploded nodes, which is the engine's cost
-per node with the machine's speed taken out; and the node and destructor
-(`PostImplicitCall`) node counts of the exploded graphs.
+per node with the machine's speed taken out; the node and destructor
+(`PostImplicitCall`) node counts of the exploded graphs; and the mean number
+of store entries per node, which the engine's cost per node grows with where
+a state grows.
 """
 
 from __future__ import annotations
@@ -76,9 +78,11 @@ def main(argv: list[str] | None = None) -> int:
         nodes = [node for result in results for graph in result.graphs.values()
                  for node in graph.nodes]
         dtors = sum(1 for node in nodes if node.point.__class__ is PostImplicitCallPoint)
+        entries = sum(len(node.state.store) for node in nodes)
         print(f"{workload}: Engine.run {engine_s * 1e3:.1f} ms, "
               f"{units_taken / len(nodes) * 1e3:.2f} reference units per 1000 nodes, "
-              f"{len(nodes)} nodes, {dtors} destructor nodes")
+              f"{len(nodes)} nodes, {dtors} destructor nodes, "
+              f"{entries / len(nodes):.2f} store entries per node")
     return 0
 
 

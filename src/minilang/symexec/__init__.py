@@ -9,6 +9,6 @@ from .state import assume, assume_comparison, assume_relation, INFEASIBLE, Progr
 from .values import (  # noqa: F401
     as_symbol, FieldRegion, IMAX, IMIN, LocVal, MemRegion, RangeSet,
     region_root, region_type, region_within, RetRegion, SVal, sym_add,
-    sym_mul, Symbol, SymExpr, SymIntOp, TempRegion, UNDEFINED, UndefinedVal,
-    UNKNOWN, UnknownVal, val_symbols, VarRegion,
+    sym_mul, Symbol, SymExpr, SymIntOp, SymRegion, TempRegion, UNDEFINED,
+    UndefinedVal, UNKNOWN, UnknownVal, val_symbols, VarRegion,
 )

@@ -14,11 +14,13 @@ the frame's `RetRegion`, and CallExit reads it there, then drops every
 binding rooted in the callee frame and the frame's back-edge counts. Each
 destructor run after the return statement uses the bound value again.
 
-One evaluator, `Engine.lvalue_outcomes`, says where an expression points.
-A read, a write or a method call through `*p`, `p->f` or `p->m()` checks
-the pointer, in `Engine.pointer_outcomes`; `&` and binding a reference
-parameter do not. An rvalue under `.`, `&` or a reference parameter is
-evaluated into a `TempRegion` of its frame.
+One evaluator, `Engine.lvalue_outcomes`, says where an expression points,
+and one rule, `_pointee`, where a pointer points: a pointer symbol names a
+`SymRegion`, whose contents `load` conjures once and which dies with the
+symbol. A read, a write or a method call through `*p`, `p->f` or `p->m()`
+checks the pointer, in `Engine.pointer_outcomes`; `&` and binding a
+reference parameter do not. An rvalue under `.`, `&` or a reference
+parameter is evaluated into a `TempRegion` of its frame.
 
 Every truth question is one `assume`. Null is the `int` 0, and a null test
 is `assume(state, pointer, True)`, which fails where the pointer is known
@@ -47,7 +49,7 @@ from .state import assume, assume_comparison, COMPARISONS, ProgramState
 from .values import (
     as_symbol, FieldRegion, LocVal, MemRegion, RangeSet, region_root,
     region_within, RetRegion, SVal, sym_add, sym_mul, Symbol, SymExpr,
-    TempRegion, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
+    SymRegion, TempRegion, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
 )
 
 # The checker callbacks the engine dispatches; a checker implements any subset.
@@ -592,6 +594,15 @@ class Engine:
 
     def _reap_with(self, state: ProgramState, dead_regions: frozenset) -> ProgramState:
         dead = state.dead_symbols()
+        # a dead symbol's memory dies with it (SymbolReaper), as do the symbols only it held
+        while dead:
+            roots = {_new(SymRegion, (sym,)) for sym in dead}
+            doomed = frozenset(r for r in state.store if region_root(r) in roots)
+            dead_regions = dead_regions | roots | doomed
+            if not doomed:
+                break
+            state = state.unbind_where(doomed.__contains__)
+            dead = state.dead_symbols()
         if not dead and not dead_regions:
             return state
         dead = frozenset(dead)
@@ -624,8 +635,9 @@ class Engine:
             return [(val, state, via)]
         if isinstance(expr, UnaryOp):
             return self.eval_unary(via, state, frame, expr)
-        if isinstance(expr, AddressOf):
-            return [(LocVal(region) if region is not None else UNKNOWN, st, v)
+        if isinstance(expr, AddressOf):  # `&*p` is `p`
+            return [(region.sym if region.__class__ is SymRegion
+                     else LocVal(region) if region is not None else UNKNOWN, st, v)
                     for region, st, v in self.lvalue_outcomes(
                         via, state, frame, expr.operand, access=False)]
         if isinstance(expr, BinaryOp):
@@ -633,7 +645,7 @@ class Engine:
         if isinstance(expr, Assign):
             return self.eval_assign(via, state, frame, expr)
         if isinstance(expr, FieldAccess):
-            return self.eval_field(via, state, frame, expr)
+            return self.read(via, state, frame, expr)
         if isinstance(expr, NewExpr):
             return self.eval_new(via, state, frame, expr)
         if isinstance(expr, MethodCall):
@@ -654,12 +666,12 @@ class Engine:
         val = state.lookup(region)
         if val is not None:
             return val, state
-        if isinstance(region, FieldRegion):
-            parent_val = state.lookup(region.parent)
-            if isinstance(parent_val, SymExpr):
-                # unknown struct contents: conjure once and remember
-                fresh = self.conjure()
-                return fresh, state.bind(region, fresh)
+        # unknown contents, behind a pointer symbol or in a symbolic struct: conjure once
+        if region_root(region).__class__ is SymRegion or (
+                region.__class__ is FieldRegion
+                and isinstance(state.lookup(region.parent), SymExpr)):
+            fresh = self.conjure()
+            return fresh, state.bind(region, fresh)
         return UNDEFINED, state
 
     def eval_unary(self, via, state, frame, expr: UnaryOp):
@@ -686,8 +698,8 @@ class Engine:
     def pointer_outcomes(self, via, state, frame, expr: Node, pointer_expr: Node,
                          access: bool = True):
         """Evaluate `pointer_expr`, the pointer of `*q`, `p->f` or `p->m()`
-        (`expr`): (pointer, state, via) outcomes. An access, a read, a write
-        or a method call, checks the pointer once: the checkers' "deref"
+        (`expr`): (its `_pointee`, state, via) outcomes. An access (a read, a
+        write or a method call) checks the pointer once: the checkers' "deref"
         use, then `assume` that it is non-null, as Clang's DereferenceChecker
         does. Where that is infeasible the path ends in a note and a sink;
         a path that goes on has a non-null pointer."""
@@ -704,7 +716,7 @@ class Engine:
                     node.is_sink = True
                     continue
                 st = nonnull
-            out.append((pointer, st, v))
+            out.append((_pointee(pointer), st, v))
         return out
 
     def eval_binary(self, via, state, frame, expr: BinaryOp):
@@ -788,20 +800,8 @@ class Engine:
                 return 0 if product is None else product
         return UNKNOWN  # symbol-vs-symbol arithmetic is not modeled
 
-    def eval_field(self, via, state, frame, expr: FieldAccess):
-        if not expr.is_arrow:
-            return self.read(via, state, frame, expr)
-        out = []
-        for pointer, st, v in self.pointer_outcomes(via, state, frame, expr, expr.base):
-            if isinstance(pointer, LocVal):
-                out.append((*self.load(st, _field_region(pointer.region, expr)), v))
-            else:  # a field behind a symbolic pointer gets a fresh symbol
-                out.append((self.conjure() if isinstance(pointer, SymExpr) else UNKNOWN,
-                            st, v))
-        return out
-
     def read(self, via, state, frame, expr: Node):
-        """Load what `e.f` or `*p` holds; unknown where it points nowhere known."""
+        """Load what `e.f`, `p->f` or `*p` holds; unknown where it points nowhere."""
         return [(*self.load(st, region), v) if region is not None
                 else (UNKNOWN, st, v)
                 for region, st, v in self.lvalue_outcomes(via, state, frame, expr)]
@@ -854,37 +854,25 @@ class Engine:
         expr = strip_parens(expr)
         if expr.__class__ is DeclRef:
             return [(self.decl_region(expr, frame), state, via)]
-        if isinstance(expr, FieldAccess) and not expr.is_arrow:
-            return [(_field_region(region, expr) if region is not None else None, st, v)
-                    for region, st, v in self.lvalue_outcomes(
-                        via, state, frame, expr.base, access)]
         if isinstance(expr, FieldAccess):
-            base = expr.base
-        elif isinstance(expr, UnaryOp) and expr.op == "*":
-            base = expr.operand
-        else:
-            temp = _new(TempRegion, (expr, frame.id))
-            return [(temp, _bind_object(st, temp, val), v)
-                    for val, st, v in self.eval(via, state, frame, expr)]
-        out = []
-        for pointer, st, v in self.pointer_outcomes(via, state, frame, expr, base, access):
-            region = pointer.region if isinstance(pointer, LocVal) else None
-            if region is not None and isinstance(expr, FieldAccess):
-                region = _field_region(region, expr)
-            out.append((region, st, v))
-        return out
+            bases = (self.pointer_outcomes(via, state, frame, expr, expr.base, access)
+                     if expr.is_arrow
+                     else self.lvalue_outcomes(via, state, frame, expr.base, access))
+            return [(_field_region(region, expr) if region is not None else None, st, v)
+                    for region, st, v in bases]
+        if isinstance(expr, UnaryOp) and expr.op == "*":
+            return self.pointer_outcomes(via, state, frame, expr, expr.operand, access)
+        temp = _new(TempRegion, (expr, frame.id))
+        return [(temp, _bind_object(st, temp, val), v)
+                for val, st, v in self.eval(via, state, frame, expr)]
 
     # --- calls ---
 
     def eval_method_call(self, via, state, frame, expr: MethodCall):
         method = expr.method
-        if expr.is_arrow:
-            receiver_outcomes = [
-                (pointer.region if isinstance(pointer, LocVal) else None, st, v)
-                for pointer, st, v in self.pointer_outcomes(
-                    via, state, frame, expr, expr.receiver)]
-        else:
-            receiver_outcomes = self.lvalue_outcomes(via, state, frame, expr.receiver)
+        receiver_outcomes = (
+            self.pointer_outcomes(via, state, frame, expr, expr.receiver) if expr.is_arrow
+            else self.lvalue_outcomes(via, state, frame, expr.receiver))
         out = []
         for region, st, v in receiver_outcomes:
             for args, st1, v1 in self.eval_args(v, st, frame, expr.args, method.params):
@@ -961,17 +949,19 @@ class Engine:
 
     def invalidate_args(self, state: ProgramState, args) -> ProgramState:
         """Conjure new contents for all that a callee with an unknown body
-        could write through its non-const reference and pointer arguments."""
+        could write through its non-const reference and pointer parameters;
+        a `SymRegion` is unknown already, so only what is bound under it."""
         for ptype, val, region in args:
             if ptype is None or ptype.is_const:
                 continue
-            target = val.region if isinstance(val, LocVal) else region
+            target = region or (_pointee(val) if ptype.indirections else None)
             if target is None:
                 continue
-            rebinds = {r: self.conjure() for r in state.store if region_within(r, target)}
-            if target not in rebinds:
+            rebinds = {r: self.conjure() for r in state.store if r == target
+                       or r.__class__ is FieldRegion and region_within(r.parent, target)}
+            if target not in rebinds and target.__class__ is not SymRegion:
                 rebinds[target] = self.conjure()
-            state = state.bind_many(rebinds)
+            state = state.bind_many(rebinds) if rebinds else state
         return state
 
     def inline_call(self, via, state, frame, expr: Call, callee: FunctionDecl, args):
@@ -998,8 +988,8 @@ class Engine:
             if ret is None:
                 ret = UNKNOWN if callee.return_type.base == "void" else UNDEFINED
             # the callee's variables, fields and return slot, and its back edges
-            dead_regions = frozenset(
-                r for r in st.store if region_root(r).frame == new_frame.id)
+            dead_regions = frozenset(r for r in st.store  # a `SymRegion` has no frame
+                                     if getattr(region_root(r), "frame", None) == new_frame.id)
             st = self._reap_with(st.unbind_where(dead_regions.__contains__),
                                  dead_regions)
             loops = {edge: count for edge, count in exit_node.loops.items()
@@ -1011,6 +1001,13 @@ class Engine:
                 continue
             out.append((ret, st, v2))
         return out
+
+
+def _pointee(pointer: SVal) -> MemRegion | None:
+    """Where a pointer points: a `LocVal`'s region, a symbol's `SymRegion`, or None."""
+    if pointer.__class__ is LocVal:
+        return pointer.region
+    return _new(SymRegion, (pointer,)) if pointer.__class__ is Symbol else None
 
 
 def _field_region(base: MemRegion, expr: FieldAccess) -> FieldRegion:
@@ -1064,5 +1061,7 @@ def _region_sort_key(region: MemRegion):
     if isinstance(region, FieldRegion):
         parent = _region_sort_key(region.parent)
         return (parent[0], 1, parent[2], region.field.name)
+    if region.__class__ is SymRegion:  # after every frame's regions
+        return (float("inf"), 0, region.sym.id, "")
     node = region.expr if isinstance(region, TempRegion) else region.decl
     return (region.frame, 0, node.node_id, "")

@@ -11,7 +11,8 @@ so no two value kinds may be equal as tuples: an `int` equals no tuple,
 each singleton and each `Symbol` equals only itself, and the other tuple
 kinds differ in arity, a `LocVal` having one field and a `SymIntOp` three.
 Regions are compared only with regions and values only with values (as
-store keys and store values).
+store keys and store values). Of the one-field regions, a `RetRegion` holds
+an `int` frame id and a `SymRegion` a `Symbol`, so they never compare equal.
 """
 
 from __future__ import annotations
@@ -186,6 +187,16 @@ class RetRegion(NamedTuple):
     frame: int
 
 
+class SymRegion(NamedTuple):
+    """What a pointer symbol (a parameter, an extern's result, `new`) points
+    to, as Clang's SymbolicRegion; its contents die with the symbol."""
+
+    sym: Symbol
+
+    def __str__(self):
+        return f"*{self.sym}"
+
+
 class TempRegion(NamedTuple):
     """An rvalue under `.`, `&` or a reference parameter, as Clang's
     CXXTempObjectRegion. Its node is an expression, never a declaration,
@@ -198,7 +209,7 @@ class TempRegion(NamedTuple):
         return "temp({}:{})".format(*self.expr.file.line_column(self.expr.begin))
 
 
-MemRegion = VarRegion | FieldRegion | RetRegion | TempRegion
+MemRegion = VarRegion | FieldRegion | RetRegion | SymRegion | TempRegion
 
 
 def region_type(region: MemRegion) -> TypeRef | None:

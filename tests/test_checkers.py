@@ -91,6 +91,13 @@ void f() {
                if "2" in str(v))
 
 
+def test_the_address_of_a_dereference_is_the_pointer_itself():
+    # `&*p` is `p`, as in Clang, and not a location that `new` never made
+    reports, _, _ = reports_of(
+        "struct T { int x; };\nvoid f() { T* p = new T(); delete &*p; delete p; }\n")
+    assert [r.message for r in reports] == ["Attempt to free released memory"]
+
+
 def test_use_after_free_on_return():
     reports, _, _ = reports_of(USE_AFTER_FREE)
     assert len(reports) == 1
@@ -392,6 +399,25 @@ void f() {
     assert reports[0].message == "Inner pointer of container used after re/deallocation"
 
 
+def test_a_string_behind_a_pointer_parameter_invalidates_its_buffer_pointers():
+    reports, _, _ = reports_of("""\
+extern void use(char* c);
+void f(string* t) {
+  char* c = t->c_str();
+  t->append("x");
+  use(c);
+}
+""")
+    (report,) = reports
+    diag = assemble_bug_path(report)
+    assert (diag.message, diag.location.line) == (
+        "Inner pointer of container used after re/deallocation", 5)
+    # a string behind a pointer symbol has no declared type to name yet
+    assert [(n.location.line, n.message) for n in diag.attached_notes] == [
+        (3, "Pointer to inner buffer of 'container' obtained here"),
+        (4, "Inner buffer of 'container' reallocated by call to 'append'")]
+
+
 def test_extern_const_reference_is_exempt():
     reports, _, _ = reports_of("""\
 extern void sink(char* c);
@@ -439,6 +465,18 @@ void f() {
 """)
     (_, ptr_set), = last_tracked_state(result.graphs["f"]).slot(RAWPTR_SLOT).items()
     assert len(ptr_set) == 1  # the unstored result died and was trimmed
+
+
+def test_buffer_pointers_of_a_string_behind_a_dead_pointer_symbol_are_forgotten():
+    result, _ = analyze("""\
+extern string* text();
+void f() { string* t = text(); char* c = t->c_str(); t = text(); int k = 0; }
+""")
+    tracked = [{str(region) for region in n.state.slot(RAWPTR_SLOT)}
+               for n in result.graphs["f"].nodes]
+    assert {"*$text1"} in tracked  # recorded under the string behind `t`
+    (leaf,) = result.graphs["f"].leaves()
+    assert leaf.state.slot(RAWPTR_SLOT) == {}  # gone with `$text1`, though `c` lives
 
 
 def test_string_without_c_str_never_reports_whitelist_safety():

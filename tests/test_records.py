@@ -25,7 +25,7 @@ from minilang.symexec import (
     BlockEdgePoint, CallEnterPoint, CallExitPoint, ExplodedGraph, FieldRegion,
     LocVal, PostImplicitCallPoint, PostStmtPoint, PreStmtPoint,
     ProgramState, RangeSet, region_type, RetRegion, Symbol,
-    SymIntOp, TempRegion, UNDEFINED, UNKNOWN, VarRegion,
+    SymIntOp, SymRegion, TempRegion, UNDEFINED, UNKNOWN, VarRegion,
 )
 from minilang.tidy import UsageKind, VarUsage
 
@@ -82,6 +82,7 @@ def test_points_of_different_classes_never_compare_equal():
 def test_engine_records_name_each_fact_once():
     assert Symbol._fields == ("id", "name")
     assert FieldRegion._fields == ("parent", "field")
+    assert SymRegion._fields == ("sym",)
     assert CallEnterPoint._fields == ("frame",)
     assert PreStmtPoint._fields == ("frame", "node")
     assert PostStmtPoint._fields == ("block", "index", "frame", "node")
@@ -157,11 +158,23 @@ def test_regions_of_different_kinds_never_compare_equal():
     # expression.
     expr = next(n for n in UNIT.preorder if n.kind == "DeclRef")
     var = VarRegion(NODE, 1)
-    regions = [var, TempRegion(expr, 1), FieldRegion(var, S_X), RetRegion(1)]
+    regions = [var, TempRegion(expr, 1), FieldRegion(var, S_X), RetRegion(1),
+               SymRegion(symbol())]
     for i, a in enumerate(regions):
         for j, b in enumerate(regions):
             assert (a == b) is (i == j), (a, b)
     assert str(TempRegion(expr, 1)) == "temp(1:23)"
+
+
+def test_sym_region_is_named_by_its_symbol():
+    a, b = symbol(), symbol()
+    assert SymRegion(a) == SymRegion(a) and not SymRegion(a) != SymRegion(a)
+    assert hash(SymRegion(a)) == hash(SymRegion(a))
+    assert SymRegion(a) != SymRegion(b) and len({SymRegion(a), SymRegion(b)}) == 2
+    # the other one-field region, with a frame id equal to the symbol's id
+    assert SymRegion(a) != RetRegion(a.id) and RetRegion(a.id) != SymRegion(a)
+    assert str(SymRegion(a)) == "*$a" and str(FieldRegion(SymRegion(a), S_X)) == "*$a.x"
+    assert region_type(SymRegion(a)) is None
 
 
 def test_sym_int_op_rejects_other_operators():
@@ -302,7 +315,7 @@ HOT_RECORDS = {
     TypeRef, SourceLocation, M.MatchResult, ImplicitDtorElement,
     BlockEdgePoint, PreStmtPoint, PostStmtPoint, CallEnterPoint,
     CallExitPoint, PostImplicitCallPoint, VarRegion, FieldRegion, RetRegion,
-    TempRegion, Symbol,
+    SymRegion, TempRegion, Symbol,
 }
 
 

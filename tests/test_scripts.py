@@ -37,7 +37,8 @@ def test_engine_cost_prints_one_line_per_analyze_workload(tmp_path):
     assert child.returncode == 0, child.stdout + child.stderr
     lines = child.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["analyze-deep", "analyze-wide"]
-    assert lines[0].endswith(", 13475 nodes, 5477 destructor nodes")
+    assert lines[0].endswith(", 13475 nodes, 5477 destructor nodes, "
+                             "33.96 store entries per node")
     assert all(float(line.split(", ")[1].split()[0]) > 0 for line in lines)
 
 

@@ -18,7 +18,7 @@ from minilang.symexec.engine import BudgetExhausted
 
 from conftest import analyze, EXPLODED_G, frontend, LOOP_THEN_DIVISION
 from engine_paths import error_sinks, leaf_decisions, leaf_witness, replay_ends
-from interp_oracle import run_function
+from interp_oracle import Instance, run_function
 
 
 def fresh_sym(name="s") -> Symbol:
@@ -555,6 +555,75 @@ def test_address_and_reference_binding_through_a_freed_pointer_are_no_access(stm
     assert "deref" not in recorder.kinds
 
 
+# --- memory behind a pointer symbol ---------------------------------------------------
+
+POINTEE_PRELUDE = """\
+struct S { int v; };
+extern S* mk();
+extern void fill(S* p);
+extern void peek(const S* p);
+"""
+
+
+def pointee_store(node):
+    """The bindings of what pointer symbols point to."""
+    return {r: v for r, v in store_of(node).items() if r.startswith("*")}
+
+
+def test_a_field_read_twice_through_an_externs_result_keeps_its_constraint():
+    result, fe = analyze(POINTEE_PRELUDE + """\
+int f() { S* q = mk(); if (q->v == 0) { return 10 / q->v; } return 0; }
+""")
+    replay = run_function(fe.unit, "f", externs={"mk": lambda args: Instance("S", {"v": 0})})
+    assert replay.error == "division by zero"
+    assert [r.message for r in result.reports] == ["Division by zero"]
+
+
+POINTEE_SHAPES = {
+    "field_through_a_parameter":
+        "int f(S* p) { if (p->v == 0) { return 10 / p->v; } return 0; }",
+    "int_through_a_parameter":
+        "int f(int* p) { if (*p == 0) { return 10 / *p; } return 0; }",
+    "two_symbols_never_alias":
+        "int f(S* p, S* r) { p->v = 0; r->v = 1; return 10 / p->v; }",
+    "written_by_an_inlined_callee":
+        "void set(S* q) { q->v = 0; }\nint f(S* p) { set(p); return 10 / p->v; }",
+    "kept_by_a_const_pointer_argument":
+        "int f(S* p) { p->v = 0; peek(p); return 10 / p->v; }",
+}
+
+
+@pytest.mark.parametrize("fn", POINTEE_SHAPES.values(), ids=POINTEE_SHAPES.keys())
+def test_memory_behind_a_pointer_symbol_keeps_what_was_read_or_written(fn):
+    result, _ = analyze(POINTEE_PRELUDE + fn + "\n")
+    assert [r.message for r in result.reports] == ["Division by zero"]
+
+
+def test_a_call_through_a_non_const_pointer_rebinds_what_it_points_to():
+    result, _ = analyze(POINTEE_PRELUDE +
+                        "int f(S* p) { p->v = 0; fill(p); return 10 / p->v; }\n")
+    assert result.reports == []
+    (leaf,) = result.graphs["f"].leaves()
+    assert pointee_store(leaf) == {"*$p.v": "$c2"}  # and no new binding of `*$p`
+
+
+def test_a_reassigned_pointer_reads_the_new_memory_and_the_old_dies():
+    result, _ = analyze(POINTEE_PRELUDE +
+                        "int f() { S* q = mk(); q->v = 0; q = mk(); return 10 / q->v; }\n")
+    assert result.reports == []
+    (leaf,) = result.graphs["f"].leaves()
+    assert pointee_store(leaf) == {"*$mk2.v": "$c3"}
+
+
+def test_a_write_through_a_heap_pointer_is_read_back():
+    result, fe = analyze("""\
+struct S { int v; };
+int f() { S* p = new S(); p->v = 0; return 10 / p->v; }
+""")
+    assert run_function(fe.unit, "f").error == "division by zero"
+    assert [r.message for r in result.reports] == ["Division by zero"]
+
+
 # Known defects: each test holds the engine to the oracle's verdict and fails
 # until the defect is mended.
 
@@ -565,17 +634,6 @@ def test_struct_fields_written_in_an_inlined_callee_survive_call_exit():
 struct S { int v; };
 S mk() { S s; s.v = 0; return s; }
 int f() { S t = mk(); return 10 / t.v; }
-""")
-    assert run_function(fe.unit, "f").error == "division by zero"
-    assert [r.message for r in result.reports] == ["Division by zero"]
-
-
-@pytest.mark.xfail(strict=True, reason="a write through a heap or symbolic pointer "
-                   "is dropped")
-def test_a_write_through_a_heap_pointer_is_read_back():
-    result, fe = analyze("""\
-struct S { int v; };
-int f() { S* p = new S(); p->v = 0; return 10 / p->v; }
 """)
     assert run_function(fe.unit, "f").error == "division by zero"
     assert [r.message for r in result.reports] == ["Division by zero"]
