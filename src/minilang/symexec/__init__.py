@@ -5,7 +5,7 @@ from .engine import (  # noqa: F401
     CallExitPoint, CallInfo, CheckerContext, dump_dot, Engine, ExplodedGraph,
     ExplodedNode, PostImplicitCallPoint, PostStmtPoint, PreStmtPoint,
 )
-from .state import assume, assume_comparison, assume_relation, INFEASIBLE, ProgramState  # noqa: F401
+from .state import assume, assume_relation, INFEASIBLE, ProgramState  # noqa: F401
 from .values import (  # noqa: F401
     as_symbol, FieldRegion, IMAX, IMIN, LocVal, MemRegion, RangeSet,
     region_root, region_type, region_within, RetRegion, SVal, sym_add,

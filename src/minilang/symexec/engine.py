@@ -22,10 +22,14 @@ checks the pointer, in `Engine.pointer_outcomes`; `&` and binding a
 reference parameter do not. An rvalue under `.`, `&` or a reference
 parameter is evaluated into a `TempRegion` of its frame.
 
-Every truth question is one `assume`. Null is the `int` 0, and a null test
-is `assume(state, pointer, True)`, which fails where the pointer is known
-null. A branch condition and the left side of a value-context `&&`/`||`
-fork through `Engine.branch_split`, so each outcome is a path of its own.
+A comparison is a value, as Clang's SValBuilder makes it: `fold_binary`
+decides it where it can and folds one with a symbolic side to a `SymIntOp`
+such as `$x==0`, which a `bool` local, a return value or `!` carries on.
+Every truth question, comparisons included, is one `assume` of a value.
+Null is the `int` 0, and a null test is `assume(state, pointer, True)`,
+which fails where the pointer is known null. A branch condition and the
+left side of a value-context `&&`/`||` fork through `Engine.branch_split`,
+one `eval` and two `assume`s, so each outcome is a path of its own.
 
 Every error path ends in a sink of its own, but reports are uniqued as
 Clang's BugReporter does: `Engine.report` keeps one per (check name,
@@ -45,11 +49,12 @@ from ..frontend.astnodes import (
     StringLit, TranslationUnit, TypeRef, UnaryOp, VarDecl, VOID, strip_parens,
 )
 from ..source import InternalError, SourceLocation
-from .state import assume, assume_comparison, COMPARISONS, ProgramState
+from .state import assume, ProgramState
 from .values import (
-    as_symbol, FieldRegion, LocVal, MemRegion, RangeSet, region_root,
-    region_within, RetRegion, SVal, sym_add, sym_mul, Symbol, SymExpr,
-    SymRegion, TempRegion, UNDEFINED, UndefinedVal, UNKNOWN, VarRegion,
+    as_symbol, COMPARISONS, FieldRegion, FLIP, LocVal, MemRegion, MIRROR,
+    RangeSet, region_root, region_within, RetRegion, SVal, sym_add, sym_mul,
+    Symbol, SymExpr, SymIntOp, SymRegion, TempRegion, UNDEFINED, UndefinedVal,
+    UNKNOWN, VarRegion,
 )
 
 # The checker callbacks the engine dispatches; a checker implements any subset.
@@ -461,19 +466,11 @@ class Engine:
 
     def branch_split(self, via: ExplodedNode, state: ProgramState, frame: _Frame,
                      cond: Node) -> list[tuple[bool, ProgramState, ExplodedNode]]:
-        """Evaluate a branch condition once; return the feasible refinements
-        for both truth values. `cfg.lower_cond` has already taken parentheses
-        and `!` off the condition, and `eval_short_circuit` off the left side
-        of a value-context `&&`/`||`, which this also decides."""
+        """Evaluate a branch condition, or the left side of a value-context
+        `&&`/`||`, once, and `assume` its value both ways: the feasible
+        refinements for both truth values. A comparison is decided as any
+        other value is, from its `SymIntOp` or its `int`."""
         out = []
-        if isinstance(cond, BinaryOp) and cond.op in COMPARISONS:
-            for lv, st1, v1 in self.eval(via, state, frame, cond.lhs):
-                for rv, st2, v2 in self.eval(v1, st1, frame, cond.rhs):
-                    for truth in (True, False):
-                        st3 = assume_comparison(st2, lv, cond.op, rv, truth)
-                        if st3 is not None:
-                            out.append((truth, st3, v2))
-            return out
         for val, st, v in self.eval(via, state, frame, cond):
             for truth in (True, False):
                 st2 = assume(st, val, truth)
@@ -675,24 +672,20 @@ class Engine:
         return UNDEFINED, state
 
     def eval_unary(self, via, state, frame, expr: UnaryOp):
-        if expr.op == "*":
+        """`*p` reads; `-x` is `x * -1`; `!` flips a comparison, and any
+        other `!x` is `x == 0`."""
+        op = expr.op
+        if op == "*":
             return self.read(via, state, frame, expr)
         out = []
         for val, st, v in self.eval(via, state, frame, expr.operand):
-            if expr.op == "-":
-                if val.__class__ is int:
-                    out.append((-val, st, v))
-                elif isinstance(val, SymExpr):
-                    out.append((sym_mul(val, -1), st, v))
-                else:
-                    out.append((UNKNOWN, st, v))
-            elif expr.op == "!":
-                if val.__class__ is int:
-                    out.append((0 if val else 1, st, v))
-                elif isinstance(val, LocVal):
-                    out.append((0, st, v))
-                else:
-                    out.append((UNKNOWN, st, v))
+            if op == "-":
+                val = self.fold_binary("*", val, -1)
+            elif val.__class__ is SymIntOp and val.op in FLIP:
+                val = _new(SymIntOp, (val.lhs, FLIP[val.op], val.rhs))
+            else:
+                val = self.fold_binary("==", val, 0)
+            out.append((val, st, v))
         return out
 
     def pointer_outcomes(self, via, state, frame, expr: Node, pointer_expr: Node,
@@ -741,32 +734,42 @@ class Engine:
         return out
 
     def eval_short_circuit(self, via, state, frame, expr: BinaryOp):
-        """A value-context `&&`/`||` forks on its left side as a branch
-        condition does, as Clang lowers it into CFG branches: where the left
-        side decides, the value is 0 for `&&` and 1 for `||`; elsewhere it is
-        the right side's. As `cfg.lower_cond` does, parentheses and `!`s come
-        off the left side, and each `!` flips which truth runs the right."""
-        decided = 0 if expr.op == "&&" else 1  # the value where the left decides
-        goes_on = not decided  # the left truth that runs the right side
-        cond = strip_parens(expr.lhs)
-        while cond.__class__ is UnaryOp and cond.op == "!":
-            cond = strip_parens(cond.operand)
-            goes_on = not goes_on
+        """A value-context `&&`/`||` forks on its left side's value as a
+        branch condition does, as Clang lowers it into CFG branches: where
+        the left side decides, the value is 0 for `&&` and 1 for `||`;
+        elsewhere it is the right side's."""
+        decided = 0 if expr.op == "&&" else 1  # also the left truth that decides
         out = []
-        for truth, st, v in self.branch_split(via, state, frame, cond):
-            if truth == goes_on:
-                out.extend(self.eval(v, st, frame, expr.rhs))
-            else:
+        for truth, st, v in self.branch_split(via, state, frame, expr.lhs):
+            if truth == decided:
                 out.append((decided, st, v))
+            else:
+                out.extend(self.eval(v, st, frame, expr.rhs))
         return out
 
     def fold_binary(self, op: str, lv: SVal, rv: SVal) -> SVal:
+        """`lv op rv` as a value. A comparison with one symbolic side is a
+        `SymIntOp`, the symbol on the left; a location is decided against
+        null and, by region, against a location."""
         lv_int = lv.__class__ is int
         rv_int = rv.__class__ is int
         compare = COMPARISONS.get(op)
         if compare is not None:
             if lv_int and rv_int:
                 return 1 if compare(lv, rv) else 0
+            if rv_int and isinstance(lv, SymExpr):
+                return _new(SymIntOp, (lv, op, rv))
+            if lv_int and isinstance(rv, SymExpr):
+                return _new(SymIntOp, (rv, MIRROR[op], lv))
+            if op == "==" or op == "!=":
+                if lv.__class__ is LocVal and rv.__class__ is LocVal:
+                    equal = lv.region == rv.region
+                elif (lv.__class__ is LocVal and rv_int and rv == 0
+                      or rv.__class__ is LocVal and lv_int and lv == 0):
+                    equal = False  # a live region is never null
+                else:
+                    return UNKNOWN
+                return 1 if equal == (op == "==") else 0
             return UNKNOWN
         if lv_int and rv_int:
             if op == "+":

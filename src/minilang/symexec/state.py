@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-import operator
 from collections.abc import KeysView, Mapping
 
 from ..source import InternalError
 from .values import (
-    LocVal, MemRegion, RangeSet, SVal, Symbol, SymExpr, SymIntOp,
-    linear_form, UndefinedVal, UnknownVal, val_symbols,
+    COMPARISONS, FLIP, LocVal, MemRegion, RangeSet, SVal, Symbol, SymExpr,
+    SymIntOp, linear_form, UndefinedVal, UnknownVal, val_symbols,
 )
-
-# The six comparison operators, each with its meaning on two ints.
-COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
-               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
-_FLIP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
-_MIRROR = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 class ProgramState:
@@ -122,13 +115,13 @@ class ProgramState:
                 delta ^= hash((region, old))
                 if old.__class__ is Symbol:
                     gone.append(old)
-                elif old.__class__ is SymIntOp:
+                elif old.__class__ is SymIntOp or old.__class__ is LocVal:
                     gone += val_symbols(old)
             store[region] = val
             delta ^= hash((region, val))
             if val.__class__ is Symbol:
                 came.append(val)
-            elif val.__class__ is SymIntOp:
+            elif val.__class__ is SymIntOp or val.__class__ is LocVal:
                 came += val_symbols(val)
         new = self._derive(_STORE, store, self._digests[_STORE] ^ delta)
         if came != gone:
@@ -312,6 +305,8 @@ def assume(state: ProgramState, val: SVal, truth: bool) -> ProgramState | None:
     """Refine `state` by `val` being true/false; None when infeasible."""
     if val.__class__ is int:
         return state if bool(val) == truth else INFEASIBLE
+    if val.__class__ is SymIntOp and val.op in COMPARISONS:
+        return assume_relation(state, val.lhs, val.op, val.rhs, truth)
     if isinstance(val, SymExpr):
         return assume_relation(state, val, "!=", 0, truth)
     if isinstance(val, LocVal):
@@ -327,7 +322,7 @@ def assume_relation(state: ProgramState, expr: SymExpr, op: str, const: int,
     single-symbol forms sym ⋈ c and (sym + k) ⋈ c; anything else is kept
     unconstrained (both outcomes stay feasible)."""
     if not truth:
-        op = _FLIP[op]
+        op = FLIP[op]
     form = linear_form(expr)
     if form is None:
         return state
@@ -341,28 +336,3 @@ def assume_relation(state: ProgramState, expr: SymExpr, op: str, const: int,
     if rng.is_empty:
         return INFEASIBLE
     return state.constrain(sym, rng)
-
-
-def assume_comparison(state: ProgramState, lhs: SVal, op: str, rhs: SVal,
-                      truth: bool) -> ProgramState | None:
-    """Refine by `lhs op rhs`, covering the value shapes the engine produces:
-    concrete/concrete decides, symbolic/concrete refines a range, a location
-    compared with null (the `int` 0) or with a location decides, everything
-    else stays unconstrained."""
-    lhs_int = lhs.__class__ is int
-    rhs_int = rhs.__class__ is int
-    if lhs_int and rhs_int:
-        return state if COMPARISONS[op](lhs, rhs) == truth else INFEASIBLE
-    if isinstance(lhs, SymExpr) and rhs_int:
-        return assume_relation(state, lhs, op, rhs, truth)
-    if lhs_int and isinstance(rhs, SymExpr):
-        return assume_relation(state, rhs, _MIRROR[op], lhs, truth)
-    if op in ("==", "!="):
-        unequal = (op == "!=") == truth  # the refinement demands lhs != rhs
-        if (isinstance(lhs, LocVal) and rhs_int and rhs == 0
-                or isinstance(rhs, LocVal) and lhs_int and lhs == 0):
-            return state if unequal else INFEASIBLE
-        if isinstance(lhs, LocVal) and isinstance(rhs, LocVal):
-            same = lhs.region == rhs.region
-            return INFEASIBLE if same == unequal else state
-    return state

@@ -4,7 +4,10 @@ Values, expressions and regions are plain Python values, as in Clang's
 static analyzer, and a value's class is the tag that Clang's SVal stores
 by hand: a concrete value is an `int`, a symbolic value is its expression
 (a `Symbol` or a `SymIntOp`), a pointer is a `LocVal`, and the rest are
-the singletons `UNDEFINED` and `UNKNOWN`. Expressions, `LocVal` and
+the singletons `UNDEFINED` and `UNKNOWN`. A comparison is a value too: one
+with a symbolic side is a `SymIntOp` such as `$x==0`, which `assume`
+decides wherever it is used, as a branch condition, a `bool` local or an
+operand of `!`, `&&` or `||`. Expressions, `LocVal` and
 regions are named tuples, built, compared and hashed by the interpreter's
 tuple code, with no generated methods. Tuple equality ignores the class,
 so no two value kinds may be equal as tuples: an `int` equals no tuple,
@@ -17,6 +20,7 @@ an `int` frame id and a `SymRegion` a `Symbol`, so they never compare equal.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from ..frontend.astnodes import FieldDecl, Node, TypeRef
@@ -48,17 +52,28 @@ class Symbol(NamedTuple):
         return f"${self.name}"
 
 
+# The six comparison operators, each with its meaning on two ints; each
+# one's negation; and each one with its sides swapped.
+COMPARISONS = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+FLIP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+MIRROR = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
 class _SymIntOpFields(NamedTuple):
     lhs: SymExpr  # never a constant: constants fold
-    op: str  # + or *
+    op: str  # +, * or a comparison
     rhs: int
 
 
 class SymIntOp(_SymIntOpFields):
+    """`lhs op rhs`, as Clang's SymIntExpr: an arithmetic `+` or `*`, or one
+    of the six comparisons, whose value is 0 or 1."""
+
     __slots__ = ()
 
     def __new__(cls, lhs: SymExpr, op: str, rhs: int):
-        assert op in ("+", "*")
+        assert op == "+" or op == "*" or op in COMPARISONS
         return _new(cls, (lhs, op, rhs))
 
     def __str__(self):
@@ -88,7 +103,8 @@ def sym_mul(expr: SymExpr, c: int) -> SymExpr | None:
 
 
 def linear_form(expr: SymExpr) -> tuple[Symbol, int, int] | None:
-    """Decompose expr as symbol*a + b, or None if it is not that shape."""
+    """Decompose expr as symbol*a + b, or None if it is not that shape, as
+    a comparison is not."""
     if expr.__class__ is Symbol:
         return expr, 1, 0
     if isinstance(expr, SymIntOp):
@@ -98,7 +114,8 @@ def linear_form(expr: SymExpr) -> tuple[Symbol, int, int] | None:
         sym, a, b = inner
         if expr.op == "+":
             return sym, a, b + expr.rhs
-        return sym, a * expr.rhs, b * expr.rhs
+        if expr.op == "*":
+            return sym, a * expr.rhs, b * expr.rhs
     return None
 
 
@@ -151,9 +168,13 @@ def as_symbol(val: SVal) -> Symbol | None:
 
 
 def val_symbols(val: SVal) -> tuple[Symbol, ...]:
-    """The symbols a value mentions: none, or the one symbol at the root of
-    its expression, as every expression is linear in one symbol. Values
-    without a symbol share one empty tuple."""
+    """The symbols a value keeps alive: none, or one. That is the symbol at
+    the root of its expression, as every expression is in one symbol, or,
+    for a pointer into a symbol's memory, that symbol. Values without a
+    symbol share one empty tuple."""
+    if val.__class__ is LocVal:
+        val = region_root(val.region)
+        return (val.sym,) if val.__class__ is SymRegion else _NO_SYMBOLS
     while val.__class__ is SymIntOp:
         val = val.lhs
     return (val,) if val.__class__ is Symbol else _NO_SYMBOLS

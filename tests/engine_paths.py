@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from minilang.cfg import build_cfg, Cfg
+from minilang.checkers import make_checkers
+from minilang.frontend import load_unit
 from minilang.frontend.astnodes import Paren, UnaryOp
-from minilang.symexec.engine import BlockEdgePoint, ExplodedNode
+from minilang.symexec.engine import BlockEdgePoint, Engine, ExplodedNode
 from minilang.symexec.values import linear_form, RangeSet, RetRegion
 
 from interp_oracle import run_function
@@ -28,13 +30,17 @@ def error_sinks(result) -> list[ExplodedNode]:
 
 
 def leaf_decisions(leaf: ExplodedNode, cfg: Cfg) -> list[tuple[int, bool]]:
-    """The (condition node id, truth) sequence along the leaf's path, as the
-    oracle records it: for the condition as written, with the parentheses
-    and `!` that `cfg.lower_cond` took off put back."""
+    """The (condition node id, truth) sequence along the leaf's path in the
+    frame of `cfg`, where the path starts, as the oracle records it: for the
+    condition as written, with the parentheses and `!` that
+    `cfg.lower_cond` took off put back. The decisions of inlined callees
+    are left out, so the oracle's trace matches only where they have none."""
     decisions = []
-    for node in pred_chain(leaf):
+    chain = pred_chain(leaf)
+    frame = chain[0].point.frame
+    for node in chain:
         point = node.point
-        if isinstance(point, BlockEdgePoint) and point.src >= 0:
+        if isinstance(point, BlockEdgePoint) and point.src >= 0 and point.frame == frame:
             block = cfg.block(point.src)
             if block.cond is not None:
                 cond, truth = block.cond, point.dst == block.succs[0]
@@ -97,3 +103,31 @@ def replay_ends(result, fe, name: str = "f") -> None:
         expected = value_at(end.state.lookup(RetRegion(end.point.frame)), witness)
         if expected is not None:
             assert run.ret == expected, (end, witness)
+
+
+def judge_probe(source: str, label: str) -> None:
+    """Judge the graph of a generated `void probe(int a, int b)` (see
+    `proggen`) in the oracle. Soundness: each leaf's witness replays to the
+    leaf's branch decisions, and no two leaves share them. Completeness:
+    running every (a, b) in [-GRID, GRID]² takes exactly the leaves' paths."""
+    fe = load_unit(f"{label}.mc", source)
+    assert fe.ok, (label, [d.message for d in fe.diagnostics])
+    cfg = build_cfg(fe.unit.functions["probe"])
+    leaves = Engine(fe.unit, checkers=make_checkers()).run().graphs["probe"].leaves()
+    leaf_traces = set()
+    for leaf in leaves:
+        decisions = leaf_decisions(leaf, cfg)
+        witness = leaf_witness(leaf, ["a", "b"])
+        replay = run_function(fe.unit, "probe", (witness["a"], witness["b"]))
+        assert replay.error is None, (label, witness, replay.error)
+        assert replay.branch_trace == decisions, (label, witness)
+        leaf_traces.add(tuple(decisions))
+    assert len(leaf_traces) == len(leaves), (label, "duplicate leaf traces")
+    grid = range(-GRID, GRID + 1)
+    enumerated = set()
+    for a in grid:
+        for b in grid:
+            out = run_function(fe.unit, "probe", (a, b))
+            assert out.error is None
+            enumerated.add(tuple(out.branch_trace))
+    assert leaf_traces == enumerated, (label, leaf_traces ^ enumerated)

@@ -3,7 +3,10 @@
 The generated shape is deliberately narrow so both oracles are exact:
 conditions compare a variable against a small constant, assignments are
 variable +/- constant chains, and every feasible path has a witness with
-both parameters in [-GRID, GRID].
+both parameters in [-GRID, GRID]. With `bool_locals`, each `if` tests its
+comparison through a `bool` local, alternately `bool c = COND; if (c)` and
+`bool c = !(COND); if (!c)`; the random choices, and so the paths, are
+those of the same seed without it.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ _CMPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
 class _Gen:
-    def __init__(self, rng: random.Random, max_branches: int):
+    def __init__(self, rng: random.Random, max_branches: int, bool_locals: bool):
         self.rng = rng
         self.vars = ["a", "b"]
         self.local_counter = 0
         self.branches_left = max_branches
+        self.bool_locals = bool_locals
+        self.bool_counter = 0
 
     def simple_expr(self) -> str:
         # values derive from parameters with one constant offset at most, so
@@ -49,6 +54,13 @@ class _Gen:
             if roll < 0.35 and self.branches_left > 0 and depth < 3:
                 self.branches_left -= 1
                 cond = self.condition()
+                if self.bool_locals:
+                    self.bool_counter += 1
+                    name = f"c{self.bool_counter}"
+                    negated = self.bool_counter % 2 == 0
+                    out.append(f"{'  ' * depth}bool {name} = "
+                               + (f"!({cond});" if negated else f"{cond};"))
+                    cond = f"!{name}" if negated else name
                 then_body = self.indent(self.statements(depth + 1, 2), depth + 1)
                 if rng.random() < 0.5:
                     else_body = self.indent(self.statements(depth + 1, 2), depth + 1)
@@ -78,9 +90,10 @@ class _Gen:
         return "\n".join("  " + s for s in stmts)
 
 
-def generate_function(seed: int, max_branches: int = 4) -> str:
+def generate_function(seed: int, max_branches: int = 4,
+                      bool_locals: bool = False) -> str:
     """One random `void probe(int a, int b)` body."""
     rng = random.Random(seed)
-    gen = _Gen(rng, max_branches)
+    gen = _Gen(rng, max_branches, bool_locals)
     body = "\n".join("  " + line for line in gen.statements(0, 5))
     return f"void probe(int a, int b) {{\n{body}\n}}\n"

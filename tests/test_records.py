@@ -179,9 +179,9 @@ def test_sym_region_is_named_by_its_symbol():
 
 def test_sym_int_op_rejects_other_operators():
     lhs = symbol()
-    for op in ("+", "*"):
+    for op in ("+", "*", "==", "!=", "<", "<=", ">", ">="):
         assert SymIntOp(lhs, op, 2).op == op
-    for op in ("-", "/", "%", "<", ""):
+    for op in ("-", "/", "%", "&&", ""):
         with pytest.raises(AssertionError):
             SymIntOp(lhs, op, 2)
 

@@ -17,8 +17,11 @@ from minilang.symexec import (
 from minilang.symexec.engine import BudgetExhausted
 
 from conftest import analyze, EXPLODED_G, frontend, LOOP_THEN_DIVISION
-from engine_paths import error_sinks, leaf_decisions, leaf_witness, replay_ends
+from engine_paths import (
+    error_sinks, judge_probe, leaf_decisions, leaf_witness, replay_ends,
+)
 from interp_oracle import Instance, run_function
+from proggen import generate_function
 
 
 def fresh_sym(name="s") -> Symbol:
@@ -182,6 +185,13 @@ void probe(int a, int b) {
         assert replay.branch_trace == leaf_decisions(leaf, cfg)
 
 
+def test_generated_conditions_through_bool_locals_replay_and_enumerate():
+    # the judge of acceptance criterion 10, with each `if` testing a `bool`
+    # local that holds the comparison, or its negation under a `!`
+    for seed in range(100, 200):
+        judge_probe(generate_function(seed, bool_locals=True), f"bool{seed}")
+
+
 # --- evaluator shapes, judged by the oracle -----------------------------------------------
 
 EVALUATOR_SHAPES = {
@@ -291,6 +301,47 @@ int f(int a) {{
 }}
 """)
     replay_ends(result, fe)
+
+
+# A comparison is a value: a `bool` local, a return value or `!` carries it to
+# the branch that decides it. Each shape gives its number of reports.
+COMPARISON_VALUES = {
+    "a bool local": (
+        "int f(int x) { bool z = x == 0; if (z) return 10 / x; return 0; }", 1),
+    "an inlined bool function": (
+        "bool small(int x) { return x < 1; }\n"
+        "int f(int x) { if (small(x)) { if (x > -1) return 10 / x; } return 0; }", 1),
+    "a negated comparison in a bool local": (
+        "int f(int x) { bool nz = !(x == 0); if (nz) return 1; return 10 / x; }", 1),
+    "a negated test of a bool local": (
+        "int f(int x) { bool z = x == 0; if (!z) return 10 / x; return 0; }", 0),
+    "a constant on the left": (
+        "int f(int x) { if (3 > x) { if (x > 1) return 10 / (x - 2); } return 0; }", 1),
+    "a location compared with itself": (
+        "int f(int x) { int y = 0; int* p = &y; bool same = p == &y; "
+        "if (!same) return x; return 10 / y; }", 1),
+}
+
+
+@pytest.mark.parametrize("shape", COMPARISON_VALUES)
+def test_a_comparison_kept_as_a_value_decides_the_branch_that_tests_it(shape):
+    source, reports = COMPARISON_VALUES[shape]
+    result, fe = analyze(source + "\n")
+    replay_ends(result, fe)  # each report's error node is a sink replayed here
+    assert [r.message for r in result.reports] == ["Division by zero"] * reports
+
+
+def test_a_null_test_kept_in_a_bool_local_ends_in_the_null_dereference_note():
+    result, fe = analyze("""\
+struct S { int v; };
+int f(S* p) { bool isnull = p == 0; if (isnull) return p->v; return 0; }
+""")
+    assert result.notes == ["input.mc:2:56: note: null dereference, path terminated"]
+    (sink,) = error_sinks(result)
+    assert leaf_witness(sink, ["p"]) == {"p": 0}
+    replay = run_function(fe.unit, "f", (None,))  # the oracle's null
+    assert replay.error == "null dereference"
+    assert replay.branch_trace == leaf_decisions(sink, build_cfg(fe.unit.functions["f"]))
 
 
 def test_assume_on_a_location_decides_its_truth():
@@ -615,6 +666,15 @@ def test_a_reassigned_pointer_reads_the_new_memory_and_the_old_dies():
     assert pointee_store(leaf) == {"*$mk2.v": "$c3"}
 
 
+def test_a_pointer_into_a_symbols_memory_keeps_the_symbol_alive():
+    result, fe = analyze(POINTEE_PRELUDE + """\
+int f() { S* p = mk(); p->v = 0; int* r = &p->v; p = mk(); return 10 / *r; }
+""")
+    replay = run_function(fe.unit, "f", externs={"mk": lambda args: Instance("S")})
+    assert replay.error == "division by zero"
+    assert [r.message for r in result.reports] == ["Division by zero"]
+
+
 def test_a_write_through_a_heap_pointer_is_read_back():
     result, fe = analyze("""\
 struct S { int v; };
@@ -634,6 +694,18 @@ def test_struct_fields_written_in_an_inlined_callee_survive_call_exit():
 struct S { int v; };
 S mk() { S s; s.v = 0; return s; }
 int f() { S t = mk(); return 10 / t.v; }
+""")
+    assert run_function(fe.unit, "f").error == "division by zero"
+    assert [r.message for r in result.reports] == ["Division by zero"]
+
+
+@pytest.mark.xfail(strict=True, reason="a struct passed by value to an inlined callee "
+                   "loses its fields at CallEnter")
+def test_struct_fields_passed_by_value_to_an_inlined_callee_survive_call_enter():
+    result, fe = analyze("""\
+struct S { int v; };
+int g(S t) { return 10 / t.v; }
+int f() { S s; s.v = 0; return g(s); }
 """)
     assert run_function(fe.unit, "f").error == "division by zero"
     assert [r.message for r in result.reports] == ["Division by zero"]
